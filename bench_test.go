@@ -298,9 +298,8 @@ func BenchmarkEngineThroughputSparse(b *testing.B) {
 
 // BenchmarkSweepPinnedTopology measures repeated trials of one pinned
 // topology through scenario.Sweep — the shape of every figure sweep in this
-// repo — with the warm run-arena path on (default) and off (the -no-arena
-// escape hatch). B/op is the headline metric: warm trials reuse the fleet,
-// the engine and its node states, the flat CSR delivery rows and the trace
+// repo. B/op is the headline metric: warm trials reuse the fleet, the
+// engine and its node states, the flat CSR delivery rows and the trace
 // buffer, so per-trial allocation collapses to per-event work.
 func BenchmarkSweepPinnedTopology(b *testing.B) {
 	spec := scenario.Spec{
@@ -316,34 +315,15 @@ func BenchmarkSweepPinnedTopology(b *testing.B) {
 		Model:     scenario.ModelSpec{Fprog: 10, Fack: 200},
 		Run:       scenario.RunSpec{Seed: 1, Trials: 16},
 	}
-	for _, mode := range []struct {
-		name    string
-		noArena bool
-	}{{"arena", false}, {"cold", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				reports, err := scenario.SweepWithOptions([]scenario.Spec{spec},
-					scenario.SweepOptions{Parallelism: 1, NoArena: mode.noArena})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got := reports[0].Solved(); got != spec.Run.Trials {
-					b.Fatalf("%d/%d trials solved", got, spec.Run.Trials)
-				}
-			}
-		})
-	}
+	benchSweep(b, spec)
 }
 
 // BenchmarkSweepRandomTopology measures repeated trials of an *unpinned*
 // randomized topology through scenario.Sweep — every trial draws a fresh
-// grey-zone geometric network — with the warm per-worker path on (default:
-// workspace-built graphs, rebound run arena) and off (-no-arena). B/op is
-// the headline metric: warm trials emit the per-trial graphs into recycled
-// workspace storage and rebind one runner instead of building a cold engine,
-// so the per-trial cost collapses toward per-event work even though no two
-// trials share a network.
+// grey-zone geometric network. B/op is the headline metric: warm trials
+// emit the per-trial graphs into recycled workspace storage and rebind one
+// runner instead of building a fresh one, so the per-trial cost collapses
+// toward per-event work even though no two trials share a network.
 func BenchmarkSweepRandomTopology(b *testing.B) {
 	spec := scenario.Spec{
 		Name: "random-rgg-sweep",
@@ -357,23 +337,21 @@ func BenchmarkSweepRandomTopology(b *testing.B) {
 		Model:     scenario.ModelSpec{Fprog: 10, Fack: 200},
 		Run:       scenario.RunSpec{Seed: 1, Trials: 16},
 	}
-	for _, mode := range []struct {
-		name    string
-		noArena bool
-	}{{"arena", false}, {"cold", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				reports, err := scenario.SweepWithOptions([]scenario.Spec{spec},
-					scenario.SweepOptions{Parallelism: 1, NoArena: mode.noArena})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got := reports[0].Solved(); got != spec.Run.Trials {
-					b.Fatalf("%d/%d trials solved", got, spec.Run.Trials)
-				}
-			}
-		})
+	benchSweep(b, spec)
+}
+
+// benchSweep runs the spec's trials through a sequential sweep per
+// iteration and fails unless every trial solves.
+func benchSweep(b *testing.B, spec scenario.Spec) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		reports, err := scenario.SweepWithOptions([]scenario.Spec{spec}, scenario.SweepOptions{Parallelism: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := reports[0].Solved(); got != spec.Run.Trials {
+			b.Fatalf("%d/%d trials solved", got, spec.Run.Trials)
+		}
 	}
 }
 

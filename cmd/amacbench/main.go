@@ -7,7 +7,7 @@
 // Usage:
 //
 //	amacbench [-quick] [-trials N] [-seed S] [-check] [-parallel P]
-//	          [-no-arena] [-only id-substring] [-experiments large-n]
+//	          [-only id-substring] [-experiments large-n]
 //	          [-json BENCH.json] [-server http://host:7437]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -17,8 +17,6 @@
 //
 // -parallel runs each experiment's (sweep point, trial) simulations on a
 // bounded worker pool; tables are byte-identical at any parallelism.
-// -no-arena disables cross-trial run-arena and fleet reuse for pinned
-// topologies (a debugging escape hatch; output is identical either way).
 // -json appends a machine-readable perf record per experiment (wall time,
 // simulation events, events/sec, allocations), the repo's perf trajectory;
 // cmd/benchdiff compares two such records and gates CI on regressions.
@@ -50,7 +48,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "base random seed")
 	checkFlag := flag.Bool("check", false, "verify the abstract MAC layer guarantees on every run (slower)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker pool size for sweep points and trials")
-	noArena := flag.Bool("no-arena", false, "disable cross-trial run-arena and fleet reuse for pinned topologies (debugging)")
 	shards := flag.Int("shards", 0, "worker count for experiments with a component-sharded leg (0 = NumCPU); tables are byte-identical at any value")
 	only := flag.String("only", "", "run only experiments whose id contains this substring")
 	gates := flag.String("experiments", "", "comma-separated gated experiment groups to enable (e.g. \"large-n\"); gated experiments are skipped by default")
@@ -87,7 +84,6 @@ func main() {
 		Seed:        *seed,
 		Check:       *checkFlag,
 		Parallelism: *parallel,
-		NoArena:     *noArena,
 		Shards:      *shards,
 	}
 	if *server != "" {
@@ -110,7 +106,6 @@ func main() {
 		Quick:       *quick,
 		Trials:      *trials,
 		Seed:        *seed,
-		NoArena:     *noArena,
 	}
 	enabled := map[string]bool{}
 	for _, g := range strings.Split(*gates, ",") {

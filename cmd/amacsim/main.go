@@ -43,6 +43,7 @@ import (
 
 	"amac/internal/check"
 	"amac/internal/core"
+	"amac/internal/graph"
 	"amac/internal/jobs"
 	"amac/internal/metrics"
 	"amac/internal/scenario"
@@ -312,6 +313,14 @@ func specFromFlags(topo string, n, k, r int, algName, sname string, rel float64,
 	return spec, nil
 }
 
+// headerDiameterSamples and headerDiameterSeed match the runner's horizon
+// sampling, so the report header reuses the diameter the run memoized on
+// the graph instead of paying for the O(n·m) exact computation.
+const (
+	headerDiameterSamples = 8
+	headerDiameterSeed    = 1
+)
+
 // printReport renders the scenario outcome in amacsim's report format.
 func printReport(out io.Writer, rep *scenario.Report, stats, trace bool) error {
 	spec := rep.Spec
@@ -319,8 +328,15 @@ func printReport(out io.Writer, rep *scenario.Report, stats, trace bool) error {
 	d := first.Built.Dual
 	alg, _ := core.LookupAlgorithm(spec.Algorithm.Name)
 
-	fmt.Fprintf(out, "network    : %s (n=%d, D=%d, |E|=%d, |E'\\E|=%d)\n",
-		d.Name, d.N(), d.G.Diameter(), d.G.M(), len(d.UnreliableEdges()))
+	// The sampled diameter is exact up to graph.ExactDiameterCutoff nodes
+	// and a lower bound above it.
+	diam := "D="
+	if d.N() > graph.ExactDiameterCutoff {
+		diam = "D≥"
+	}
+	fmt.Fprintf(out, "network    : %s (n=%d, %s%d, |E|=%d, |E'\\E|=%d)\n",
+		d.Name, d.N(), diam, d.G.ApproxDiameter(headerDiameterSamples, headerDiameterSeed),
+		d.G.M(), len(d.UnreliableEdges()))
 	if spec.Workload.Kind == scenario.WorkloadPoisson {
 		fmt.Fprintf(out, "workload   : k=%d messages arriving online over the first %d ticks\n",
 			first.Workload.K(), spec.Workload.Span)

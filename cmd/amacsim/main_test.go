@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"amac/internal/graph"
+	"amac/internal/scenario"
 )
 
 // writeScenario dumps the flag-assembled ring scenario to a temp file, the
@@ -116,7 +120,7 @@ func TestReadTraceDecodesStreamedRun(t *testing.T) {
 	}
 	pattern := filepath.Join(dir, "ring.amtr")
 	patched := strings.Replace(string(raw), `"run": {`,
-		`"run": {"trace_file": `+strconv.Quote(pattern)+`, `, 1)
+		`"run": {"trace": "stream", "trace_file": `+strconv.Quote(pattern)+`, `, 1)
 	if err := os.WriteFile(path, []byte(patched), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -139,5 +143,41 @@ func TestReadTraceDecodesStreamedRun(t *testing.T) {
 
 	if err := run([]string{"-read-trace", traceFile, "-scenario", path}, &out); err == nil {
 		t.Fatal("-read-trace with -scenario accepted")
+	}
+}
+
+// TestHeaderDiameterAroundCutoff pins the report header's diameter: exact
+// (D=) up to graph.ExactDiameterCutoff nodes and a sampled lower bound (D≥)
+// just above it, where the exact O(n·m) computation used to stall amacsim
+// on large networks.
+func TestHeaderDiameterAroundCutoff(t *testing.T) {
+	for _, n := range []int{graph.ExactDiameterCutoff, graph.ExactDiameterCutoff + 64} {
+		args := []string{"-topology", "rgg", "-n", strconv.Itoa(n), "-k", "2", "-check=false"}
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Fatalf("n=%d: run: %v\n%s", n, err, out.String())
+		}
+		spec, err := specFromFlags("rgg", n, 2, 2, "bmmb", "", 0.5, 0, 10, 200, 1, 1, false, 1.6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := scenario.BuildTopology(spec, spec.Run.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := built.Dual.G.Diameter()
+		header := strings.SplitN(out.String(), "\n", 2)[0]
+		m := regexp.MustCompile(`, D(=|≥)(\d+),`).FindStringSubmatch(header)
+		if m == nil {
+			t.Fatalf("n=%d: no diameter in header %q", n, header)
+		}
+		got, _ := strconv.Atoi(m[2])
+		if n <= graph.ExactDiameterCutoff {
+			if m[1] != "=" || got != exact {
+				t.Fatalf("n=%d: header %q, want exact D=%d", n, header, exact)
+			}
+		} else if m[1] != "≥" || got < 1 || got > exact {
+			t.Fatalf("n=%d: header %q, want a lower bound D≥ on the exact %d", n, header, exact)
+		}
 	}
 }

@@ -64,12 +64,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if bf.Quick != nf.Quick || bf.Trials != nf.Trials || bf.Seed != nf.Seed ||
-		bf.Parallelism != nf.Parallelism || bf.NoArena != nf.NoArena {
+		bf.Parallelism != nf.Parallelism {
 		fmt.Fprintf(stdout, "note: records were taken under different options — throughput deltas may reflect configuration, not code\n"+
-			"  base: quick=%v trials=%d seed=%d parallel=%d no-arena=%v\n"+
-			"  new:  quick=%v trials=%d seed=%d parallel=%d no-arena=%v\n",
-			bf.Quick, bf.Trials, bf.Seed, bf.Parallelism, bf.NoArena,
-			nf.Quick, nf.Trials, nf.Seed, nf.Parallelism, nf.NoArena)
+			"  base: quick=%v trials=%d seed=%d parallel=%d\n"+
+			"  new:  quick=%v trials=%d seed=%d parallel=%d\n",
+			bf.Quick, bf.Trials, bf.Seed, bf.Parallelism,
+			nf.Quick, nf.Trials, nf.Seed, nf.Parallelism)
 	}
 
 	deltas := perfrecord.Compare(bf, nf)

@@ -44,14 +44,14 @@ func main() {
 		run := scenario.RunSpec{Seed: int64(ratio)}
 		specs = append(specs,
 			scenario.Spec{
-				Name: fmt.Sprintf("fastgossip-bmmb-%dx", ratio),
+				Name:     fmt.Sprintf("fastgossip-bmmb-%dx", ratio),
 				Topology: topo, Workload: workload,
 				Algorithm: scenario.AlgorithmSpec{Name: "bmmb"},
 				Scheduler: scenario.SchedulerSpec{Name: "sync", Params: topology.Params{"rel": 0.5}},
 				Model:     model, Run: run,
 			},
 			scenario.Spec{
-				Name: fmt.Sprintf("fastgossip-fmmb-%dx", ratio),
+				Name:     fmt.Sprintf("fastgossip-fmmb-%dx", ratio),
 				Topology: topo, Workload: workload,
 				Algorithm: scenario.AlgorithmSpec{Name: "fmmb", Params: topology.Params{"c": grey}},
 				Model:     model, Run: run,

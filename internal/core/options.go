@@ -74,12 +74,6 @@ type RunOptions struct {
 	// at every shard count. A connected network degenerates to the legacy
 	// execution, so for those the two semantics coincide exactly.
 	Shards int
-	// Regions, when > 1, additionally splits each run into contiguous node
-	// regions executed optimistically in Fprog-sized time windows with
-	// rollback on cross-region delivery — the path for single-component
-	// giants. Requires Shards ≥ 1 and automata that implement
-	// mac.Resettable. 0 or 1 disables windowing.
-	Regions int
 }
 
 // Validate reports the first illegal combination, or nil.
@@ -98,12 +92,6 @@ func (o RunOptions) Validate() error {
 	}
 	if o.Shards < 0 {
 		return fmt.Errorf("core: negative Shards %d", o.Shards)
-	}
-	if o.Regions < 0 {
-		return fmt.Errorf("core: negative Regions %d", o.Regions)
-	}
-	if o.Regions > 1 && o.Shards < 1 {
-		return errors.New("core: Regions > 1 requires Shards >= 1 (windowed execution is part of the decomposed executor)")
 	}
 	return nil
 }

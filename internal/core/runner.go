@@ -93,8 +93,8 @@ type Result struct {
 	// only until the Runner's next Run recycles it, so inspect (or copy
 	// out of) it before starting another trial. Plain core.Run results
 	// keep their engine indefinitely. Decomposed executions (Options.Shards
-	// >= 1 on a multi-component network, or Options.Regions > 1) run many
-	// engines and leave Engine nil.
+	// >= 1 on a multi-component network) run many engines and leave Engine
+	// nil.
 	Engine *mac.Engine
 }
 
@@ -152,12 +152,6 @@ func (cfg *RunConfig) resolve() (*Workload, error) {
 		if a == nil {
 			return nil, fmt.Errorf("core: nil automaton for node %d", i)
 		}
-		if cfg.Options.Regions > 1 {
-			if _, ok := a.(mac.Resettable); !ok {
-				return nil, fmt.Errorf("core: Options.Regions=%d requires resettable automata (node %d's %T does not implement mac.Resettable; windowed execution replays regions from time zero)",
-					cfg.Options.Regions, i, a)
-			}
-		}
 	}
 	if workload.K() == 0 {
 		return nil, fmt.Errorf("core: empty workload (MMB requires k >= 1)")
@@ -181,20 +175,26 @@ const (
 	horizonDiameterSeed    = 1
 )
 
-// Run executes the configured MMB instance to completion (or horizon) and
-// returns the result. Invalid configurations return a descriptive error
-// (see Validate) rather than panicking; fail-fast callers use MustRun.
+// Run executes the configured MMB instance to completion (or horizon) on a
+// one-shot Runner and returns the result. Invalid configurations return a
+// descriptive error (see Validate) rather than panicking; fail-fast callers
+// use MustRun.
 func Run(cfg RunConfig) (*Result, error) {
-	return runWith(cfg, nil)
+	workload, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
+	return NewRunner(cfg.Dual).run(cfg, workload)
 }
 
 // Runner executes repeated MMB configurations on one pinned network with
 // warm state: a mac.Arena (pooled engine, node states, flat CSR delivery
 // rows, warm event pool), the component index of G, and the runner's own
-// completion-tracking maps, all reused across Run calls. The first Run is a
-// normal cold execution that fills the pools; subsequent runs skip engine
-// and fleet-scaffolding allocation entirely. Executions are byte-identical
-// to core.Run at equal configuration — the golden-trace suite and
+// completion-tracking maps, all reused across Run calls. Every execution
+// runs on a Runner — core.Run builds a one-shot one. The first Run fills
+// the pools; subsequent runs skip engine and fleet-scaffolding allocation
+// entirely. Executions are byte-identical on fresh and warm runners at
+// equal configuration — the golden-trace suite and
 // TestRunnerWarmMatchesCold pin that.
 //
 // A Runner serves one execution at a time and is not safe for concurrent
@@ -231,7 +231,7 @@ type Runner struct {
 // already-built topologies, so this is a programming error.
 func NewRunner(d *topology.Dual) *Runner {
 	r := &Runner{dual: d, arena: mac.NewArena(d)}
-	r.compOf, r.compSizes = componentIndex(d.G)
+	r.compOf, r.compSizes, _ = componentIndexInto(d.G, nil, nil, nil)
 	r.watch = r.st.onEvent
 	return r
 }
@@ -263,7 +263,7 @@ func (r *Runner) Dual() *topology.Dual { return r.dual }
 // cached component index of G is recomputed into its existing slices. The
 // watcher maps are per-run state and reset on the next Run as always.
 // Unpinned trial sweeps rebind one runner per worker to each per-trial
-// network draw; executions stay byte-identical to cold core.Run calls.
+// network draw; executions stay byte-identical to one-shot core.Run calls.
 // Rebinding to the runner's current dual is a no-op.
 func (r *Runner) Rebind(d *topology.Dual) {
 	if d == r.dual {
@@ -285,7 +285,15 @@ func (r *Runner) Rebind(d *topology.Dual) {
 // exact network the runner was built for (pointer identity — a structurally
 // equal copy would invalidate the precomputed CSR index anyway).
 func (r *Runner) Run(cfg RunConfig) (*Result, error) {
-	return runWith(cfg, r)
+	workload, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Dual != r.dual {
+		return nil, fmt.Errorf("core: Runner was built for dual %q, not %q (pass the identical built topology)",
+			r.dual.Name, cfg.Dual.Name)
+	}
+	return r.run(cfg, workload)
 }
 
 // gprimeIndex returns the component index of G′, computed on first use and
@@ -299,17 +307,11 @@ func (r *Runner) gprimeIndex() (compOf, compSizes []int) {
 	return r.gpCompOf, r.gpCompSize
 }
 
-// componentIndex maps each node to its G-component index and each component
-// index to its size. Components are numbered by smallest member, matching
-// graph.Components ordering.
-func componentIndex(g *graph.Graph) (compOf, compSizes []int) {
-	compOf, compSizes, _ = componentIndexInto(g, nil, nil, nil)
-	return compOf, compSizes
-}
-
-// componentIndexInto is componentIndex computing into the given slices
-// (index storage and BFS queue scratch), grown only when capacity is short,
-// so a Runner's rebind recycles all of them.
+// componentIndexInto maps each node to its component index in g and each
+// component index to its size, numbering components by smallest member
+// (graph.Components ordering). It computes into the given slices (index
+// storage and BFS queue scratch), grown only when capacity is short, so a
+// Runner's rebind recycles all of them.
 func componentIndexInto(g *graph.Graph, compOf, compSizes []int, queue []graph.NodeID) ([]int, []int, []graph.NodeID) {
 	n := g.N()
 	if cap(compOf) >= n {
@@ -349,8 +351,9 @@ func componentIndexInto(g *graph.Graph, compOf, compSizes []int, queue []graph.N
 }
 
 // runState is the completion-watcher state of one execution: it counts
-// required deliveries, flags MMB violations and halts on completion. Cold
-// runs allocate one per execution; a Runner owns one and recycles its maps.
+// required deliveries, flags MMB violations and halts on completion. A
+// Runner owns one and recycles its maps across runs; each component shard
+// of a decomposed run builds its own.
 type runState struct {
 	res      *Result
 	eng      *mac.Engine
@@ -400,18 +403,9 @@ func (st *runState) onEvent(ev sim.TraceEvent) {
 	}
 }
 
-// runWith is the shared implementation of Run (rn == nil, everything
-// allocated fresh) and Runner.Run (rn's arena, component index and watcher
-// state recycled).
-func runWith(cfg RunConfig, rn *Runner) (*Result, error) {
-	workload, err := cfg.resolve()
-	if err != nil {
-		return nil, err
-	}
-	if rn != nil && cfg.Dual != rn.dual {
-		return nil, fmt.Errorf("core: Runner was built for dual %q, not %q (pass the identical built topology)",
-			rn.dual.Name, cfg.Dual.Name)
-	}
+// run executes a validated cfg, with its resolved workload, on the runner's
+// arena, component index and watcher state.
+func (r *Runner) run(cfg RunConfig, workload *Workload) (*Result, error) {
 	cfg.Workload = workload
 	n := cfg.Dual.N()
 	k := cfg.Workload.K()
@@ -431,23 +425,14 @@ func runWith(cfg RunConfig, rn *Runner) (*Result, error) {
 		cfg.StepLimit = uint64(n+1) * uint64(cfg.Horizon/cfg.Fprog+1) * 64
 	}
 
-	// Decomposed executors. Their output is a pure function of the
+	// The decomposed executor. Its output is a pure function of the
 	// configuration — independent of Shards beyond the >= 1 switch, and of
 	// how many workers actually run — but it is a different function from
 	// the legacy single-engine execution whenever the network genuinely
 	// decomposes (per-shard scheduler streams replace the one global one).
-	if cfg.Options.Regions > 1 {
-		return runWindowed(cfg, rn)
-	}
 	if cfg.Options.Shards >= 1 {
-		var gpOf, gpSizes []int
-		if rn != nil {
-			gpOf, gpSizes = rn.gprimeIndex()
-		} else {
-			gpOf, gpSizes = componentIndex(cfg.Dual.GPrime)
-		}
-		if len(gpSizes) > 1 {
-			return runSharded(cfg, rn, gpOf, gpSizes)
+		if gpOf, gpSizes := r.gprimeIndex(); len(gpSizes) > 1 {
+			return r.runSharded(cfg, gpOf, gpSizes)
 		}
 		// Connected in G′: the only shard is the whole network, and the
 		// decomposed semantics coincide exactly with the single-engine
@@ -463,53 +448,33 @@ func runWith(cfg RunConfig, rn *Runner) (*Result, error) {
 		Seed:      cfg.Seed,
 		EpsAbort:  cfg.EpsAbort,
 		NoTrace:   cfg.Options.Trace == TraceOff,
+		Arena:     r.arena,
 	}
 	if cfg.Options.Trace == TraceStream {
 		mcfg.Sink = cfg.Options.Sink
-	}
-	if rn != nil {
-		mcfg.Arena = rn.arena
 	}
 	eng := mac.NewEngine(mcfg, cfg.Automata)
 
 	// Required deliveries: every message must reach every node in its
 	// origin's G-component.
-	var compOf, compSizes []int
-	if rn != nil {
-		compOf, compSizes = rn.compOf, rn.compSizes
-	} else {
-		compOf, compSizes = componentIndex(cfg.Dual.G)
-	}
 	arrivals := cfg.Workload.Arrivals()
 	required := 0
 	for _, ar := range arrivals {
-		required += compSizes[compOf[ar.Msg.Origin]]
+		required += r.compSizes[r.compOf[ar.Msg.Origin]]
 	}
 
 	res := &Result{Required: required, Engine: eng}
-	var st *runState
-	if rn != nil {
-		st = &rn.st
-		if st.seen == nil {
-			st.seen = make(map[deliverKey]bool, required)
-			st.arrived = make(map[Msg]bool, k)
-		} else {
-			clear(st.seen)
-			clear(st.arrived)
-		}
+	st := &r.st
+	if st.seen == nil {
+		st.seen = make(map[deliverKey]bool, required)
+		st.arrived = make(map[Msg]bool, k)
 	} else {
-		st = &runState{
-			seen:    make(map[deliverKey]bool, required),
-			arrived: make(map[Msg]bool, k),
-		}
+		clear(st.seen)
+		clear(st.arrived)
 	}
-	st.res, st.eng, st.compOf = res, eng, compOf
+	st.res, st.eng, st.compOf = res, eng, r.compOf
 	st.required, st.halt = required, cfg.HaltOnCompletion
-	if rn != nil {
-		eng.Watch(rn.watch)
-	} else {
-		eng.Watch(st.onEvent)
-	}
+	eng.Watch(r.watch)
 
 	eng.Start()
 	for _, ar := range arrivals {

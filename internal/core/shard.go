@@ -34,18 +34,13 @@ type compResult struct {
 	events []sim.TraceEvent
 }
 
-func runSharded(cfg RunConfig, rn *Runner, gpOf, gpSizes []int) (*Result, error) {
+func (r *Runner) runSharded(cfg RunConfig, gpOf, gpSizes []int) (*Result, error) {
 	n := cfg.Dual.N()
 	nComps := len(gpSizes)
 
 	// Required-delivery accounting runs on G components (each lies inside
 	// exactly one G′ component, since G ⊆ G′).
-	var compOf, compSizes []int
-	if rn != nil {
-		compOf, compSizes = rn.compOf, rn.compSizes
-	} else {
-		compOf, compSizes = componentIndex(cfg.Dual.G)
-	}
+	compOf, compSizes := r.compOf, r.compSizes
 
 	// Bucket nodes by G′ component, ascending id within each — the wake-up
 	// order each shard engine starts its nodes in.
@@ -82,15 +77,8 @@ func runSharded(cfg RunConfig, rn *Runner, gpOf, gpSizes []int) (*Result, error)
 	// index; a worker's arena serves its components one after another.
 	workers := par.Workers(cfg.Options.Shards, nComps)
 	arenas := make([]*mac.Arena, workers)
-	if rn != nil {
-		for w := range arenas {
-			arenas[w] = rn.arena.Fork()
-		}
-	} else {
-		arenas[0] = mac.NewArena(cfg.Dual)
-		for w := 1; w < workers; w++ {
-			arenas[w] = arenas[0].Fork()
-		}
+	for w := range arenas {
+		arenas[w] = r.arena.Fork()
 	}
 
 	results := make([]compResult, nComps)

@@ -26,11 +26,12 @@ var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
 // getScratch returns a scratch with capacity for n nodes. dist contents are
 // stale; callers reset the entries they rely on (resetDist, or restoring
 // visited entries after each walk).
+//
 //amac:hotpath
 func getScratch(n int) *bfsScratch {
 	s := bfsPool.Get().(*bfsScratch)
 	if cap(s.dist) < n {
-		s.dist = make([]int, n) //lint:hotalloc lazy grow: runs once per pool entry per graph size, then every warm call reuses the block
+		s.dist = make([]int, n)        //lint:hotalloc lazy grow: runs once per pool entry per graph size, then every warm call reuses the block
 		s.queue = make([]NodeID, 0, n) //lint:hotalloc lazy grow, same lifetime as dist above
 	}
 	s.dist = s.dist[:n]
@@ -49,6 +50,7 @@ func resetDist(dist []int) {
 // whose entries must be Unreachable beforehand — and returns the visited
 // nodes in traversal order in queue's storage. The graph must be finalized
 // (every public entry point below finalizes first).
+//
 //amac:hotpath
 func (g *Graph) bfsInto(src NodeID, dist []int, queue []NodeID) []NodeID {
 	dist[src] = 0
@@ -161,6 +163,7 @@ func (g *Graph) Components() [][]NodeID {
 // for the empty and single-node graphs). A single BFS from node 0 — no
 // component materialization, because the random-topology builders probe
 // connectivity on every rejected draw.
+//
 //amac:hotpath
 func (g *Graph) IsConnected() bool {
 	if g.n <= 1 {

@@ -46,7 +46,7 @@ func largeNSide(n int) float64 {
 // term exceeds FMMB's Fack-free polylog schedule — the paper's argument
 // for the enhanced model, at pod scale. BMMB rows stream their traces to
 // disk through run.trace_file (the in-memory Trace is never materialized);
-// the FMMB rows run no_trace, as their ~10^9 events would be gigabytes.
+// the FMMB rows run trace=off, as their ~10^9 events would be gigabytes.
 func LargeNRGG(o Options) *Table {
 	o = o.withDefaults()
 	const c = 1.6
@@ -77,7 +77,7 @@ func LargeNRGG(o Options) *Table {
 				Algorithm: scenario.AlgorithmSpec{Name: "bmmb"},
 				Scheduler: scenario.SchedulerSpec{Name: "sync", Params: topology.Params{"rel": 0.5}},
 				Model:     model,
-				Run: scenario.RunSpec{Seed: o.Seed, Trials: 1,
+				Run: scenario.RunSpec{Seed: o.Seed, Trials: 1, Trace: "stream",
 					TraceFile: filepath.Join(dir, fmt.Sprintf("bmmb-rgg-%d.amtr", n))},
 			},
 			scenario.Spec{
@@ -85,7 +85,7 @@ func LargeNRGG(o Options) *Table {
 				Workload:  workload,
 				Algorithm: scenario.AlgorithmSpec{Name: "fmmb", Params: topology.Params{"c": c}},
 				Model:     model,
-				Run:       scenario.RunSpec{Seed: o.Seed, Trials: 1, NoTrace: true},
+				Run:       scenario.RunSpec{Seed: o.Seed, Trials: 1, Trace: "off"},
 			})
 	}
 
@@ -95,10 +95,7 @@ func LargeNRGG(o Options) *Table {
 			return scenario.SweepWithOptions(specs, so)
 		}
 	}
-	reports, err := sweeper("large-n-rgg", specs, scenario.SweepOptions{
-		Parallelism: o.Parallelism,
-		NoArena:     o.NoArena,
-	})
+	reports, err := sweeper("large-n-rgg", specs, scenario.SweepOptions{Parallelism: o.Parallelism})
 	if err != nil {
 		panic(fmt.Sprintf("harness: large-n-rgg: %v", err))
 	}
@@ -137,7 +134,7 @@ func LargeNRGG(o Options) *Table {
 	}
 	t.AddNote("one trial per point on a pinned draw; both algorithms share the instance")
 	t.AddNote("D~ is the sampled diameter estimate (k-source double sweep), the same input FMMB's schedule consumes")
-	t.AddNote("bmmb rows stream their trace to a binary file (run.trace_file); fmmb rows run no_trace")
+	t.AddNote("bmmb rows stream their trace to a binary file (run.trace_file); fmmb rows run trace=off")
 	t.AddNote("fmmb completion has no Fack term (pinned by ablation-bmmb-vs-fmmb): past the crossover ratio, BMMB's k·Fack term loses to FMMB's polylog schedule")
 	return t
 }
@@ -226,10 +223,7 @@ func LargeNSharded(o Options) *Table {
 			return scenario.SweepWithOptions(specs, so)
 		}
 	}
-	reports, err := sweeper("large-n-sharded", specs, scenario.SweepOptions{
-		Parallelism: o.Parallelism,
-		NoArena:     o.NoArena,
-	})
+	reports, err := sweeper("large-n-sharded", specs, scenario.SweepOptions{Parallelism: o.Parallelism})
 	if err != nil {
 		panic(fmt.Sprintf("harness: large-n-sharded: %v", err))
 	}

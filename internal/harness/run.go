@@ -28,10 +28,6 @@ type Options struct {
 	// are reduced in index order, so rendered tables are byte-identical at
 	// any Parallelism.
 	Parallelism int
-	// NoArena disables cross-trial run-arena and fleet reuse for pinned
-	// topologies (amacbench -no-arena). Executions and rendered tables
-	// are byte-identical either way; this is the debugging escape hatch.
-	NoArena bool
 	// Shards is the worker count experiments with a sharded leg pass to
 	// the decomposed executor (amacbench -shards); zero selects
 	// runtime.NumCPU(). Decomposed executions are pure functions of their

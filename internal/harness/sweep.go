@@ -82,10 +82,7 @@ func RunSweep(o Options, def SweepDef) *Table {
 			return scenario.SweepWithOptions(specs, so)
 		}
 	}
-	reports, err := sweeper(def.ID, specs, scenario.SweepOptions{
-		Parallelism: o.Parallelism,
-		NoArena:     o.NoArena,
-	})
+	reports, err := sweeper(def.ID, specs, scenario.SweepOptions{Parallelism: o.Parallelism})
 	if err != nil {
 		panic(fmt.Sprintf("harness: %s: %v", def.ID, err))
 	}

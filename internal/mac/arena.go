@@ -118,8 +118,7 @@ type Arena struct {
 }
 
 // NewArena builds the reusable run state for the given dual network. It
-// panics on an invalid dual, exactly like NewEngine (which then skips
-// re-validation for arena-backed configurations).
+// panics on an invalid dual.
 func NewArena(d *topology.Dual) *Arena {
 	if d == nil {
 		panic("mac: nil dual")
@@ -149,7 +148,7 @@ func (a *Arena) Fork() *Arena {
 // is kept whenever the new degree sum fits its capacity and grown
 // geometrically otherwise, and the pooled engine, instance records and
 // event pool all carry over. Unpinned trial sweeps rebind one arena per
-// worker to each per-trial network draw instead of building cold engines.
+// worker to each per-trial network draw instead of building a fresh arena.
 // Like NewArena, it panics on an invalid dual. Rebinding to the arena's
 // current dual is a no-op.
 func (a *Arena) Rebind(d *topology.Dual) {
@@ -205,6 +204,7 @@ func (a *Arena) reset() {
 // no allocation. The old contents are not copied: previously handed-out
 // rows keep aliasing their original backing for the rest of the run, and
 // the fresh block arrives pre-zeroed.
+//
 //amac:hotpath
 func (a *Arena) row(deg int) []sim.Time {
 	if need := a.used + deg; need > len(a.block) {
@@ -227,6 +227,7 @@ func (a *Arena) row(deg int) []sim.Time {
 // neighbor row plus its base offset come straight off the graph's shared
 // arc array, giving Deliver its slot and reliability bit with one binary
 // search over the row.
+//
 //amac:hotpath
 func (a *Arena) instance(id InstanceID, sender NodeID, payload Payload, start sim.Time) *Instance {
 	base := a.csr.off[sender]

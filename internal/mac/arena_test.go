@@ -11,8 +11,8 @@ import (
 // shipped schedulers use: reliable batch after one tick, ack after two.
 type typedScheduler struct{ api mac.API }
 
-func (s *typedScheduler) Name() string       { return "typed" }
-func (s *typedScheduler) Attach(api mac.API) { s.api = api }
+func (s *typedScheduler) Name() string          { return "typed" }
+func (s *typedScheduler) Attach(api mac.API)    { s.api = api }
 func (s *typedScheduler) OnAbort(*mac.Instance) {}
 func (s *typedScheduler) OnBcast(b *mac.Instance) {
 	now := s.api.Now()
@@ -44,8 +44,7 @@ func floodFleet(n int) []mac.Automaton {
 
 // runFlood executes one flood and renders its observable state: the trace
 // plus every instance's delivery times over all nodes (exercising both
-// WasDelivered and DeliveredAt on the arena's O(1) CSR path and the cold
-// binary-search path alike).
+// WasDelivered and DeliveredAt). A nil arena runs on a fresh private one.
 func runFlood(d *topology.Dual, a *mac.Arena, seed int64) (trace string, deliveries [][]int64) {
 	eng := mac.NewEngine(arenaConfig(d, a, seed), floodFleet(d.N()))
 	eng.Start()
@@ -132,9 +131,8 @@ func TestArenaWrongDual(t *testing.T) {
 	mac.NewEngine(arenaConfig(other, a, 1), floodFleet(8))
 }
 
-// TestArenaDeliveryValidation pins that the CSR fast path enforces the same
-// receive-correctness panics as the cold path: a delivery without a G′ edge
-// must still be rejected.
+// TestArenaDeliveryValidation pins that the CSR delivery path enforces
+// receive correctness: a delivery without a G′ edge must be rejected.
 func TestArenaDeliveryValidation(t *testing.T) {
 	d := topology.Line(4)
 	a := mac.NewArena(d)

@@ -38,27 +38,14 @@ type Config struct {
 	// every event; when none are registered either, the engine skips event
 	// construction altogether — the throughput fast path.
 	NoTrace bool
-	// Owns, when set, restricts the engine to a subset of the network's
-	// nodes: a delivery to a node for which Owns reports false keeps all
-	// sender-side bookkeeping (delivery slots, reliability accounting, the
-	// ack precondition) but skips the receiver's rcv event and automaton
-	// callback, handing the delivery to Export instead. The windowed
-	// parallel executor runs one engine per node region this way; nil (the
-	// default) owns every node.
-	Owns func(NodeID) bool
-	// Export receives every delivery intercepted by Owns: the delivery
-	// time, the receiver, and the instance identity and payload the owning
-	// engine needs to replay the rcv via InjectRecv. Required when Owns is
-	// set.
-	Export func(at sim.Time, to NodeID, inst InstanceID, sender NodeID, payload Payload)
 	// Arena, when set, must have been built for Dual (pointer identity)
 	// and makes construction reuse the arena's warm storage: pooled engine
-	// and node states, flat CSR delivery rows with O(1) position lookups,
-	// recycled instance records and a warm event pool. Executions are
-	// byte-identical with and without an arena; the arena only changes
-	// where the memory comes from. Acquiring an engine recycles the
-	// previous execution's state, including the engine reachable through
-	// earlier results.
+	// and node states, flat CSR delivery rows, recycled instance records
+	// and a warm event pool. Acquiring an engine recycles the previous
+	// execution's state, including the engine reachable through earlier
+	// results. Nil acquires the engine from a private arena built for this
+	// call alone: executions are byte-identical either way, since the
+	// arena only changes where the memory comes from.
 	Arena *Arena
 }
 
@@ -138,7 +125,7 @@ type TimerScheduler interface {
 type Engine struct {
 	cfg        Config
 	sim        *sim.Engine
-	arena      *Arena // nil unless constructed through Config.Arena
+	arena      *Arena // the arena the engine was acquired from
 	nodes      []nodeState
 	trace      sim.Trace
 	insts      []*Instance
@@ -178,11 +165,6 @@ const (
 	evTimer
 	// evSchedTimer routes (Obj, A, B) to the scheduler's OnTimer.
 	evSchedTimer
-	// evExtRecv replays a delivery exported by another engine shard: a rcv
-	// at node A of instance (B>>32) from sender uint32(B), payload P. The
-	// sender-side instance lives in the exporting engine, so the event
-	// carries the identity by value instead of an *Instance.
-	evExtRecv
 )
 
 type nodeState struct {
@@ -198,17 +180,14 @@ var _ EnhancedContext = (*nodeState)(nil)
 
 // NewEngine validates cfg, instantiates per-node state with the given
 // automata (one per node of the dual, in node order) and returns the ready
-// engine. It panics on configuration errors: these are programming
-// mistakes, not runtime conditions.
+// engine, acquired from cfg.Arena or from a private arena when that is nil.
+// It panics on configuration errors: these are programming mistakes, not
+// runtime conditions.
 func NewEngine(cfg Config, automata []Automaton) *Engine {
 	if cfg.Dual == nil {
 		panic("mac: nil dual")
 	}
-	if cfg.Arena == nil {
-		if err := cfg.Dual.Validate(); err != nil {
-			panic(fmt.Sprintf("mac: invalid dual: %v", err))
-		}
-	} else if cfg.Arena.dual != cfg.Dual {
+	if cfg.Arena != nil && cfg.Arena.dual != cfg.Dual {
 		// The arena's CSR index is derived from its own dual; running a
 		// different network against it would silently corrupt deliveries.
 		panic("mac: Config.Arena was built for a different dual")
@@ -225,41 +204,15 @@ func NewEngine(cfg Config, automata []Automaton) *Engine {
 	if cfg.Mode == 0 {
 		cfg.Mode = Standard
 	}
-	if cfg.Owns != nil && cfg.Export == nil {
-		panic("mac: Config.Owns set without Config.Export")
-	}
 	if len(automata) != cfg.Dual.N() {
 		panic(fmt.Sprintf("mac: %d automata for %d nodes", len(automata), cfg.Dual.N()))
 	}
-	if cfg.Arena != nil {
-		return cfg.Arena.engineFor(cfg, automata)
+	if cfg.Arena == nil {
+		// NewArena validates the dual, which an arena-backed config
+		// skips: the arena validated it when it was built or rebound.
+		cfg.Arena = NewArena(cfg.Dual)
 	}
-	e := &Engine{
-		cfg: cfg,
-		sim: sim.NewEngine(cfg.Seed),
-	}
-	e.sim.SetDispatcher(e)
-	e.timerSched, _ = cfg.Scheduler.(TimerScheduler)
-	if cfg.TraceCap > 0 {
-		e.trace.SetCap(cfg.TraceCap)
-	}
-	if cfg.NoTrace {
-		e.trace.Disable()
-	}
-	// Per-node and scheduler random streams are forked lazily on first
-	// draw: seeding a math/rand stream costs more than most nodes' entire
-	// event work, and deterministic automata never draw at all. Fork is
-	// keyed by id alone, so creation order does not change the streams.
-	e.nodes = make([]nodeState, cfg.Dual.N())
-	for i := range e.nodes {
-		e.nodes[i] = nodeState{
-			eng:       e,
-			id:        NodeID(i),
-			automaton: automata[i],
-		}
-	}
-	cfg.Scheduler.Attach(e)
-	return e
+	return cfg.Arena.engineFor(cfg, automata)
 }
 
 // Sim exposes the underlying simulation engine (tests and runners use it
@@ -321,14 +274,6 @@ func (e *Engine) StartNodes(ids []NodeID) {
 	}
 }
 
-// InjectRecv schedules the replay of a delivery exported by another engine
-// shard: at time t, node to observes the rcv of instance inst from sender
-// with the given payload, exactly as if the owning engine had delivered it.
-// The sender-side instance state stays with the exporting engine.
-func (e *Engine) InjectRecv(t sim.Time, to NodeID, inst InstanceID, sender NodeID, payload Payload) {
-	e.sim.PostPayload(t, evExtRecv, payload, int64(to), int64(inst)<<32|int64(uint32(sender)))
-}
-
 // Arrive schedules an environment input (the MMB arrive event) for node v
 // at time t. The automaton must implement Arriver.
 func (e *Engine) Arrive(v NodeID, payload Payload, t sim.Time) {
@@ -342,6 +287,7 @@ func (e *Engine) Arrive(v NodeID, payload Payload, t sim.Time) {
 // Dispatch implements sim.Dispatcher: the typed-event switch at the bottom
 // of the run loop. Each case mirrors exactly the closure the corresponding
 // call site used to schedule, so executions are unchanged event for event.
+//
 //amac:hotpath
 func (e *Engine) Dispatch(kind sim.EventKind, op sim.Op) {
 	switch kind {
@@ -385,14 +331,6 @@ func (e *Engine) Dispatch(kind sim.EventKind, op sim.Op) {
 		ns.automaton.(TimerHandler).Timer(ns, op.Obj)
 	case evSchedTimer:
 		e.timerSched.OnTimer(op.Obj, op.A, op.B)
-	case evExtRecv:
-		ns := &e.nodes[op.A]
-		inst := InstanceID(op.B >> 32)
-		sender := NodeID(uint32(op.B))
-		if e.recording() {
-			e.emit("rcv", ns.id, Int(int64(inst)))
-		}
-		ns.automaton.Recv(ns, Message{Instance: inst, Sender: sender, Payload: op.P})
 	default:
 		panic(fmt.Sprintf("mac: dispatch of unknown event kind %d", kind))
 	}
@@ -442,12 +380,14 @@ func (e *Engine) Rand() *rand.Rand {
 func (e *Engine) At(t sim.Time, fn func()) sim.Handle { return e.sim.At(t, fn) }
 
 // ScheduleDeliver posts a guarded single delivery (see API).
+//
 //amac:hotpath
 func (e *Engine) ScheduleDeliver(t sim.Time, b *Instance, to NodeID) {
 	e.sim.Post(t, evDeliverOne, b, int64(to), 0)
 }
 
 // ScheduleReliableDeliveries posts the batched reliable delivery (see API).
+//
 //amac:hotpath
 func (e *Engine) ScheduleReliableDeliveries(t sim.Time, b *Instance) {
 	e.sim.Post(t, evDeliverReliable, b, 0, 0)
@@ -457,6 +397,7 @@ func (e *Engine) ScheduleReliableDeliveries(t sim.Time, b *Instance) {
 // targets slice is parked on the instance until the batch fires, and is
 // retained afterwards as the instance's grey scratch buffer (GreyBuf), so
 // recycled instances redraw into warm storage.
+//
 //amac:hotpath
 func (e *Engine) ScheduleGreyDeliveries(t sim.Time, b *Instance, targets []NodeID) {
 	if b.grey != nil {
@@ -468,6 +409,7 @@ func (e *Engine) ScheduleGreyDeliveries(t sim.Time, b *Instance, targets []NodeI
 }
 
 // ScheduleAck posts the guarded acknowledgment (see API).
+//
 //amac:hotpath
 func (e *Engine) ScheduleAck(t sim.Time, b *Instance) {
 	e.sim.Post(t, evAck, b, 0, 0)
@@ -488,59 +430,23 @@ func (e *Engine) ScheduleTimer(t sim.Time, obj any, a, b int64) sim.Handle {
 // of the sender, must not have received this instance already, the
 // instance must not be acked, and deliveries after an abort must fall
 // within EpsAbort.
+//
 //amac:hotpath
 func (e *Engine) Deliver(b *Instance, to NodeID) {
 	if to == b.Sender {
 		panic(fmt.Sprintf("mac: delivery of instance %d to its own sender", b.ID))
 	}
+	// The instance's row IS the graph's CSR row, so one binary search over
+	// it yields the G′ membership check, the delivery slot and (via the
+	// global arc position base+slot) the reliability bit.
+	slot := b.slot(to)
+	if slot < 0 {
+		panic(fmt.Sprintf("mac: delivery %d→%d without a G' edge", b.Sender, to))
+	}
+	if b.deliveredAt[slot] != 0 {
+		panic(fmt.Sprintf("mac: duplicate delivery of instance %d to %d", b.ID, to))
+	}
 	now := e.sim.Now()
-	if b.csr != nil {
-		// Arena fast path: the instance's row IS the graph's CSR row, so
-		// one binary search over it yields the G′ membership check, the
-		// delivery slot and (via the global arc position base+slot) the
-		// reliability bit — every check and its failure order unchanged.
-		slot := b.slot(to)
-		if slot < 0 {
-			panic(fmt.Sprintf("mac: delivery %d→%d without a G' edge", b.Sender, to))
-		}
-		if b.deliveredAt[slot] != 0 {
-			panic(fmt.Sprintf("mac: duplicate delivery of instance %d to %d", b.ID, to))
-		}
-		e.checkDeliveryTerm(b, now)
-		b.deliveredAt[slot] = now + 1
-		b.receivers = append(b.receivers, to)
-		if b.csr.isReliable(b.base + int32(slot)) {
-			b.remainingReliable--
-		}
-	} else {
-		if !e.cfg.Dual.GPrime.HasEdge(b.Sender, to) {
-			panic(fmt.Sprintf("mac: delivery %d→%d without a G' edge", b.Sender, to))
-		}
-		if b.WasDelivered(to) {
-			panic(fmt.Sprintf("mac: duplicate delivery of instance %d to %d", b.ID, to))
-		}
-		e.checkDeliveryTerm(b, now)
-		b.MarkDelivered(to, now, e.cfg.Dual.G.HasEdge(b.Sender, to))
-	}
-	if e.cfg.Owns != nil && !e.cfg.Owns(to) {
-		// The receiver belongs to another engine shard: the sender-side
-		// bookkeeping above (delivery slot, reliability accounting) stays —
-		// it is what the ack precondition checks — but the rcv itself is
-		// exported for the owning engine to replay via InjectRecv.
-		e.cfg.Export(now, to, b.ID, b.Sender, b.Payload)
-		return
-	}
-	if e.recording() {
-		e.emit("rcv", to, Int(int64(b.ID)))
-	}
-	ns := e.node(to)
-	ns.automaton.Recv(ns, Message{Instance: b.ID, Sender: b.Sender, Payload: b.Payload})
-}
-
-// checkDeliveryTerm enforces the termination-related receive-correctness
-// conditions shared by both Deliver paths.
-//amac:hotpath
-func (e *Engine) checkDeliveryTerm(b *Instance, now sim.Time) {
 	switch b.Term {
 	case Acked:
 		panic(fmt.Sprintf("mac: delivery of instance %d after its ack", b.ID))
@@ -550,11 +456,22 @@ func (e *Engine) checkDeliveryTerm(b *Instance, now sim.Time) {
 				b.ID, now-b.TermAt, e.cfg.EpsAbort))
 		}
 	}
+	b.deliveredAt[slot] = now + 1
+	b.receivers = append(b.receivers, to)
+	if b.csr.isReliable(b.base + int32(slot)) {
+		b.remainingReliable--
+	}
+	if e.recording() {
+		e.emit("rcv", to, Int(int64(b.ID)))
+	}
+	ns := e.node(to)
+	ns.automaton.Recv(ns, Message{Instance: b.ID, Sender: b.Sender, Payload: b.Payload})
 }
 
 // Ack performs the acknowledgment for b. The engine enforces
 // acknowledgment correctness (every G-neighbor of the sender has received
 // b) and the acknowledgment bound (now ≤ start + Fack).
+//
 //amac:hotpath
 func (e *Engine) Ack(b *Instance) {
 	if b.Term != Active {
@@ -600,13 +517,7 @@ func (ns *nodeState) Bcast(payload Payload) {
 			ns.id, ns.pending.ID))
 	}
 	e := ns.eng
-	var b *Instance
-	if e.arena != nil {
-		b = e.arena.instance(e.nextID, ns.id, payload, e.sim.Now())
-	} else {
-		b = NewInstance(e.nextID, ns.id, payload, e.sim.Now(),
-			e.cfg.Dual.GPrime.Neighbors(ns.id), e.cfg.Dual.G.Degree(ns.id))
-	}
+	b := e.arena.instance(e.nextID, ns.id, payload, e.sim.Now())
 	e.nextID++
 	e.insts = append(e.insts, b)
 	ns.pending = b

@@ -171,8 +171,8 @@ const (
 // remaining-reliable counter keeps the ack-readiness check O(1). Marks
 // addressed outside the row (checkers deliberately build invalid histories)
 // spill into a lazily allocated overflow map that real executions never
-// touch. Construct instances with NewInstance and record deliveries with
-// MarkDelivered.
+// touch. Outside the engine (checker tests building histories), construct
+// instances with NewInstance and record deliveries with MarkDelivered.
 type Instance struct {
 	ID      InstanceID
 	Sender  NodeID
@@ -183,7 +183,7 @@ type Instance struct {
 	TermAt sim.Time
 	Term   Status
 
-	// nbrs is the sender's sorted G′ neighbor row — for arena-built
+	// nbrs is the sender's sorted G′ neighbor row — for engine-built
 	// instances, a zero-copy subslice of the graph's flat CSR arc array.
 	nbrs []NodeID
 	// deliveredAt[i] is the rcv time at nbrs[i] plus one; zero means not
@@ -192,9 +192,10 @@ type Instance struct {
 	// fill; arena-built instances carve the row out of one flat pre-zeroed
 	// block instead.
 	deliveredAt []sim.Time
-	// csr, when non-nil, is the arena's shared delivery index; base is the
-	// sender's row offset into its global arc array, so slot s of this
-	// instance is global arc base+s — where the reliability bit lives.
+	// csr is the arena's shared delivery index (nil on NewInstance
+	// records, which only checkers build); base is the sender's row offset
+	// into its global arc array, so slot s of this instance is global arc
+	// base+s — where the reliability bit lives.
 	csr  *csrIndex
 	base int32
 	// overflow records marks outside the row's domain — nodes that are not
@@ -235,8 +236,8 @@ func NewInstance(id InstanceID, sender NodeID, payload Payload, start sim.Time, 
 }
 
 // slot returns the index of to in the sender's sorted neighbor row, or -1,
-// by binary search — with or without an arena, since arena instances share
-// the graph's own row and need no separate position table. Rows are node
+// by binary search — engine-built instances share the graph's own row and
+// need no separate position table. Rows are node
 // degrees, so the search is a handful of comparisons on the sparse
 // networks the model studies.
 func (b *Instance) slot(to NodeID) int {

@@ -45,7 +45,6 @@ type File struct {
 	Quick       bool     `json:"quick"`
 	Trials      int      `json:"trials"`
 	Seed        int64    `json:"seed"`
-	NoArena     bool     `json:"no_arena,omitempty"`
 	Experiments []Record `json:"experiments"`
 }
 

@@ -1,6 +1,7 @@
 package perfrecord
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -27,6 +28,25 @@ func TestRoundTrip(t *testing.T) {
 	if len(got.Experiments) != 2 || got.Experiments[1].EventsPerSec != 2e6 ||
 		got.GeneratedAt != f.GeneratedAt || !got.Quick {
 		t.Fatalf("round trip mangled the record: %+v", got)
+	}
+}
+
+// TestLoadIgnoresRetiredFields pins that records written by older tools
+// still load: decoding is non-strict, so a retired field such as the
+// "no_arena" option flag is skipped rather than rejected.
+func TestLoadIgnoresRetiredFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	old := `{"go_version": "go1.24", "parallelism": 2, "trials": 3, "seed": 1, "no_arena": true,
+		"experiments": [{"id": "fig1", "events_per_sec": 1000000}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatalf("record with a retired field rejected: %v", err)
+	}
+	if got.Parallelism != 2 || len(got.Experiments) != 1 || got.Experiments[0].ID != "fig1" {
+		t.Fatalf("record with a retired field mangled: %+v", got)
 	}
 }
 

@@ -21,7 +21,7 @@ func warmPinnedSpec() Spec {
 		Algorithm: AlgorithmSpec{Name: "bmmb"},
 		Scheduler: SchedulerSpec{Name: "sync", Params: topology.Params{"rel": 0.5}},
 		Model:     ModelSpec{Fprog: 10, Fack: 200},
-		Run:       RunSpec{Seed: 1, Trials: 2, NoTrace: true},
+		Run:       RunSpec{Seed: 1, Trials: 2, Trace: "off"},
 	}.WithDefaults()
 }
 
@@ -81,7 +81,7 @@ func TestUnpinnedWarmTrialAllocationBound(t *testing.T) {
 		Algorithm: AlgorithmSpec{Name: "bmmb"},
 		Scheduler: SchedulerSpec{Name: "sync", Params: topology.Params{"rel": 0.5}},
 		Model:     ModelSpec{Fprog: 10, Fack: 200},
-		Run:       RunSpec{Seed: 1, Trials: 2, NoTrace: true},
+		Run:       RunSpec{Seed: 1, Trials: 2, Trace: "off"},
 	}.WithDefaults()
 	w := newWarmRandRun(r, 1)
 	seed := r.Run.Seed

@@ -22,26 +22,27 @@ type TrialResult struct {
 	Seed int64
 	// Built is the topology the trial ran on (randomized families draw a
 	// fresh instance per trial unless the spec pins the topology seed).
-	// When unpinned trials reuse warm per-worker state (NoArena unset),
-	// the graphs behind Built are workspace storage recycled by the next
-	// trial on the same worker — except for the spec's first and final
-	// trials, which are always built into stable storage so report
-	// consumers stay correct (amacsim's header reads the first trial's
-	// network, bound formulas the last trial's). Callers needing every
-	// trial's instance intact copy it in a watcher or disable reuse.
+	// Unpinned trials of Run and Sweep reuse warm per-worker state, so the
+	// graphs behind Built are workspace storage recycled by the next trial
+	// on the same worker — except for the spec's first and final trials,
+	// which are always built into stable storage so report consumers stay
+	// correct (amacsim's header reads the first trial's network, bound
+	// formulas the last trial's). Callers needing every trial's instance
+	// intact copy it in a watcher or run the trials through Trial.
 	Built *topology.Built
 	// Workload is the resolved arrival schedule.
 	Workload *core.Workload
 	// SchedulerName is the resolved scheduler's self-description.
 	SchedulerName string
-	// Result is the execution outcome. When trials reuse a warm arena
-	// (pinned topology, NoArena unset), Result.Engine — and the trace it
-	// backs, Result.Trace — is recycled by the next trial on the same
-	// worker: with Trials == 1 it stays valid, and the scalar fields and
-	// Report are always safe, but multi-trial callers that need per-trial
-	// traces or instances must either copy them in a watcher or disable
-	// reuse. Decomposed runs (shards >= 1 on a multi-component network)
-	// leave Engine nil and return a freshly merged Trace the caller owns.
+	// Result is the execution outcome. Trials of Run and Sweep reuse a
+	// warm runner per worker, so Result.Engine — and the trace it backs,
+	// Result.Trace — is recycled by the next trial on the same worker:
+	// with Trials == 1 it stays valid, and the scalar fields and Report
+	// are always safe, but multi-trial callers that need per-trial traces
+	// or instances must either copy them in a watcher or run the trials
+	// through Trial. Decomposed runs (shards >= 1 on a multi-component
+	// network) leave Engine nil and return a freshly merged Trace the
+	// caller owns.
 	Result *core.Result
 }
 
@@ -106,47 +107,36 @@ func (r *Report) Steps() uint64 {
 // is a pure function of the spec at any parallelism. Trials of a pinned
 // topology run against one warm run arena per worker (see warmRun); trials
 // of an unpinned (per-trial randomized) topology build into one warm
-// workspace-and-runner pair per worker (see warmRandRun). Run.NoArena
-// disables both kinds of reuse.
+// workspace-and-runner pair per worker (see warmRandRun).
 func Run(s Spec) (*Report, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	r := s.WithDefaults()
-	// A pinned topology is identical across trials: build the read-only
-	// instance once and share it with the pool.
-	var shared *topology.Built
-	if topologyPinned(r) {
-		var err error
-		if shared, err = buildTopology(r, r.Run.Seed); err != nil {
-			return nil, err
-		}
-	}
 	workers := par.Workers(r.Run.Parallelism, r.Run.Trials)
 	var warm *warmRun
 	var warmRand *warmRandRun
-	switch {
-	case shared != nil && !r.Run.NoArena:
-		var err error
+	if topologyPinned(r) {
+		// A pinned topology is identical across trials: build the
+		// read-only instance once and share it with the pool.
+		shared, err := buildTopology(r, r.Run.Seed)
+		if err != nil {
+			return nil, err
+		}
 		if warm, err = newWarmRun(r, shared, workers); err != nil {
 			return nil, fmt.Errorf("scenario: trial with seed %d: %w", r.Run.Seed, err)
 		}
-	case shared == nil && !r.Run.NoArena:
+	} else {
 		warmRand = newWarmRandRun(r, workers)
 	}
 	trials := make([]*TrialResult, r.Run.Trials)
 	errs := make([]error, r.Run.Trials)
 	par.ForWorker(r.Run.Parallelism, r.Run.Trials, func(worker, i int) {
 		seed := r.Run.Seed + int64(i)
-		switch {
-		case warm != nil:
+		if warm != nil {
 			trials[i], errs[i] = warm.trial(seed, worker)
-		case warmRand != nil:
+		} else {
 			trials[i], errs[i] = warmRand.trial(seed, worker, i == 0 || i == r.Run.Trials-1)
-		case shared != nil:
-			trials[i], errs[i] = trialOn(s, seed, shared)
-		default:
-			trials[i], errs[i] = Trial(s, seed)
 		}
 	})
 	for i, err := range errs {
@@ -162,11 +152,6 @@ type SweepOptions struct {
 	// Parallelism bounds concurrent (spec, trial) simulations; 0 or 1 runs
 	// sequentially. Reports are byte-identical at any value.
 	Parallelism int
-	// NoArena disables cross-trial arena and fleet reuse for pinned
-	// topologies across the whole sweep (per-spec Run.NoArena also
-	// applies). Executions are identical either way; this is the
-	// debugging escape hatch.
-	NoArena bool
 	// Progress, when set, is called after each completed trial with the
 	// cumulative number of trials finished so far in this call (1..total).
 	// Trials complete on a worker pool, so the callback must be safe for
@@ -239,15 +224,13 @@ func SweepShard(specs []Spec, lo, hi int, o SweepOptions) ([]*TrialResult, error
 
 // sweepPlan is the resolved execution plan of a sweep: every spec validated
 // and resolved, the flattened task-space offsets, and — for the task range
-// the caller will run — shared pinned topologies and per-worker warm state.
-// It is the single sweep pipeline behind SweepWithOptions (which runs the
-// full task space) and SweepShard (which runs a slice of it), so the two
-// cannot diverge.
+// the caller will run — per-worker warm state (pinned specs share one
+// topology instance). It is the single sweep pipeline behind
+// SweepWithOptions (which runs the full task space) and SweepShard (which
+// runs a slice of it), so the two cannot diverge.
 type sweepPlan struct {
-	specs     []Spec // as passed (cold fallback paths re-resolve these)
 	resolved  []Spec
 	offsets   []int
-	shared    []*topology.Built
 	warms     []*warmRun
 	warmRands []*warmRandRun
 	progress  func(done int)
@@ -259,10 +242,8 @@ type sweepPlan struct {
 // specs, so a narrow shard of a wide grid pays for its own slice only.
 func newSweepPlan(specs []Spec, o SweepOptions, lo, hi int) (*sweepPlan, error) {
 	p := &sweepPlan{
-		specs:     specs,
 		resolved:  make([]Spec, len(specs)),
 		offsets:   make([]int, len(specs)+1),
-		shared:    make([]*topology.Built, len(specs)),
 		warms:     make([]*warmRun, len(specs)),
 		warmRands: make([]*warmRandRun, len(specs)),
 		progress:  o.Progress,
@@ -286,22 +267,16 @@ func newSweepPlan(specs []Spec, o SweepOptions, lo, hi int) (*sweepPlan, error) 
 		if p.offsets[i+1] <= lo || p.offsets[i] >= hi {
 			continue
 		}
-		if topologyPinned(p.resolved[i]) {
-			var err error
-			if p.shared[i], err = buildTopology(p.resolved[i], p.resolved[i].Run.Seed); err != nil {
-				return nil, fmt.Errorf("scenario: spec %d (%s): %w", i, specs[i].Name, err)
-			}
-		}
-		if o.NoArena || p.resolved[i].Run.NoArena {
+		if !topologyPinned(p.resolved[i]) {
+			p.warmRands[i] = newWarmRandRun(p.resolved[i], workers)
 			continue
 		}
-		if p.shared[i] != nil {
-			var err error
-			if p.warms[i], err = newWarmRun(p.resolved[i], p.shared[i], workers); err != nil {
-				return nil, fmt.Errorf("scenario: spec %d (%s): %w", i, specs[i].Name, err)
-			}
-		} else {
-			p.warmRands[i] = newWarmRandRun(p.resolved[i], workers)
+		shared, err := buildTopology(p.resolved[i], p.resolved[i].Run.Seed)
+		if err == nil {
+			p.warms[i], err = newWarmRun(p.resolved[i], shared, workers)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("scenario: spec %d (%s): %w", i, specs[i].Name, err)
 		}
 	}
 	return p, nil
@@ -323,10 +298,9 @@ func (p *sweepPlan) run(parallelism, lo, hi int) ([]*TrialResult, error) {
 			si++
 		}
 		seed := p.resolved[si].Run.Seed + int64(task-p.offsets[si])
-		switch {
-		case p.warms[si] != nil:
-			trials[i], errs[i] = p.warms[si].trial(seed, worker)
-		case p.warmRands[si] != nil:
+		if w := p.warms[si]; w != nil {
+			trials[i], errs[i] = w.trial(seed, worker)
+		} else {
 			// keepBuilt marks the first and last tasks this call runs for
 			// the spec: their instances build into stable storage so the
 			// returned TrialResults honor the Built contract (see
@@ -335,10 +309,6 @@ func (p *sweepPlan) run(parallelism, lo, hi int) ([]*TrialResult, error) {
 			last := min(p.offsets[si+1], hi) - 1
 			trials[i], errs[i] = p.warmRands[si].trial(seed, worker,
 				task == first || task == last)
-		case p.shared[si] != nil:
-			trials[i], errs[i] = trialOn(p.specs[si], seed, p.shared[si])
-		default:
-			trials[i], errs[i] = Trial(p.specs[si], seed)
 		}
 		if errs[i] == nil && p.progress != nil {
 			p.progress(int(completed.Add(1)))
@@ -384,8 +354,8 @@ type schedSlot struct {
 	name string
 }
 
-// newWarmRun resolves the spec once (the same resolution a cold trial
-// performs) and allocates the per-worker slots.
+// newWarmRun resolves the spec once (the same resolution Trial performs)
+// and allocates the per-worker slots.
 func newWarmRun(r Spec, built *topology.Built, workers int) (*warmRun, error) {
 	p, err := resolvePlan(r, built)
 	if err != nil {
@@ -402,8 +372,8 @@ func newWarmRun(r Spec, built *topology.Built, workers int) (*warmRun, error) {
 
 // trial executes one seed on the given worker's warm runner. The execution
 // is a pure function of (spec, seed) — the worker index only selects which
-// pooled storage backs it — so results are byte-identical to a cold trial
-// at any parallelism.
+// pooled storage backs it — so results are byte-identical to Trial at any
+// parallelism.
 func (w *warmRun) trial(seed int64, worker int) (*TrialResult, error) {
 	rn := w.runners[worker]
 	if rn == nil {
@@ -439,7 +409,7 @@ func (w *warmRun) trial(seed int64, worker int) (*TrialResult, error) {
 // every draw, so repeated trials skip graph, engine and delivery-row
 // allocation even though no two trials share a network. The spec is
 // re-resolved and the fleet rebuilt per trial — both depend on the drawn
-// instance — exactly as on the cold path.
+// instance — exactly as Trial does.
 type warmRandRun struct {
 	spec       Spec // resolved
 	workspaces []*topology.Workspace
@@ -498,8 +468,8 @@ func (w *warmRandRun) planFor(built *topology.Built, worker int) (*trialPlan, er
 
 // trial executes one seed on the given worker's warm state. The execution
 // is a pure function of (spec, seed) — builds are byte-identical with and
-// without the workspace, and the rebound runner is byte-identical to a cold
-// core.Run — so results match the cold path at any parallelism. keepBuilt
+// without the workspace, and the rebound runner is byte-identical to a
+// fresh one — so results match Trial at any parallelism. keepBuilt
 // marks the spec's first and final trials: they build into stable storage
 // instead of the recycled workspace, keeping the report's edge instances
 // valid after the sweep (see TrialResult.Built).
@@ -554,9 +524,11 @@ func fleetResettable(fleet []mac.Automaton) bool {
 }
 
 // Trial executes one seed of the scenario: build the topology (seeded per
-// trial unless pinned), resolve the workload, instantiate a fresh fleet and
-// scheduler, and run. It does not re-validate; Run and Sweep do, and direct
-// callers get build-time errors for anything malformed.
+// trial unless pinned), resolve the workload, instantiate a fresh fleet,
+// scheduler and runner, and run. Nothing is shared with any other trial, so
+// the result stays valid indefinitely. It does not re-validate; Run and
+// Sweep do, and direct callers get build-time errors for anything
+// malformed.
 func Trial(s Spec, seed int64) (*TrialResult, error) {
 	built, err := buildTopology(s.WithDefaults(), seed)
 	if err != nil {
@@ -574,7 +546,8 @@ func BuildTopology(s Spec, seed int64) (*topology.Built, error) {
 }
 
 // TrialOn executes one seed of the scenario on an already-built network
-// instance (see BuildTopology). The instance is treated as read-only.
+// instance (see BuildTopology) with a fresh fleet, scheduler and runner.
+// The instance is treated as read-only.
 func TrialOn(s Spec, seed int64, built *topology.Built) (*TrialResult, error) {
 	return trialOn(s, seed, built)
 }
@@ -635,6 +608,11 @@ func topologyPinned(r Spec) bool {
 
 // trialOn executes one seed of the scenario on an already-built network.
 func trialOn(s Spec, seed int64, built *topology.Built) (*TrialResult, error) {
+	// core.NewRunner panics on an invalid dual; a caller-built instance
+	// gets the error core.Run would return instead.
+	if err := built.Dual.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid dual: %w", err)
+	}
 	p, err := resolvePlan(s.WithDefaults(), built)
 	if err != nil {
 		return nil, err
@@ -643,13 +621,13 @@ func trialOn(s Spec, seed int64, built *topology.Built) (*TrialResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.execute(seed, automata, nil, nil)
+	return p.execute(seed, automata, core.NewRunner(built.Dual), nil)
 }
 
 // trialPlan is everything about a trial that is a pure function of the
 // resolved spec and its built network: the workload, payloads, algorithm,
 // horizon and step limit. It is the single spec-resolution pipeline behind
-// both the cold path (trialOn resolves one per trial) and the warm path
+// one-shot trials (trialOn resolves one per trial) and the warm path
 // (warmRun resolves one per spec and reuses it), so the two cannot
 // diverge.
 type trialPlan struct {
@@ -758,10 +736,9 @@ func (p *trialPlan) scheduler(cache *schedSlot) (mac.Scheduler, string, error) {
 	return s, name, nil
 }
 
-// execute runs one seed of the plan with the given fleet: through the warm
-// runner when rn is non-nil, or a cold core.Run otherwise. The scheduler
-// comes from the worker's cache when one is supplied, and is built fresh
-// otherwise.
+// execute runs one seed of the plan with the given fleet on rn. The
+// scheduler comes from the worker's cache when one is supplied, and is
+// built fresh otherwise.
 func (p *trialPlan) execute(seed int64, automata []mac.Automaton, rn *core.Runner, cache *schedSlot) (*TrialResult, error) {
 	r := p.spec
 	scheduler, schedName, err := p.scheduler(cache)
@@ -785,10 +762,9 @@ func (p *trialPlan) execute(seed int64, automata []mac.Automaton, rn *core.Runne
 		StepLimit:        p.stepLimit,
 		HaltOnCompletion: !r.Run.ToQuiescence,
 		Options: core.RunOptions{
-			Trace:   mode,
-			Check:   r.Run.Check,
-			Shards:  r.Run.Shards,
-			Regions: r.Run.Regions,
+			Trace:  mode,
+			Check:  r.Run.Check,
+			Shards: r.Run.Shards,
 		},
 		EpsAbort: sim.Time(r.Model.EpsAbort),
 	}
@@ -824,12 +800,7 @@ func (p *trialPlan) execute(seed int64, automata []mac.Automaton, rn *core.Runne
 		tw = sim.NewTraceWriter(tf)
 		cfg.Options.Sink = tw
 	}
-	var res *core.Result
-	if rn != nil {
-		res, err = rn.Run(cfg)
-	} else {
-		res, err = core.Run(cfg)
-	}
+	res, err := rn.Run(cfg)
 	if tw != nil {
 		ferr := tw.Flush()
 		if cerr := tf.Close(); ferr == nil {

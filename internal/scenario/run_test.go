@@ -186,7 +186,7 @@ func TestSweepMatchesRun(t *testing.T) {
 // multi-origin injections the flag interface never expressed.
 func TestExplicitWorkload(t *testing.T) {
 	rep, err := Run(Spec{
-		Topology:  TopologySpec{Name: "ring", Params: topology.Params{"n": 8}},
+		Topology: TopologySpec{Name: "ring", Params: topology.Params{"n": 8}},
 		Workload: WorkloadSpec{Kind: WorkloadExplicit, Arrivals: []ArrivalSpec{
 			{At: 0, Node: 0}, {At: 50, Node: 4}, {At: 120, Node: 2},
 		}},

@@ -10,8 +10,9 @@ import (
 )
 
 // shardSweepSpecs is a small mixed grid: a pinned r-restricted line (warm
-// arena path), an unpinned grey-zone family (workspace + rebind path), and a
-// NoArena spec (cold path), so partitions cross every execution regime.
+// arena path), an unpinned grey-zone family (workspace + rebind path), and
+// a seedless deterministic family (pinned by construction), so partitions
+// cross every execution regime.
 func shardSweepSpecs() []Spec {
 	return []Spec{
 		{
@@ -38,12 +39,12 @@ func shardSweepSpecs() []Spec {
 			Run:       RunSpec{Seed: 3, Trials: 7},
 		},
 		{
-			Name:      "cold",
+			Name:      "deterministic",
 			Topology:  TopologySpec{Name: "line", Params: topology.Params{"n": 16}},
 			Workload:  WorkloadSpec{Kind: WorkloadSingleton, K: 2},
 			Algorithm: AlgorithmSpec{Name: "bmmb"},
 			Scheduler: SchedulerSpec{Name: "sync", Params: topology.Params{"rel": 0.7}},
-			Run:       RunSpec{Seed: 2, Trials: 4, NoArena: true},
+			Run:       RunSpec{Seed: 2, Trials: 4},
 		},
 	}
 }

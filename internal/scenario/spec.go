@@ -139,19 +139,10 @@ type RunSpec struct {
 	// trace_file) or "off". It mirrors core.RunOptions.Trace; illegal
 	// combinations with check and trace_file fail Validate.
 	Trace string `json:"trace,omitempty"`
-	// NoTrace disables trace recording (throughput runs).
-	//
-	// Deprecated: set "trace": "off" instead. Accepted for one release;
-	// setting both no_trace and trace is an error.
-	NoTrace bool `json:"no_trace,omitempty"`
 	// Shards selects the decomposed executor with at most this many
 	// component shards running concurrently; 0 (default) keeps the legacy
 	// single-engine executor. See core.RunOptions.Shards.
 	Shards int `json:"shards,omitempty"`
-	// Regions splits each run into this many contiguous node regions
-	// executed optimistically in parallel time windows; requires shards
-	// >= 1. See core.RunOptions.Regions.
-	Regions int `json:"regions,omitempty"`
 	// ToQuiescence runs past completion until the network is silent; the
 	// default halts at the moment of the last required delivery.
 	ToQuiescence bool `json:"to_quiescence,omitempty"`
@@ -160,18 +151,12 @@ type RunSpec struct {
 	Horizon int64 `json:"horizon,omitempty"`
 	// StepLimit bounds simulation events; 0 selects the algorithm default.
 	StepLimit uint64 `json:"step_limit,omitempty"`
-	// NoArena disables cross-trial arena and fleet reuse for pinned
-	// topologies — the debugging escape hatch. Executions are
-	// byte-identical either way; reuse only changes where the memory
-	// comes from.
-	NoArena bool `json:"no_arena,omitempty"`
 	// TraceFile streams each trial's trace to a binary file (see
 	// sim.TraceWriter) instead of accumulating it in RAM — the path for
 	// networks whose traces exceed memory. The trial seed is spliced in
 	// before the extension ("out.amtr" -> "out.s3.amtr"), so parallel
-	// trials and multi-trial runs never collide on one file.
-	// Incompatible with Check (the checkers read the in-memory trace)
-	// and NoTrace (nothing to stream).
+	// trials and multi-trial runs never collide on one file. Requires
+	// "trace": "stream".
 	TraceFile string `json:"trace_file,omitempty"`
 }
 
@@ -301,54 +286,27 @@ func (s Spec) Validate() error {
 	if r.Run.Shards < 0 {
 		return fmt.Errorf("scenario: run: negative shards %d", r.Run.Shards)
 	}
-	if r.Run.Regions < 0 {
-		return fmt.Errorf("scenario: run: negative regions %d", r.Run.Regions)
-	}
-	if r.Run.Regions > 1 && r.Run.Shards < 1 {
-		return fmt.Errorf("scenario: run: regions > 1 requires shards >= 1 (windowed execution is part of the decomposed executor)")
-	}
 	return nil
 }
 
-// TraceMode normalizes the trace-related run keys — the new "trace" mode
-// plus the deprecated "no_trace" and the "trace_file" pairing — into the
-// core.TraceMode the execution uses, or an error for an illegal
-// combination. Legacy precedence is preserved exactly for old-key-only
-// specs: trace_file streams, no_trace (without check) turns recording off,
-// and check keeps the in-memory trace even when no_trace is set.
+// TraceMode parses the "trace" key into the core.TraceMode the execution
+// uses, or returns an error for an illegal combination with check or
+// trace_file.
 func (r RunSpec) TraceMode() (core.TraceMode, error) {
-	if r.Trace != "" {
-		m, err := core.ParseTraceMode(r.Trace)
-		if err != nil {
-			return 0, fmt.Errorf("scenario: run: %w", err)
-		}
-		if r.NoTrace {
-			return 0, fmt.Errorf("scenario: run: no_trace is deprecated and conflicts with the explicit trace mode %q (drop no_trace)", r.Trace)
-		}
-		if r.Check && m != core.TraceMemory {
-			return 0, fmt.Errorf("scenario: run: check requires trace=memory (the checkers read the in-memory trace), got trace=%q", r.Trace)
-		}
-		if m == core.TraceStream && r.TraceFile == "" {
-			return 0, fmt.Errorf("scenario: run: trace=stream requires trace_file")
-		}
-		if m != core.TraceStream && r.TraceFile != "" {
-			return 0, fmt.Errorf("scenario: run: trace_file requires trace=stream, got trace=%q", r.Trace)
-		}
-		return m, nil
+	m, err := core.ParseTraceMode(r.Trace)
+	if err != nil {
+		return 0, fmt.Errorf("scenario: run: %w", err)
 	}
-	if r.TraceFile != "" {
-		if r.Check {
-			return 0, fmt.Errorf("scenario: run: trace_file is incompatible with check (the checkers read the in-memory trace)")
-		}
-		if r.NoTrace {
-			return 0, fmt.Errorf("scenario: run: trace_file is incompatible with no_trace")
-		}
-		return core.TraceStream, nil
+	if r.Check && m != core.TraceMemory {
+		return 0, fmt.Errorf("scenario: run: check requires trace=memory (the checkers read the in-memory trace), got trace=%q", r.Trace)
 	}
-	if r.NoTrace && !r.Check {
-		return core.TraceOff, nil
+	if m == core.TraceStream && r.TraceFile == "" {
+		return 0, fmt.Errorf("scenario: run: trace=stream requires trace_file")
 	}
-	return core.TraceMemory, nil
+	if m != core.TraceStream && r.TraceFile != "" {
+		return 0, fmt.Errorf("scenario: run: trace_file requires trace=stream, got trace=%q", m)
+	}
+	return m, nil
 }
 
 func abs64(v int64) int64 {

@@ -71,7 +71,7 @@ func randSpec(rng *rand.Rand) Spec {
 			Trials:       rng.Intn(16),
 			Parallelism:  rng.Intn(8),
 			Check:        rng.Intn(2) == 0,
-			NoTrace:      rng.Intn(2) == 0,
+			Trace:        str("", "memory", "stream", "off"),
 			ToQuiescence: rng.Intn(2) == 0,
 			Horizon:      rng.Int63n(1 << 30),
 			StepLimit:    uint64(rng.Int63n(1 << 40)),

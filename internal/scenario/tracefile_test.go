@@ -57,6 +57,7 @@ func TestTraceFileMatchesInMemoryTrace(t *testing.T) {
 	}
 
 	dir := t.TempDir()
+	spec.Run.Trace = "stream"
 	spec.Run.TraceFile = filepath.Join(dir, "golden.amtr")
 	streamed, err := scenario.Run(spec)
 	if err != nil {
@@ -83,6 +84,7 @@ func TestTraceFilePerTrialFiles(t *testing.T) {
 	spec.Run.Check = false
 	spec.Run.Trials = 3
 	dir := t.TempDir()
+	spec.Run.Trace = "stream"
 	spec.Run.TraceFile = filepath.Join(dir, "multi.amtr")
 
 	rep, err := scenario.Run(spec)
@@ -126,6 +128,7 @@ func TestTraceFileValidation(t *testing.T) {
 	if !ok {
 		t.Fatal("no golden sync scenario")
 	}
+	spec.Run.Trace = "stream"
 	spec.Run.TraceFile = "out.amtr"
 
 	spec.Run.Check = true
@@ -134,14 +137,14 @@ func TestTraceFileValidation(t *testing.T) {
 	}
 
 	spec.Run.Check = false
-	spec.Run.NoTrace = true
-	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "no_trace") {
-		t.Fatalf("trace_file+no_trace: err = %v, want no_trace incompatibility", err)
+	spec.Run.Trace = ""
+	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "trace_file requires trace=stream") {
+		t.Fatalf("bare trace_file: err = %v, want the trace=stream requirement", err)
 	}
 
-	spec.Run.NoTrace = false
+	spec.Run.Trace = "stream"
 	if err := spec.Validate(); err != nil {
-		t.Fatalf("trace_file alone rejected: %v", err)
+		t.Fatalf("trace=stream with trace_file rejected: %v", err)
 	}
 }
 

@@ -83,46 +83,17 @@ func TestUnpinnedWarmMatchesCold(t *testing.T) {
 }
 
 // TestUnpinnedSweepMatchesNoArena pins the guarantee at the scenario
-// surface: sweeps of unpinned specs produce identical reports with warm
-// reuse on and off, sequential and parallel alike.
+// surface: sweeps of unpinned specs, drawn into a warm workspace and
+// rebound per trial, produce the results of fresh one-shot trials,
+// sequential and parallel alike.
 func TestUnpinnedSweepMatchesNoArena(t *testing.T) {
-	specs := unpinnedSpecs(5)
-	fingerprint := func(reports []*Report) string {
-		out := ""
-		for _, r := range reports {
-			for _, tr := range r.Trials {
-				res := tr.Result
-				ok := res.Report == nil || res.Report.OK()
-				out += fmt.Sprintf("%s seed=%d net=%s solved=%v t=%d end=%d del=%d req=%d bcasts=%d steps=%d check=%v\n",
-					r.Spec.Name, tr.Seed, tr.Built.Dual.Name, res.Solved, res.CompletionTime,
-					res.End, res.Delivered, res.Required, res.Broadcasts, res.Steps, ok)
-			}
-		}
-		return out
-	}
-	baseline, err := SweepWithOptions(specs, SweepOptions{Parallelism: 1, NoArena: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(baseline)
-	for _, tc := range []SweepOptions{
-		{Parallelism: 1},
-		{Parallelism: 3},
-	} {
-		reports, err := SweepWithOptions(specs, tc)
-		if err != nil {
-			t.Fatalf("%+v: %v", tc, err)
-		}
-		if got := fingerprint(reports); got != want {
-			t.Fatalf("unpinned sweep with %+v diverged from the cold baseline:\ngot:\n%s\nwant:\n%s", tc, got, want)
-		}
-	}
+	sweepMatchesFreshTrials(t, unpinnedSpecs(5))
 }
 
 // TestDeterministicFamilyTakesWarmPath pins the pinning bugfix: a
 // deterministic family with no seed at all (ring) must be treated as pinned
 // — one shared network instance, warm engine reuse across trials — and stay
-// byte-identical to the cold path.
+// identical to fresh one-shot trials.
 func TestDeterministicFamilyTakesWarmPath(t *testing.T) {
 	spec := Spec{
 		Topology:  TopologySpec{Name: "ring", Params: topology.Params{"n": 16}},
@@ -144,16 +115,11 @@ func TestDeterministicFamilyTakesWarmPath(t *testing.T) {
 		t.Fatal("trials of a deterministic family did not reuse the warm engine")
 	}
 
-	cold := spec
-	cold.Run.NoArena = true
-	coldRep, err := Run(cold)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := freshReports(t, []Spec{spec})[0]
 	for i := range warm.Trials {
-		w, c := warm.Trials[i].Result, coldRep.Trials[i].Result
-		if w.CompletionTime != c.CompletionTime || w.Steps != c.Steps || w.Delivered != c.Delivered {
-			t.Fatalf("trial %d diverged between warm and cold deterministic-family runs", i)
+		w, f := warm.Trials[i].Result, fresh.Trials[i].Result
+		if w.CompletionTime != f.CompletionTime || w.Steps != f.Steps || w.Delivered != f.Delivered {
+			t.Fatalf("trial %d diverged between warm and fresh deterministic-family runs", i)
 		}
 	}
 }

@@ -171,6 +171,7 @@ func clearHeap(h *candHeap) {
 }
 
 // OnBcast implements mac.Scheduler.
+//
 //amac:hotpath
 func (c *Contention) OnBcast(b *mac.Instance) {
 	deadline := b.Start + c.api.Fack()
@@ -221,6 +222,7 @@ func (c *Contention) schedule(j mac.NodeID, at sim.Time) {
 // the most recently booked slot fires; superseded bookings (a sooner slot
 // was scheduled after this one) are recognized by the nextAt mismatch and
 // dropped.
+//
 //amac:hotpath
 func (c *Contention) OnTimer(_ any, a, b int64) {
 	j, at := mac.NodeID(a), sim.Time(b)
@@ -234,6 +236,7 @@ func (c *Contention) OnTimer(_ any, a, b int64) {
 // process runs one receive slot for j: deliver the earliest-deadline live
 // candidate (required wins deadline ties), then force-deliver any required
 // candidate that cannot survive another slot.
+//
 //amac:hotpath
 func (c *Contention) process(j mac.NodeID) {
 	rs := &c.rcv[j]
@@ -271,6 +274,7 @@ func (c *Contention) process(j mac.NodeID) {
 
 // deliver performs the rcv for cand, acking the instance when its last
 // reliable delivery completes.
+//
 //amac:hotpath
 func (c *Contention) deliver(j mac.NodeID, cand candidate) {
 	c.api.Deliver(cand.inst, j)

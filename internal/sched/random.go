@@ -43,6 +43,7 @@ func (r *Random) Reset(Env) bool {
 func (r *Random) Attach(api mac.API) { r.api = api }
 
 // OnBcast implements mac.Scheduler.
+//
 //amac:hotpath
 func (r *Random) OnBcast(b *mac.Instance) {
 	api := r.api

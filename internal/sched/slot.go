@@ -76,6 +76,7 @@ func (s *Slot) Attach(api mac.API) {
 }
 
 // OnBcast implements mac.Scheduler.
+//
 //amac:hotpath
 func (s *Slot) OnBcast(b *mac.Instance) {
 	s.live = append(s.live, b)
@@ -88,6 +89,7 @@ func (s *Slot) OnAbort(*mac.Instance) {}
 
 // armSlot schedules the end-of-slot handler for the current slot if not
 // already armed.
+//
 //amac:hotpath
 func (s *Slot) armSlot() {
 	fprog := s.api.Fprog()
@@ -114,6 +116,7 @@ func (s *Slot) OnTimer(_ any, a, _ int64) {
 
 // handleSlot performs all deliveries and acks for the slot ending just
 // after fire.
+//
 //amac:hotpath
 func (s *Slot) handleSlot(fire sim.Time) {
 	api := s.api

@@ -101,6 +101,7 @@ func (s *Sync) Attach(api mac.API) {
 // ack. Per-neighbor delivery order within a batch matches the per-neighbor
 // events the scheduler originally enqueued (neighbor order, then
 // grey-selection order), so executions are unchanged.
+//
 //amac:hotpath
 func (s *Sync) OnBcast(b *mac.Instance) {
 	api := s.api

@@ -173,6 +173,7 @@ func (e *Engine) After(d Duration, fn func()) Handle {
 // dispatcher's handler, (obj, a, b) are its operands. Scheduling in the past
 // panics, exactly like At. Posting KindFunc or posting without a dispatcher
 // installed panics at dispatch time.
+//
 //amac:hotpath
 func (e *Engine) Post(t Time, kind EventKind, obj any, a, b int64) Handle {
 	ev := e.schedule(t)
@@ -185,6 +186,7 @@ func (e *Engine) Post(t Time, kind EventKind, obj any, a, b int64) Handle {
 // payload in place of the object operand. The payload travels unboxed
 // through the pooled event struct, so posting algorithm data (environment
 // arrivals) allocates nothing.
+//
 //amac:hotpath
 func (e *Engine) PostPayload(t Time, kind EventKind, p Payload, a, b int64) Handle {
 	ev := e.schedule(t)
@@ -195,6 +197,7 @@ func (e *Engine) PostPayload(t Time, kind EventKind, p Payload, a, b int64) Hand
 
 // schedule allocates a pooled event for time t with the next sequence
 // number; the caller fills the payload and pushes it.
+//
 //amac:hotpath
 func (e *Engine) schedule(t Time) *event {
 	if t < e.now {
@@ -255,6 +258,7 @@ func (e *Engine) NextTime() Time {
 
 // Step executes the next live event, advancing virtual time. It returns
 // false when no live events remain or the horizon/limit is reached.
+//
 //amac:hotpath
 func (e *Engine) Step() bool {
 	if e.halted {

@@ -44,6 +44,7 @@ func (q *eventQueue) Len() int { return len(q.items) }
 
 // alloc returns a recycled event or a fresh one when the pool is empty. The
 // caller fills in the payload (kind + operands, or fn).
+//
 //amac:hotpath
 func (q *eventQueue) alloc(at Time, seq uint64) *event {
 	if n := len(q.free); n > 0 {
@@ -62,6 +63,7 @@ func (q *eventQueue) alloc(at Time, seq uint64) *event {
 // event count for the rest of the run, so whenever the free list exceeds
 // twice the live queue (plus a small floor), the excess structs are dropped
 // for the collector.
+//
 //amac:hotpath
 func (q *eventQueue) release(ev *event) {
 	ev.fn = nil
