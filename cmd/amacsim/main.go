@@ -371,6 +371,9 @@ func printReport(out io.Writer, rep *scenario.Report, stats, trace bool) error {
 		if res.Engine == nil {
 			return fmt.Errorf("-stats needs the per-instance records the decomposed executor does not retain (drop -shards)")
 		}
+		if res.Trace == nil {
+			return fmt.Errorf("-stats needs the in-memory trace (run with trace mode %q)", core.TraceMemory)
+		}
 		m := metrics.Collect(d, res.Engine.Instances(), res.Trace)
 		fmt.Fprint(out, m.String())
 	}

@@ -181,3 +181,27 @@ func TestHeaderDiameterAroundCutoff(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsNeedsMemoryTrace pins -stats on runs that keep no in-memory
+// trace (trace modes off and stream): per-node metrics replay the recorded
+// trace, so the report must fail with an error naming trace mode memory
+// instead of dereferencing the missing trace.
+func TestStatsNeedsMemoryTrace(t *testing.T) {
+	path := writeScenario(t, "-topology", "ring", "-n", "16", "-k", "2", "-check=false")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := `"trace": "stream", "trace_file": ` + strconv.Quote(filepath.Join(t.TempDir(), "ring.amtr")) + `, `
+	for _, mode := range []string{`"trace": "off", `, stream} {
+		patched := strings.Replace(string(raw), `"run": {`, `"run": {`+mode, 1)
+		if err := os.WriteFile(path, []byte(patched), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err = run([]string{"-scenario", path, "-stats"}, &out)
+		if err == nil || !strings.Contains(err.Error(), `trace mode "memory"`) {
+			t.Fatalf("run {%s}: want an error naming trace mode memory, got %v\n%s", mode, err, out.String())
+		}
+	}
+}

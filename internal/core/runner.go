@@ -84,9 +84,8 @@ type Result struct {
 	MMBViolations []string
 	// Trace holds the recorded execution trace when Options.Trace is
 	// TraceMemory, nil otherwise. On the legacy executor it aliases the
-	// engine's trace (pooled on a warm Runner: valid until the next Run);
-	// on the decomposed executor it is a freshly merged trace the caller
-	// owns.
+	// Runner's pooled trace buffer (valid until the Runner's next Run); on
+	// the decomposed executor it is a freshly merged trace the caller owns.
 	Trace *sim.Trace
 	// Engine exposes the underlying engine for post-run inspection. For
 	// executions on a warm Runner the engine is pooled: it stays valid
@@ -189,13 +188,13 @@ func Run(cfg RunConfig) (*Result, error) {
 
 // Runner executes repeated MMB configurations on one pinned network with
 // warm state: a mac.Arena (pooled engine, node states, flat CSR delivery
-// rows, warm event pool), the component index of G, and the runner's own
-// completion-tracking maps, all reused across Run calls. Every execution
-// runs on a Runner — core.Run builds a one-shot one. The first Run fills
-// the pools; subsequent runs skip engine and fleet-scaffolding allocation
-// entirely. Executions are byte-identical on fresh and warm runners at
-// equal configuration — the golden-trace suite and
-// TestRunnerWarmMatchesCold pin that.
+// rows, warm event pool), the component index of G, the in-memory trace
+// buffer and the runner's own completion-tracking maps, all reused across
+// Run calls. Every execution runs on a Runner — core.Run builds a one-shot
+// one. The first Run fills the pools; subsequent runs skip engine and
+// fleet-scaffolding allocation entirely. Executions are byte-identical on
+// fresh and warm runners at equal configuration — the golden-trace suite
+// and TestRunnerWarmMatchesCold pin that.
 //
 // A Runner serves one execution at a time and is not safe for concurrent
 // use; parallel trial pools hold one Runner per worker. Each Run recycles
@@ -216,6 +215,9 @@ type Runner struct {
 	compQueue []graph.NodeID
 	st        runState
 	watch     func(sim.TraceEvent)
+	// trace is the in-memory trace buffer TraceMemory runs record into,
+	// reset per run; Result.Trace aliases it.
+	trace sim.Trace
 	// The G′ component index drives the sharded executor's carve-up. It is
 	// computed lazily on the first sharded Run (legacy runs never pay for
 	// it) and keyed by the dual it was computed for, so Rebind invalidates
@@ -447,11 +449,14 @@ func (r *Runner) run(cfg RunConfig, workload *Workload) (*Result, error) {
 		Mode:      cfg.Mode,
 		Seed:      cfg.Seed,
 		EpsAbort:  cfg.EpsAbort,
-		NoTrace:   cfg.Options.Trace == TraceOff,
 		Arena:     r.arena,
 	}
-	if cfg.Options.Trace == TraceStream {
-		mcfg.Sink = cfg.Options.Sink
+	switch cfg.Options.Trace {
+	case TraceMemory:
+		r.trace.Reset()
+		mcfg.Trace = &r.trace
+	case TraceStream:
+		mcfg.Trace = cfg.Options.Sink
 	}
 	eng := mac.NewEngine(mcfg, cfg.Automata)
 
@@ -488,7 +493,7 @@ func (r *Runner) run(cfg RunConfig, workload *Workload) (*Result, error) {
 	res.Steps = eng.Sim().Steps()
 	res.Broadcasts = len(eng.Instances())
 	if cfg.Options.Trace == TraceMemory {
-		res.Trace = eng.Trace()
+		res.Trace = &r.trace
 	}
 	if cfg.Options.Check {
 		res.Report = check.All(cfg.Dual, eng.Instances(), check.Params{
@@ -500,7 +505,7 @@ func (r *Runner) run(cfg RunConfig, workload *Workload) (*Result, error) {
 		// Defense in depth: re-derive the MMB problem conditions from the
 		// trace with the generic checker (the watcher above catches them
 		// online; this validates the full recorded history).
-		check.MMB(res.Report, eng.Trace().Events(), check.MMBParams{
+		check.MMB(res.Report, r.trace.Events(), check.MMBParams{
 			DeliverKind: DeliverKind,
 		})
 	}

@@ -73,13 +73,15 @@ func (r *Runner) runSharded(cfg RunConfig, gpOf, gpSizes []int) (*Result, error)
 		required += req
 	}
 
-	// One warm arena per worker, all sharing the network's CSR position
-	// index; a worker's arena serves its components one after another.
+	// One warm arena and trace buffer per worker, all arenas sharing the
+	// network's CSR position index; a worker's arena and buffer serve its
+	// components one after another.
 	workers := par.Workers(cfg.Options.Shards, nComps)
 	arenas := make([]*mac.Arena, workers)
 	for w := range arenas {
 		arenas[w] = r.arena.Fork()
 	}
+	traces := make([]sim.Trace, workers)
 
 	results := make([]compResult, nComps)
 	par.ForWorker(workers, nComps, func(w, c int) {
@@ -90,7 +92,7 @@ func (r *Runner) runSharded(cfg RunConfig, gpOf, gpSizes []int) (*Result, error)
 			// flag it runs to quiescence like every other component.
 			return
 		}
-		results[c] = runComponent(cfg, arenas[w],
+		results[c] = runComponent(cfg, arenas[w], &traces[w],
 			nodesByComp[off[c]:off[c+1]], arrByComp[c], reqByComp[c], compOf)
 	})
 
@@ -143,9 +145,10 @@ func (r *Runner) runSharded(cfg RunConfig, gpOf, gpSizes []int) (*Result, error)
 }
 
 // runComponent executes the nodes of one G′ component on a fresh engine
-// acquisition from the worker's arena and copies everything the merge needs
-// out of the pooled state.
-func runComponent(cfg RunConfig, arena *mac.Arena, nodes []mac.NodeID, arrivals []Arrival, required int, compOf []int) compResult {
+// acquisition from the worker's arena, recording into the worker's trace
+// buffer unless tracing is off, and copies everything the merge needs out
+// of the pooled state.
+func runComponent(cfg RunConfig, arena *mac.Arena, trace *sim.Trace, nodes []mac.NodeID, arrivals []Arrival, required int, compOf []int) compResult {
 	mcfg := mac.Config{
 		Dual:      cfg.Dual,
 		Fack:      cfg.Fack,
@@ -154,8 +157,11 @@ func runComponent(cfg RunConfig, arena *mac.Arena, nodes []mac.NodeID, arrivals 
 		Mode:      cfg.Mode,
 		Seed:      cfg.Seed,
 		EpsAbort:  cfg.EpsAbort,
-		NoTrace:   cfg.Options.Trace == TraceOff,
 		Arena:     arena,
+	}
+	if cfg.Options.Trace != TraceOff {
+		trace.Reset()
+		mcfg.Trace = trace
 	}
 	eng := mac.NewEngine(mcfg, cfg.Automata)
 
@@ -189,7 +195,7 @@ func runComponent(cfg RunConfig, arena *mac.Arena, nodes []mac.NodeID, arrivals 
 		violations: res.MMBViolations,
 	}
 	if cfg.Options.Trace != TraceOff {
-		cr.events = append(cr.events, eng.Trace().Events()...)
+		cr.events = append(cr.events, trace.Events()...)
 	}
 	if cfg.Options.Check {
 		cr.report = check.All(cfg.Dual, eng.Instances(), check.Params{

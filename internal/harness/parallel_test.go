@@ -1,44 +1,12 @@
 package harness
 
-import (
-	"sync/atomic"
-	"testing"
-)
-
-// TestParallelForCoversAllIndices checks the pool executes every index
-// exactly once at various widths.
-func TestParallelForCoversAllIndices(t *testing.T) {
-	for _, p := range []int{0, 1, 2, 7, 64} {
-		const n = 37
-		var counts [n]atomic.Int32
-		ParallelFor(p, n, func(i int) { counts[i].Add(1) })
-		for i := range counts {
-			if got := counts[i].Load(); got != 1 {
-				t.Fatalf("p=%d: index %d ran %d times", p, i, got)
-			}
-		}
-	}
-}
-
-// TestParallelForPropagatesPanic checks a worker panic resurfaces in the
-// caller instead of crashing the process from a goroutine.
-func TestParallelForPropagatesPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("worker panic did not propagate")
-		}
-	}()
-	ParallelFor(4, 16, func(i int) {
-		if i == 11 {
-			panic("boom")
-		}
-	})
-}
+import "testing"
 
 // TestParallelHarnessDeterminism is the contract of Options.Parallelism:
 // every experiment table must be byte-identical at Parallelism 1 and 8.
-// Experiments cover both sweep styles (pointMeans and collectTrials with
-// auxiliary per-trial state such as the instance diameter).
+// Experiments cover both sweep styles (RunSweep over scenario specs, and
+// collectTrials with auxiliary per-trial state such as the instance
+// diameter).
 func TestParallelHarnessDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")

@@ -9,21 +9,21 @@ import (
 )
 
 // lingerScheduler delivers a broadcast to G-neighbors shortly *after* the
-// sender aborts it, exercising the ε_abort allowance of Section 3.2.1.
-type lingerScheduler struct {
-	api   mac.API
-	delay int64 // ticks after bcast at which delivery happens
-}
+// sender aborts it, exercising the ε_abort allowance of Section 3.2.1. The
+// delivery rides a scheduler timer rather than ScheduleDeliver, whose guard
+// would skip it once the instance is aborted.
+type lingerScheduler struct{ api mac.API }
 
 func (s *lingerScheduler) Name() string          { return "linger" }
 func (s *lingerScheduler) Attach(api mac.API)    { s.api = api }
 func (s *lingerScheduler) OnAbort(*mac.Instance) {}
 func (s *lingerScheduler) OnBcast(b *mac.Instance) {
-	api := s.api
-	for _, j := range api.Dual().G.Neighbors(b.Sender) {
-		j := j
-		api.At(b.Start+4, func() { api.Deliver(b, j) })
+	for _, j := range s.api.Dual().G.Neighbors(b.Sender) {
+		s.api.ScheduleTimer(b.Start+4, b, int64(j), 0)
 	}
+}
+func (s *lingerScheduler) OnTimer(obj any, to, _ int64) {
+	s.api.Deliver(obj.(*mac.Instance), mac.NodeID(to))
 }
 
 // abortEarly broadcasts at wakeup and aborts after 2 ticks — before the

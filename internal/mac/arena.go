@@ -261,10 +261,9 @@ func (a *Arena) instance(id InstanceID, sender NodeID, payload Payload, start si
 }
 
 // engineFor returns the arena's engine configured for cfg: built once on
-// first use, then recycled — simulation clock and event pool reset, trace
-// truncated in place, node states and instance storage rewound — so warm
-// acquisition allocates nothing. The caller (NewEngine) has already
-// validated cfg.
+// first use, then recycled — simulation clock and event pool reset, node
+// states and instance storage rewound — so warm acquisition allocates
+// nothing. The caller (NewEngine) has already validated cfg.
 func (a *Arena) engineFor(cfg Config, automata []Automaton) *Engine {
 	a.reset()
 	e := a.eng
@@ -280,7 +279,6 @@ func (a *Arena) engineFor(cfg Config, automata []Automaton) *Engine {
 	} else {
 		e.cfg = cfg
 		e.sim.Reset(cfg.Seed)
-		e.trace.Reset()
 		e.insts = e.insts[:0]
 		e.nextID = 0
 		// Bumping the epoch marks every pooled random stream (scheduler and
@@ -298,12 +296,7 @@ func (a *Arena) engineFor(cfg Config, automata []Automaton) *Engine {
 		}
 	}
 	e.timerSched, _ = cfg.Scheduler.(TimerScheduler)
-	if cfg.TraceCap > 0 {
-		e.trace.SetCap(cfg.TraceCap)
-	}
-	if cfg.NoTrace {
-		e.trace.Disable()
-	}
+	e.mem, _ = cfg.Trace.(*sim.Trace)
 	for i := range e.nodes {
 		ns := &e.nodes[i]
 		// rng and rngSeen persist across acquisitions (the epoch bump above

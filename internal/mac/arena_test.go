@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"amac/internal/mac"
+	"amac/internal/sim"
 	"amac/internal/topology"
 )
 
@@ -46,10 +47,13 @@ func floodFleet(n int) []mac.Automaton {
 // plus every instance's delivery times over all nodes (exercising both
 // WasDelivered and DeliveredAt). A nil arena runs on a fresh private one.
 func runFlood(d *topology.Dual, a *mac.Arena, seed int64) (trace string, deliveries [][]int64) {
-	eng := mac.NewEngine(arenaConfig(d, a, seed), floodFleet(d.N()))
+	var tr sim.Trace
+	cfg := arenaConfig(d, a, seed)
+	cfg.Trace = &tr
+	eng := mac.NewEngine(cfg, floodFleet(d.N()))
 	eng.Start()
 	eng.Run()
-	trace = eng.Trace().String()
+	trace = tr.String()
 	for _, b := range eng.Instances() {
 		row := make([]int64, d.N())
 		for v := 0; v < d.N(); v++ {
@@ -143,7 +147,8 @@ func TestArenaDeliveryValidation(t *testing.T) {
 	}, floodFleet(4))
 	_ = eng
 	eng.Start()
-	eng.Sim().RunUntil(0)
+	eng.Sim().SetHorizon(0)
+	eng.Run()
 	if b == nil {
 		t.Fatal("no broadcast observed")
 	}
@@ -265,7 +270,8 @@ func TestArenaRebindClearsOverflow(t *testing.T) {
 	}}
 	eng := mac.NewEngine(mac.Config{Dual: d1, Fack: 100, Fprog: 10, Scheduler: s, Seed: 1, Arena: a}, floodFleet(4))
 	eng.Start()
-	eng.Sim().RunUntil(0)
+	eng.Sim().SetHorizon(0)
+	eng.Run()
 	if captured == nil {
 		t.Fatal("no broadcast observed")
 	}
@@ -287,7 +293,8 @@ func TestArenaRebindClearsOverflow(t *testing.T) {
 	}}
 	eng = mac.NewEngine(mac.Config{Dual: d2, Fack: 100, Fprog: 10, Scheduler: s2, Seed: 1, Arena: a}, floodFleet(4))
 	eng.Start()
-	eng.Sim().RunUntil(0)
+	eng.Sim().SetHorizon(0)
+	eng.Run()
 	if fresh == nil {
 		t.Fatal("no broadcast observed after rebind")
 	}

@@ -40,6 +40,7 @@ func TestContextSurface(t *testing.T) {
 	d := topology.LineRRestricted(4, 2, 1.0, nil)
 	in := &introspector{}
 	others := []mac.Automaton{&echoAutomaton{}, &echoAutomaton{}, &echoAutomaton{}}
+	var tr sim.Trace
 	eng := mac.NewEngine(mac.Config{
 		Dual:      d,
 		Fack:      300,
@@ -47,6 +48,7 @@ func TestContextSurface(t *testing.T) {
 		Scheduler: &directScheduler{},
 		Mode:      mac.Enhanced,
 		Seed:      9,
+		Trace:     &tr,
 	}, []mac.Automaton{others[0], in, others[1], others[2]})
 	if eng.Mode() != mac.Enhanced {
 		t.Fatalf("Mode = %v", eng.Mode())
@@ -67,7 +69,7 @@ func TestContextSurface(t *testing.T) {
 		t.Fatalf("now=%v fack=%v fprog=%v", in.now, in.fack, in.fprog)
 	}
 	// The Emit landed in the trace.
-	if got := eng.Trace().Filter("custom"); len(got) != 1 || got[0].Node != 1 {
+	if got := tr.Filter("custom"); len(got) != 1 || got[0].Node != 1 {
 		t.Fatalf("custom trace events = %v", got)
 	}
 }

@@ -26,18 +26,12 @@ type Config struct {
 	// EpsAbort bounds how long after an abort a rcv caused by the aborted
 	// instance may still occur (the paper's ε_abort). Defaults to 0.
 	EpsAbort sim.Time
-	// TraceCap bounds trace memory; 0 keeps everything.
-	TraceCap int
-	// Sink, when set, receives every trace event instead of the in-memory
-	// trace — the streaming path for networks whose full trace cannot be
-	// held in RAM (pair with a sim.TraceWriter). Watchers still observe
-	// every event; NoTrace still disables recording entirely. Checkers
-	// need the in-memory trace, so Check-enabled runs leave Sink unset.
-	Sink sim.TraceSink
-	// NoTrace disables trace recording entirely. Watchers still observe
-	// every event; when none are registered either, the engine skips event
-	// construction altogether — the throughput fast path.
-	NoTrace bool
+	// Trace receives every trace event in execution order: a *sim.Trace
+	// records in memory (what checkers replay), a sim.TraceWriter streams
+	// to disk. Nil records nothing; watchers still observe every event, and
+	// when none are registered either the engine skips event construction
+	// altogether — the throughput fast path.
+	Trace sim.TraceSink
 	// Arena, when set, must have been built for Dual (pointer identity)
 	// and makes construction reuse the arena's warm storage: pooled engine
 	// and node states, flat CSR delivery rows, recycled instance records
@@ -67,9 +61,8 @@ type Scheduler interface {
 
 // API is the engine surface exposed to schedulers.
 //
-// The Schedule* family posts typed, pooled events on the simulation queue —
-// the closure-free steady-state path every shipped scheduler runs on. At
-// remains as the closure escape hatch for tests and bespoke schedulers.
+// The Schedule* family posts typed, pooled events on the simulation queue,
+// so scheduling allocates no closures.
 type API interface {
 	// Now returns current virtual time.
 	Now() sim.Time
@@ -81,9 +74,6 @@ type API interface {
 	Dual() *topology.Dual
 	// Rand returns the scheduler's deterministic random stream.
 	Rand() *rand.Rand
-	// At schedules fn at absolute virtual time t. It allocates one closure
-	// per call; hot paths use the typed Schedule* methods instead.
-	At(t sim.Time, fn func()) sim.Handle
 	// ScheduleDeliver posts a guarded delivery of b to a single receiver at
 	// time t: it fires only if b is still active and to has not received.
 	ScheduleDeliver(t sim.Time, b *Instance, to NodeID)
@@ -127,12 +117,15 @@ type Engine struct {
 	sim        *sim.Engine
 	arena      *Arena // the arena the engine was acquired from
 	nodes      []nodeState
-	trace      sim.Trace
 	insts      []*Instance
 	nextID     InstanceID
 	schedRand  *rand.Rand
 	watchers   []func(sim.TraceEvent)
 	timerSched TimerScheduler // cfg.Scheduler, when it implements OnTimer
+	// mem is cfg.Trace when it is an in-memory *sim.Trace, resolved once
+	// per acquisition so the per-event append stays a direct, inlined call
+	// instead of an interface dispatch.
+	mem *sim.Trace
 	// rngEpoch counts engine acquisitions on a warm arena. Pooled random
 	// streams (schedRand, per-node rng) record the epoch they were last
 	// seeded in and lazily re-seed on mismatch, so streams survive across
@@ -222,9 +215,6 @@ func (e *Engine) Sim() *sim.Engine { return e.sim }
 // Mode returns the configured model variant.
 func (e *Engine) Mode() Mode { return e.cfg.Mode }
 
-// Trace returns the execution trace.
-func (e *Engine) Trace() *sim.Trace { return &e.trace }
-
 // Instances returns every broadcast instance recorded so far, in creation
 // order. The slice and records are owned by the engine.
 func (e *Engine) Instances() []*Instance { return e.insts }
@@ -238,7 +228,7 @@ func (e *Engine) Watch(fn func(sim.TraceEvent)) {
 // call sites skip event construction (and the interface boxing of the
 // argument) entirely — the no-trace fast path.
 func (e *Engine) recording() bool {
-	return !e.cfg.NoTrace || len(e.watchers) > 0
+	return e.cfg.Trace != nil || len(e.watchers) > 0
 }
 
 //amac:hotpath
@@ -247,10 +237,10 @@ func (e *Engine) emit(kind string, node NodeID, arg Payload) {
 		return
 	}
 	ev := sim.TraceEvent{At: e.sim.Now(), Kind: kind, Node: int(node), P: arg}
-	if e.cfg.Sink != nil {
-		e.cfg.Sink.Append(ev)
-	} else {
-		e.trace.Append(ev)
+	if e.mem != nil {
+		e.mem.Append(ev)
+	} else if e.cfg.Trace != nil {
+		e.cfg.Trace.Append(ev)
 	}
 	for _, w := range e.watchers {
 		w(ev)
@@ -375,9 +365,6 @@ func (e *Engine) Rand() *rand.Rand {
 	e.schedRandSeen = e.rngEpoch
 	return e.schedRand
 }
-
-// At schedules fn at absolute time t on the simulation clock.
-func (e *Engine) At(t sim.Time, fn func()) sim.Handle { return e.sim.At(t, fn) }
 
 // ScheduleDeliver posts a guarded single delivery (see API).
 //

@@ -33,17 +33,11 @@ func (d *directScheduler) Name() string          { return "direct" }
 func (d *directScheduler) Attach(api mac.API)    { d.api = api }
 func (d *directScheduler) OnAbort(*mac.Instance) {}
 func (d *directScheduler) OnBcast(b *mac.Instance) {
-	api := d.api
-	now := api.Now()
-	for _, j := range api.Dual().G.Neighbors(b.Sender) {
-		j := j
-		api.At(now+1, func() { api.Deliver(b, j) })
+	now := d.api.Now()
+	for _, j := range d.api.Dual().G.Neighbors(b.Sender) {
+		d.api.ScheduleDeliver(now+1, b, j)
 	}
-	api.At(now+2, func() {
-		if b.Term == mac.Active {
-			api.Ack(b)
-		}
-	})
+	d.api.ScheduleAck(now+2, b)
 }
 
 func newTestEngine(t *testing.T, d *topology.Dual, mode mac.Mode, autos []mac.Automaton) *mac.Engine {

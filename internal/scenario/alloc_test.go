@@ -35,16 +35,12 @@ func warmPinnedSpec() Spec {
 func TestWarmTrialAllocationCeiling(t *testing.T) {
 	const ceiling = 6
 	r := warmPinnedSpec()
-	built, err := buildTopology(r, r.Run.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := newWarmRun(r, built, 1)
+	w, err := newSpecRun(r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() {
-		tr, err := w.trial(r.Run.Seed+1, 0)
+		tr, err := w.trial(r.Run.Seed+1, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +79,10 @@ func TestUnpinnedWarmTrialAllocationBound(t *testing.T) {
 		Model:     ModelSpec{Fprog: 10, Fack: 200},
 		Run:       RunSpec{Seed: 1, Trials: 2, Trace: "off"},
 	}.WithDefaults()
-	w := newWarmRandRun(r, 1)
+	w, err := newSpecRun(r, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seed := r.Run.Seed
 	run := func() {
 		seed++

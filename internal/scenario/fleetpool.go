@@ -8,11 +8,12 @@ import (
 // event free-list floor in internal/sim.
 const fleetPoolFloor = 64
 
-// fleetPool caches built fleets by node count for the unpinned warm path,
-// where successive trials on one worker draw networks of varying size. A
-// trial that needs a fleet of n automata takes the pooled one for n (if its
-// algorithm can Refit it to the new draw), resets it, and parks it again
-// afterwards; only size misses pay fleet construction.
+// fleetPool caches a worker's built fleets by node count. Successive trials
+// on one worker may draw networks of varying size (unpinned specs) or reuse
+// one network (pinned specs). A trial that needs a fleet of n automata takes
+// the pooled one for n (if its algorithm can Refit it to the trial's
+// network), resets it, and parks it again afterwards; only size misses pay
+// fleet construction.
 //
 // The pool is bounded like the simulator's event free list: after each park,
 // pooled automata in excess of 2×live+fleetPoolFloor — live being the size
@@ -98,4 +99,15 @@ func (fp *fleetPool) put(fleet []mac.Automaton) {
 		}
 		fp.take(oldest)
 	}
+}
+
+// fleetResettable reports whether every automaton of the fleet can be
+// restored for reuse.
+func fleetResettable(fleet []mac.Automaton) bool {
+	for _, a := range fleet {
+		if _, ok := a.(mac.Resettable); !ok {
+			return false
+		}
+	}
+	return true
 }

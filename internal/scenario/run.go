@@ -35,14 +35,14 @@ type TrialResult struct {
 	// SchedulerName is the resolved scheduler's self-description.
 	SchedulerName string
 	// Result is the execution outcome. Trials of Run and Sweep reuse a
-	// warm runner per worker, so Result.Engine — and the trace it backs,
-	// Result.Trace — is recycled by the next trial on the same worker:
-	// with Trials == 1 it stays valid, and the scalar fields and Report
-	// are always safe, but multi-trial callers that need per-trial traces
-	// or instances must either copy them in a watcher or run the trials
-	// through Trial. Decomposed runs (shards >= 1 on a multi-component
-	// network) leave Engine nil and return a freshly merged Trace the
-	// caller owns.
+	// warm runner per worker, so Result.Engine and Result.Trace — both
+	// pooled in that runner — are recycled by the next trial on the same
+	// worker: with Trials == 1 they stay valid, and the scalar fields and
+	// Report are always safe, but multi-trial callers that need per-trial
+	// traces or instances must either copy them in a watcher or run the
+	// trials through Trial. Decomposed runs (shards >= 1 on a
+	// multi-component network) leave Engine nil and return a freshly
+	// merged Trace the caller owns.
 	Result *core.Result
 }
 
@@ -104,47 +104,18 @@ func (r *Report) Steps() uint64 {
 // Run validates the spec and executes its trials on a worker pool of
 // Run.Parallelism, returning per-trial results in seed order. Every trial is
 // an independent deterministic simulation keyed by its seed, so the report
-// is a pure function of the spec at any parallelism. Trials of a pinned
-// topology run against one warm run arena per worker (see warmRun); trials
-// of an unpinned (per-trial randomized) topology build into one warm
-// workspace-and-runner pair per worker (see warmRandRun).
+// is a pure function of the spec at any parallelism. Run is a one-spec
+// sweep: its trials go through the same warm per-worker executor (see
+// specRun).
 func Run(s Spec) (*Report, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	r := s.WithDefaults()
-	workers := par.Workers(r.Run.Parallelism, r.Run.Trials)
-	var warm *warmRun
-	var warmRand *warmRandRun
-	if topologyPinned(r) {
-		// A pinned topology is identical across trials: build the
-		// read-only instance once and share it with the pool.
-		shared, err := buildTopology(r, r.Run.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if warm, err = newWarmRun(r, shared, workers); err != nil {
-			return nil, fmt.Errorf("scenario: trial with seed %d: %w", r.Run.Seed, err)
-		}
-	} else {
-		warmRand = newWarmRandRun(r, workers)
+	reports, err := SweepWithOptions([]Spec{s}, SweepOptions{Parallelism: s.WithDefaults().Run.Parallelism})
+	if err != nil {
+		return nil, err
 	}
-	trials := make([]*TrialResult, r.Run.Trials)
-	errs := make([]error, r.Run.Trials)
-	par.ForWorker(r.Run.Parallelism, r.Run.Trials, func(worker, i int) {
-		seed := r.Run.Seed + int64(i)
-		if warm != nil {
-			trials[i], errs[i] = warm.trial(seed, worker)
-		} else {
-			trials[i], errs[i] = warmRand.trial(seed, worker, i == 0 || i == r.Run.Trials-1)
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("scenario: trial with seed %d: %w", r.Run.Seed+int64(i), err)
-		}
-	}
-	return &Report{Spec: r, Trials: trials}, nil
+	return reports[0], nil
 }
 
 // SweepOptions parameterizes Sweep beyond the spec grid itself.
@@ -183,11 +154,11 @@ func SweepOffsets(specs []Spec) []int {
 	return offsets
 }
 
-// SweepWithOptions is Sweep with explicit options. Trials of each pinned-
-// topology spec share one warm run arena per (spec, worker) pair — pool-
-// local state that no two goroutines touch concurrently — so repeated
-// trials skip fleet construction and engine allocation while the parallel
-// reduction stays byte-identical.
+// SweepWithOptions is Sweep with explicit options. Trials of each spec share
+// warm state per (spec, worker) pair — pool-local state that no two
+// goroutines touch concurrently (see specRun) — so repeated trials skip
+// fleet construction and engine allocation while the parallel reduction
+// stays byte-identical.
 func SweepWithOptions(specs []Spec, o SweepOptions) ([]*Report, error) {
 	p, err := newSweepPlan(specs, o, 0, -1)
 	if err != nil {
@@ -224,29 +195,26 @@ func SweepShard(specs []Spec, lo, hi int, o SweepOptions) ([]*TrialResult, error
 
 // sweepPlan is the resolved execution plan of a sweep: every spec validated
 // and resolved, the flattened task-space offsets, and — for the task range
-// the caller will run — per-worker warm state (pinned specs share one
-// topology instance). It is the single sweep pipeline behind
-// SweepWithOptions (which runs the full task space) and SweepShard (which
-// runs a slice of it), so the two cannot diverge.
+// the caller will run — one warm trial executor per spec. It is the single
+// sweep pipeline behind Run, SweepWithOptions (which run the full task
+// space) and SweepShard (which runs a slice of it), so they cannot diverge.
 type sweepPlan struct {
-	resolved  []Spec
-	offsets   []int
-	warms     []*warmRun
-	warmRands []*warmRandRun
-	progress  func(done int)
+	resolved []Spec
+	offsets  []int
+	runs     []*specRun
+	progress func(done int)
 }
 
-// newSweepPlan validates and resolves the specs and prepares warm state for
+// newSweepPlan validates and resolves the specs and prepares executors for
 // the specs whose trials intersect [lo, hi); hi < 0 selects the full task
-// space. Pinned topologies and warm arenas are only built for intersecting
+// space. Pinned topologies and warm state are only built for intersecting
 // specs, so a narrow shard of a wide grid pays for its own slice only.
 func newSweepPlan(specs []Spec, o SweepOptions, lo, hi int) (*sweepPlan, error) {
 	p := &sweepPlan{
-		resolved:  make([]Spec, len(specs)),
-		offsets:   make([]int, len(specs)+1),
-		warms:     make([]*warmRun, len(specs)),
-		warmRands: make([]*warmRandRun, len(specs)),
-		progress:  o.Progress,
+		resolved: make([]Spec, len(specs)),
+		offsets:  make([]int, len(specs)+1),
+		runs:     make([]*specRun, len(specs)),
+		progress: o.Progress,
 	}
 	for i, s := range specs {
 		if err := s.Validate(); err != nil {
@@ -267,17 +235,11 @@ func newSweepPlan(specs []Spec, o SweepOptions, lo, hi int) (*sweepPlan, error) 
 		if p.offsets[i+1] <= lo || p.offsets[i] >= hi {
 			continue
 		}
-		if !topologyPinned(p.resolved[i]) {
-			p.warmRands[i] = newWarmRandRun(p.resolved[i], workers)
-			continue
-		}
-		shared, err := buildTopology(p.resolved[i], p.resolved[i].Run.Seed)
-		if err == nil {
-			p.warms[i], err = newWarmRun(p.resolved[i], shared, workers)
-		}
+		run, err := newSpecRun(p.resolved[i], workers)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: spec %d (%s): %w", i, specs[i].Name, err)
 		}
+		p.runs[i] = run
 	}
 	return p, nil
 }
@@ -298,19 +260,16 @@ func (p *sweepPlan) run(parallelism, lo, hi int) ([]*TrialResult, error) {
 			si++
 		}
 		seed := p.resolved[si].Run.Seed + int64(task-p.offsets[si])
-		if w := p.warms[si]; w != nil {
-			trials[i], errs[i] = w.trial(seed, worker)
-		} else {
-			// keepBuilt marks the first and last tasks this call runs for
-			// the spec: their instances build into stable storage so the
-			// returned TrialResults honor the Built contract (see
-			// TrialResult.Built) even when the range is a shard.
-			first := max(p.offsets[si], lo)
-			last := min(p.offsets[si+1], hi) - 1
-			trials[i], errs[i] = p.warmRands[si].trial(seed, worker,
-				task == first || task == last)
-		}
-		if errs[i] == nil && p.progress != nil {
+		// keepBuilt marks the first and last tasks this call runs for the
+		// spec: unpinned draws build into stable storage there, so the
+		// returned TrialResults honor the Built contract (see
+		// TrialResult.Built) even when the range is a shard.
+		first := max(p.offsets[si], lo)
+		last := min(p.offsets[si+1], hi) - 1
+		trials[i], errs[i] = p.runs[si].trial(seed, worker, task == first || task == last)
+		if errs[i] != nil {
+			errs[i] = fmt.Errorf("trial with seed %d: %w", seed, errs[i])
+		} else if p.progress != nil {
 			p.progress(int(completed.Add(1)))
 		}
 	})
@@ -322,27 +281,35 @@ func (p *sweepPlan) run(parallelism, lo, hi int) ([]*TrialResult, error) {
 	return trials, nil
 }
 
-// warmRun is the reusable trial context of one pinned-topology spec: the
-// shared trialPlan resolved once, plus per-worker warm state — each worker
-// of the trial pool owns a core.Runner (arena, pooled engine) and, when
-// the algorithm's automata implement mac.Resettable, a reusable fleet.
-// Repeated trials therefore skip fleet construction, engine allocation and
-// delivery-row allocation entirely.
-type warmRun struct {
-	*trialPlan
-
-	// proto is worker 0's runner and the Fork source for the rest: the
-	// CSR and component indexes are derived once per spec, not per
-	// worker. Forking reads only immutable state, so workers fork
-	// concurrently without locking.
+// specRun is the warm trial executor of one resolved spec, shared by every
+// entry point: Run and the sweeps hold one per spec, and one-shot trials
+// run on a fresh one-worker specRun. A pinned spec (every trial on one
+// network) resolves its plan once and its workers fork the prototype
+// runner, so the CSR and component indexes are derived once per spec; plan
+// and proto are nil for an unpinned spec, whose workers draw each trial's
+// network into their own workspace and rebind their own runner. Either way
+// the execution is a pure function of (spec, seed) — the worker index only
+// selects which pooled storage backs it — so results are byte-identical to
+// fresh one-shot trials at any parallelism.
+type specRun struct {
+	spec  Spec // resolved
+	plan  *trialPlan
 	proto *core.Runner
-	// Per-worker state, indexed by the pool's worker slot. A nil fleets
-	// entry means "build per trial" (first use, or automata that cannot
-	// Reset); a nil scheds entry means the worker has not built its
-	// scheduler yet (or the scheduler cannot Reset).
-	runners []*core.Runner
-	fleets  [][]mac.Automaton
-	scheds  []schedSlot
+	// workers is indexed by the pool's worker slot.
+	workers []worker
+}
+
+// worker is one pool slot's warm state, reused trial after trial: the
+// runner (arena, pooled engine), the cached scheduler, parked fleets by
+// node count and — for unpinned specs — the workspace draws build into and
+// the trial plans interned by drawn node count (see planFor). Everything is
+// created lazily on the worker's first trial.
+type worker struct {
+	ws     *topology.Workspace
+	rn     *core.Runner
+	sched  schedSlot
+	fleets fleetPool
+	plans  map[int]*trialPlan
 }
 
 // schedSlot is a worker's cached scheduler together with its rendered
@@ -354,87 +321,80 @@ type schedSlot struct {
 	name string
 }
 
-// newWarmRun resolves the spec once (the same resolution Trial performs)
-// and allocates the per-worker slots.
-func newWarmRun(r Spec, built *topology.Built, workers int) (*warmRun, error) {
-	p, err := resolvePlan(r, built)
+// newSpecRun prepares the executor of a resolved spec for a pool of the
+// given size; a pinned topology is built once here, from the run's base
+// seed.
+func newSpecRun(r Spec, workers int) (*specRun, error) {
+	sr := &specRun{spec: r, workers: make([]worker, workers)}
+	if !topologyPinned(r) {
+		return sr, nil
+	}
+	built, err := buildTopology(r, r.Run.Seed)
+	if err == nil {
+		err = sr.pin(built)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &warmRun{
-		trialPlan: p,
-		proto:     core.NewRunner(built.Dual),
-		runners:   make([]*core.Runner, workers),
-		fleets:    make([][]mac.Automaton, workers),
-		scheds:    make([]schedSlot, workers),
-	}, nil
+	return sr, nil
 }
 
-// trial executes one seed on the given worker's warm runner. The execution
-// is a pure function of (spec, seed) — the worker index only selects which
-// pooled storage backs it — so results are byte-identical to Trial at any
-// parallelism.
-func (w *warmRun) trial(seed int64, worker int) (*TrialResult, error) {
-	rn := w.runners[worker]
-	if rn == nil {
-		if worker == 0 {
-			rn = w.proto
-		} else {
-			rn = w.proto.Fork()
-		}
-		w.runners[worker] = rn
+// pin resolves the spec once against the network every trial runs on (the
+// same resolution a fresh trial performs) and builds the prototype runner.
+func (sr *specRun) pin(built *topology.Built) error {
+	p, err := resolvePlan(sr.spec, built)
+	if err != nil {
+		return err
 	}
-	automata := w.fleets[worker]
-	if automata != nil {
-		for _, a := range automata {
-			a.(mac.Resettable).Reset()
-		}
-	} else {
+	sr.plan, sr.proto = p, core.NewRunner(built.Dual)
+	return nil
+}
+
+// trial executes one seed on the given worker's warm state. keepBuilt marks
+// an unpinned spec's first and final trials: they build into stable storage
+// instead of the recycled workspace, keeping the report's edge instances
+// valid after the sweep (see TrialResult.Built).
+func (sr *specRun) trial(seed int64, worker int, keepBuilt bool) (*TrialResult, error) {
+	w := &sr.workers[worker]
+	p := sr.plan
+	if p == nil {
 		var err error
-		automata, err = w.newFleet()
-		if err != nil {
+		if p, err = w.draw(sr.spec, seed, keepBuilt); err != nil {
 			return nil, err
 		}
-		if fleetResettable(automata) {
-			w.fleets[worker] = automata
+	} else if w.rn == nil {
+		// Worker 0 runs on the prototype itself; forking reads only
+		// immutable state, so workers fork concurrently without locking.
+		w.rn = sr.proto
+		if worker > 0 {
+			w.rn = sr.proto.Fork()
 		}
 	}
-	return w.execute(seed, automata, rn, &w.scheds[worker])
+	return p.execute(seed, w)
 }
 
-// warmRandRun is the unpinned counterpart of warmRun: the per-worker warm
-// state of a spec whose topology is drawn fresh per trial. Each worker of
-// the trial pool owns a topology.Workspace (graph and embedding scratch the
-// per-trial builds emit into) and a core.Runner whose arena is rebound to
-// every draw, so repeated trials skip graph, engine and delivery-row
-// allocation even though no two trials share a network. The spec is
-// re-resolved and the fleet rebuilt per trial — both depend on the drawn
-// instance — exactly as Trial does.
-type warmRandRun struct {
-	spec       Spec // resolved
-	workspaces []*topology.Workspace
-	runners    []*core.Runner
-	scheds     []schedSlot
-	pools      []fleetPool
-	// plans interns resolved trial plans by drawn node count, per worker.
-	// Everything in a plan except the built instance and the horizon is a
-	// pure function of (spec, n) for the non-construction workload kinds,
-	// so a draw whose size the worker has seen before skips workload and
-	// payload re-derivation entirely (see planFor).
-	plans []map[int]*trialPlan
-}
-
-// newWarmRandRun allocates the per-worker slots; workspaces and runners are
-// created lazily on each worker's first trial.
-func newWarmRandRun(r Spec, workers int) *warmRandRun {
-	return &warmRandRun{
-		spec:       r,
-		workspaces: make([]*topology.Workspace, workers),
-		runners:    make([]*core.Runner, workers),
-		scheds:     make([]schedSlot, workers),
-		pools:      make([]fleetPool, workers),
-		plans:      make([]map[int]*trialPlan, workers),
+// draw builds trial seed's network — into the worker's workspace unless
+// keepBuilt — rebinds the worker's runner to it and returns its plan. Builds
+// are byte-identical with and without the workspace, and a rebound runner
+// is byte-identical to a fresh one.
+func (w *worker) draw(r Spec, seed int64, keepBuilt bool) (*trialPlan, error) {
+	var ws *topology.Workspace
+	if !keepBuilt {
+		if w.ws == nil {
+			w.ws = topology.NewWorkspace()
+		}
+		ws = w.ws
 	}
+	built, err := buildTopologyInto(r, seed, ws)
+	if err != nil {
+		return nil, err
+	}
+	if w.rn == nil {
+		w.rn = core.NewRunner(built.Dual)
+	} else {
+		w.rn.Rebind(built.Dual)
+	}
+	return w.planFor(r, built)
 }
 
 // planFor returns the worker's interned trial plan for the draw's node
@@ -445,82 +405,25 @@ func newWarmRandRun(r Spec, workers int) *warmRandRun {
 // bounds-check nodes against n, and the poisson stream is keyed by the
 // spec-level workload seed, which is constant across trials. Construction
 // workloads read the drawn artifact and are never interned — they only
-// arise on deterministic families, which take the pinned path anyway.
-func (w *warmRandRun) planFor(built *topology.Built, worker int) (*trialPlan, error) {
-	if w.spec.Workload.Kind == WorkloadConstruction {
-		return resolvePlan(w.spec, built)
+// arise on deterministic families, which are pinned anyway.
+func (w *worker) planFor(r Spec, built *topology.Built) (*trialPlan, error) {
+	if r.Workload.Kind == WorkloadConstruction {
+		return resolvePlan(r, built)
 	}
 	n := built.Dual.N()
-	if p := w.plans[worker][n]; p != nil {
+	if p := w.plans[n]; p != nil {
 		p.rebind(built)
 		return p, nil
 	}
-	p, err := resolvePlan(w.spec, built)
+	p, err := resolvePlan(r, built)
 	if err != nil {
 		return nil, err
 	}
-	if w.plans[worker] == nil {
-		w.plans[worker] = make(map[int]*trialPlan)
+	if w.plans == nil {
+		w.plans = make(map[int]*trialPlan)
 	}
-	w.plans[worker][n] = p
+	w.plans[n] = p
 	return p, nil
-}
-
-// trial executes one seed on the given worker's warm state. The execution
-// is a pure function of (spec, seed) — builds are byte-identical with and
-// without the workspace, and the rebound runner is byte-identical to a
-// fresh one — so results match Trial at any parallelism. keepBuilt
-// marks the spec's first and final trials: they build into stable storage
-// instead of the recycled workspace, keeping the report's edge instances
-// valid after the sweep (see TrialResult.Built).
-func (w *warmRandRun) trial(seed int64, worker int, keepBuilt bool) (*TrialResult, error) {
-	var built *topology.Built
-	var err error
-	if keepBuilt {
-		built, err = buildTopology(w.spec, seed)
-	} else {
-		ws := w.workspaces[worker]
-		if ws == nil {
-			ws = topology.NewWorkspace()
-			w.workspaces[worker] = ws
-		}
-		built, err = buildTopologyInto(w.spec, seed, ws)
-	}
-	if err != nil {
-		return nil, err
-	}
-	rn := w.runners[worker]
-	if rn == nil {
-		rn = core.NewRunner(built.Dual)
-		w.runners[worker] = rn
-	} else {
-		rn.Rebind(built.Dual)
-	}
-	p, err := w.planFor(built, worker)
-	if err != nil {
-		return nil, err
-	}
-	automata, err := w.pools[worker].fleetFor(p)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.execute(seed, automata, rn, &w.scheds[worker])
-	if err != nil {
-		return nil, err
-	}
-	w.pools[worker].put(automata)
-	return res, nil
-}
-
-// fleetResettable reports whether every automaton of the fleet can be
-// restored for reuse.
-func fleetResettable(fleet []mac.Automaton) bool {
-	for _, a := range fleet {
-		if _, ok := a.(mac.Resettable); !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // Trial executes one seed of the scenario: build the topology (seeded per
@@ -606,30 +509,27 @@ func topologyPinned(r Spec) bool {
 		r.Topology.Seed != 0 || r.Topology.Params.Has("seed")
 }
 
-// trialOn executes one seed of the scenario on an already-built network.
+// trialOn executes one seed of the scenario on an already-built network, on
+// a fresh one-worker executor pinned to that instance. Nothing else shares
+// the executor's state, so the result stays valid indefinitely.
 func trialOn(s Spec, seed int64, built *topology.Built) (*TrialResult, error) {
 	// core.NewRunner panics on an invalid dual; a caller-built instance
 	// gets the error core.Run would return instead.
 	if err := built.Dual.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid dual: %w", err)
 	}
-	p, err := resolvePlan(s.WithDefaults(), built)
-	if err != nil {
+	sr := &specRun{spec: s.WithDefaults(), workers: make([]worker, 1)}
+	if err := sr.pin(built); err != nil {
 		return nil, err
 	}
-	automata, err := p.newFleet()
-	if err != nil {
-		return nil, err
-	}
-	return p.execute(seed, automata, core.NewRunner(built.Dual), nil)
+	return sr.trial(seed, 0, false)
 }
 
 // trialPlan is everything about a trial that is a pure function of the
 // resolved spec and its built network: the workload, payloads, algorithm,
 // horizon and step limit. It is the single spec-resolution pipeline behind
-// one-shot trials (trialOn resolves one per trial) and the warm path
-// (warmRun resolves one per spec and reuses it), so the two cannot
-// diverge.
+// every trial: a pinned specRun resolves one per spec, an unpinned one
+// interns one per worker and drawn node count.
 type trialPlan struct {
 	spec      Spec // resolved
 	built     *topology.Built
@@ -706,12 +606,27 @@ func (p *trialPlan) rebind(built *topology.Built) {
 	p.horizon = horizon
 }
 
-// scheduler returns the trial's scheduler: the cached one re-armed via
-// sched.Resettable when cache points at a compatible instance, or a fresh
-// build (stored back into a non-nil cache for the worker's next trial).
-// Reset + Attach is observably identical to a fresh build + Attach, so the
-// cache never changes executions.
-func (p *trialPlan) scheduler(cache *schedSlot) (mac.Scheduler, string, error) {
+// scheduler returns the trial's scheduler: the slot's cached one re-armed
+// via sched.Resettable when compatible, or a fresh build stored back into
+// the slot for the worker's next trial. Reset + Attach is observably
+// identical to a fresh build + Attach, so the cache never changes
+// executions.
+func (p *trialPlan) scheduler(env sched.Env, slot *schedSlot) (mac.Scheduler, string, error) {
+	if rs, ok := slot.s.(sched.Resettable); ok && rs.Reset(env) {
+		return slot.s, slot.name, nil
+	}
+	s, err := sched.Build(p.schedName, env, p.spec.Scheduler.Params)
+	if err != nil {
+		return nil, "", err
+	}
+	slot.s, slot.name = s, s.Name()
+	return s, slot.name, nil
+}
+
+// execute runs one seed of the plan on the worker's runner, with a fleet
+// from its pool and the scheduler from its slot, and parks the fleet again
+// afterwards.
+func (p *trialPlan) execute(seed int64, w *worker) (*TrialResult, error) {
 	r := p.spec
 	env := sched.Env{
 		Dual:     p.built.Dual,
@@ -720,32 +635,15 @@ func (p *trialPlan) scheduler(cache *schedSlot) (mac.Scheduler, string, error) {
 		Fprog:    sim.Time(r.Model.Fprog),
 		Fack:     sim.Time(r.Model.Fack),
 	}
-	if cache != nil && cache.s != nil {
-		if rs, ok := cache.s.(sched.Resettable); ok && rs.Reset(env) {
-			return cache.s, cache.name, nil
-		}
-	}
-	s, err := sched.Build(p.schedName, env, r.Scheduler.Params)
-	if err != nil {
-		return nil, "", err
-	}
-	name := s.Name()
-	if cache != nil {
-		cache.s, cache.name = s, name
-	}
-	return s, name, nil
-}
-
-// execute runs one seed of the plan with the given fleet on rn. The
-// scheduler comes from the worker's cache when one is supplied, and is
-// built fresh otherwise.
-func (p *trialPlan) execute(seed int64, automata []mac.Automaton, rn *core.Runner, cache *schedSlot) (*TrialResult, error) {
-	r := p.spec
-	scheduler, schedName, err := p.scheduler(cache)
+	scheduler, schedName, err := p.scheduler(env, &w.sched)
 	if err != nil {
 		return nil, err
 	}
 	mode, err := r.Run.TraceMode()
+	if err != nil {
+		return nil, err
+	}
+	automata, err := w.fleets.fleetFor(p)
 	if err != nil {
 		return nil, err
 	}
@@ -772,17 +670,10 @@ func (p *trialPlan) execute(seed int64, automata []mac.Automaton, rn *core.Runne
 		// Each shard engine needs its own scheduler instance; rebuilding
 		// with the environment that just built the main scheduler cannot
 		// fail differently, so an error here is a registry bug.
-		env := sched.Env{
-			Dual:     p.built.Dual,
-			Artifact: p.built.Artifact,
-			Payloads: p.payloads,
-			Fprog:    sim.Time(r.Model.Fprog),
-			Fack:     sim.Time(r.Model.Fack),
-		}
 		params := r.Scheduler.Params
-		schedName := p.schedName
+		name := p.schedName
 		cfg.NewScheduler = func() mac.Scheduler {
-			s, err := sched.Build(schedName, env, params)
+			s, err := sched.Build(name, env, params)
 			if err != nil {
 				panic(fmt.Sprintf("scenario: shard scheduler rebuild: %v", err))
 			}
@@ -800,7 +691,7 @@ func (p *trialPlan) execute(seed int64, automata []mac.Automaton, rn *core.Runne
 		tw = sim.NewTraceWriter(tf)
 		cfg.Options.Sink = tw
 	}
-	res, err := rn.Run(cfg)
+	res, err := w.rn.Run(cfg)
 	if tw != nil {
 		ferr := tw.Flush()
 		if cerr := tf.Close(); ferr == nil {
@@ -813,6 +704,7 @@ func (p *trialPlan) execute(seed int64, automata []mac.Automaton, rn *core.Runne
 	if err != nil {
 		return nil, err
 	}
+	w.fleets.put(automata)
 	return &TrialResult{
 		Seed:          seed,
 		Built:         p.built,

@@ -116,7 +116,10 @@ func TestScenarioShardedWarmMatchesCold(t *testing.T) {
 		spec.Run.Shards = 2
 		t.Run(spec.Name, func(t *testing.T) {
 			r := spec.WithDefaults()
-			warm := newWarmRandRun(r, 1)
+			warm, err := newSpecRun(r, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for seed := int64(1); seed <= 4; seed++ {
 				cold, err := Trial(spec, seed)
 				if err != nil {

@@ -144,13 +144,13 @@ func TestSweepShardRange(t *testing.T) {
 // instance.
 func TestInternedPlanMatchesResolved(t *testing.T) {
 	r := shardSweepSpecs()[1].WithDefaults() // unpinned rgg
-	w := newWarmRandRun(r, 1)
+	var w worker
 	for seed := int64(3); seed < 9; seed++ {
 		built, err := buildTopology(r, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := w.planFor(built, 0)
+		got, err := w.planFor(r, built)
 		if err != nil {
 			t.Fatal(err)
 		}

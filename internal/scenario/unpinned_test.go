@@ -8,8 +8,8 @@ import (
 )
 
 // unpinnedSpecs returns multi-trial scenarios over randomized families with
-// no pinned seed, so every trial draws a fresh network: the regime the
-// warmRandRun (workspace + rebound runner) path serves.
+// no pinned seed, so every trial draws a fresh network: the regime where a
+// worker builds into its workspace and rebinds its runner per trial.
 func unpinnedSpecs(trials int) []Spec {
 	return []Spec{
 		{
@@ -53,28 +53,31 @@ func trialSnapshot(tr *TrialResult) string {
 		res.Trace.String())
 }
 
-// TestUnpinnedWarmMatchesCold is the tentpole's acceptance guarantee at
-// trace granularity: for randomized families across a run of seeds, a trial
-// executed on the warm per-worker state — workspace-built topology, rebound
-// runner, recycled engine — is byte-identical to the cold Trial path,
-// including the full event trace of every seed.
-func TestUnpinnedWarmMatchesCold(t *testing.T) {
-	for _, spec := range unpinnedSpecs(1) {
+// TestWarmTrialMatchesFresh is the executor's acceptance guarantee at trace
+// granularity: for pinned and unpinned specs across a run of seeds, a trial
+// executed on one worker's warm state — pooled fleet, cached scheduler,
+// recycled engine and, for unpinned specs, a workspace-built topology and
+// rebound runner — is byte-identical to a fresh one-shot Trial, including
+// the full event trace of every seed.
+func TestWarmTrialMatchesFresh(t *testing.T) {
+	for _, spec := range append(unpinnedSpecs(1), pinnedSpecs(1)...) {
 		t.Run(spec.Name, func(t *testing.T) {
-			r := spec.WithDefaults()
-			warm := newWarmRandRun(r, 1)
+			warm, err := newSpecRun(spec.WithDefaults(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for seed := int64(1); seed <= 6; seed++ {
-				cold, err := Trial(spec, seed)
+				fresh, err := Trial(spec, seed)
 				if err != nil {
-					t.Fatalf("cold trial seed %d: %v", seed, err)
+					t.Fatalf("fresh trial seed %d: %v", seed, err)
 				}
-				want := trialSnapshot(cold)
+				want := trialSnapshot(fresh)
 				tr, err := warm.trial(seed, 0, false)
 				if err != nil {
 					t.Fatalf("warm trial seed %d: %v", seed, err)
 				}
 				if got := trialSnapshot(tr); got != want {
-					t.Fatalf("warm trial seed %d diverged from cold:\nwarm:\n%.400s\ncold:\n%.400s",
+					t.Fatalf("warm trial seed %d diverged from fresh:\nwarm:\n%.400s\nfresh:\n%.400s",
 						seed, got, want)
 				}
 			}

@@ -5,26 +5,26 @@ import "testing"
 // TestScheduleStepAllocationFree pins down the event pool: once the queue
 // and free list are warm, scheduling and executing events must not allocate
 // at all. A regression here means the hot path went back to one heap event
-// per At/After.
+// per Post.
 func TestScheduleStepAllocationFree(t *testing.T) {
-	e := NewEngine(1)
+	e := newFuncEngine(1)
 	var tick func()
 	n := 0
 	tick = func() {
 		if n < 100 {
 			n++
-			e.After(1, tick)
+			after(e, 1, tick)
 		}
 	}
 	// Warm the pool and the heap's backing array.
-	e.At(e.Now(), tick)
+	at(e, e.Now(), tick)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 
 	allocs := testing.AllocsPerRun(100, func() {
 		n = 0
-		e.At(e.Now(), tick)
+		at(e, e.Now(), tick)
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -53,9 +53,9 @@ func (d *countingDispatcher) Dispatch(kind EventKind, op Op) {
 
 // TestTypedPostStepAllocationFree pins the typed steady-state path: posting
 // and dispatching typed events — the path every shipped scheduler runs on —
-// must not allocate at all once the pool is warm. Unlike the closure path,
-// this holds even when each event carries a fresh payload (kind + operands
-// are plain fields; the obj pointer boxes for free).
+// must not allocate at all once the pool is warm. Unlike posting a fresh
+// closure per event, this holds even when each event carries a fresh payload
+// (kind + operands are plain fields; the obj pointer boxes for free).
 func TestTypedPostStepAllocationFree(t *testing.T) {
 	e := NewEngine(1)
 	d := &countingDispatcher{e: e}
@@ -80,10 +80,10 @@ func TestTypedPostStepAllocationFree(t *testing.T) {
 // burst, the pool must have shrunk back to the 2×live+floor bound instead
 // of retaining all burst events.
 func TestEventPoolBounded(t *testing.T) {
-	e := NewEngine(1)
+	e := newFuncEngine(1)
 	const burst = 10_000
 	for i := 0; i < burst; i++ {
-		e.At(Time(i%97), func() {})
+		at(e, Time(i%97), func() {})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestEventPoolBounded(t *testing.T) {
 	// The bound tracks the live queue: with events in flight the pool may
 	// keep proportionally more.
 	for i := 0; i < 50; i++ {
-		e.At(e.Now()+Time(i+1), func() {})
+		at(e, e.Now()+Time(i+1), func() {})
 	}
 	if got, limit := len(e.queue.free), 2*e.queue.Len()+freeFloor; got > limit {
 		t.Fatalf("free list %d exceeds bound %d with %d live events", got, limit, e.queue.Len())
@@ -105,14 +105,14 @@ func TestEventPoolBounded(t *testing.T) {
 // for a fired event must not cancel the recycled event that now occupies
 // the same struct.
 func TestHandleStaleAfterReuse(t *testing.T) {
-	e := NewEngine(1)
+	e := newFuncEngine(1)
 	ran := false
-	h1 := e.At(0, func() {})
+	h1 := at(e, 0, func() {})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// h1's event struct is now in the free list; the next At reuses it.
-	h2 := e.At(e.Now()+1, func() { ran = true })
+	// h1's event struct is now in the free list; the next post reuses it.
+	h2 := at(e, e.Now()+1, func() { ran = true })
 	if h1.ev != h2.ev {
 		t.Skip("pool did not hand back the same struct; nothing to test")
 	}

@@ -9,16 +9,11 @@ import (
 // ErrHalted is returned by Run when the simulation is stopped early via Halt.
 var ErrHalted = errors.New("sim: halted")
 
-// EventKind tags a typed event payload. Kind zero (KindFunc) is the closure
-// escape hatch; every other kind is owned by the engine's Dispatcher, which
-// defines the vocabulary (the abstract MAC engine registers one dispatcher
-// covering deliveries, acks, wakeups and scheduler timers).
+// EventKind tags a typed event payload. Kinds are owned by the engine's
+// Dispatcher, which defines the vocabulary (the abstract MAC engine
+// registers one dispatcher covering deliveries, acks, wakeups and scheduler
+// timers).
 type EventKind uint8
-
-// KindFunc marks an event carrying a plain closure. It exists as an escape
-// hatch for tests and one-shot setup; the steady-state scheduling path posts
-// typed events only.
-const KindFunc EventKind = 0
 
 // Op is the operand set of a typed event: one object handle (always a
 // pointer in practice, so boxing it into the interface allocates nothing),
@@ -38,11 +33,11 @@ type Dispatcher interface {
 	Dispatch(kind EventKind, op Op)
 }
 
-// Engine is a single-threaded discrete-event simulator. Callbacks scheduled
-// with At/After run in non-decreasing virtual-time order; ties fire in
-// scheduling order. The Engine is not safe for concurrent use: the intended
-// pattern is that all state lives inside callbacks, exactly like a timed
-// automaton execution.
+// Engine is a single-threaded discrete-event simulator. Events posted with
+// Post/PostPayload are dispatched in non-decreasing virtual-time order; ties
+// fire in scheduling order. The Engine is not safe for concurrent use: the
+// intended pattern is that all state lives inside the dispatcher, exactly
+// like a timed automaton execution.
 type Engine struct {
 	now      Time
 	queue    eventQueue
@@ -151,28 +146,12 @@ func (h Handle) Active() bool { return h.ev != nil && h.ev.gen == h.gen && !h.ev
 // at construction time).
 func (e *Engine) SetDispatcher(d Dispatcher) { e.dispatch = d }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it would violate causality and always indicates a bug in a scheduler.
-//
-// At is the KindFunc escape hatch: each call carries a closure. Hot paths
-// post typed events via Post instead, which schedules nothing but pooled
-// plain-data structs.
-func (e *Engine) At(t Time, fn func()) Handle {
-	ev := e.schedule(t)
-	ev.fn = fn
-	e.queue.push(ev)
-	return Handle{ev: ev, gen: ev.gen}
-}
-
-// After schedules fn to run d ticks from now.
-func (e *Engine) After(d Duration, fn func()) Handle {
-	return e.At(e.now+d, fn)
-}
-
 // Post schedules a typed event at absolute time t: kind selects the
-// dispatcher's handler, (obj, a, b) are its operands. Scheduling in the past
-// panics, exactly like At. Posting KindFunc or posting without a dispatcher
-// installed panics at dispatch time.
+// dispatcher's handler, (obj, a, b) are its operands. Events are pooled
+// plain-data structs, so posting allocates nothing in steady state.
+// Scheduling in the past panics: it would violate causality and always
+// indicates a bug in a scheduler. Posting without a dispatcher installed
+// panics at dispatch time.
 //
 //amac:hotpath
 func (e *Engine) Post(t Time, kind EventKind, obj any, a, b int64) Handle {
@@ -230,32 +209,6 @@ func (e *Engine) Reset(seed int64) {
 // Halt stops the run loop after the current event completes.
 func (e *Engine) Halt() { e.halted = true }
 
-// Halted reports whether Halt has been called.
-func (e *Engine) Halted() bool { return e.halted }
-
-// Pending reports whether any live events remain in the queue.
-func (e *Engine) Pending() bool {
-	for {
-		top := e.queue.peek()
-		if top == nil {
-			return false
-		}
-		if top.dead {
-			e.queue.release(e.queue.pop())
-			continue
-		}
-		return true
-	}
-}
-
-// NextTime returns the time of the next live event, or Infinity when none.
-func (e *Engine) NextTime() Time {
-	if !e.Pending() {
-		return Infinity
-	}
-	return e.queue.peek().at
-}
-
 // Step executes the next live event, advancing virtual time. It returns
 // false when no live events remain or the horizon/limit is reached.
 //
@@ -286,19 +239,13 @@ func (e *Engine) Step() bool {
 		}
 		e.now = ev.at
 		e.stepped++
-		// Recycle before running: the callback may schedule (and the pool
-		// hand the struct straight back out), which is safe because the
-		// generation bump in release has already invalidated this tenancy's
-		// handles. The payload is copied out first.
-		if ev.kind == KindFunc {
-			fn := ev.fn
-			e.queue.release(ev)
-			fn()
-		} else {
-			kind, op := ev.kind, Op{Obj: ev.obj, A: ev.a, B: ev.b, P: ev.p}
-			e.queue.release(ev)
-			e.dispatch.Dispatch(kind, op)
-		}
+		// Recycle before dispatching: the handler may schedule (and the
+		// pool hand the struct straight back out), which is safe because
+		// the generation bump in release has already invalidated this
+		// tenancy's handles. The payload is copied out first.
+		kind, op := ev.kind, Op{Obj: ev.obj, A: ev.a, B: ev.b, P: ev.p}
+		e.queue.release(ev)
+		e.dispatch.Dispatch(kind, op)
 		return true
 	}
 }
@@ -312,21 +259,4 @@ func (e *Engine) Run() error {
 		return ErrHalted
 	}
 	return nil
-}
-
-// RunUntil executes events up to and including time t, then returns. The
-// clock is left at min(t, time of last executed event).
-func (e *Engine) RunUntil(t Time) {
-	for {
-		if e.halted {
-			return
-		}
-		next := e.NextTime()
-		if next > t {
-			return
-		}
-		if !e.Step() {
-			return
-		}
-	}
 }

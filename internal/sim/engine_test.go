@@ -6,13 +6,37 @@ import (
 	"testing/quick"
 )
 
+// funcDispatcher is the test-only dispatcher that runs closures: every
+// event's object operand is a func(), posted through at/after below. A func
+// value boxes into the operand without allocating, so the allocation tests
+// can drive the engine with closures and still measure the pooled path.
+type funcDispatcher struct{}
+
+func (funcDispatcher) Dispatch(_ EventKind, op Op) { op.Obj.(func())() }
+
+// kindFunc is the event kind at/after post; funcDispatcher ignores it.
+const kindFunc EventKind = 1
+
+// newFuncEngine returns an engine whose events are plain closures.
+func newFuncEngine(seed int64) *Engine {
+	e := NewEngine(seed)
+	e.SetDispatcher(funcDispatcher{})
+	return e
+}
+
+// at posts fn to run at absolute time t.
+func at(e *Engine, t Time, fn func()) Handle { return e.Post(t, kindFunc, fn, 0, 0) }
+
+// after posts fn to run d ticks from now.
+func after(e *Engine, d Duration, fn func()) Handle { return at(e, e.Now()+d, fn) }
+
 func TestEngineOrdering(t *testing.T) {
-	e := NewEngine(1)
+	e := newFuncEngine(1)
 	var got []int
-	e.At(10, func() { got = append(got, 2) })
-	e.At(5, func() { got = append(got, 1) })
-	e.At(10, func() { got = append(got, 3) }) // same time: insertion order
-	e.At(20, func() { got = append(got, 4) })
+	at(e, 10, func() { got = append(got, 2) })
+	at(e, 5, func() { got = append(got, 1) })
+	at(e, 10, func() { got = append(got, 3) }) // same time: insertion order
+	at(e, 20, func() { got = append(got, 4) })
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -28,12 +52,12 @@ func TestEngineOrdering(t *testing.T) {
 }
 
 func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine(1)
+	e := newFuncEngine(1)
 	var fired []Time
-	e.At(1, func() {
+	at(e, 1, func() {
 		fired = append(fired, e.Now())
-		e.After(3, func() { fired = append(fired, e.Now()) })
-		e.After(1, func() { fired = append(fired, e.Now()) })
+		after(e, 3, func() { fired = append(fired, e.Now()) })
+		after(e, 1, func() { fired = append(fired, e.Now()) })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -50,22 +74,22 @@ func TestEngineNestedScheduling(t *testing.T) {
 }
 
 func TestEngineSchedulePastPanics(t *testing.T) {
-	e := NewEngine(1)
-	e.At(10, func() {
+	e := newFuncEngine(1)
+	at(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
+		at(e, 5, func() {})
 	})
 	_ = e.Run()
 }
 
 func TestEngineCancel(t *testing.T) {
-	e := NewEngine(1)
+	e := newFuncEngine(1)
 	ran := false
-	h := e.At(10, func() { ran = true })
+	h := at(e, 10, func() { ran = true })
 	if !h.Active() {
 		t.Fatal("handle should be active before firing")
 	}
@@ -82,10 +106,10 @@ func TestEngineCancel(t *testing.T) {
 }
 
 func TestEngineHalt(t *testing.T) {
-	e := NewEngine(1)
+	e := newFuncEngine(1)
 	var count int
 	for i := 1; i <= 10; i++ {
-		e.At(Time(i), func() {
+		at(e, Time(i), func() {
 			count++
 			if count == 3 {
 				e.Halt()
@@ -101,11 +125,11 @@ func TestEngineHalt(t *testing.T) {
 }
 
 func TestEngineHorizon(t *testing.T) {
-	e := NewEngine(1)
+	e := newFuncEngine(1)
 	var fired []Time
 	for i := 1; i <= 10; i++ {
 		tt := Time(i * 10)
-		e.At(tt, func() { fired = append(fired, tt) })
+		at(e, tt, func() { fired = append(fired, tt) })
 	}
 	e.SetHorizon(50)
 	if err := e.Run(); err != nil {
@@ -117,14 +141,14 @@ func TestEngineHorizon(t *testing.T) {
 }
 
 func TestEngineStepLimit(t *testing.T) {
-	e := NewEngine(1)
+	e := newFuncEngine(1)
 	count := 0
 	var reschedule func()
 	reschedule = func() {
 		count++
-		e.After(1, reschedule)
+		after(e, 1, reschedule)
 	}
-	e.At(0, reschedule)
+	at(e, 0, reschedule)
 	e.SetStepLimit(100)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -134,25 +158,9 @@ func TestEngineStepLimit(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine(1)
-	var fired int
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i), func() { fired++ })
-	}
-	e.RunUntil(4)
-	if fired != 4 {
-		t.Fatalf("fired = %d, want 4", fired)
-	}
-	e.RunUntil(100)
-	if fired != 10 {
-		t.Fatalf("fired = %d, want 10", fired)
-	}
-}
-
 func TestEngineDeterministicReplay(t *testing.T) {
 	run := func(seed int64) []int64 {
-		e := NewEngine(seed)
+		e := newFuncEngine(seed)
 		var draws []int64
 		var tick func()
 		n := 0
@@ -160,10 +168,10 @@ func TestEngineDeterministicReplay(t *testing.T) {
 			draws = append(draws, e.Rand().Int63n(1000))
 			n++
 			if n < 50 {
-				e.After(Duration(1+e.Rand().Int63n(5)), tick)
+				after(e, Duration(1+e.Rand().Int63n(5)), tick)
 			}
 		}
-		e.At(0, tick)
+		at(e, 0, tick)
 		if err := e.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -254,24 +262,6 @@ func TestQueueInterleavedProperty(t *testing.T) {
 			}
 			lastPopped = ev.at
 		}
-	}
-}
-
-func TestTraceCap(t *testing.T) {
-	var tr Trace
-	tr.SetCap(100)
-	for i := 0; i < 1000; i++ {
-		tr.Append(TraceEvent{At: Time(i), Kind: "x", Node: i})
-	}
-	if tr.Len() > 100 {
-		t.Fatalf("trace len %d exceeds cap", tr.Len())
-	}
-	if tr.Dropped() == 0 {
-		t.Fatal("expected drops")
-	}
-	evs := tr.Events()
-	if evs[len(evs)-1].At != 999 {
-		t.Fatalf("lost most recent event, last = %v", evs[len(evs)-1])
 	}
 }
 

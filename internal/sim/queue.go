@@ -3,11 +3,9 @@ package sim
 // event is a scheduled callback in virtual time. Events with equal times fire
 // in insertion order (seq), which makes executions fully deterministic.
 //
-// An event is either typed — kind plus the small fixed operand set (obj, a,
-// b), executed by the engine's Dispatcher — or the KindFunc escape hatch
-// carrying an arbitrary closure. The steady-state scheduling path of the
-// simulator uses only typed events, so it allocates no closures at all;
-// KindFunc remains for tests and one-shot setup work.
+// An event is typed: a kind plus the small fixed operand set (obj, a, b, p),
+// executed by the engine's Dispatcher. Scheduling therefore allocates no
+// closures at all.
 //
 // Events are pooled: once popped and executed (or skipped as dead), the
 // engine recycles the struct through a free list, so steady-state scheduling
@@ -17,7 +15,6 @@ package sim
 type event struct {
 	at   Time
 	seq  uint64
-	fn   func()  // KindFunc payload
 	obj  any     // typed payload: object operand (a pointer; boxing is free)
 	a, b int64   // typed payload: scalar operands
 	p    Payload // typed payload: message operand (carried unboxed)
@@ -43,7 +40,7 @@ type eventQueue struct {
 func (q *eventQueue) Len() int { return len(q.items) }
 
 // alloc returns a recycled event or a fresh one when the pool is empty. The
-// caller fills in the payload (kind + operands, or fn).
+// caller fills in the payload (kind + operands).
 //
 //amac:hotpath
 func (q *eventQueue) alloc(at Time, seq uint64) *event {
@@ -58,7 +55,7 @@ func (q *eventQueue) alloc(at Time, seq uint64) *event {
 }
 
 // release returns a popped event to the pool. Bumping gen invalidates every
-// outstanding Handle for this tenancy; dropping fn/obj releases the payload
+// outstanding Handle for this tenancy; dropping obj/p releases the payload
 // references. The pool is bounded: a delivery burst must not pin its peak
 // event count for the rest of the run, so whenever the free list exceeds
 // twice the live queue (plus a small floor), the excess structs are dropped
@@ -66,10 +63,9 @@ func (q *eventQueue) alloc(at Time, seq uint64) *event {
 //
 //amac:hotpath
 func (q *eventQueue) release(ev *event) {
-	ev.fn = nil
 	ev.obj = nil
 	ev.p = Payload{}
-	ev.kind = KindFunc
+	ev.kind = 0
 	ev.dead = false
 	ev.gen++
 	q.free = append(q.free, ev)
@@ -88,10 +84,9 @@ func (q *eventQueue) release(ev *event) {
 // bounded because every in-run release re-applies the 2×live+floor rule.
 func (q *eventQueue) recycleAll() {
 	for i, ev := range q.items {
-		ev.fn = nil
 		ev.obj = nil
 		ev.p = Payload{}
-		ev.kind = KindFunc
+		ev.kind = 0
 		ev.dead = false
 		ev.gen++
 		q.free = append(q.free, ev)
@@ -132,14 +127,6 @@ func (q *eventQueue) pop() *event {
 		q.down(0)
 	}
 	return top
-}
-
-// peek returns the earliest event without removing it, or nil when empty.
-func (q *eventQueue) peek() *event {
-	if len(q.items) == 0 {
-		return nil
-	}
-	return q.items[0]
 }
 
 func (q *eventQueue) up(i int) {

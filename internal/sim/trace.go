@@ -37,65 +37,31 @@ type TraceSink interface {
 	Append(ev TraceEvent)
 }
 
-// Trace accumulates TraceEvents in execution order. The zero value is ready
-// to use and unbounded; SetCap bounds memory for long soak runs by keeping
-// only the most recent events (the checkers that need full traces disable
-// the cap).
+// Trace accumulates TraceEvents in execution order, in memory. The zero
+// value is ready to use.
 type Trace struct {
-	events   []TraceEvent
-	cap      int
-	dropped  uint64
-	disabled bool
+	events []TraceEvent
 }
 
-// SetCap bounds the trace to the most recent n events; n <= 0 removes the
-// bound.
-func (tr *Trace) SetCap(n int) { tr.cap = n }
-
-// Disable turns the trace off: Append becomes a no-op. Throughput-oriented
-// runs use this to keep the event hot path free of trace bookkeeping.
-func (tr *Trace) Disable() { tr.disabled = true }
-
-// Disabled reports whether the trace is off.
-func (tr *Trace) Disabled() bool { return tr.disabled }
-
-// Reset restores the zero-value configuration (enabled, no cap, nothing
-// dropped) and discards the recorded events while keeping the buffer
-// capacity, so a reused trace appends without reallocating. Retained payload
-// references are zeroed for the collector.
+// Reset discards the recorded events while keeping the buffer capacity, so a
+// reused trace appends without reallocating. Retained payload references are
+// zeroed for the collector.
 func (tr *Trace) Reset() {
 	clear(tr.events)
 	tr.events = tr.events[:0]
-	tr.cap = 0
-	tr.dropped = 0
-	tr.disabled = false
 }
 
 // Append records an event.
-func (tr *Trace) Append(ev TraceEvent) {
-	if tr.disabled {
-		return
-	}
-	if tr.cap > 0 && len(tr.events) >= tr.cap {
-		// Drop the oldest half in one shot to amortize the copy.
-		half := len(tr.events) / 2
-		tr.dropped += uint64(half)
-		tr.events = append(tr.events[:0], tr.events[half:]...)
-	}
-	tr.events = append(tr.events, ev)
-}
+func (tr *Trace) Append(ev TraceEvent) { tr.events = append(tr.events, ev) }
 
 // Events returns the recorded events in order. The returned slice is owned
 // by the trace; callers must not mutate it.
 func (tr *Trace) Events() []TraceEvent { return tr.events }
 
-// Len reports the number of retained events.
+// Len reports the number of recorded events.
 func (tr *Trace) Len() int { return len(tr.events) }
 
-// Dropped reports how many events were evicted due to the cap.
-func (tr *Trace) Dropped() uint64 { return tr.dropped }
-
-// Filter returns the retained events with the given kind.
+// Filter returns the recorded events with the given kind.
 func (tr *Trace) Filter(kind string) []TraceEvent {
 	var out []TraceEvent
 	for _, ev := range tr.events {
