@@ -87,7 +87,7 @@ func run(args []string, out io.Writer) error {
 		trials       = fs.Int("trials", 1, "replay the run across this many consecutive seeds")
 		par          = fs.Int("parallel", runtime.NumCPU(), "worker pool size for -trials > 1")
 		doCheck      = fs.Bool("check", true, "verify the abstract MAC layer guarantees")
-		shards       = fs.Int("shards", 0, "worker count for the component-sharded executor (0 = legacy serial engine)")
+		shards       = fs.Int("shards", 0, "worker count for the component-sharded executor (0 = single-engine executor)")
 		stats        = fs.Bool("stats", false, "print per-node and per-message metrics")
 		trace        = fs.Bool("trace", false, "dump the event trace")
 		cGrey        = fs.Float64("c", 1.6, "grey zone constant for -topology rgg")

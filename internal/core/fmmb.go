@@ -203,8 +203,8 @@ func (f *FMMB) Reset() {
 }
 
 // Reconfigure rebinds a pooled FMMB process to a new (resolved) config
-// without reallocating its state: fleet pools use it to adapt a same-size
-// fleet built for an earlier topology draw to the current one. Callers
+// without reallocating its state: trial workers use it to adapt a parked
+// same-size fleet built for an earlier topology draw to the current one. Callers
 // Reset() afterwards; the result is observably identical to NewFMMB(cfg).
 func (f *FMMB) Reconfigure(cfg FMMBConfig) {
 	rc := cfg.withDefaults()

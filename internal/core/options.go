@@ -68,11 +68,12 @@ type RunOptions struct {
 	Check bool
 	// Shards enables the decomposed executor: the network is carved into
 	// G′-component shards, each run on its own engine, with at most Shards
-	// of them executing concurrently. 0 (the default) keeps the legacy
+	// of them executing concurrently. 0 (the default) keeps the
 	// single-engine executor; any value ≥ 1 selects decomposed semantics,
 	// whose output is a pure function of the configuration — byte-identical
-	// at every shard count. A connected network degenerates to the legacy
-	// execution, so for those the two semantics coincide exactly.
+	// at every shard count. A connected network degenerates to the
+	// single-engine execution, so for those the two semantics coincide
+	// exactly.
 	Shards int
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"amac/internal/check"
 	"amac/internal/graph"
@@ -18,12 +17,12 @@ type RunConfig struct {
 	// Fack and Fprog are the model constants in ticks.
 	Fack, Fprog sim.Time
 	// Scheduler supplies the model's non-determinism. Required; it serves
-	// every single-engine execution (the legacy path, and decomposed runs
-	// that degenerate to one engine).
+	// every single-engine execution (Options.Shards == 0, and decomposed
+	// runs that degenerate to one engine).
 	Scheduler mac.Scheduler
 	// NewScheduler constructs a fresh scheduler instance. Required when
-	// Options.Shards >= 1 (each component shard / region engine gets its
-	// own instance; sharing one would entangle their random streams) and
+	// Options.Shards >= 1 (each component shard gets its own instance;
+	// sharing one would entangle their random streams) and
 	// forbidden otherwise. Instances must be built deterministically —
 	// equal calls, equal schedulers — and the function must be safe to call
 	// from concurrent shard workers.
@@ -52,8 +51,8 @@ type RunConfig struct {
 	HaltOnCompletion bool
 	// Options is the unified observation/verification/parallelism block:
 	// trace mode, sink, checking, and the decomposed-executor knobs. The
-	// zero value (trace to memory, no check, legacy executor) matches the
-	// old defaults; illegal combinations fail Validate.
+	// zero value (trace to memory, no check, single-engine executor)
+	// matches the old defaults; illegal combinations fail Validate.
 	Options RunOptions
 	// EpsAbort forwards to the engine.
 	EpsAbort sim.Time
@@ -83,9 +82,10 @@ type Result struct {
 	// correctness conditions (duplicate or unsolicited delivers).
 	MMBViolations []string
 	// Trace holds the recorded execution trace when Options.Trace is
-	// TraceMemory, nil otherwise. On the legacy executor it aliases the
-	// Runner's pooled trace buffer (valid until the Runner's next Run); on
-	// the decomposed executor it is a freshly merged trace the caller owns.
+	// TraceMemory, nil otherwise. On the single-engine executor it aliases
+	// the Runner's pooled trace buffer (valid until the Runner's next Run);
+	// on the decomposed executor it is a freshly merged trace the caller
+	// owns.
 	Trace *sim.Trace
 	// Engine exposes the underlying engine for post-run inspection. For
 	// executions on a warm Runner the engine is pooled: it stays valid
@@ -187,99 +187,83 @@ func Run(cfg RunConfig) (*Result, error) {
 }
 
 // Runner executes repeated MMB configurations on one pinned network with
-// warm state: a mac.Arena (pooled engine, node states, flat CSR delivery
-// rows, warm event pool), the component index of G, the in-memory trace
-// buffer and the runner's own completion-tracking maps, all reused across
-// Run calls. Every execution runs on a Runner — core.Run builds a one-shot
-// one. The first Run fills the pools; subsequent runs skip engine and
-// fleet-scaffolding allocation entirely. Executions are byte-identical on
-// fresh and warm runners at equal configuration — the golden-trace suite
-// and TestRunnerWarmMatchesCold pin that.
+// warm state, all reused across Run calls: the component index of G and
+// one slot per worker (see slot). Slot 0 runs single-engine executions;
+// sharded worker w runs on slot w, so the sharded executor is as warm as
+// the single-engine one. Every execution runs on a Runner — core.Run builds
+// a one-shot one. The first Run fills the pools; subsequent runs skip
+// engine and fleet-scaffolding allocation entirely. Executions are
+// byte-identical on fresh and warm runners at equal configuration — the
+// golden-trace suite and TestRunnerWarmMatchesCold pin that.
 //
 // A Runner serves one execution at a time and is not safe for concurrent
 // use; parallel trial pools hold one Runner per worker. Each Run recycles
 // the previous Result's Engine (see Result.Engine).
 type Runner struct {
 	dual      *topology.Dual
-	arena     *mac.Arena
 	compOf    []int
 	compSizes []int
-	// compShared marks a component index inherited from Fork: read-only
-	// for this runner, so Rebind must compute into fresh slices instead of
-	// overwriting the prototype's. forked marks the other direction — this
-	// runner has handed its index to forks — with the same copy-on-rebind
-	// consequence; atomic only so Fork keeps its concurrent-call guarantee.
-	compShared bool
-	forked     atomic.Bool
 	// compQueue is the BFS scratch componentIndexInto recycles per Rebind.
 	compQueue []graph.NodeID
-	st        runState
-	watch     func(sim.TraceEvent)
-	// trace is the in-memory trace buffer TraceMemory runs record into,
-	// reset per run; Result.Trace aliases it.
-	trace sim.Trace
+	// slots holds one warm slot per worker; NewRunner builds slot 0 and the
+	// sharded executor grows the rest before its workers start. They are
+	// pointers because each slot's watcher is bound to its own runState,
+	// which must not move when the slice grows.
+	slots []*slot
 	// The G′ component index drives the sharded executor's carve-up. It is
-	// computed lazily on the first sharded Run (legacy runs never pay for
-	// it) and keyed by the dual it was computed for, so Rebind invalidates
-	// it for free. Forks recompute their own rather than sharing.
+	// computed lazily on the first sharded Run (single-engine runs never
+	// pay for it) and keyed by the dual it was computed for, so Rebind
+	// invalidates it for free.
 	gpFor      *topology.Dual
 	gpCompOf   []int
 	gpCompSize []int
 	gpQueue    []graph.NodeID
 }
 
+// slot is one worker's warm run state: the arena its engines are acquired
+// from, the in-memory trace buffer its runs record into, and the
+// completion-watcher state with its watcher bound once, so arming a run
+// allocates no closure.
+type slot struct {
+	arena *mac.Arena
+	trace sim.Trace
+	st    runState
+	watch func(sim.TraceEvent)
+}
+
+func newSlot(d *topology.Dual) *slot {
+	s := &slot{arena: mac.NewArena(d)}
+	s.watch = s.st.onEvent
+	return s
+}
+
 // NewRunner returns a warm runner for the given network. It panics on an
 // invalid dual, exactly like mac.NewEngine: runners are constructed from
 // already-built topologies, so this is a programming error.
 func NewRunner(d *topology.Dual) *Runner {
-	r := &Runner{dual: d, arena: mac.NewArena(d)}
+	r := &Runner{dual: d, slots: []*slot{newSlot(d)}}
 	r.compOf, r.compSizes, _ = componentIndexInto(d.G, nil, nil, nil)
-	r.watch = r.st.onEvent
 	return r
-}
-
-// Fork returns a sibling runner on the same network: it shares the
-// immutable topology-derived state — the arena's CSR position index and
-// the component index of G — but owns its own warm storage and watcher
-// maps. Parallel trial pools fork one prototype runner per topology so the
-// indexes are derived once; Fork only reads immutable state and is safe to
-// call from multiple goroutines.
-func (r *Runner) Fork() *Runner {
-	r.forked.Store(true)
-	nr := &Runner{
-		dual:       r.dual,
-		arena:      r.arena.Fork(),
-		compOf:     r.compOf,
-		compSizes:  r.compSizes,
-		compShared: true,
-	}
-	nr.watch = nr.st.onEvent
-	return nr
 }
 
 // Dual returns the network the runner was built for.
 func (r *Runner) Dual() *topology.Dual { return r.dual }
 
-// Rebind re-targets the runner at a new dual network: the arena is rebound
-// (CSR index refilled, delivery block kept when capacity fits) and the
-// cached component index of G is recomputed into its existing slices. The
-// watcher maps are per-run state and reset on the next Run as always.
-// Unpinned trial sweeps rebind one runner per worker to each per-trial
-// network draw; executions stay byte-identical to one-shot core.Run calls.
-// Rebinding to the runner's current dual is a no-op.
+// Rebind re-targets the runner at a new dual network: every slot's arena
+// is rebound (reliability bitset refilled, delivery block kept when
+// capacity fits) and the component index of G is recomputed into its
+// existing slices. The watcher maps are per-run state and reset on the next
+// Run as always. Unpinned trial sweeps rebind one runner per worker to each
+// per-trial network draw; executions stay byte-identical to one-shot
+// core.Run calls. Rebinding to the runner's current dual is a no-op.
 func (r *Runner) Rebind(d *topology.Dual) {
 	if d == r.dual {
 		return
 	}
-	r.arena.Rebind(d)
-	r.dual = d
-	if r.compShared || r.forked.Load() {
-		// The slices are aliased across a Fork relationship (either
-		// direction); compute into fresh ones and own them from here on.
-		r.compOf, r.compSizes = nil, nil
-		r.compShared = false
-		r.forked.Store(false)
+	for _, s := range r.slots {
+		s.arena.Rebind(d)
 	}
+	r.dual = d
 	r.compOf, r.compSizes, r.compQueue = componentIndexInto(d.G, r.compOf, r.compSizes, r.compQueue)
 }
 
@@ -353,9 +337,8 @@ func componentIndexInto(g *graph.Graph, compOf, compSizes []int, queue []graph.N
 }
 
 // runState is the completion-watcher state of one execution: it counts
-// required deliveries, flags MMB violations and halts on completion. A
-// Runner owns one and recycles its maps across runs; each component shard
-// of a decomposed run builds its own.
+// required deliveries, flags MMB violations and halts on completion. Each
+// slot owns one and recycles its maps across runs.
 type runState struct {
 	res      *Result
 	eng      *mac.Engine
@@ -405,8 +388,9 @@ func (st *runState) onEvent(ev sim.TraceEvent) {
 	}
 }
 
-// run executes a validated cfg, with its resolved workload, on the runner's
-// arena, component index and watcher state.
+// run executes a validated cfg, with its resolved workload, on slot 0 — or
+// on the sharded executor when the configuration asks for shards and G′
+// decomposes.
 func (r *Runner) run(cfg RunConfig, workload *Workload) (*Result, error) {
 	cfg.Workload = workload
 	n := cfg.Dual.N()
@@ -430,35 +414,16 @@ func (r *Runner) run(cfg RunConfig, workload *Workload) (*Result, error) {
 	// The decomposed executor. Its output is a pure function of the
 	// configuration — independent of Shards beyond the >= 1 switch, and of
 	// how many workers actually run — but it is a different function from
-	// the legacy single-engine execution whenever the network genuinely
+	// the single-engine execution whenever the network genuinely
 	// decomposes (per-shard scheduler streams replace the one global one).
 	if cfg.Options.Shards >= 1 {
 		if gpOf, gpSizes := r.gprimeIndex(); len(gpSizes) > 1 {
-			return r.runSharded(cfg, gpOf, gpSizes)
+			return r.runSharded(cfg, gpOf, gpSizes), nil
 		}
 		// Connected in G′: the only shard is the whole network, and the
 		// decomposed semantics coincide exactly with the single-engine
 		// execution below (same scheduler, same streams, same trace).
 	}
-
-	mcfg := mac.Config{
-		Dual:      cfg.Dual,
-		Fack:      cfg.Fack,
-		Fprog:     cfg.Fprog,
-		Scheduler: cfg.Scheduler,
-		Mode:      cfg.Mode,
-		Seed:      cfg.Seed,
-		EpsAbort:  cfg.EpsAbort,
-		Arena:     r.arena,
-	}
-	switch cfg.Options.Trace {
-	case TraceMemory:
-		r.trace.Reset()
-		mcfg.Trace = &r.trace
-	case TraceStream:
-		mcfg.Trace = cfg.Options.Sink
-	}
-	eng := mac.NewEngine(mcfg, cfg.Automata)
 
 	// Required deliveries: every message must reach every node in its
 	// origin's G-component.
@@ -467,21 +432,59 @@ func (r *Runner) run(cfg RunConfig, workload *Workload) (*Result, error) {
 	for _, ar := range arrivals {
 		required += r.compSizes[r.compOf[ar.Msg.Origin]]
 	}
+	s := r.slots[0]
+	var sink sim.TraceSink
+	switch cfg.Options.Trace {
+	case TraceMemory:
+		sink = &s.trace
+	case TraceStream:
+		sink = cfg.Options.Sink
+	}
+	res := s.run(cfg, cfg.Scheduler, sink, nil, arrivals, required, r.compOf)
+	if cfg.Options.Trace == TraceMemory {
+		res.Trace = &s.trace
+	}
+	return res, nil
+}
+
+// run executes cfg with the given scheduler on an engine acquired from the
+// slot's arena: nodes wake up in slice order (nil wakes the whole network),
+// the arrivals are injected, and the watcher counts deliveries toward
+// required against the G component index compOf. Events go to sink — the
+// slot's own trace, a caller's stream, or nil for none — and Check replays
+// the slot's trace. The Result's Engine is the slot's pooled engine.
+func (s *slot) run(cfg RunConfig, scheduler mac.Scheduler, sink sim.TraceSink, nodes []mac.NodeID, arrivals []Arrival, required int, compOf []int) *Result {
+	s.trace.Reset()
+	eng := mac.NewEngine(mac.Config{
+		Dual:      cfg.Dual,
+		Fack:      cfg.Fack,
+		Fprog:     cfg.Fprog,
+		Scheduler: scheduler,
+		Mode:      cfg.Mode,
+		Seed:      cfg.Seed,
+		EpsAbort:  cfg.EpsAbort,
+		Trace:     sink,
+		Arena:     s.arena,
+	}, cfg.Automata)
 
 	res := &Result{Required: required, Engine: eng}
-	st := &r.st
+	st := &s.st
 	if st.seen == nil {
 		st.seen = make(map[deliverKey]bool, required)
-		st.arrived = make(map[Msg]bool, k)
+		st.arrived = make(map[Msg]bool, len(arrivals))
 	} else {
 		clear(st.seen)
 		clear(st.arrived)
 	}
-	st.res, st.eng, st.compOf = res, eng, r.compOf
+	st.res, st.eng, st.compOf = res, eng, compOf
 	st.required, st.halt = required, cfg.HaltOnCompletion
-	eng.Watch(r.watch)
+	eng.Watch(s.watch)
 
-	eng.Start()
+	if nodes == nil {
+		eng.Start()
+	} else {
+		eng.StartNodes(nodes)
+	}
 	for _, ar := range arrivals {
 		eng.Arrive(ar.Node, ar.Msg.Payload(), ar.At)
 	}
@@ -492,9 +495,6 @@ func (r *Runner) run(cfg RunConfig, workload *Workload) (*Result, error) {
 	res.End = eng.Sim().Now()
 	res.Steps = eng.Sim().Steps()
 	res.Broadcasts = len(eng.Instances())
-	if cfg.Options.Trace == TraceMemory {
-		res.Trace = &r.trace
-	}
 	if cfg.Options.Check {
 		res.Report = check.All(cfg.Dual, eng.Instances(), check.Params{
 			Fack:     cfg.Fack,
@@ -505,11 +505,11 @@ func (r *Runner) run(cfg RunConfig, workload *Workload) (*Result, error) {
 		// Defense in depth: re-derive the MMB problem conditions from the
 		// trace with the generic checker (the watcher above catches them
 		// online; this validates the full recorded history).
-		check.MMB(res.Report, r.trace.Events(), check.MMBParams{
+		check.MMB(res.Report, s.trace.Events(), check.MMBParams{
 			DeliverKind: DeliverKind,
 		})
 	}
-	return res, nil
+	return res
 }
 
 // MustRun is Run with the pre-redesign fail-fast contract: it panics on an

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"amac/internal/core"
+	"amac/internal/graph"
 	"amac/internal/mac"
 	"amac/internal/sched"
 	"amac/internal/topology"
@@ -103,7 +104,7 @@ func TestRunnerRejectsForeignDual(t *testing.T) {
 // sizes, G′ shapes, and a return to an earlier network — through one
 // rebound Runner and through fresh core.Run calls, comparing full execution
 // snapshots byte for byte. This is the core-level half of the unpinned
-// warm-path guarantee; scenario.TestUnpinnedWarmMatchesCold pins the other
+// warm-path guarantee; scenario.TestWarmTrialMatchesFresh pins the other
 // half end to end.
 func TestRunnerRebindMatchesCold(t *testing.T) {
 	duals := []*topology.Dual{
@@ -151,82 +152,63 @@ func TestRunnerRebindMatchesCold(t *testing.T) {
 	}
 }
 
-// TestRunnerForkRebindIsolation pins that rebinding a forked runner cannot
-// corrupt the prototype: Fork shares the component index read-only, so the
-// fork must compute its own on Rebind. Before the owned-copy fix, the fork
-// resliced the shared arrays in place and the prototype computed Required
-// from the wrong component sizes, "solving" after half its deliveries.
-func TestRunnerForkRebindIsolation(t *testing.T) {
-	d := topology.Line(6)
-	proto := core.NewRunner(d)
-	run := func(rn *core.Runner) *core.Result {
-		res, err := rn.Run(core.RunConfig{
-			Dual:             rn.Dual(),
+// TestRunnerSerialShardedInterleave pins slot sharing: single-engine runs
+// and sharded worker 0 both run on slot 0, so alternating the two executors
+// on one Runner — and rebinding it to another multi-component network,
+// which rebinds every slot — must leave every execution byte-identical to a
+// fresh core.Run of the same configuration.
+func TestRunnerSerialShardedInterleave(t *testing.T) {
+	cfgFor := func(d *topology.Dual, per, shards int, seed int64) core.RunConfig {
+		var origins []graph.NodeID
+		for v := 0; v < d.N(); v += per {
+			origins = append(origins, graph.NodeID(v))
+		}
+		cfg := core.RunConfig{
+			Dual:             d,
 			Fack:             200,
 			Fprog:            10,
-			Scheduler:        &sched.Sync{},
-			Seed:             1,
-			Assignment:       core.SingleSource(rn.Dual().N(), 0, 2),
-			Automata:         core.NewBMMBFleet(rn.Dual().N()),
+			Scheduler:        newSync(),
+			Seed:             seed,
+			Assignment:       core.Singleton(d.N(), origins),
+			Automata:         core.NewBMMBFleet(d.N()),
 			HaltOnCompletion: true,
-		})
-		if err != nil {
-			t.Fatal(err)
+			Options:          core.RunOptions{Check: true, Shards: shards},
 		}
-		return res
-	}
-	before := run(proto)
-
-	fork := proto.Fork()
-	fork.Rebind(topology.Line(3))
-	if res := run(fork); res.Required != 6 { // 2 messages × 3 nodes
-		t.Fatalf("rebound fork Required = %d, want 6", res.Required)
-	}
-
-	after := run(proto)
-	if after.Required != before.Required || after.Delivered != before.Delivered ||
-		after.CompletionTime != before.CompletionTime {
-		t.Fatalf("rebinding a fork corrupted the prototype's component index: before %d/%d@%d, after %d/%d@%d",
-			before.Delivered, before.Required, before.CompletionTime,
-			after.Delivered, after.Required, after.CompletionTime)
-	}
-}
-
-// TestRunnerPrototypeRebindIsolation is the mirror of the fork test:
-// rebinding the prototype after it has handed out forks must not corrupt
-// the component index those forks still read.
-func TestRunnerPrototypeRebindIsolation(t *testing.T) {
-	d := topology.Line(6)
-	proto := core.NewRunner(d)
-	run := func(rn *core.Runner) *core.Result {
-		res, err := rn.Run(core.RunConfig{
-			Dual:             rn.Dual(),
-			Fack:             200,
-			Fprog:            10,
-			Scheduler:        &sched.Sync{},
-			Seed:             1,
-			Assignment:       core.SingleSource(rn.Dual().N(), 0, 2),
-			Automata:         core.NewBMMBFleet(rn.Dual().N()),
-			HaltOnCompletion: true,
-		})
-		if err != nil {
-			t.Fatal(err)
+		if shards >= 1 {
+			cfg.NewScheduler = newSync
 		}
-		return res
+		return cfg
 	}
-	fork := proto.Fork()
-	before := run(fork)
-
-	proto.Rebind(topology.Line(3))
-	if res := run(proto); res.Required != 6 { // 2 messages × 3 nodes
-		t.Fatalf("rebound prototype Required = %d, want 6", res.Required)
+	first, second := disjointLines(3, 8), disjointLines(4, 6)
+	steps := []struct {
+		d           *topology.Dual
+		per, shards int
+	}{
+		{first, 8, 0},
+		{first, 8, 2},
+		{first, 8, 0},
+		{second, 6, 2},
+		{second, 6, 0},
 	}
-
-	after := run(fork)
-	if after.Required != before.Required || after.Delivered != before.Delivered ||
-		after.CompletionTime != before.CompletionTime {
-		t.Fatalf("rebinding the prototype corrupted its fork's component index: before %d/%d@%d, after %d/%d@%d",
-			before.Delivered, before.Required, before.CompletionTime,
-			after.Delivered, after.Required, after.CompletionTime)
+	rn := core.NewRunner(first)
+	for i, st := range steps {
+		seed := int64(i + 1)
+		cold, err := core.Run(cfgFor(st.d, st.per, st.shards, seed))
+		if err != nil {
+			t.Fatalf("step %d: cold run: %v", i, err)
+		}
+		want := snapshot(cold)
+		rn.Rebind(st.d)
+		warm, err := rn.Run(cfgFor(st.d, st.per, st.shards, seed))
+		if err != nil {
+			t.Fatalf("step %d: warm run: %v", i, err)
+		}
+		if got := snapshot(warm); got != want {
+			t.Fatalf("step %d (%s, shards=%d) diverged from a fresh run:\nwarm:\n%.300s\ncold:\n%.300s",
+				i, st.d.Name, st.shards, got, want)
+		}
+		if !warm.Solved || !warm.Report.OK() {
+			t.Fatalf("step %d: unsolved or non-compliant run", i)
+		}
 	}
 }

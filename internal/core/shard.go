@@ -18,23 +18,7 @@ import (
 // every worker schedule, pinned by TestShardedDeterminism and the golden
 // suite.
 
-// compResult is what one component shard's execution leaves behind after
-// its pooled engine has been recycled for the worker's next component.
-type compResult struct {
-	delivered  int
-	solved     bool
-	completion sim.Time
-	end        sim.Time
-	steps      uint64
-	broadcasts int
-	violations []string
-	report     *check.Report
-	// events is the component's trace, copied out of the pooled engine
-	// (empty under TraceOff). Within a component events are time-ordered.
-	events []sim.TraceEvent
-}
-
-func (r *Runner) runSharded(cfg RunConfig, gpOf, gpSizes []int) (*Result, error) {
+func (r *Runner) runSharded(cfg RunConfig, gpOf, gpSizes []int) *Result {
 	n := cfg.Dual.N()
 	nComps := len(gpSizes)
 
@@ -73,17 +57,19 @@ func (r *Runner) runSharded(cfg RunConfig, gpOf, gpSizes []int) (*Result, error)
 		required += req
 	}
 
-	// One warm arena and trace buffer per worker, all arenas sharing the
-	// network's CSR position index; a worker's arena and buffer serve its
-	// components one after another.
+	// Worker w runs its components one after another on slot w. The slots
+	// are grown here, before any worker starts: growing them inside a
+	// worker would race.
 	workers := par.Workers(cfg.Options.Shards, nComps)
-	arenas := make([]*mac.Arena, workers)
-	for w := range arenas {
-		arenas[w] = r.arena.Fork()
+	for len(r.slots) < workers {
+		r.slots = append(r.slots, newSlot(r.dual))
 	}
-	traces := make([]sim.Trace, workers)
 
-	results := make([]compResult, nComps)
+	// results[c] and events[c] are what component c leaves behind once its
+	// slot moves on: the scalar outcome and a copy of its trace (nil under
+	// TraceOff), time-ordered within the component.
+	results := make([]*Result, nComps)
+	events := make([][]sim.TraceEvent, nComps)
 	par.ForWorker(workers, nComps, func(w, c int) {
 		if reqByComp[c] == 0 && cfg.HaltOnCompletion {
 			// A component with no required deliveries is complete before
@@ -92,26 +78,39 @@ func (r *Runner) runSharded(cfg RunConfig, gpOf, gpSizes []int) (*Result, error)
 			// flag it runs to quiescence like every other component.
 			return
 		}
-		results[c] = runComponent(cfg, arenas[w], &traces[w],
+		s := r.slots[w]
+		// The merge needs every component's events before the sink sees
+		// any, so shards record into their slot's trace unless tracing is
+		// off.
+		var sink sim.TraceSink
+		if cfg.Options.Trace != TraceOff {
+			sink = &s.trace
+		}
+		results[c] = s.run(cfg, cfg.NewScheduler(), sink,
 			nodesByComp[off[c]:off[c+1]], arrByComp[c], reqByComp[c], compOf)
+		if sink != nil {
+			events[c] = append([]sim.TraceEvent(nil), s.trace.Events()...)
+		}
 	})
 
 	// Merge in component order.
 	res := &Result{Required: required}
 	solved := required > 0
-	for c := range results {
-		cr := &results[c]
-		res.Delivered += cr.delivered
-		res.Steps += cr.steps
-		res.Broadcasts += cr.broadcasts
-		res.MMBViolations = append(res.MMBViolations, cr.violations...)
-		if cr.end > res.End {
-			res.End = cr.end
+	for c, cr := range results {
+		if cr == nil {
+			continue
+		}
+		res.Delivered += cr.Delivered
+		res.Steps += cr.Steps
+		res.Broadcasts += cr.Broadcasts
+		res.MMBViolations = append(res.MMBViolations, cr.MMBViolations...)
+		if cr.End > res.End {
+			res.End = cr.End
 		}
 		if reqByComp[c] > 0 {
-			solved = solved && cr.solved
-			if cr.completion > res.CompletionTime {
-				res.CompletionTime = cr.completion
+			solved = solved && cr.Solved
+			if cr.CompletionTime > res.CompletionTime {
+				res.CompletionTime = cr.CompletionTime
 			}
 		}
 	}
@@ -121,9 +120,9 @@ func (r *Runner) runSharded(cfg RunConfig, gpOf, gpSizes []int) (*Result, error)
 	}
 	if cfg.Options.Check {
 		res.Report = &check.Report{}
-		for c := range results {
-			if r := results[c].report; r != nil {
-				res.Report.Violations = append(res.Report.Violations, r.Violations...)
+		for _, cr := range results {
+			if cr != nil && cr.Report != nil {
+				res.Report.Violations = append(res.Report.Violations, cr.Report.Violations...)
 			}
 		}
 	}
@@ -134,85 +133,19 @@ func (r *Runner) runSharded(cfg RunConfig, gpOf, gpSizes []int) (*Result, error)
 	switch cfg.Options.Trace {
 	case TraceMemory:
 		res.Trace = &sim.Trace{}
-		mergeTraces(results, res.Trace)
+		mergeTraces(events, res.Trace)
 	case TraceStream:
-		// Per-component traces are buffered in memory during the run (the
-		// merge needs every component's stream); the sink observes the
-		// merged order, exactly as a memory-mode run would record it.
-		mergeTraces(results, cfg.Options.Sink)
+		// The sink observes the merged order, exactly as a memory-mode run
+		// would record it.
+		mergeTraces(events, cfg.Options.Sink)
 	}
-	return res, nil
-}
-
-// runComponent executes the nodes of one G′ component on a fresh engine
-// acquisition from the worker's arena, recording into the worker's trace
-// buffer unless tracing is off, and copies everything the merge needs out
-// of the pooled state.
-func runComponent(cfg RunConfig, arena *mac.Arena, trace *sim.Trace, nodes []mac.NodeID, arrivals []Arrival, required int, compOf []int) compResult {
-	mcfg := mac.Config{
-		Dual:      cfg.Dual,
-		Fack:      cfg.Fack,
-		Fprog:     cfg.Fprog,
-		Scheduler: cfg.NewScheduler(),
-		Mode:      cfg.Mode,
-		Seed:      cfg.Seed,
-		EpsAbort:  cfg.EpsAbort,
-		Arena:     arena,
-	}
-	if cfg.Options.Trace != TraceOff {
-		trace.Reset()
-		mcfg.Trace = trace
-	}
-	eng := mac.NewEngine(mcfg, cfg.Automata)
-
-	res := &Result{Required: required}
-	st := runState{
-		res:      res,
-		eng:      eng,
-		compOf:   compOf,
-		required: required,
-		halt:     cfg.HaltOnCompletion,
-		seen:     make(map[deliverKey]bool, required),
-		arrived:  make(map[Msg]bool, len(arrivals)),
-	}
-	eng.Watch(st.onEvent)
-
-	eng.StartNodes(nodes)
-	for _, ar := range arrivals {
-		eng.Arrive(ar.Node, ar.Msg.Payload(), ar.At)
-	}
-	eng.Sim().SetHorizon(cfg.Horizon)
-	eng.Sim().SetStepLimit(cfg.StepLimit)
-	eng.Run()
-
-	cr := compResult{
-		delivered:  res.Delivered,
-		solved:     res.Solved,
-		completion: res.CompletionTime,
-		end:        eng.Sim().Now(),
-		steps:      eng.Sim().Steps(),
-		broadcasts: len(eng.Instances()),
-		violations: res.MMBViolations,
-	}
-	if cfg.Options.Trace != TraceOff {
-		cr.events = append(cr.events, trace.Events()...)
-	}
-	if cfg.Options.Check {
-		cr.report = check.All(cfg.Dual, eng.Instances(), check.Params{
-			Fack:     cfg.Fack,
-			Fprog:    cfg.Fprog,
-			EpsAbort: cfg.EpsAbort,
-			End:      cr.end,
-		})
-		check.MMB(cr.report, cr.events, check.MMBParams{DeliverKind: DeliverKind})
-	}
-	return cr
+	return res
 }
 
 // mergeTraces k-way merges the per-component event streams into sink,
 // ordered by (At, component index) — a deterministic total order because
 // each component's stream is already time-ordered.
-func mergeTraces(results []compResult, sink sim.TraceSink) {
+func mergeTraces(events [][]sim.TraceEvent, sink sim.TraceSink) {
 	// Binary min-heap of stream heads, keyed (At, comp).
 	type head struct {
 		at   sim.Time
@@ -225,7 +158,7 @@ func mergeTraces(results []compResult, sink sim.TraceSink) {
 		}
 		return a.comp < b.comp
 	}
-	heap := make([]head, 0, len(results))
+	heap := make([]head, 0, len(events))
 	push := func(h head) {
 		heap = append(heap, h)
 		for i := len(heap) - 1; i > 0; {
@@ -255,14 +188,14 @@ func mergeTraces(results []compResult, sink sim.TraceSink) {
 			i = m
 		}
 	}
-	for c := range results {
-		if evs := results[c].events; len(evs) > 0 {
+	for c, evs := range events {
+		if len(evs) > 0 {
 			push(head{at: evs[0].At, comp: c, idx: 0})
 		}
 	}
 	for len(heap) > 0 {
 		h := heap[0]
-		evs := results[h.comp].events
+		evs := events[h.comp]
 		sink.Append(evs[h.idx])
 		if h.idx+1 < len(evs) {
 			heap[0] = head{at: evs[h.idx+1].At, comp: h.comp, idx: h.idx + 1}

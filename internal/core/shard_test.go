@@ -111,6 +111,49 @@ func TestShardedWarmMatchesCold(t *testing.T) {
 	}
 }
 
+// TestShardedWarmRunAllocations pins that the sharded executor runs on
+// warm slots: once a Runner's slots have run a configuration, a further
+// sharded run allocates only per-run bookkeeping — node and arrival
+// buckets, per-component results and schedulers, the worker goroutines —
+// and never rebuilds engines, node states, instance records, delivery
+// blocks or watcher maps, which at 3×64 nodes would cost hundreds of
+// allocations. Keep n small: past a few hundred nodes per line the sim
+// event free list's trim allocates on both sides.
+func TestShardedWarmRunAllocations(t *testing.T) {
+	const ceiling = 60
+	d := disjointLines(3, 64)
+	fleet := NewBMMBFleet(d.N())
+	cfg := RunConfig{
+		Dual:             d,
+		Fack:             200,
+		Fprog:            10,
+		Scheduler:        newSync(),
+		NewScheduler:     newSync,
+		Seed:             5,
+		Assignment:       Singleton(d.N(), []graph.NodeID{0, 64, 128}),
+		Automata:         fleet,
+		HaltOnCompletion: true,
+		Options:          RunOptions{Trace: TraceOff, Shards: 2},
+	}
+	rn := NewRunner(d)
+	run := func() {
+		for _, a := range fleet {
+			a.(mac.Resettable).Reset()
+		}
+		res, err := rn.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Solved {
+			t.Fatalf("unsolved: %d/%d deliveries", res.Delivered, res.Required)
+		}
+	}
+	run() // fill the slots
+	if allocs := testing.AllocsPerRun(20, run); allocs > ceiling {
+		t.Fatalf("warm sharded run allocates %.0f times per run, ceiling %d (per-worker engine state is rebuilt per run)", allocs, ceiling)
+	}
+}
+
 // TestShardedStreamMatchesMemory pins that stream mode observes exactly the
 // merged in-memory trace.
 func TestShardedStreamMatchesMemory(t *testing.T) {
@@ -134,7 +177,7 @@ func TestShardedStreamMatchesMemory(t *testing.T) {
 
 // TestShardedConnectedMatchesLegacy pins the degenerate case: on a
 // connected network the decomposed executor coincides exactly with the
-// legacy single-engine execution.
+// single-engine execution.
 func TestShardedConnectedMatchesLegacy(t *testing.T) {
 	d := topology.Line(12)
 	mk := func(shards int) RunConfig {
@@ -154,10 +197,10 @@ func TestShardedConnectedMatchesLegacy(t *testing.T) {
 		}
 		return cfg
 	}
-	legacy := runSharded(t, mk(0))
+	single := runSharded(t, mk(0))
 	decomposed := runSharded(t, mk(4))
-	if legacy.Trace.String() != decomposed.Trace.String() {
-		t.Fatal("connected-network sharded trace differs from legacy")
+	if single.Trace.String() != decomposed.Trace.String() {
+		t.Fatal("connected-network sharded trace differs from the single-engine one")
 	}
 	if decomposed.Engine == nil {
 		t.Fatal("connected-network decomposed run degenerates to one engine and keeps it on the result")
@@ -217,9 +260,9 @@ func TestRunConfigSchedulerRules(t *testing.T) {
 		t.Errorf("Shards without NewScheduler: got %v", err)
 	}
 
-	legacy := base
-	legacy.NewScheduler = newSync
-	if err := legacy.Validate(); err == nil || !strings.Contains(err.Error(), "Shards=0") {
+	single := base
+	single.NewScheduler = newSync
+	if err := single.Validate(); err == nil || !strings.Contains(err.Error(), "Shards=0") {
 		t.Errorf("NewScheduler without Shards: got %v", err)
 	}
 }

@@ -89,13 +89,7 @@ func LargeNRGG(o Options) *Table {
 			})
 	}
 
-	sweeper := o.Sweeper
-	if sweeper == nil {
-		sweeper = func(_ string, specs []scenario.Spec, so scenario.SweepOptions) ([]*scenario.Report, error) {
-			return scenario.SweepWithOptions(specs, so)
-		}
-	}
-	reports, err := sweeper("large-n-rgg", specs, scenario.SweepOptions{Parallelism: o.Parallelism})
+	reports, err := o.sweep("large-n-rgg", specs)
 	if err != nil {
 		panic(fmt.Sprintf("harness: large-n-rgg: %v", err))
 	}
@@ -217,13 +211,7 @@ func LargeNSharded(o Options) *Table {
 		}
 	}
 
-	sweeper := o.Sweeper
-	if sweeper == nil {
-		sweeper = func(_ string, specs []scenario.Spec, so scenario.SweepOptions) ([]*scenario.Report, error) {
-			return scenario.SweepWithOptions(specs, so)
-		}
-	}
-	reports, err := sweeper("large-n-sharded", specs, scenario.SweepOptions{Parallelism: o.Parallelism})
+	reports, err := o.sweep("large-n-sharded", specs)
 	if err != nil {
 		panic(fmt.Sprintf("harness: large-n-sharded: %v", err))
 	}

@@ -44,6 +44,17 @@ type Options struct {
 	Sweeper func(id string, specs []scenario.Spec, o scenario.SweepOptions) ([]*scenario.Report, error)
 }
 
+// sweep executes an experiment's spec grid at the options' parallelism
+// through o.Sweeper, or in-process via scenario.SweepWithOptions when no
+// Sweeper is installed.
+func (o Options) sweep(id string, specs []scenario.Spec) ([]*scenario.Report, error) {
+	so := scenario.SweepOptions{Parallelism: o.Parallelism}
+	if o.Sweeper != nil {
+		return o.Sweeper(id, specs, so)
+	}
+	return scenario.SweepWithOptions(specs, so)
+}
+
 func (o Options) withDefaults() Options {
 	if o.Fprog == 0 {
 		o.Fprog = 10

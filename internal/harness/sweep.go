@@ -76,13 +76,7 @@ func RunSweep(o Options, def SweepDef) *Table {
 			specs = append(specs, withOptions(pt.Spec, o))
 		}
 	}
-	sweeper := o.Sweeper
-	if sweeper == nil {
-		sweeper = func(_ string, specs []scenario.Spec, so scenario.SweepOptions) ([]*scenario.Report, error) {
-			return scenario.SweepWithOptions(specs, so)
-		}
-	}
-	reports, err := sweeper(def.ID, specs, scenario.SweepOptions{Parallelism: o.Parallelism})
+	reports, err := o.sweep(def.ID, specs)
 	if err != nil {
 		panic(fmt.Sprintf("harness: %s: %v", def.ID, err))
 	}

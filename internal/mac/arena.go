@@ -2,7 +2,6 @@ package mac
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"amac/internal/sim"
 	"amac/internal/topology"
@@ -95,14 +94,7 @@ func (idx *csrIndex) isReliable(i int32) bool {
 type Arena struct {
 	dual *topology.Dual
 	csr  *csrIndex
-	// csrShared marks a position index inherited from Fork: read-only for
-	// this arena, so Rebind must replace it instead of refilling in place.
-	// forked marks the other direction — this arena has handed its index to
-	// forks — with the same copy-on-rebind consequence. It is atomic only
-	// so Fork keeps its concurrent-call guarantee.
-	csrShared bool
-	forked    atomic.Bool
-	eng       *Engine
+	eng  *Engine
 
 	// block is the flat CSR delivery storage: every instance's deliveredAt
 	// row is block[used:used+deg]. Reset zeroes the used prefix instead of
@@ -132,20 +124,9 @@ func NewArena(d *topology.Dual) *Arena {
 // Dual returns the network the arena was built for.
 func (a *Arena) Dual() *topology.Dual { return a.dual }
 
-// Fork returns a sibling arena for the same dual: it shares the read-only
-// CSR position index — built once, O(m′) — but owns fresh run storage.
-// Parallel trial pools fork one prototype arena per topology instead of
-// re-deriving the index per worker. Fork only reads immutable state, so it
-// is safe to call from multiple goroutines.
-func (a *Arena) Fork() *Arena {
-	a.forked.Store(true)
-	return &Arena{dual: a.dual, csr: a.csr, csrShared: true}
-}
-
 // Rebind re-targets the arena at a new dual network, recycling its warm
-// storage: the CSR position index is refilled into its existing map
-// buckets (replaced only when shared with forks), the flat delivery block
-// is kept whenever the new degree sum fits its capacity and grown
+// storage: the reliability bitset is refilled in place, the flat delivery
+// block is kept whenever the new degree sum fits its capacity and grown
 // geometrically otherwise, and the pooled engine, instance records and
 // event pool all carry over. Unpinned trial sweeps rebind one arena per
 // worker to each per-trial network draw instead of building a fresh arena.
@@ -160,14 +141,6 @@ func (a *Arena) Rebind(d *topology.Dual) {
 	}
 	if err := d.Validate(); err != nil {
 		panic(fmt.Sprintf("mac: invalid dual: %v", err))
-	}
-	if a.csrShared || a.forked.Load() {
-		// The index is aliased across a Fork relationship (either
-		// direction): refilling it in place would corrupt the other side,
-		// so replace it and own the copy from here on.
-		a.csr = &csrIndex{}
-		a.csrShared = false
-		a.forked.Store(false)
 	}
 	a.csr.fill(d)
 	if a.csr.arcCount > len(a.block) {

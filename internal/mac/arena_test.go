@@ -310,44 +310,3 @@ func TestArenaRebindClearsOverflow(t *testing.T) {
 		t.Fatalf("recycled instance reports %d deliveries", fresh.NumDelivered())
 	}
 }
-
-// TestArenaRebindFork pins that rebinding a forked arena does not corrupt
-// the prototype's shared CSR index: the fork re-derives its own.
-func TestArenaRebindFork(t *testing.T) {
-	d1 := topology.LineRRestricted(10, 2, 1.0, nil)
-	proto := mac.NewArena(d1)
-	protoTrace, _ := runFlood(d1, proto, 2)
-
-	fork := proto.Fork()
-	d2 := topology.Line(6)
-	fork.Rebind(d2)
-	coldTrace, _ := runFlood(d2, nil, 2)
-	if trace, _ := runFlood(d2, fork, 2); trace != coldTrace {
-		t.Fatal("rebound fork diverged from cold run")
-	}
-	// The prototype must still replay its own network untouched.
-	if trace, _ := runFlood(d1, proto, 2); trace != protoTrace {
-		t.Fatal("rebinding a fork corrupted the prototype's shared CSR index")
-	}
-}
-
-// TestArenaPrototypeRebindFork is the mirror of TestArenaRebindFork:
-// rebinding the prototype after forking must not refill the CSR index its
-// forks still read.
-func TestArenaPrototypeRebindFork(t *testing.T) {
-	d1 := topology.LineRRestricted(10, 2, 1.0, nil)
-	proto := mac.NewArena(d1)
-	forkWant, _ := runFlood(d1, nil, 2)
-
-	fork := proto.Fork()
-	d2 := topology.Line(6)
-	proto.Rebind(d2)
-	coldTrace, _ := runFlood(d2, nil, 2)
-	if trace, _ := runFlood(d2, proto, 2); trace != coldTrace {
-		t.Fatal("rebound prototype diverged from cold run")
-	}
-	// The fork must still replay the original network untouched.
-	if trace, _ := runFlood(d1, fork, 2); trace != forkWant {
-		t.Fatal("rebinding the prototype corrupted the fork's shared CSR index")
-	}
-}

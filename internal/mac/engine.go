@@ -275,8 +275,7 @@ func (e *Engine) Arrive(v NodeID, payload Payload, t sim.Time) {
 }
 
 // Dispatch implements sim.Dispatcher: the typed-event switch at the bottom
-// of the run loop. Each case mirrors exactly the closure the corresponding
-// call site used to schedule, so executions are unchanged event for event.
+// of the run loop.
 //
 //amac:hotpath
 func (e *Engine) Dispatch(kind sim.EventKind, op sim.Op) {

@@ -94,7 +94,7 @@ func TestUnpinnedWarmTrialAllocationBound(t *testing.T) {
 			t.Fatalf("trial not solved: %d/%d", tr.Result.Delivered, tr.Result.Required)
 		}
 	}
-	run() // warm the worker: workspace, runner, scheduler, fleet pool
+	run() // warm the worker: workspace, runner, scheduler, parked fleet
 	allocs := testing.AllocsPerRun(30, run)
 	if allocs > bound {
 		t.Fatalf("warm unpinned trial allocates %.0f times per run, bound %d", allocs, bound)

@@ -284,32 +284,32 @@ func (p *sweepPlan) run(parallelism, lo, hi int) ([]*TrialResult, error) {
 // specRun is the warm trial executor of one resolved spec, shared by every
 // entry point: Run and the sweeps hold one per spec, and one-shot trials
 // run on a fresh one-worker specRun. A pinned spec (every trial on one
-// network) resolves its plan once and its workers fork the prototype
-// runner, so the CSR and component indexes are derived once per spec; plan
-// and proto are nil for an unpinned spec, whose workers draw each trial's
-// network into their own workspace and rebind their own runner. Either way
-// the execution is a pure function of (spec, seed) — the worker index only
-// selects which pooled storage backs it — so results are byte-identical to
-// fresh one-shot trials at any parallelism.
+// network) resolves its plan once, and each worker builds its own runner on
+// that network; plan is nil for an unpinned spec, whose workers draw each
+// trial's network into their own workspace and rebind their own runner.
+// Either way the execution is a pure function of (spec, seed) — the worker
+// index only selects which pooled storage backs it — so results are
+// byte-identical to fresh one-shot trials at any parallelism.
 type specRun struct {
-	spec  Spec // resolved
-	plan  *trialPlan
-	proto *core.Runner
+	spec Spec // resolved
+	plan *trialPlan
 	// workers is indexed by the pool's worker slot.
 	workers []worker
 }
 
 // worker is one pool slot's warm state, reused trial after trial: the
-// runner (arena, pooled engine), the cached scheduler, parked fleets by
-// node count and — for unpinned specs — the workspace draws build into and
-// the trial plans interned by drawn node count (see planFor). Everything is
-// created lazily on the worker's first trial.
+// runner (arena, pooled engine), the cached scheduler, the fleet its last
+// trial retired and — for unpinned specs — the workspace draws build into
+// and the interned trial plan (see planFor). Everything is created lazily
+// on the worker's first trial. Every registered topology family takes its
+// node count from its params alone, so one parked fleet and one plan cover
+// every draw of a spec.
 type worker struct {
-	ws     *topology.Workspace
-	rn     *core.Runner
-	sched  schedSlot
-	fleets fleetPool
-	plans  map[int]*trialPlan
+	ws    *topology.Workspace
+	rn    *core.Runner
+	sched schedSlot
+	fleet []mac.Automaton
+	plan  *trialPlan
 }
 
 // schedSlot is a worker's cached scheduler together with its rendered
@@ -340,13 +340,13 @@ func newSpecRun(r Spec, workers int) (*specRun, error) {
 }
 
 // pin resolves the spec once against the network every trial runs on (the
-// same resolution a fresh trial performs) and builds the prototype runner.
+// same resolution a fresh trial performs).
 func (sr *specRun) pin(built *topology.Built) error {
 	p, err := resolvePlan(sr.spec, built)
 	if err != nil {
 		return err
 	}
-	sr.plan, sr.proto = p, core.NewRunner(built.Dual)
+	sr.plan = p
 	return nil
 }
 
@@ -363,12 +363,7 @@ func (sr *specRun) trial(seed int64, worker int, keepBuilt bool) (*TrialResult, 
 			return nil, err
 		}
 	} else if w.rn == nil {
-		// Worker 0 runs on the prototype itself; forking reads only
-		// immutable state, so workers fork concurrently without locking.
-		w.rn = sr.proto
-		if worker > 0 {
-			w.rn = sr.proto.Fork()
-		}
+		w.rn = core.NewRunner(p.built.Dual)
 	}
 	return p.execute(seed, w)
 }
@@ -397,12 +392,12 @@ func (w *worker) draw(r Spec, seed int64, keepBuilt bool) (*trialPlan, error) {
 	return w.planFor(r, built)
 }
 
-// planFor returns the worker's interned trial plan for the draw's node
-// count, rebound to the fresh instance, or resolves and interns a new one.
-// Interning is sound because every plan field other than the instance and
-// the horizon depends only on (spec, n): singleton origin placement is a
-// function of n and K, single-source and explicit workloads only
-// bounds-check nodes against n, and the poisson stream is keyed by the
+// planFor returns the worker's interned trial plan rebound to the fresh
+// instance when it was resolved for the draw's node count, or resolves and
+// interns a new one. Interning is sound because every plan field other than
+// the instance and the horizon depends only on (spec, n): singleton origin
+// placement is a function of n and K, single-source and explicit workloads
+// only bounds-check nodes against n, and the poisson stream is keyed by the
 // spec-level workload seed, which is constant across trials. Construction
 // workloads read the drawn artifact and are never interned — they only
 // arise on deterministic families, which are pinned anyway.
@@ -410,8 +405,7 @@ func (w *worker) planFor(r Spec, built *topology.Built) (*trialPlan, error) {
 	if r.Workload.Kind == WorkloadConstruction {
 		return resolvePlan(r, built)
 	}
-	n := built.Dual.N()
-	if p := w.plans[n]; p != nil {
+	if p := w.plan; p != nil && p.n == built.Dual.N() {
 		p.rebind(built)
 		return p, nil
 	}
@@ -419,11 +413,38 @@ func (w *worker) planFor(r Spec, built *topology.Built) (*trialPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if w.plans == nil {
-		w.plans = make(map[int]*trialPlan)
-	}
-	w.plans[n] = p
+	w.plan = p
 	return p, nil
+}
+
+// fleetFor returns a fleet for the plan's draw: the worker's parked fleet,
+// refitted and reset, when it has the draw's node count and the algorithm
+// can Refit it (when it registers a Refit at all), or a freshly built one.
+// The parked fleet is taken either way, so a failing trial never parks it
+// again.
+func (w *worker) fleetFor(p *trialPlan) ([]mac.Automaton, error) {
+	fleet := w.fleet
+	w.fleet = nil
+	if len(fleet) == p.n &&
+		(p.alg.Refit == nil || p.alg.Refit(fleet, p.built.Dual, p.k, p.spec.Algorithm.Params)) {
+		for _, a := range fleet {
+			a.(mac.Resettable).Reset()
+		}
+		return fleet, nil
+	}
+	return p.newFleet()
+}
+
+// park keeps a retired fleet for the worker's next trial. Only fleets whose
+// automata all implement mac.Resettable are kept: reusing any other would
+// leak one trial's state into the next.
+func (w *worker) park(fleet []mac.Automaton) {
+	for _, a := range fleet {
+		if _, ok := a.(mac.Resettable); !ok {
+			return
+		}
+	}
+	w.fleet = fleet
 }
 
 // Trial executes one seed of the scenario: build the topology (seeded per
@@ -529,10 +550,11 @@ func trialOn(s Spec, seed int64, built *topology.Built) (*TrialResult, error) {
 // resolved spec and its built network: the workload, payloads, algorithm,
 // horizon and step limit. It is the single spec-resolution pipeline behind
 // every trial: a pinned specRun resolves one per spec, an unpinned one
-// interns one per worker and drawn node count.
+// interns one per worker.
 type trialPlan struct {
 	spec      Spec // resolved
 	built     *topology.Built
+	n         int // node count the plan was resolved for
 	workload  *core.Workload
 	payloads  []sim.Payload
 	alg       core.Algorithm
@@ -577,6 +599,7 @@ func resolvePlan(r Spec, built *topology.Built) (*trialPlan, error) {
 	return &trialPlan{
 		spec:      r,
 		built:     built,
+		n:         built.Dual.N(),
 		workload:  workload,
 		payloads:  payloads,
 		alg:       alg,
@@ -624,7 +647,7 @@ func (p *trialPlan) scheduler(env sched.Env, slot *schedSlot) (mac.Scheduler, st
 }
 
 // execute runs one seed of the plan on the worker's runner, with a fleet
-// from its pool and the scheduler from its slot, and parks the fleet again
+// from fleetFor and the scheduler from its slot, and parks the fleet again
 // afterwards.
 func (p *trialPlan) execute(seed int64, w *worker) (*TrialResult, error) {
 	r := p.spec
@@ -643,7 +666,7 @@ func (p *trialPlan) execute(seed int64, w *worker) (*TrialResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	automata, err := w.fleets.fleetFor(p)
+	automata, err := w.fleetFor(p)
 	if err != nil {
 		return nil, err
 	}
@@ -704,7 +727,7 @@ func (p *trialPlan) execute(seed int64, w *worker) (*TrialResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.fleets.put(automata)
+	w.park(automata)
 	return &TrialResult{
 		Seed:          seed,
 		Built:         p.built,

@@ -110,7 +110,7 @@ func TestRunSpecValidateParallel(t *testing.T) {
 // TestScenarioShardedWarmMatchesCold extends the unpinned warm/cold
 // byte-identity guarantee to shards>1: the decomposed executor behind the
 // scenario surface must agree with the cold Trial path trace-for-trace on
-// warm per-worker state, exactly as the legacy path does.
+// warm per-worker state, exactly as the single-engine path does.
 func TestScenarioShardedWarmMatchesCold(t *testing.T) {
 	for _, spec := range unpinnedSpecs(1) {
 		spec.Run.Shards = 2

@@ -140,7 +140,7 @@ type RunSpec struct {
 	// combinations with check and trace_file fail Validate.
 	Trace string `json:"trace,omitempty"`
 	// Shards selects the decomposed executor with at most this many
-	// component shards running concurrently; 0 (default) keeps the legacy
+	// component shards running concurrently; 0 (default) keeps the
 	// single-engine executor. See core.RunOptions.Shards.
 	Shards int `json:"shards,omitempty"`
 	// ToQuiescence runs past completion until the network is silent; the

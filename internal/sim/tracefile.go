@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"strings"
 )
 
 // traceMagic opens every binary trace stream; the trailing byte is the
@@ -189,16 +191,26 @@ func (tr *TraceReader) Next() (TraceEvent, error) {
 	return ev, nil
 }
 
+// readString decodes a length-prefixed string. The length comes from the
+// stream, so it is never trusted for an allocation: the bytes are copied as
+// they arrive, and a length past the end of the stream costs only the bytes
+// actually present before the short read fails.
 func (tr *TraceReader) readString() (string, error) {
 	n, err := binary.ReadUvarint(tr.r)
 	if err != nil {
 		return "", err
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(tr.r, buf); err != nil {
+	if n > math.MaxInt64 {
+		return "", fmt.Errorf("string length %d overflows int64", n)
+	}
+	var sb strings.Builder
+	if _, err := io.CopyN(&sb, tr.r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return "", err
 	}
-	return string(buf), nil
+	return sb.String(), nil
 }
 
 // ReadAll drains the stream into an in-memory Trace (golden-suite

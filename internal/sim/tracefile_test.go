@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -128,6 +130,58 @@ func TestTraceReaderRejectsCorruptStreams(t *testing.T) {
 	if _, err := tr.Next(); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("rogue kind id: err = %v, want out-of-range error", err)
 	}
+}
+
+// TestTraceReaderHugeStringLength is the regression test for a 13-byte
+// stream that crashed the reader: a new kind string announcing a length of
+// 2^62 made readString allocate the announced length up front and panic
+// (makeslice: len out of range). It must be a decode error instead, and so
+// must a length that overflows int64.
+func TestTraceReaderHugeStringLength(t *testing.T) {
+	for _, length := range []uint64{1 << 62, math.MaxUint64} {
+		stream := append([]byte{}, traceMagic[:]...)
+		stream = append(stream, 0, 0) // time 0, new kind id 0
+		stream = binary.AppendUvarint(stream, length)
+		tr, err := NewTraceReader(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Next(); err == nil || err == io.EOF {
+			t.Fatalf("kind length %d: err = %v, want a decode error", length, err)
+		}
+	}
+}
+
+// FuzzTraceReader feeds arbitrary bytes to the trace decoder: however
+// corrupt the stream, Next must return events or an error and never panic.
+func FuzzTraceReader(f *testing.F) {
+	var buf bytes.Buffer
+	tw := NewTraceWriter(&buf)
+	for _, ev := range traceFixture() {
+		tw.Append(ev)
+	}
+	if err := tw.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	huge := append([]byte{}, traceMagic[:]...)
+	huge = append(huge, 0, 0)
+	f.Add(binary.AppendUvarint(huge, 1<<62))
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		tr, err := NewTraceReader(bytes.NewReader(stream))
+		if err != nil {
+			return
+		}
+		// Every event consumes at least one byte, so a well-behaved
+		// decoder ends within len(stream) calls.
+		for i := 0; i <= len(stream); i++ {
+			if _, err := tr.Next(); err != nil {
+				return
+			}
+		}
+		t.Fatalf("decoder returned more events than the %d-byte stream holds", len(stream))
+	})
 }
 
 // failAfterWriter fails every Write once n bytes have passed through.
