@@ -313,14 +313,6 @@ func specFromFlags(topo string, n, k, r int, algName, sname string, rel float64,
 	return spec, nil
 }
 
-// headerDiameterSamples and headerDiameterSeed match the runner's horizon
-// sampling, so the report header reuses the diameter the run memoized on
-// the graph instead of paying for the O(n·m) exact computation.
-const (
-	headerDiameterSamples = 8
-	headerDiameterSeed    = 1
-)
-
 // printReport renders the scenario outcome in amacsim's report format.
 func printReport(out io.Writer, rep *scenario.Report, stats, trace bool) error {
 	spec := rep.Spec
@@ -329,13 +321,14 @@ func printReport(out io.Writer, rep *scenario.Report, stats, trace bool) error {
 	alg, _ := core.LookupAlgorithm(spec.Algorithm.Name)
 
 	// The sampled diameter is exact up to graph.ExactDiameterCutoff nodes
-	// and a lower bound above it.
+	// and a lower bound above it; the run memoized it on the graph, so the
+	// header pays for no BFS of its own.
 	diam := "D="
 	if d.N() > graph.ExactDiameterCutoff {
 		diam = "D≥"
 	}
 	fmt.Fprintf(out, "network    : %s (n=%d, %s%d, |E|=%d, |E'\\E|=%d)\n",
-		d.Name, d.N(), diam, d.G.ApproxDiameter(headerDiameterSamples, headerDiameterSeed),
+		d.Name, d.N(), diam, d.G.SampledDiameter(),
 		d.G.M(), len(d.UnreliableEdges()))
 	if spec.Workload.Kind == scenario.WorkloadPoisson {
 		fmt.Fprintf(out, "workload   : k=%d messages arriving online over the first %d ticks\n",

@@ -6,16 +6,16 @@ import (
 	"amac/internal/sim"
 )
 
-func ev(at sim.Time, kind string, node int, arg any) sim.TraceEvent {
-	return sim.TraceEvent{At: at, Kind: kind, Node: node, P: sim.Ext(arg)}
+func ev(at sim.Time, kind string, node int, msg int64) sim.TraceEvent {
+	return sim.TraceEvent{At: at, Kind: kind, Node: node, P: sim.Int(msg)}
 }
 
 func TestMMBCleanTrace(t *testing.T) {
 	events := []sim.TraceEvent{
-		ev(0, "arrive", 0, "m1"),
-		ev(0, "deliver", 0, "m1"),
-		ev(5, "deliver", 1, "m1"),
-		ev(9, "deliver", 2, "m1"),
+		ev(0, "arrive", 0, 1),
+		ev(0, "deliver", 0, 1),
+		ev(5, "deliver", 1, 1),
+		ev(9, "deliver", 2, 1),
 	}
 	r := &Report{}
 	MMB(r, events, MMBParams{})
@@ -26,8 +26,8 @@ func TestMMBCleanTrace(t *testing.T) {
 
 func TestMMBDuplicateArrive(t *testing.T) {
 	events := []sim.TraceEvent{
-		ev(0, "arrive", 0, "m1"),
-		ev(1, "arrive", 1, "m1"),
+		ev(0, "arrive", 0, 1),
+		ev(1, "arrive", 1, 1),
 	}
 	r := &Report{}
 	MMB(r, events, MMBParams{})
@@ -38,9 +38,9 @@ func TestMMBDuplicateArrive(t *testing.T) {
 
 func TestMMBDuplicateDeliver(t *testing.T) {
 	events := []sim.TraceEvent{
-		ev(0, "arrive", 0, "m1"),
-		ev(1, "deliver", 1, "m1"),
-		ev(2, "deliver", 1, "m1"),
+		ev(0, "arrive", 0, 1),
+		ev(1, "deliver", 1, 1),
+		ev(2, "deliver", 1, 1),
 	}
 	r := &Report{}
 	MMB(r, events, MMBParams{})
@@ -51,7 +51,7 @@ func TestMMBDuplicateDeliver(t *testing.T) {
 
 func TestMMBDeliverWithoutArrive(t *testing.T) {
 	events := []sim.TraceEvent{
-		ev(1, "deliver", 1, "ghost"),
+		ev(1, "deliver", 1, 9),
 	}
 	r := &Report{}
 	MMB(r, events, MMBParams{})
@@ -62,8 +62,8 @@ func TestMMBDeliverWithoutArrive(t *testing.T) {
 
 func TestMMBDeliverBeforeArrive(t *testing.T) {
 	events := []sim.TraceEvent{
-		ev(5, "arrive", 0, "m1"),
-		ev(3, "deliver", 1, "m1"), // out of order in the trace
+		ev(5, "arrive", 0, 1),
+		ev(3, "deliver", 1, 1), // out of order in the trace
 	}
 	// Traces are time-ordered in practice; feed in time order so the
 	// causality check sees the early deliver.

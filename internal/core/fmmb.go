@@ -249,7 +249,7 @@ func (f *FMMB) Arrive(ctx mac.Context, payload mac.Payload) {
 }
 
 // Timer implements mac.TimerHandler: each tick is a round boundary.
-func (f *FMMB) Timer(ctx mac.EnhancedContext, _ any) {
+func (f *FMMB) Timer(ctx mac.EnhancedContext) {
 	ctx.Abort()
 	f.round++
 	f.startRound(ctx)
@@ -272,7 +272,7 @@ func (f *FMMB) startRound(ctx mac.EnhancedContext) {
 	if f.round >= total {
 		return
 	}
-	ctx.SetTimer(ctx.Fprog(), nil)
+	ctx.SetTimer(ctx.Fprog())
 
 	switch {
 	case f.round < f.misRounds():

@@ -255,7 +255,7 @@ func (mn *MISNode) Wakeup(ctx mac.Context) {
 }
 
 // Timer implements mac.TimerHandler: each tick is a round boundary.
-func (mn *MISNode) Timer(ctx mac.EnhancedContext, _ any) {
+func (mn *MISNode) Timer(ctx mac.EnhancedContext) {
 	ctx.Abort()
 	mn.round++
 	mn.startRound(ctx)
@@ -265,7 +265,7 @@ func (mn *MISNode) startRound(ctx mac.EnhancedContext) {
 	if mn.round >= mn.cfg.Rounds() {
 		return
 	}
-	ctx.SetTimer(ctx.Fprog(), nil)
+	ctx.SetTimer(ctx.Fprog())
 	mn.state.startRound(ctx, mn.round)
 }
 

@@ -12,12 +12,12 @@ import (
 
 // TestPayloadRoundTripAllKinds is the property test behind the typed-payload
 // encoding: for every payload kind this package registers, random values
-// must (a) encode to a non-Ext kind — the scalar fast path, no boxing — and
-// (b) box back via Payload.Value() to exactly the dynamic value the old
-// `any` path carried, so rendered traces and watcher callbacks are
-// byte-identical to the boxed representation. A new payload kind that
-// silently falls back to sim.Ext fails (a); an encoder/boxer mismatch
-// (dropped field, swapped operand) fails (b).
+// must (a) encode to a registered kind, not a built-in one, and (b) box back
+// via Payload.Value() to exactly the dynamic value the old `any` path
+// carried, so rendered traces and watcher callbacks are byte-identical to
+// the boxed representation. A new payload type that borrows a built-in kind
+// fails (a); an encoder/boxer mismatch (dropped field, swapped operand)
+// fails (b).
 func TestPayloadRoundTripAllKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 200; i++ {
@@ -48,15 +48,25 @@ func TestPayloadRoundTripAllKinds(t *testing.T) {
 			}
 		}
 		for _, tc := range cases {
-			if tc.p.Kind == sim.PayloadExt || tc.p.Kind == sim.PayloadNone {
-				t.Fatalf("%s: encoded to kind %d — boxed fallback, not a registered kind", tc.name, tc.p.Kind)
-			}
-			if tc.p.Ext != nil {
-				t.Fatalf("%s: typed payload carries Ext %v", tc.name, tc.p.Ext)
+			if tc.p.Kind == sim.PayloadNone || tc.p.Kind == sim.PayloadInt {
+				t.Fatalf("%s: encoded to built-in kind %d, not a registered kind", tc.name, tc.p.Kind)
 			}
 			if got := tc.p.Value(); got != tc.boxed {
 				t.Fatalf("%s: Value() = %#v, want %#v", tc.name, got, tc.boxed)
 			}
+		}
+	}
+}
+
+// TestPayloadTagsGolden pins the payload tag numbers: streamed AMTR traces
+// record them, so renumbering a kind (registering a new one ahead of these,
+// or reordering them) changes the bytes of every recorded trace.
+func TestPayloadTagsGolden(t *testing.T) {
+	got := []sim.PayloadKind{sim.PayloadInt, msgKind, pollKind, gatherMsgKind, gatherAckKind,
+		spreadKind, electKind, announceKind}
+	for i, k := range got {
+		if want := sim.PayloadKind(i + 2); k != want {
+			t.Fatalf("payload tags = %v, want 2 (PayloadInt) then 3..9 (msgKind..announceKind)", got)
 		}
 	}
 }
@@ -88,11 +98,11 @@ func FuzzMsgPayloadRoundTrip(f *testing.F) {
 	})
 }
 
-// TestAlgorithmTracesNeverBox executes every registered algorithm and scans
-// the full trace: no event may carry a PayloadExt payload. This is the
-// tripwire for future payload kinds — an algorithm that starts broadcasting
-// or emitting through mac.Ext boxes per event again and fails here before
-// any allocation benchmark notices.
+// TestAlgorithmTracesNeverBox executes every registered algorithm and
+// renders the full trace: every event's payload must be a kind Value can
+// box back, so an algorithm that emits a payload with no registered boxer
+// fails here. That payloads hold no boxed value at all is pinned by
+// sim.TestPayloadIsPlainData.
 func TestAlgorithmTracesNeverBox(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d := topology.LineRRestricted(10, 2, 0.6, rng)
@@ -136,10 +146,7 @@ func TestAlgorithmTracesNeverBox(t *testing.T) {
 				t.Fatal("empty trace")
 			}
 			for _, ev := range events {
-				if ev.P.Kind == sim.PayloadExt {
-					t.Fatalf("event %v at %d carries a boxed payload %v — a payload kind regressed to mac.Ext",
-						ev.Kind, ev.At, ev.P.Ext)
-				}
+				_ = ev.String()
 			}
 		})
 	}

@@ -43,13 +43,6 @@ type Algorithm struct {
 	StepLimit uint64
 }
 
-// fmmbDiameterSamples and fmmbDiameterSeed fix the sampling parameters of
-// FMMB's default diameter input, so equal specs resolve to equal schedules.
-const (
-	fmmbDiameterSamples = 8
-	fmmbDiameterSeed    = 1
-)
-
 var algRegistry = map[string]Algorithm{}
 
 // RegisterAlgorithm adds an algorithm to the registry. It panics on a
@@ -118,7 +111,7 @@ func fmmbConfigFromParams(d *topology.Dual, k int, p topology.Params) FMMBConfig
 	return FMMBConfig{
 		N:             d.N(),
 		K:             k,
-		D:             p.Int("d", d.G.ApproxDiameter(fmmbDiameterSamples, fmmbDiameterSeed)),
+		D:             p.Int("d", d.G.SampledDiameter()),
 		C:             p.Float("c", 1.6),
 		GatherPeriods: p.Int("gather-periods", 0),
 		ActiveProb:    p.Float("active-prob", 0),

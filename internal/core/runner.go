@@ -166,14 +166,6 @@ func (cfg *RunConfig) resolve() (*Workload, error) {
 	return workload, nil
 }
 
-// horizonDiameterSamples and horizonDiameterSeed fix the sampling
-// parameters of the default-horizon diameter estimate, so equal
-// configurations always resolve to equal horizons.
-const (
-	horizonDiameterSamples = 8
-	horizonDiameterSeed    = 1
-)
-
 // Run executes the configured MMB instance to completion (or horizon) on a
 // one-shot Runner and returns the result. Invalid configurations return a
 // descriptive error (see Validate) rather than panicking; fail-fast callers
@@ -403,7 +395,7 @@ func (r *Runner) run(cfg RunConfig, workload *Workload) (*Result, error) {
 		// the all-sources exact computation is quadratic and would
 		// dominate setup on 10^5-node networks, and the double-sweep
 		// estimate is a lower bound whose slack the 4x headroom absorbs.
-		d := cfg.Dual.G.ApproxDiameter(horizonDiameterSamples, horizonDiameterSeed)
+		d := cfg.Dual.G.SampledDiameter()
 		cfg.Horizon = cfg.Workload.MaxAt() +
 			sim.Time(4*(d+1)*(k+1))*cfg.Fack + 4096*cfg.Fprog
 	}

@@ -9,6 +9,12 @@ import "math/rand"
 // horizons and tables are unchanged by the approximate path existing.
 const ExactDiameterCutoff = 2048
 
+// SampledDiameter is the diameter estimate every run and report shares,
+// ApproxDiameter(8, 1): the default horizon, FMMB's default D, the large-n
+// tables and amacsim's header all read it, so they agree and a large
+// network pays for its sweeps once (the memo holds one (k, seed) pair).
+func (g *Graph) SampledDiameter() int { return g.ApproxDiameter(8, 1) }
+
 // ApproxDiameter estimates the diameter with k seeded double sweeps: each
 // round BFSes from a pseudo-random source, then from the farthest node that
 // sweep reaches (whose eccentricity is a strong diameter lower bound on
@@ -63,34 +69,4 @@ func (g *Graph) ApproxDiameter(k int, seed int64) int {
 	putScratch(s)
 	g.adiam, g.adiamOK, g.adiamK, g.adiamSeed = best, true, k, seed
 	return best
-}
-
-// SampleEccentricities returns the exact eccentricities of k seeded
-// pseudo-random sources (one BFS each) — the sampling primitive behind
-// ApproxDiameter, exposed for metrics that want the distribution rather
-// than the maximum. Sources are drawn with replacement, deterministically
-// in seed.
-func (g *Graph) SampleEccentricities(k int, seed int64) []int {
-	g.finalize()
-	if k < 1 {
-		k = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]int, k)
-	s := getScratch(g.n)
-	resetDist(s.dist)
-	for i := range out {
-		src := NodeID(rng.Intn(g.n))
-		s.queue = g.bfsInto(src, s.dist, s.queue)
-		ecc := 0
-		for _, v := range s.queue {
-			if d := s.dist[v]; d > ecc {
-				ecc = d
-			}
-			s.dist[v] = Unreachable
-		}
-		out[i] = ecc
-	}
-	putScratch(s)
-	return out
 }

@@ -362,7 +362,8 @@ func Fig1StdGreyZoneRand(o Options) *Table {
 // completion time on the standard layer grows with Fack while FMMB on the
 // enhanced layer is Fack-independent — the paper's argument for the abort
 // interface. Both sides of each point are scenario specs sharing one pinned
-// grey-zone instance.
+// grey-zone instance, run as one sweep (so on an amacd daemon under
+// amacbench -server).
 func AblationFackRatio(o Options) *Table {
 	o = o.withDefaults()
 	t := &Table{
@@ -381,45 +382,34 @@ func AblationFackRatio(o Options) *Table {
 		Params: topology.Params{"n": 30, "side": 3.8, "c": c, "p": 0.5},
 		Seed:   424242}
 	workload := scenario.WorkloadSpec{Kind: scenario.WorkloadSingleton, K: k}
-	type trial struct {
-		bmmb, fmmb float64
+	// Two specs per ratio, BMMB then FMMB, in one sweep. The topology is
+	// pinned by its seed: one instance serves every spec and trial.
+	var specs []scenario.Spec
+	for _, r := range ratios {
+		model := scenario.ModelSpec{Fprog: int64(o.Fprog), Fack: int64(o.Fprog) * int64(r)}
+		run := scenario.RunSpec{Seed: o.Seed, Trials: o.Trials, Check: o.Check}
+		specs = append(specs,
+			scenario.Spec{
+				Topology:  topo,
+				Workload:  workload,
+				Algorithm: scenario.AlgorithmSpec{Name: "bmmb"},
+				Scheduler: scenario.SchedulerSpec{Name: "sync", Params: topology.Params{"rel": 0.5}},
+				Model:     model,
+				Run:       run,
+			},
+			scenario.Spec{
+				Topology:  topo,
+				Workload:  workload,
+				Algorithm: scenario.AlgorithmSpec{Name: "fmmb", Params: topology.Params{"c": c}},
+				Model:     model,
+				Run:       run,
+			})
 	}
-	// The topology is pinned by its seed: one instance serves every trial.
-	built, err := scenario.BuildTopology(scenario.Spec{Topology: topo}, o.Seed)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	res := collectTrials(o, len(ratios), func(pi int, seed int64) trial {
-		model := scenario.ModelSpec{Fprog: int64(o.Fprog), Fack: int64(o.Fprog) * int64(ratios[pi])}
-		bm := mustTrialOn(scenario.Spec{
-			Topology:  topo,
-			Workload:  workload,
-			Algorithm: scenario.AlgorithmSpec{Name: "bmmb"},
-			Scheduler: scenario.SchedulerSpec{Name: "sync", Params: topology.Params{"rel": 0.5}},
-			Model:     model,
-			Run:       scenario.RunSpec{Check: o.Check},
-		}, seed, built)
-		fm := mustTrialOn(scenario.Spec{
-			Topology:  topo,
-			Workload:  workload,
-			Algorithm: scenario.AlgorithmSpec{Name: "fmmb", Params: topology.Params{"c": c}},
-			Model:     model,
-			Run:       scenario.RunSpec{Check: o.Check},
-		}, seed, built)
-		return trial{
-			bmmb: float64(bm.Result.CompletionTime),
-			fmmb: float64(fm.Result.CompletionTime),
-		}
-	})
+	reports := o.mustSweep(t.ID, specs)
 	var bs, fs []float64
 	for pi, r := range ratios {
-		var bm, fm float64
-		for _, tr := range res[pi] {
-			bm += tr.bmmb
-			fm += tr.fmmb
-		}
-		bm /= float64(o.Trials)
-		fm /= float64(o.Trials)
+		bm := reports[2*pi].MeanCompletion()
+		fm := reports[2*pi+1].MeanCompletion()
 		w := "BMMB"
 		if fm < bm {
 			w = "FMMB"

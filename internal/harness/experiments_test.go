@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"amac/internal/scenario"
 )
 
 func quickOpts() Options {
@@ -52,6 +54,28 @@ func TestFig1EnhGreyZone(t *testing.T) {
 
 func TestAblationFackRatio(t *testing.T) {
 	requireHolds(t, AblationFackRatio(quickOpts()))
+}
+
+// TestAblationFackRatioRunsThroughSweeper: the ablation submits its whole
+// spec grid (BMMB and FMMB per ratio) through Options.Sweeper, so
+// amacbench -server runs it on the daemon, and the table is the same as the
+// in-process one.
+func TestAblationFackRatioRunsThroughSweeper(t *testing.T) {
+	var ids []string
+	var specs int
+	o := quickOpts()
+	o.Sweeper = func(id string, s []scenario.Spec, so scenario.SweepOptions) ([]*scenario.Report, error) {
+		ids = append(ids, id)
+		specs += len(s)
+		return scenario.SweepWithOptions(s, so)
+	}
+	got := AblationFackRatio(o).String()
+	if len(ids) != 1 || ids[0] != "ablation-bmmb-vs-fmmb" || specs != 2*3 {
+		t.Fatalf("sweeper saw ids %v with %d specs, want one ablation-bmmb-vs-fmmb sweep of 6", ids, specs)
+	}
+	if want := AblationFackRatio(quickOpts()).String(); got != want {
+		t.Fatalf("table through the sweeper:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 func TestMISExperiment(t *testing.T) {

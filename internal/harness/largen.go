@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 
-	"amac/internal/core"
 	"amac/internal/scenario"
 	"amac/internal/sim"
 	"amac/internal/topology"
@@ -21,13 +20,6 @@ import (
 // because the paper's separation only becomes visually dramatic on sparse
 // networks at this scale; the flat-CSR graph core, sampled diameters and
 // the streaming trace backend are what make the runs feasible at all.
-
-// largeNDiamSamples/Seed fix the sampled-diameter parameters the large-n
-// tables report — the same estimate FMMB's default schedule consumes.
-const (
-	largeNDiamSamples = 8
-	largeNDiamSeed    = 1
-)
 
 // largeNSide returns the square side giving an n-node unit-disk rgg a
 // target average degree of 4·ln n: dense enough for w.h.p. connectivity
@@ -89,10 +81,7 @@ func LargeNRGG(o Options) *Table {
 			})
 	}
 
-	reports, err := o.sweep("large-n-rgg", specs)
-	if err != nil {
-		panic(fmt.Sprintf("harness: large-n-rgg: %v", err))
-	}
+	reports := o.mustSweep("large-n-rgg", specs)
 
 	t := &Table{
 		ID:         "large-n-rgg",
@@ -101,24 +90,12 @@ func LargeNRGG(o Options) *Table {
 		Columns:    []string{"n", "D~", "edges", "bmmb-ticks", "bmmb-events", "fmmb-ticks", "fmmb-events", "crossover-Fack/Fprog"},
 	}
 	for pi, n := range sizes {
-		bm := reports[2*pi]
-		fm := reports[2*pi+1]
-		var bmT, fmT sim.Time
-		var bmEv, fmEv uint64
-		for _, r := range []*scenario.Report{bm, fm} {
-			for _, tr := range r.Trials {
-				countSimEvents(tr.Result.Steps)
-				if !tr.Result.Solved {
-					panic(fmt.Sprintf("harness: %s failed on %s (%d/%d delivered by %v)",
-						r.Spec.Algorithm.Name, tr.Built.Dual.Name,
-						tr.Result.Delivered, tr.Result.Required, tr.Result.End))
-				}
-			}
-		}
-		bmT, bmEv = bm.Trials[0].Result.CompletionTime, bm.Trials[0].Result.Steps
-		fmT, fmEv = fm.Trials[0].Result.CompletionTime, fm.Trials[0].Result.Steps
-		g := bm.Trials[0].Built.Dual.G
-		d := g.ApproxDiameter(largeNDiamSamples, largeNDiamSeed)
+		bm := reports[2*pi].Trials[0]
+		fm := reports[2*pi+1].Trials[0]
+		bmT, bmEv := bm.Result.CompletionTime, bm.Result.Steps
+		fmT, fmEv := fm.Result.CompletionTime, fm.Result.Steps
+		g := bm.Built.Dual.G
+		d := g.SampledDiameter()
 		// BMMB(Fack) ≈ D·Fprog + k·Fack meets FMMB's Fack-free completion
 		// at Fack* = (fmmb - D·Fprog)/k; report Fack*/Fprog.
 		crossover := (float64(fmT) - float64(d)*float64(o.Fprog)) / float64(k) / float64(o.Fprog)
@@ -211,10 +188,7 @@ func LargeNSharded(o Options) *Table {
 		}
 	}
 
-	reports, err := o.sweep("large-n-sharded", specs)
-	if err != nil {
-		panic(fmt.Sprintf("harness: large-n-sharded: %v", err))
-	}
+	reports := o.mustSweep("large-n-sharded", specs)
 
 	t := &Table{
 		ID:         "large-n-sharded",
@@ -227,13 +201,6 @@ func LargeNSharded(o Options) *Table {
 		serial := reports[3*pi].Trials[0].Result
 		one := reports[3*pi+1].Trials[0].Result
 		many := reports[3*pi+2].Trials[0].Result
-		for _, r := range []*core.Result{serial, one, many} {
-			countSimEvents(r.Steps)
-			if !r.Solved {
-				panic(fmt.Sprintf("harness: large-n-sharded: unsolved at n=%d (%d/%d delivered)",
-					n, r.Delivered, r.Required))
-			}
-		}
 		identical := one.CompletionTime == many.CompletionTime && one.End == many.End &&
 			one.Steps == many.Steps && one.Broadcasts == many.Broadcasts &&
 			one.Delivered == many.Delivered

@@ -55,6 +55,32 @@ func (o Options) sweep(id string, specs []scenario.Spec) ([]*scenario.Report, er
 	return scenario.SweepWithOptions(specs, so)
 }
 
+// mustSweep runs an experiment's spec grid through sweep and keeps the
+// harness's fail-fast contract: experiments are calibrated so every run
+// solves its instance, so a spec error, an unsolved run or a model
+// violation panics. Every trial's sim events are counted.
+func (o Options) mustSweep(id string, specs []scenario.Spec) []*scenario.Report {
+	reports, err := o.sweep(id, specs)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %s: %v", id, err))
+	}
+	for _, r := range reports {
+		for _, tr := range r.Trials {
+			countSimEvents(tr.Result.Steps)
+			if !tr.Result.Solved {
+				panic(fmt.Sprintf("harness: %s: %s failed on %s (%d/%d delivered by %v)",
+					id, r.Spec.Algorithm.Name, tr.Built.Dual.Name,
+					tr.Result.Delivered, tr.Result.Required, tr.Result.End))
+			}
+			if tr.Result.Report != nil && !tr.Result.Report.OK() {
+				panic(fmt.Sprintf("harness: %s: model violation on %s: %v",
+					id, tr.Built.Dual.Name, tr.Result.Report.Violations[0]))
+			}
+		}
+	}
+	return reports
+}
+
 func (o Options) withDefaults() Options {
 	if o.Fprog == 0 {
 		o.Fprog = 10

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"amac/internal/scenario"
 	"amac/internal/sim"
 )
@@ -76,24 +74,7 @@ func RunSweep(o Options, def SweepDef) *Table {
 			specs = append(specs, withOptions(pt.Spec, o))
 		}
 	}
-	reports, err := o.sweep(def.ID, specs)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %s: %v", def.ID, err))
-	}
-	for _, r := range reports {
-		for _, tr := range r.Trials {
-			countSimEvents(tr.Result.Steps)
-			if !tr.Result.Solved {
-				panic(fmt.Sprintf("harness: %s failed on %s (%d/%d delivered by %v)",
-					r.Spec.Algorithm.Name, tr.Built.Dual.Name,
-					tr.Result.Delivered, tr.Result.Required, tr.Result.End))
-			}
-			if tr.Result.Report != nil && !tr.Result.Report.OK() {
-				panic(fmt.Sprintf("harness: model violation on %s: %v",
-					tr.Built.Dual.Name, tr.Result.Report.Violations[0]))
-			}
-		}
-	}
+	reports := o.mustSweep(def.ID, specs)
 
 	lowerOK := true
 	ri := 0

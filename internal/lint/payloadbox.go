@@ -15,9 +15,6 @@ import (
 //   - calls to Payload.Value (or TraceEvent.Value) outside package sim and
 //     outside registered boxers — engines, algorithms and schedulers must
 //     read the operand fields, never re-box;
-//   - calls to sim.Ext and writes to the Ext field outside package sim —
-//     Ext is the boxing escape hatch for tests and bespoke automata, not
-//     for the event path;
 //   - conversions of a sim.Payload value into an interface (fmt verbs,
 //     any(...) / interface assignments) outside package sim — the payload
 //     must stay unboxed until render.
@@ -28,7 +25,7 @@ import (
 // rest.
 var PayloadBox = &Analyzer{
 	Name: "payloadbox",
-	Doc:  "flags payload boxing (Ext, Value, interface conversion) outside registered boxers and trace render",
+	Doc:  "flags payload boxing (Value, interface conversion) outside registered boxers and trace render",
 	Run:  runPayloadBox,
 }
 
@@ -61,7 +58,6 @@ func runPayloadBox(pass *Pass) error {
 				checkPayloadCall(pass, n, inSim)
 			case *ast.AssignStmt:
 				if !inSim {
-					checkExtWrite(pass, n)
 					for i, rhs := range n.Rhs {
 						if len(n.Lhs) == len(n.Rhs) {
 							checkPayloadToInterface(pass, rhs, pass.TypesInfo.TypeOf(n.Lhs[i]))
@@ -144,10 +140,6 @@ func checkPayloadCall(pass *Pass, call *ast.CallExpr, inSim bool) {
 			}
 		}
 	}
-	if !inSim && isSimFunc(pass, call.Fun, "Ext") {
-		pass.Reportf(call.Pos(), "sim.Ext boxes its argument; register a payload kind and encode into operands instead")
-		return
-	}
 	// Payload values flowing into interface parameters (fmt verbs etc.).
 	if inSim {
 		return
@@ -159,19 +151,6 @@ func checkPayloadCall(pass *Pass, call *ast.CallExpr, inSim bool) {
 	for i, arg := range call.Args {
 		if pt := paramType(sig, i, call); pt != nil {
 			checkPayloadToInterface(pass, arg, pt)
-		}
-	}
-}
-
-// checkExtWrite flags p.Ext = v outside package sim.
-func checkExtWrite(pass *Pass, assign *ast.AssignStmt) {
-	for _, lhs := range assign.Lhs {
-		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Ext" {
-			continue
-		}
-		if simNamed(pass.TypesInfo.TypeOf(sel.X), "Payload") {
-			pass.Reportf(lhs.Pos(), "writing Payload.Ext boxes on the event path; register a payload kind and encode into operands instead")
 		}
 	}
 }
@@ -189,7 +168,7 @@ func checkPayloadToInterface(pass *Pass, expr ast.Expr, target types.Type) {
 	if _, isPtr := t.(*types.Pointer); isPtr {
 		return // a *Payload in an interface shares, it does not box the struct
 	}
-	pass.Reportf(expr.Pos(), "sim.Payload converted to interface boxes the 40-byte struct; payloads stay unboxed until trace render")
+	pass.Reportf(expr.Pos(), "sim.Payload converted to interface boxes the 32-byte struct; payloads stay unboxed until trace render")
 }
 
 // isSimFunc reports whether fun resolves to the named package-level function

@@ -17,10 +17,9 @@ import (
 // q.release(ev) kills ev for the rest of its block (and for the enclosing
 // blocks when the branch falls through — a branch that ends in
 // return/continue/break/panic keeps its kill to itself, which is exactly the
-// release-and-bail shape Step and Pending use). Reassigning ev revives it.
-// Retention across functions is what the generation-guarded Handle API is
-// for, so diagnostics point there; genuinely safe uses carry
-// //lint:pooledhandle <reason>.
+// release-and-bail shape Step uses). Reassigning ev revives it. Nothing
+// outside the queue may retain an event across functions; genuinely safe
+// uses carry //lint:pooledhandle <reason>.
 var PooledHandle = &Analyzer{
 	Name: "pooledhandle",
 	Doc:  "flags use of a pooled sim event after its release back to the pool",
@@ -232,7 +231,7 @@ func (ph *pooledState) checkUses(n ast.Node) {
 			return true
 		}
 		if pos, dead := ph.killed[v]; dead && id.Pos() > pos {
-			ph.pass.Reportf(id.Pos(), "pooled event %s used after release; the struct may already belong to the next tenancy — copy fields out first or retain a generation-guarded Handle", v.Name())
+			ph.pass.Reportf(id.Pos(), "pooled event %s used after release; the struct may already belong to the next tenancy — copy fields out first", v.Name())
 		}
 		return true
 	})

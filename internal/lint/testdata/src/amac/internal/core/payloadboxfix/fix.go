@@ -31,16 +31,6 @@ func traceValue(ev sim.TraceEvent) any {
 	return v
 }
 
-// wrap is flagged: the escape hatch boxes its argument.
-func wrap(v int) sim.Payload {
-	return sim.Ext(v) // want "sim.Ext boxes its argument"
-}
-
-// stash is flagged: writing Ext boxes on the event path.
-func stash(p *sim.Payload, v any) {
-	p.Ext = v // want "writing Payload.Ext boxes on the event path"
-}
-
 // toAny is flagged: assigning a Payload into an interface boxes the struct.
 func toAny(p sim.Payload) {
 	var v any

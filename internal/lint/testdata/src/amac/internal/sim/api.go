@@ -7,22 +7,16 @@ package sim
 // Time is the virtual clock.
 type Time int64
 
-// Payload mirrors the real typed-operand struct: three integer operands, a
-// kind tag, and the Ext escape hatch. Boxing happens only in Value.
+// Payload mirrors the real typed-operand struct: a kind tag and three
+// integer operands. Boxing happens only in Value.
 type Payload struct {
 	Kind    int32
 	A, B, C int64
-	Ext     any
 }
 
 // Value re-boxes the payload into the dynamic value it encodes — the one
 // legal boxing point, reached post-run.
-func (p Payload) Value() any {
-	if p.Kind < 0 {
-		return p.Ext
-	}
-	return boxers[p.Kind](p)
-}
+func (p Payload) Value() any { return boxers[p.Kind](p) }
 
 // TraceEvent is one rendered trace record.
 type TraceEvent struct {
@@ -41,7 +35,3 @@ func RegisterPayloadKind(boxer func(Payload) any) int32 {
 	boxers = append(boxers, boxer)
 	return int32(len(boxers) - 1)
 }
-
-// Ext wraps an arbitrary already-boxed value — the escape hatch for tests
-// and bespoke automata.
-func Ext(v any) Payload { return Payload{Kind: -1, Ext: v} }

@@ -32,12 +32,12 @@ type abortEarly struct{ recvd int }
 
 func (a *abortEarly) Wakeup(ctx mac.Context) {
 	ec := ctx.(mac.EnhancedContext)
-	ctx.Bcast(mac.Ext("x"))
-	ec.SetTimer(2, nil)
+	ctx.Bcast(mac.Int(1))
+	ec.SetTimer(2)
 }
 func (a *abortEarly) Recv(mac.Context, mac.Message)  { a.recvd++ }
 func (a *abortEarly) Acked(mac.Context, mac.Message) {}
-func (a *abortEarly) Timer(ctx mac.EnhancedContext, _ any) {
+func (a *abortEarly) Timer(ctx mac.EnhancedContext) {
 	ctx.Abort()
 }
 

@@ -26,7 +26,7 @@ func (in *introspector) Wakeup(ctx mac.Context) {
 	in.gN = append([]mac.NodeID(nil), ctx.GNeighbors()...)
 	in.gpN = append([]mac.NodeID(nil), ctx.GPrimeNeighbors()...)
 	in.draw = ctx.Rand().Int63()
-	ctx.Emit("custom", mac.Ext("payload"))
+	ctx.Emit("custom", mac.Int(5))
 	in.emitted = true
 	ec := ctx.(mac.EnhancedContext)
 	in.now = ec.Now()
@@ -76,7 +76,7 @@ func TestContextSurface(t *testing.T) {
 
 func TestEngineHaltStopsRun(t *testing.T) {
 	d := topology.Line(2)
-	a := &echoAutomaton{payload: mac.Ext("x")}
+	a := &echoAutomaton{payload: mac.Int(1)}
 	eng := newTestEngine(t, d, mac.Standard, []mac.Automaton{a, &echoAutomaton{}})
 	eng.Watch(func(ev sim.TraceEvent) {
 		if ev.Kind == "bcast" {

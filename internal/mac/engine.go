@@ -93,7 +93,7 @@ type API interface {
 	// scheduler's OnTimer method with the given operands. The scheduler
 	// must implement TimerScheduler; the first ScheduleTimer call panics
 	// otherwise.
-	ScheduleTimer(t sim.Time, obj any, a, b int64) sim.Handle
+	ScheduleTimer(t sim.Time, obj any, a, b int64)
 	// Deliver performs a rcv event for instance b at node to, now.
 	// It enforces receive correctness and panics on violations (a
 	// scheduler bug, not a model behavior).
@@ -154,7 +154,7 @@ const (
 	evDeliverGrey
 	// evAck acknowledges instance Obj if still active.
 	evAck
-	// evTimer fires TimerHandler.Timer at node A with tag Obj.
+	// evTimer fires TimerHandler.Timer at node A.
 	evTimer
 	// evSchedTimer routes (Obj, A, B) to the scheduler's OnTimer.
 	evSchedTimer
@@ -317,7 +317,7 @@ func (e *Engine) Dispatch(kind sim.EventKind, op sim.Op) {
 		}
 	case evTimer:
 		ns := &e.nodes[op.A]
-		ns.automaton.(TimerHandler).Timer(ns, op.Obj)
+		ns.automaton.(TimerHandler).Timer(ns)
 	case evSchedTimer:
 		e.timerSched.OnTimer(op.Obj, op.A, op.B)
 	default:
@@ -403,12 +403,12 @@ func (e *Engine) ScheduleAck(t sim.Time, b *Instance) {
 
 // ScheduleTimer posts a typed scheduler timer (see API). The configured
 // scheduler must implement TimerScheduler.
-func (e *Engine) ScheduleTimer(t sim.Time, obj any, a, b int64) sim.Handle {
+func (e *Engine) ScheduleTimer(t sim.Time, obj any, a, b int64) {
 	if e.timerSched == nil {
 		panic(fmt.Sprintf("mac: scheduler %s uses ScheduleTimer but does not implement TimerScheduler",
 			e.cfg.Scheduler.Name()))
 	}
-	return e.sim.Post(t, evSchedTimer, obj, a, b)
+	e.sim.Post(t, evSchedTimer, obj, a, b)
 }
 
 // Deliver performs the rcv event for b at node to. The engine enforces
@@ -566,13 +566,13 @@ func (ns *nodeState) Fprog() sim.Time {
 }
 
 // SetTimer schedules a Timer callback (enhanced mode only).
-func (ns *nodeState) SetTimer(d sim.Duration, tag any) sim.Handle {
+func (ns *nodeState) SetTimer(d sim.Duration) {
 	ns.requireEnhanced("SetTimer")
 	if _, ok := ns.automaton.(TimerHandler); !ok {
 		panic(fmt.Sprintf("mac: node %d sets a timer but does not implement TimerHandler", ns.id))
 	}
 	e := ns.eng
-	return e.sim.Post(e.sim.Now()+d, evTimer, tag, int64(ns.id), 0)
+	e.sim.Post(e.sim.Now()+d, evTimer, nil, int64(ns.id), 0)
 }
 
 // Abort aborts the pending broadcast (enhanced mode only); no-op if none.

@@ -54,14 +54,14 @@ func newTestEngine(t *testing.T, d *topology.Dual, mode mac.Mode, autos []mac.Au
 
 func TestEngineBroadcastDeliveryAndAck(t *testing.T) {
 	d := topology.Line(3)
-	a0 := &echoAutomaton{payload: mac.Ext("hello")}
+	a0 := &echoAutomaton{payload: mac.Int(42)}
 	a1 := &echoAutomaton{}
 	a2 := &echoAutomaton{}
 	eng := newTestEngine(t, d, mac.Standard, []mac.Automaton{a0, a1, a2})
 	eng.Start()
 	eng.Run()
 
-	if len(a1.recvs) != 1 || a1.recvs[0].Payload != mac.Ext("hello") {
+	if len(a1.recvs) != 1 || a1.recvs[0].Payload != mac.Int(42) {
 		t.Fatalf("node 1 recvs = %v", a1.recvs)
 	}
 	if len(a2.recvs) != 0 {
@@ -93,8 +93,8 @@ func TestEngineWellFormednessPanic(t *testing.T) {
 type doubleBcast struct{}
 
 func (d *doubleBcast) Wakeup(ctx mac.Context) {
-	ctx.Bcast(mac.Ext("a"))
-	ctx.Bcast(mac.Ext("b"))
+	ctx.Bcast(mac.Int(1))
+	ctx.Bcast(mac.Int(2))
 }
 func (d *doubleBcast) Recv(mac.Context, mac.Message)  {}
 func (d *doubleBcast) Acked(mac.Context, mac.Message) {}
@@ -122,21 +122,21 @@ func (c *clockPeeker) Acked(mac.Context, mac.Message) {}
 
 // timerAutomaton exercises enhanced features: timers and abort.
 type timerAutomaton struct {
-	fired   []any
+	fired   []sim.Time
 	aborted bool
 }
 
 func (ta *timerAutomaton) Wakeup(ctx mac.Context) {
 	ec := ctx.(mac.EnhancedContext)
-	ec.SetTimer(5, "five")
-	ec.SetTimer(9, "nine")
-	ctx.Bcast(mac.Ext("slow"))
+	ec.SetTimer(5)
+	ec.SetTimer(9)
+	ctx.Bcast(mac.Int(3))
 }
 func (ta *timerAutomaton) Recv(mac.Context, mac.Message)  {}
 func (ta *timerAutomaton) Acked(mac.Context, mac.Message) {}
-func (ta *timerAutomaton) Timer(ctx mac.EnhancedContext, tag any) {
-	ta.fired = append(ta.fired, tag)
-	if tag == "five" && ctx.Pending() {
+func (ta *timerAutomaton) Timer(ctx mac.EnhancedContext) {
+	ta.fired = append(ta.fired, ctx.Now())
+	if ctx.Now() == 5 && ctx.Pending() {
 		ctx.Abort()
 		ta.aborted = true
 	}
@@ -168,7 +168,7 @@ func TestEngineEnhancedTimersAndAbort(t *testing.T) {
 	if !ta.aborted {
 		t.Fatal("abort did not happen")
 	}
-	if len(ta.fired) != 2 || ta.fired[0] != "five" || ta.fired[1] != "nine" {
+	if len(ta.fired) != 2 || ta.fired[0] != 5 || ta.fired[1] != 9 {
 		t.Fatalf("timers fired = %v", ta.fired)
 	}
 	insts := eng.Instances()
@@ -182,9 +182,9 @@ func TestEngineArrive(t *testing.T) {
 	a0 := &echoAutomaton{}
 	eng := newTestEngine(t, d, mac.Standard, []mac.Automaton{a0, &echoAutomaton{}})
 	eng.Start()
-	eng.Arrive(0, mac.Ext("env-input"), 3)
+	eng.Arrive(0, mac.Int(11), 3)
 	eng.Run()
-	if len(a0.arriveds) != 1 || a0.arriveds[0] != mac.Ext("env-input") {
+	if len(a0.arriveds) != 1 || a0.arriveds[0] != mac.Int(11) {
 		t.Fatalf("arriveds = %v", a0.arriveds)
 	}
 }
@@ -195,7 +195,7 @@ func TestEngineDeliveryValidation(t *testing.T) {
 	bad := &rogueScheduler{}
 	eng := mac.NewEngine(mac.Config{
 		Dual: d, Fack: 100, Fprog: 10, Scheduler: bad, Seed: 1,
-	}, []mac.Automaton{&echoAutomaton{payload: mac.Ext("x")}, &echoAutomaton{}, &echoAutomaton{}})
+	}, []mac.Automaton{&echoAutomaton{payload: mac.Int(1)}, &echoAutomaton{}, &echoAutomaton{}})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("non-edge delivery did not panic")
@@ -219,7 +219,7 @@ func TestEngineAckBeforeDeliveryPanics(t *testing.T) {
 	bad := &eagerAcker{}
 	eng := mac.NewEngine(mac.Config{
 		Dual: d, Fack: 100, Fprog: 10, Scheduler: bad, Seed: 1,
-	}, []mac.Automaton{&echoAutomaton{payload: mac.Ext("x")}, &echoAutomaton{}})
+	}, []mac.Automaton{&echoAutomaton{payload: mac.Int(1)}, &echoAutomaton{}})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("premature ack did not panic")
@@ -240,7 +240,7 @@ func TestEngineWatch(t *testing.T) {
 	d := topology.Line(2)
 	var kinds []string
 	eng := newTestEngine(t, d, mac.Standard,
-		[]mac.Automaton{&echoAutomaton{payload: mac.Ext("w")}, &echoAutomaton{}})
+		[]mac.Automaton{&echoAutomaton{payload: mac.Int(1)}, &echoAutomaton{}})
 	eng.Watch(func(ev sim.TraceEvent) { kinds = append(kinds, ev.Kind) })
 	eng.Start()
 	eng.Run()

@@ -31,13 +31,8 @@ type InstanceID int64
 
 // Payload aliases sim.Payload: the typed message representation broadcasts,
 // arrivals and trace events carry. Algorithms register their own kinds via
-// sim.RegisterPayloadKind; Ext wraps arbitrary values for tests and bespoke
-// automata.
+// sim.RegisterPayloadKind.
 type Payload = sim.Payload
-
-// Ext wraps an arbitrary value as an escape-hatch payload (boxes like the
-// old any path; hot paths use registered kinds).
-func Ext(v any) Payload { return sim.Ext(v) } //lint:payloadbox re-export of the documented escape hatch for tests and bespoke automata
 
 // Int wraps a bare integer payload.
 func Int(v int64) Payload { return sim.Int(v) }
@@ -110,8 +105,8 @@ type EnhancedContext interface {
 	Fack() sim.Time
 	// Fprog returns the execution's progress bound.
 	Fprog() sim.Time
-	// SetTimer schedules a Timer callback d ticks from now carrying tag.
-	SetTimer(d sim.Duration, tag any) sim.Handle
+	// SetTimer schedules a Timer callback d ticks from now.
+	SetTimer(d sim.Duration)
 	// Abort aborts the pending broadcast; no-op if none is pending.
 	Abort()
 }
@@ -145,7 +140,7 @@ type Resettable interface {
 
 // TimerHandler is implemented by enhanced-model automata that set timers.
 type TimerHandler interface {
-	Timer(ctx EnhancedContext, tag any)
+	Timer(ctx EnhancedContext)
 }
 
 // Status classifies a broadcast instance's terminating event.

@@ -10,9 +10,12 @@ import (
 	"amac/internal/topology"
 )
 
+// m0 and m1 are the adversary's two tagged messages.
+var m0, m1 = mac.Int(0), mac.Int(1)
+
 // floodNode is a minimal BMMB-like node for driving the ParallelLines
 // adversary without importing core: FIFO queue + duplicate filter over
-// string payloads.
+// payloads.
 type floodNode struct {
 	queue []mac.Payload
 	seen  map[mac.Payload]bool
@@ -49,8 +52,8 @@ func TestParallelLinesForcesOneHopPerFack(t *testing.T) {
 	net := topology.NewParallelLinesC(D)
 	s := &sched.ParallelLines{
 		Net:  net,
-		IsM0: func(p mac.Payload) bool { return p == mac.Ext("m0") },
-		IsM1: func(p mac.Payload) bool { return p == mac.Ext("m1") },
+		IsM0: func(p mac.Payload) bool { return p == m0 },
+		IsM1: func(p mac.Payload) bool { return p == m1 },
 	}
 	autos := make([]mac.Automaton, net.N())
 	for i := range autos {
@@ -67,15 +70,15 @@ func TestParallelLinesForcesOneHopPerFack(t *testing.T) {
 	// Record when each line-A node first delivers m0.
 	firstM0 := make(map[int]sim.Time)
 	eng.Watch(func(ev sim.TraceEvent) {
-		if ev.Kind == "deliver" && ev.Value() == "m0" && ev.Node < D {
+		if ev.Kind == "deliver" && ev.P == m0 && ev.Node < D {
 			if _, ok := firstM0[ev.Node]; !ok {
 				firstM0[ev.Node] = ev.At
 			}
 		}
 	})
 	eng.Start()
-	eng.Arrive(net.A(1), mac.Ext("m0"), 0)
-	eng.Arrive(net.B(1), mac.Ext("m1"), 0)
+	eng.Arrive(net.A(1), m0, 0)
+	eng.Arrive(net.B(1), m1, 0)
 	eng.Sim().SetStepLimit(1_000_000)
 	eng.Run()
 
@@ -127,8 +130,8 @@ func TestParallelLinesCrossDeliveriesExist(t *testing.T) {
 	net := topology.NewParallelLinesC(D)
 	s := &sched.ParallelLines{
 		Net:  net,
-		IsM0: func(p mac.Payload) bool { return p == mac.Ext("m0") },
-		IsM1: func(p mac.Payload) bool { return p == mac.Ext("m1") },
+		IsM0: func(p mac.Payload) bool { return p == m0 },
+		IsM1: func(p mac.Payload) bool { return p == m1 },
 	}
 	autos := make([]mac.Automaton, net.N())
 	for i := range autos {
@@ -138,8 +141,8 @@ func TestParallelLinesCrossDeliveriesExist(t *testing.T) {
 		Dual: net.Dual, Fack: fack, Fprog: fprog, Scheduler: s, Seed: 2,
 	}, autos)
 	eng.Start()
-	eng.Arrive(net.A(1), mac.Ext("m0"), 0)
-	eng.Arrive(net.B(1), mac.Ext("m1"), 0)
+	eng.Arrive(net.A(1), m0, 0)
+	eng.Arrive(net.B(1), m1, 0)
 	eng.Sim().SetStepLimit(1_000_000)
 	eng.Run()
 

@@ -30,13 +30,13 @@ func (r *roundNode) start(ec mac.EnhancedContext) {
 	if r.round >= r.rounds {
 		return
 	}
-	ec.SetTimer(ec.Fprog(), nil)
+	ec.SetTimer(ec.Fprog())
 	if !r.quiet {
 		ec.Bcast(sim.Payload{Kind: sim.PayloadInt, A: int64(ec.ID()), B: int64(r.round)})
 	}
 }
 
-func (r *roundNode) Timer(ec mac.EnhancedContext, _ any) {
+func (r *roundNode) Timer(ec mac.EnhancedContext) {
 	ec.Abort()
 	r.round++
 	r.start(ec)

@@ -100,33 +100,3 @@ func TestEventPoolBounded(t *testing.T) {
 		t.Fatalf("free list %d exceeds bound %d with %d live events", got, limit, e.queue.Len())
 	}
 }
-
-// TestHandleStaleAfterReuse verifies the pool's generation guard: a handle
-// for a fired event must not cancel the recycled event that now occupies
-// the same struct.
-func TestHandleStaleAfterReuse(t *testing.T) {
-	e := newFuncEngine(1)
-	ran := false
-	h1 := at(e, 0, func() {})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// h1's event struct is now in the free list; the next post reuses it.
-	h2 := at(e, e.Now()+1, func() { ran = true })
-	if h1.ev != h2.ev {
-		t.Skip("pool did not hand back the same struct; nothing to test")
-	}
-	if h1.Active() {
-		t.Fatal("stale handle reports active")
-	}
-	h1.Cancel() // must be a no-op on the recycled event
-	if !h2.Active() {
-		t.Fatal("stale Cancel killed the recycled event")
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("recycled event did not run")
-	}
-}

@@ -122,25 +122,6 @@ func (e *Engine) SetStepLimit(n uint64) { e.limit = n }
 // exactly t still run.
 func (e *Engine) SetHorizon(t Time) { e.horizon = t }
 
-// Handle identifies a scheduled event and allows cancelling it. Handles
-// carry the event's pool generation: once the event fires (or its dead husk
-// is collected) the struct is recycled, and stale handles become no-ops.
-type Handle struct {
-	ev  *event
-	gen uint32
-}
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (h Handle) Cancel() {
-	if h.ev != nil && h.ev.gen == h.gen {
-		h.ev.dead = true
-	}
-}
-
-// Active reports whether the event is still pending.
-func (h Handle) Active() bool { return h.ev != nil && h.ev.gen == h.gen && !h.ev.dead }
-
 // SetDispatcher installs the typed-event dispatcher. It must be set before
 // the first Post and not changed afterwards (the MAC engine installs itself
 // at construction time).
@@ -154,11 +135,10 @@ func (e *Engine) SetDispatcher(d Dispatcher) { e.dispatch = d }
 // panics at dispatch time.
 //
 //amac:hotpath
-func (e *Engine) Post(t Time, kind EventKind, obj any, a, b int64) Handle {
+func (e *Engine) Post(t Time, kind EventKind, obj any, a, b int64) {
 	ev := e.schedule(t)
 	ev.kind, ev.obj, ev.a, ev.b = kind, obj, a, b
 	e.queue.push(ev)
-	return Handle{ev: ev, gen: ev.gen}
 }
 
 // PostPayload schedules a typed event like Post, carrying a typed message
@@ -167,11 +147,10 @@ func (e *Engine) Post(t Time, kind EventKind, obj any, a, b int64) Handle {
 // arrivals) allocates nothing.
 //
 //amac:hotpath
-func (e *Engine) PostPayload(t Time, kind EventKind, p Payload, a, b int64) Handle {
+func (e *Engine) PostPayload(t Time, kind EventKind, p Payload, a, b int64) {
 	ev := e.schedule(t)
 	ev.kind, ev.p, ev.a, ev.b = kind, p, a, b
 	e.queue.push(ev)
-	return Handle{ev: ev, gen: ev.gen}
 }
 
 // schedule allocates a pooled event for time t with the next sequence
@@ -209,8 +188,8 @@ func (e *Engine) Reset(seed int64) {
 // Halt stops the run loop after the current event completes.
 func (e *Engine) Halt() { e.halted = true }
 
-// Step executes the next live event, advancing virtual time. It returns
-// false when no live events remain or the horizon/limit is reached.
+// Step executes the next event, advancing virtual time. It returns false
+// when no events remain or the horizon/limit is reached.
 //
 //amac:hotpath
 func (e *Engine) Step() bool {
@@ -220,34 +199,27 @@ func (e *Engine) Step() bool {
 	if e.limit != 0 && e.stepped >= e.limit {
 		return false
 	}
-	for {
-		ev := e.queue.pop()
-		if ev == nil {
-			return false
-		}
-		if ev.dead {
-			e.queue.release(ev)
-			continue
-		}
-		if ev.at > e.horizon {
-			// Leave the horizon-crossing event consumed; the run is over.
-			e.queue.release(ev)
-			return false
-		}
-		if ev.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.at
-		e.stepped++
-		// Recycle before dispatching: the handler may schedule (and the
-		// pool hand the struct straight back out), which is safe because
-		// the generation bump in release has already invalidated this
-		// tenancy's handles. The payload is copied out first.
-		kind, op := ev.kind, Op{Obj: ev.obj, A: ev.a, B: ev.b, P: ev.p}
-		e.queue.release(ev)
-		e.dispatch.Dispatch(kind, op)
-		return true
+	ev := e.queue.pop()
+	if ev == nil {
+		return false
 	}
+	if ev.at > e.horizon {
+		// Leave the horizon-crossing event consumed; the run is over.
+		e.queue.release(ev)
+		return false
+	}
+	if ev.at < e.now {
+		panic("sim: time went backwards")
+	}
+	e.now = ev.at
+	e.stepped++
+	// Recycle before dispatching: the handler may schedule (and the pool
+	// hand the struct straight back out), so the operands are copied out
+	// first.
+	kind, op := ev.kind, Op{Obj: ev.obj, A: ev.a, B: ev.b, P: ev.p}
+	e.queue.release(ev)
+	e.dispatch.Dispatch(kind, op)
+	return true
 }
 
 // Run executes events until the queue drains, Halt is called, or the

@@ -12,10 +12,10 @@ const (
 	// PayloadNone is the zero payload: no argument at all. Its Value is nil,
 	// matching the untyped events that used to carry a nil interface.
 	PayloadNone PayloadKind = iota
-	// PayloadExt carries an arbitrary boxed value in Ext. It is the escape
-	// hatch for tests, examples and bespoke automata whose payloads have no
-	// registered kind; constructing one boxes exactly like the old any path.
-	PayloadExt
+	// payloadRetired is the tag of the deleted boxed-value payload. It
+	// stays reserved so every later tag, and with it every encoded trace,
+	// keeps its number; TraceReader rejects it.
+	payloadRetired
 	// PayloadInt carries a bare integer in A: instance identifiers, phase
 	// numbers, node ids. Rendering matches the old boxed integer (`%v` of
 	// any integer type prints the same digits).
@@ -26,20 +26,19 @@ const (
 )
 
 // Payload is the typed message representation threaded through broadcasts,
-// arrivals and trace events: a kind tag plus three small scalar operands and
-// one reference slot. It replaces the boxed `any` payload path — constructing
-// and copying a Payload allocates nothing, which is what makes warm trials
-// allocation-free — while Value() recovers the exact dynamic value the old
-// path carried, so rendered traces are byte-identical.
+// arrivals and trace events: a kind tag plus three small scalar operands,
+// plain data with no references. It replaces the boxed `any` payload path —
+// constructing and copying a Payload allocates nothing, which is what makes
+// warm trials allocation-free — while Value() recovers the exact dynamic
+// value the old path carried, so rendered traces are byte-identical.
 //
 // The operand fields are free-form per kind: a registered kind's boxer and
 // its encoder agree on the layout (e.g. a message payload stores its id in A
-// and its origin in B). Payloads of comparable kinds compare with ==, which
-// the adversarial scheduler relies on to track its two tagged messages.
+// and its origin in B). Payloads compare with ==, which the adversarial
+// scheduler relies on to track its two tagged messages.
 type Payload struct {
 	Kind    PayloadKind
 	A, B, C int64
-	Ext     any
 }
 
 // payloadBoxers maps registered kinds to their boxing functions. Index 0..2
@@ -67,9 +66,11 @@ func RegisterPayloadKind(box func(Payload) any) PayloadKind {
 	return k
 }
 
-// Ext wraps an arbitrary value as a PayloadExt payload. It boxes v exactly
-// like the old `any` path did; hot paths use registered kinds instead.
-func Ext(v any) Payload { return Payload{Kind: PayloadExt, Ext: v} }
+// registered reports whether Value can render payloads of kind k: the
+// built-ins PayloadNone and PayloadInt, or a kind with a registered boxer.
+func (k PayloadKind) registered() bool {
+	return k == PayloadNone || k == PayloadInt || payloadBoxers[k] != nil
+}
 
 // Int wraps a bare integer as a PayloadInt payload.
 func Int(v int64) Payload { return Payload{Kind: PayloadInt, A: v} }
@@ -79,16 +80,14 @@ func Int(v int64) Payload { return Payload{Kind: PayloadInt, A: v} }
 func (p Payload) IsZero() bool { return p == Payload{} }
 
 // Value boxes the payload back into the dynamic Go value it stands for:
-// nil for PayloadNone, the wrapped value for PayloadExt, an int64 for
-// PayloadInt, and the registered boxer's result otherwise. It allocates (it
-// un-does the typed representation), so it belongs in post-run consumers —
-// renderers, checkers, tests — never on the event hot path.
+// nil for PayloadNone, an int64 for PayloadInt, and the registered boxer's
+// result otherwise. It allocates (it un-does the typed representation), so it
+// belongs in post-run consumers — renderers, checkers, tests — never on the
+// event hot path.
 func (p Payload) Value() any {
 	switch p.Kind {
 	case PayloadNone:
 		return nil
-	case PayloadExt:
-		return p.Ext
 	case PayloadInt:
 		return p.A
 	default:

@@ -7,11 +7,10 @@ package sim
 // executed by the engine's Dispatcher. Scheduling therefore allocates no
 // closures at all.
 //
-// Events are pooled: once popped and executed (or skipped as dead), the
-// engine recycles the struct through a free list, so steady-state scheduling
-// performs no heap allocation. gen guards recycled structs against stale
-// Handles: every release increments it, invalidating any Handle issued for a
-// previous tenancy.
+// Events are pooled: once popped and executed, the engine recycles the
+// struct through a free list, so steady-state scheduling performs no heap
+// allocation. Nothing outside the queue holds an event, so a released struct
+// can be handed straight to the next tenancy.
 type event struct {
 	at   Time
 	seq  uint64
@@ -19,8 +18,6 @@ type event struct {
 	a, b int64   // typed payload: scalar operands
 	p    Payload // typed payload: message operand (carried unboxed)
 	kind EventKind
-	gen  uint32
-	dead bool // set by cancel; dead events are skipped when popped
 }
 
 // freeFloor is the minimum free-list length the shrink rule never cuts
@@ -35,8 +32,7 @@ type eventQueue struct {
 	free  []*event // recycled events ready for reuse
 }
 
-// Len reports the number of events still queued, including cancelled ones
-// that have not yet been popped.
+// Len reports the number of events still queued.
 func (q *eventQueue) Len() int { return len(q.items) }
 
 // alloc returns a recycled event or a fresh one when the pool is empty. The
@@ -48,26 +44,23 @@ func (q *eventQueue) alloc(at Time, seq uint64) *event {
 		ev := q.free[n-1]
 		q.free[n-1] = nil
 		q.free = q.free[:n-1]
-		ev.at, ev.seq, ev.dead = at, seq, false
+		ev.at, ev.seq = at, seq
 		return ev
 	}
 	return &event{at: at, seq: seq}
 }
 
-// release returns a popped event to the pool. Bumping gen invalidates every
-// outstanding Handle for this tenancy; dropping obj/p releases the payload
-// references. The pool is bounded: a delivery burst must not pin its peak
-// event count for the rest of the run, so whenever the free list exceeds
-// twice the live queue (plus a small floor), the excess structs are dropped
-// for the collector.
+// release returns a popped event to the pool. Dropping obj releases the
+// object reference, and clearing p keeps a later Post, which sets only obj,
+// from carrying this tenancy's payload. The pool is bounded: a delivery
+// burst must not pin its peak event count for the rest of the run, so
+// whenever the free list exceeds twice the live queue (plus a small floor),
+// the excess structs are dropped for the collector.
 //
 //amac:hotpath
 func (q *eventQueue) release(ev *event) {
 	ev.obj = nil
 	ev.p = Payload{}
-	ev.kind = 0
-	ev.dead = false
-	ev.gen++
 	q.free = append(q.free, ev)
 	if limit := 2*len(q.items) + freeFloor; len(q.free) > limit {
 		for i := limit; i < len(q.free); i++ {
@@ -86,9 +79,6 @@ func (q *eventQueue) recycleAll() {
 	for i, ev := range q.items {
 		ev.obj = nil
 		ev.p = Payload{}
-		ev.kind = 0
-		ev.dead = false
-		ev.gen++
 		q.free = append(q.free, ev)
 		q.items[i] = nil
 	}

@@ -23,9 +23,9 @@ var traceMagic = [5]byte{'A', 'M', 'T', 'R', 1}
 // error handling off the engine's emit path.
 //
 // Payloads are encoded by kind tag and scalar operands, reconstructed on
-// read through the same registered boxers. A payload carrying a boxed Ext
-// value is encoded as its rendered string, so re-rendering a read trace is
-// textually identical even for escape-hatch payloads.
+// read through the same registered boxers. Each event ends in a flag byte
+// that is always 0: version 1 streams once used it to carry a rendered
+// boxed value, and the byte stays so the encoding is unchanged.
 type TraceWriter struct {
 	w       *bufio.Writer
 	kinds   map[string]uint64
@@ -70,25 +70,11 @@ func (tw *TraceWriter) Append(ev TraceEvent) {
 		b = binary.AppendUvarint(b, id)
 	}
 	b = binary.AppendUvarint(b, zigzag(int64(ev.Node)))
-	pk := ev.P.Kind
-	if ev.P.Ext != nil {
-		// Boxed payloads cannot be reconstructed structurally; they are
-		// demoted to a rendered-string Ext payload, which re-renders
-		// identically (%v of the string is the string).
-		pk = PayloadExt
-	}
-	b = append(b, byte(pk))
+	b = append(b, byte(ev.P.Kind))
 	b = binary.AppendUvarint(b, zigzag(ev.P.A))
 	b = binary.AppendUvarint(b, zigzag(ev.P.B))
 	b = binary.AppendUvarint(b, zigzag(ev.P.C))
-	if ev.P.Ext == nil {
-		b = append(b, 0)
-	} else {
-		s := fmt.Sprint(ev.P.Value())
-		b = append(b, 1)
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		b = append(b, s...)
-	}
+	b = append(b, 0) // the retired boxed-value flag
 	tw.scratch = b[:0]
 	if _, err := tw.w.Write(b); err != nil {
 		tw.err = err
@@ -170,6 +156,9 @@ func (tr *TraceReader) Next() (TraceEvent, error) {
 		return TraceEvent{}, fmt.Errorf("sim: trace payload kind: %w", err)
 	}
 	ev.P.Kind = PayloadKind(pk)
+	if !ev.P.Kind.registered() {
+		return TraceEvent{}, fmt.Errorf("sim: trace payload kind %d is not registered", pk)
+	}
 	for _, dst := range []*int64{&ev.P.A, &ev.P.B, &ev.P.C} {
 		u, err := binary.ReadUvarint(tr.r)
 		if err != nil {
@@ -182,11 +171,7 @@ func (tr *TraceReader) Next() (TraceEvent, error) {
 		return TraceEvent{}, fmt.Errorf("sim: trace ext flag: %w", err)
 	}
 	if extFlag != 0 {
-		s, err := tr.readString()
-		if err != nil {
-			return TraceEvent{}, fmt.Errorf("sim: trace ext value: %w", err)
-		}
-		ev.P.Ext = s
+		return TraceEvent{}, fmt.Errorf("sim: trace carries a boxed payload value (ext flag %d), which is no longer supported", extFlag)
 	}
 	return ev, nil
 }

@@ -3,15 +3,16 @@ package sim
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // traceFixture returns events covering the encoder's cases: interned kind
-// reuse, negative times and operands, every built-in payload kind, and a
-// boxed Ext value that the writer demotes to its rendered string.
+// reuse, negative times and operands, and every built-in payload kind.
 func traceFixture() []TraceEvent {
 	return []TraceEvent{
 		{At: 0, Kind: "bcast", Node: 0, P: Int(7)},
@@ -19,50 +20,40 @@ func traceFixture() []TraceEvent {
 		{At: 3, Kind: "rcv", Node: 2, P: Int(7)},
 		{At: -5, Kind: "ack", Node: -1, P: Payload{}},
 		{At: 1 << 40, Kind: "bcast", Node: 999999, P: Payload{Kind: PayloadNone, A: 1, B: -2, C: 3}},
-		{At: 9, Kind: "deliver", Node: 4, P: Ext("boxed message")},
-		{At: 10, Kind: "deliver", Node: 5, P: Ext(struct{ X, Y int }{3, 4})},
 		{At: 11, Kind: "rcv", Node: 6, P: Int(0)},
 	}
 }
 
-// TestTraceFileRoundTrip writes the fixture and reads it back, comparing
-// field-for-field. Ext payloads come back as their rendered string — the
-// documented demotion — so for those the contract is rendering equality.
-func TestTraceFileRoundTrip(t *testing.T) {
-	events := traceFixture()
+// encodeFixture streams the fixture through a TraceWriter.
+func encodeFixture(t testing.TB) []byte {
 	var buf bytes.Buffer
 	tw := NewTraceWriter(&buf)
-	for _, ev := range events {
+	for _, ev := range traceFixture() {
 		tw.Append(ev)
 	}
-	if tw.Len() != len(events) {
-		t.Fatalf("writer Len = %d, want %d", tw.Len(), len(events))
+	if tw.Len() != len(traceFixture()) {
+		t.Fatalf("writer Len = %d, want %d", tw.Len(), len(traceFixture()))
 	}
 	if err := tw.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
+	return buf.Bytes()
+}
 
-	tr, err := NewTraceReader(&buf)
+// TestTraceFileRoundTrip writes the fixture and reads it back, comparing
+// field-for-field.
+func TestTraceFileRoundTrip(t *testing.T) {
+	tr, err := NewTraceReader(bytes.NewReader(encodeFixture(t)))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	for i, want := range events {
+	for i, want := range traceFixture() {
 		got, err := tr.Next()
 		if err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		if got.String() != want.String() {
-			t.Fatalf("event %d renders %q, want %q", i, got.String(), want.String())
-		}
-		if got.At != want.At || got.Kind != want.Kind || got.Node != want.Node {
-			t.Fatalf("event %d header = %+v, want %+v", i, got, want)
-		}
-		if want.P.Ext == nil {
-			if got.P != want.P {
-				t.Fatalf("event %d payload = %+v, want %+v", i, got.P, want.P)
-			}
-		} else if got.P.Kind != PayloadExt {
-			t.Fatalf("event %d: boxed payload read back as kind %d, want PayloadExt", i, got.P.Kind)
+		if got != want {
+			t.Fatalf("event %d = %+v, want %+v", i, got, want)
 		}
 	}
 	if _, err := tr.Next(); err != io.EOF {
@@ -70,20 +61,87 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceWriterGolden pins the AMTR encoding byte for byte: magic and
+// version, varint layout, kind interning, payload tag numbers and the
+// trailing flag byte. Recorded streams (and their checksums) stay readable
+// only while this holds, so a change here is a format change.
+func TestTraceWriterGolden(t *testing.T) {
+	// Per event: zigzag time, kind id (plus length and bytes when new),
+	// zigzag node, payload tag, zigzag A B C, flag.
+	const want = "414d545201" + // magic, version 1
+		"00" + "00056263617374" + "00" + "020e0000" + "00" + // t0 "bcast" n0 Int(7)
+		"06" + "0103726376" + "02" + "02530000" + "00" + // t3 "rcv" n1 Int(-42)
+		"06" + "01" + "04" + "020e0000" + "00" + // t3 "rcv" n2 Int(7)
+		"09" + "020361636b" + "01" + "00000000" + "00" + // t-5 "ack" n-1 None
+		"808080808040" + "00" + "fe887a" + "00020306" + "00" + // t2^40 "bcast" n999999 None{1,-2,3}
+		"16" + "01" + "0c" + "02000000" + "00" // t11 "rcv" n6 Int(0)
+	if got := hex.EncodeToString(encodeFixture(t)); got != want {
+		t.Fatalf("encoded fixture:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestPayloadIsPlainData keeps Payload a tag plus integer operands: no
+// interface, pointer or string field may creep back in, since copying a
+// payload through events and traces must never box or retain a reference.
+func TestPayloadIsPlainData(t *testing.T) {
+	typ := reflect.TypeOf(Payload{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("Payload.%s is a %s, want an integer", f.Name, f.Type)
+		}
+	}
+}
+
+// TestTraceReaderRejectsUnrenderablePayloads: every event Next returns must
+// render. A payload tag with no registered boxer (the 15-byte stream below
+// once decoded fine and then panicked in String), the retired boxed-value
+// tag 1 and a set boxed-value flag are decode errors instead.
+func TestTraceReaderRejectsUnrenderablePayloads(t *testing.T) {
+	event := func(tag, flag byte) []byte {
+		b := append([]byte{}, traceMagic[:]...)
+		b = append(b, 0, 0, 1, 'x', 0) // time 0, new kind 0 "x", node 0
+		return append(b, tag, 0, 0, 0, flag)
+	}
+	cases := []struct {
+		name   string
+		stream []byte
+		want   string
+	}{
+		{"unregistered tag", event(200, 0), "payload kind 200 is not registered"},
+		{"retired tag", event(byte(payloadRetired), 0), "payload kind 1 is not registered"},
+		{"boxed-value flag", append(event(byte(PayloadInt), 1), 1, 'v'), "ext flag 1"},
+	}
+	for _, tc := range cases {
+		tr, err := NewTraceReader(bytes.NewReader(tc.stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			ev, err := tr.Next()
+			if err == nil {
+				_ = ev.String()
+				continue
+			}
+			if err == io.EOF || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: err = %v, want an error containing %q", tc.name, err, tc.want)
+			}
+			break
+		}
+	}
+}
+
 // TestTraceReadAllMatchesTrace checks the drain helper against an in-memory
 // trace fed the same events.
 func TestTraceReadAllMatchesTrace(t *testing.T) {
 	var mem Trace
-	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
 	for _, ev := range traceFixture() {
 		mem.Append(ev)
-		tw.Append(ev)
 	}
-	if err := tw.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	tr, err := NewTraceReader(&buf)
+	tr, err := NewTraceReader(bytes.NewReader(encodeFixture(t)))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -153,18 +211,12 @@ func TestTraceReaderHugeStringLength(t *testing.T) {
 }
 
 // FuzzTraceReader feeds arbitrary bytes to the trace decoder: however
-// corrupt the stream, Next must return events or an error and never panic.
+// corrupt the stream, Next must return events or an error and never panic,
+// and every event it returns must render without panicking.
 func FuzzTraceReader(f *testing.F) {
-	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
-	for _, ev := range traceFixture() {
-		tw.Append(ev)
-	}
-	if err := tw.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:buf.Len()/2])
+	stream := encodeFixture(f)
+	f.Add(stream)
+	f.Add(stream[:len(stream)/2])
 	huge := append([]byte{}, traceMagic[:]...)
 	huge = append(huge, 0, 0)
 	f.Add(binary.AppendUvarint(huge, 1<<62))
@@ -176,9 +228,11 @@ func FuzzTraceReader(f *testing.F) {
 		// Every event consumes at least one byte, so a well-behaved
 		// decoder ends within len(stream) calls.
 		for i := 0; i <= len(stream); i++ {
-			if _, err := tr.Next(); err != nil {
+			ev, err := tr.Next()
+			if err != nil {
 				return
 			}
+			_ = ev.String()
 		}
 		t.Fatalf("decoder returned more events than the %d-byte stream holds", len(stream))
 	})
