@@ -142,23 +142,29 @@ type FMMB struct {
 	cfg   FMMBConfig
 	mis   *misState
 	round int
-	gSet  map[mac.NodeID]bool
+	// misEnd, gatherEnd and total are the round indices where the MIS
+	// stage, the gather stage and the whole schedule end, resolved once
+	// from cfg.
+	misEnd, gatherEnd, total int
 
 	delivered map[Msg]bool
 
 	// Gather state.
 	owned  []Msg // messages this node still owns (non-MIS hand-over list)
 	polled bool  // heard a poll from a G-neighbor in round 1 of the period
-	ackOut *Msg  // message an MIS node must acknowledge in round 3
+	ackOut Msg   // message an MIS node must acknowledge in round 3
+	hasAck bool  // ackOut is set
 
 	// Spread state.
 	have      map[Msg]bool // Mv: messages an MIS node holds
 	sent      map[Msg]bool // M'v: messages already injected into a phase
 	inbox     []Msg        // received this period, merged at period end
-	cur       *Msg         // message injected this phase
+	cur       Msg          // message injected this phase
+	hasCur    bool         // cur is set
 	curAcked  bool         // some broadcast of cur was acknowledged
 	curActive bool         // active in the current period
-	relay     *Msg         // message to relay in the next round
+	relay     Msg          // message to relay in the next round
+	hasRelay  bool         // relay is set
 }
 
 var (
@@ -170,14 +176,14 @@ var (
 
 // NewFMMB returns a fresh FMMB process.
 func NewFMMB(cfg FMMBConfig) *FMMB {
-	rc := cfg.withDefaults()
-	return &FMMB{
-		cfg:       rc,
-		mis:       newMISState(rc.MIS),
+	f := &FMMB{
+		mis:       new(misState),
 		delivered: make(map[Msg]bool),
 		have:      make(map[Msg]bool),
 		sent:      make(map[Msg]bool),
 	}
+	f.Reconfigure(cfg)
+	return f
 }
 
 // Reset implements mac.Resettable: every stage's state returns to its
@@ -186,30 +192,32 @@ func NewFMMB(cfg FMMBConfig) *FMMB {
 func (f *FMMB) Reset() {
 	*f.mis = misState{cfg: f.mis.cfg}
 	f.round = 0
-	if f.gSet != nil {
-		clear(f.gSet)
-	}
 	clear(f.delivered)
 	f.owned = f.owned[:0]
 	f.polled = false
-	f.ackOut = nil
+	f.hasAck = false
 	clear(f.have)
 	clear(f.sent)
 	f.inbox = f.inbox[:0]
-	f.cur = nil
+	f.hasCur = false
 	f.curAcked = false
 	f.curActive = false
-	f.relay = nil
+	f.hasRelay = false
 }
 
-// Reconfigure rebinds a pooled FMMB process to a new (resolved) config
-// without reallocating its state: trial workers use it to adapt a parked
-// same-size fleet built for an earlier topology draw to the current one. Callers
-// Reset() afterwards; the result is observably identical to NewFMMB(cfg).
+// Reconfigure rebinds a pooled FMMB process to a new config without
+// reallocating its state: trial workers use it to adapt a parked same-size
+// fleet built for an earlier topology draw to the current one. It resolves
+// the config's defaults and stage boundaries once, so rounds and receptions
+// never re-derive them. Callers Reset() afterwards; the result is observably
+// identical to NewFMMB(cfg).
 func (f *FMMB) Reconfigure(cfg FMMBConfig) {
 	rc := cfg.withDefaults()
 	f.cfg = rc
 	f.mis.cfg = rc.MIS
+	f.misEnd = rc.MIS.Rounds()
+	f.gatherEnd = f.misEnd + 3*rc.GatherPeriods
+	f.total = rc.Rounds()
 }
 
 // NewFMMBFleet returns one FMMB automaton per node.
@@ -227,15 +235,8 @@ func (f *FMMB) InMIS() bool { return f.mis.InMIS }
 // Holds reports whether the node holds m in its message set.
 func (f *FMMB) Holds(m Msg) bool { return f.have[m] }
 
-// Wakeup implements mac.Automaton. The G-neighbor set map is kept across
-// Reset and refilled here, so warm-fleet wakeups allocate nothing.
+// Wakeup implements mac.Automaton.
 func (f *FMMB) Wakeup(ctx mac.Context) {
-	if f.gSet == nil {
-		f.gSet = make(map[mac.NodeID]bool, len(ctx.GNeighbors()))
-	}
-	for _, v := range ctx.GNeighbors() {
-		f.gSet[v] = true
-	}
 	f.startRound(ctx.(mac.EnhancedContext))
 }
 
@@ -263,24 +264,19 @@ func (f *FMMB) deliver(ctx mac.Context, m Msg) {
 	ctx.Emit(DeliverKind, m.Payload())
 }
 
-// stage boundaries in round indices.
-func (f *FMMB) misRounds() int    { return f.cfg.MIS.Rounds() }
-func (f *FMMB) gatherRounds() int { return 3 * f.cfg.GatherPeriods }
-
 func (f *FMMB) startRound(ctx mac.EnhancedContext) {
-	total := f.cfg.Rounds()
-	if f.round >= total {
+	if f.round >= f.total {
 		return
 	}
 	ctx.SetTimer(ctx.Fprog())
 
 	switch {
-	case f.round < f.misRounds():
+	case f.round < f.misEnd:
 		f.mis.startRound(ctx, f.round)
-	case f.round < f.misRounds()+f.gatherRounds():
-		f.startGatherRound(ctx, f.round-f.misRounds())
+	case f.round < f.gatherEnd:
+		f.startGatherRound(ctx, f.round-f.misEnd)
 	default:
-		f.startSpreadRound(ctx, f.round-f.misRounds()-f.gatherRounds())
+		f.startSpreadRound(ctx, f.round-f.gatherEnd)
 	}
 }
 
@@ -290,7 +286,7 @@ func (f *FMMB) startGatherRound(ctx mac.EnhancedContext, g int) {
 	switch g % 3 {
 	case 0: // Poll: active MIS nodes announce themselves.
 		f.polled = false
-		f.ackOut = nil
+		f.hasAck = false
 		if f.mis.InMIS && ctx.Rand().Float64() < f.cfg.ActiveProb {
 			ctx.Bcast(pollPayload{From: ctx.ID()}.payload())
 		}
@@ -299,8 +295,8 @@ func (f *FMMB) startGatherRound(ctx mac.EnhancedContext, g int) {
 			ctx.Bcast(gatherMsgPayload{M: f.owned[0], From: ctx.ID()}.payload())
 		}
 	case 2: // Acknowledge: MIS nodes confirm what they took.
-		if f.mis.InMIS && f.ackOut != nil {
-			ctx.Bcast(gatherAckPayload{M: *f.ackOut, From: ctx.ID()}.payload())
+		if f.mis.InMIS && f.hasAck {
+			ctx.Bcast(gatherAckPayload{M: f.ackOut, From: ctx.ID()}.payload())
 		}
 	}
 }
@@ -319,7 +315,7 @@ func (f *FMMB) onGatherRecv(ctx mac.Context, m mac.Message, g int, fromG bool) {
 				f.have[mm] = true
 				ctx.Emit("gather-own", mm.Payload())
 			}
-			f.ackOut = &mm
+			f.ackOut, f.hasAck = mm, true
 		}
 	case gatherAckKind:
 		mm := Msg{ID: int(m.Payload.A), Origin: mac.NodeID(m.Payload.B)}
@@ -350,9 +346,9 @@ func (f *FMMB) startSpreadRound(ctx mac.EnhancedContext, s int) {
 		// Phase start: commit the previous phase's injection and select
 		// the next unsent message (Lemma 4.8's pipelining).
 		f.endPhase()
-		f.cur = f.pickUnsent()
+		f.cur, f.hasCur = f.pickUnsent()
 		f.curAcked = false
-		if f.cur != nil {
+		if f.hasCur {
 			ctx.Emit("spread-inject", f.cur.Payload())
 		}
 	}
@@ -360,16 +356,15 @@ func (f *FMMB) startSpreadRound(ctx mac.EnhancedContext, s int) {
 		// Period start: merge last period's inbox, roll activation.
 		f.mergeInbox()
 		f.curActive = f.mis.InMIS && ctx.Rand().Float64() < f.cfg.ActiveProb
-		f.relay = nil
-		if f.curActive && f.cur != nil {
-			ctx.Bcast(spreadPayload{M: *f.cur, From: ctx.ID()}.payload())
+		f.hasRelay = false
+		if f.curActive && f.hasCur {
+			ctx.Bcast(spreadPayload{M: f.cur, From: ctx.ID()}.payload())
 			return
 		}
 	}
-	if pr > 0 && f.relay != nil {
-		m := *f.relay
-		f.relay = nil
-		ctx.Bcast(spreadPayload{M: m, From: ctx.ID()}.payload())
+	if pr > 0 && f.hasRelay {
+		f.hasRelay = false
+		ctx.Bcast(spreadPayload{M: f.relay, From: ctx.ID()}.payload())
 	}
 }
 
@@ -381,10 +376,10 @@ func (f *FMMB) startSpreadRound(ctx mac.EnhancedContext, s int) {
 // headroom for this).
 func (f *FMMB) endPhase() {
 	f.mergeInbox()
-	if f.cur != nil && f.curAcked {
-		f.sent[*f.cur] = true
+	if f.hasCur && f.curAcked {
+		f.sent[f.cur] = true
 	}
-	f.cur = nil
+	f.hasCur = false
 }
 
 // mergeInbox folds messages received during the finished period into the
@@ -396,12 +391,13 @@ func (f *FMMB) mergeInbox() {
 	f.inbox = f.inbox[:0]
 }
 
-// pickUnsent returns the smallest-ID held message not yet injected, or nil.
-// A single min-scan replaces the old collect-and-sort: one allocation-free
-// O(|have|) pass per phase instead of O(|have| log |have|) plus a slice.
-func (f *FMMB) pickUnsent() *Msg {
+// pickUnsent returns the smallest-ID held message not yet injected, and
+// whether there is one. A single min-scan replaces the old collect-and-sort:
+// one allocation-free O(|have|) pass per phase instead of
+// O(|have| log |have|) plus a slice.
+func (f *FMMB) pickUnsent() (Msg, bool) {
 	if !f.mis.InMIS {
-		return nil
+		return Msg{}, false
 	}
 	var best Msg
 	found := false
@@ -415,10 +411,7 @@ func (f *FMMB) pickUnsent() *Msg {
 			found = true
 		}
 	}
-	if !found {
-		return nil
-	}
-	return &best
+	return best, found
 }
 
 func (f *FMMB) onSpreadRecv(ctx mac.Context, m mac.Message, s int, fromG bool) {
@@ -431,7 +424,7 @@ func (f *FMMB) onSpreadRecv(ctx mac.Context, m mac.Message, s int, fromG bool) {
 	if fromG && pr < 2 {
 		// Relay in the next round of this period (rounds 2 and 3 relay
 		// what arrived in rounds 1 and 2).
-		f.relay = &mm
+		f.relay, f.hasRelay = mm, true
 	}
 	if f.mis.InMIS {
 		f.inbox = append(f.inbox, mm)
@@ -440,24 +433,24 @@ func (f *FMMB) onSpreadRecv(ctx mac.Context, m mac.Message, s int, fromG bool) {
 
 // Recv implements mac.Automaton, dispatching on the current stage.
 func (f *FMMB) Recv(ctx mac.Context, m mac.Message) {
-	fromG := f.gSet[m.Sender]
+	fromG := isGNeighbor(ctx, m.Sender)
 	switch {
-	case f.round < f.misRounds():
+	case f.round < f.misEnd:
 		f.mis.onRecv(ctx, m, fromG)
-	case f.round < f.misRounds()+f.gatherRounds():
-		f.onGatherRecv(ctx, m, f.round-f.misRounds(), fromG)
+	case f.round < f.gatherEnd:
+		f.onGatherRecv(ctx, m, f.round-f.misEnd, fromG)
 	default:
-		f.onSpreadRecv(ctx, m, f.round-f.misRounds()-f.gatherRounds(), fromG)
+		f.onSpreadRecv(ctx, m, f.round-f.gatherEnd, fromG)
 	}
 }
 
 // Acked implements mac.Automaton: an acknowledged spread broadcast of the
 // current phase message confirms reliable-neighborhood delivery.
 func (f *FMMB) Acked(_ mac.Context, m mac.Message) {
-	if m.Payload.Kind != spreadKind || f.cur == nil {
+	if m.Payload.Kind != spreadKind || !f.hasCur {
 		return
 	}
-	if (Msg{ID: int(m.Payload.A), Origin: mac.NodeID(m.Payload.B)}) == *f.cur {
+	if (Msg{ID: int(m.Payload.A), Origin: mac.NodeID(m.Payload.B)}) == f.cur {
 		f.curAcked = true
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"amac/internal/mac"
 )
@@ -114,10 +115,6 @@ type misState struct {
 	inElection      bool
 }
 
-func newMISState(cfg MISConfig) *misState {
-	return &misState{cfg: cfg.withDefaults()}
-}
-
 // Decided reports whether the node's MIS status is settled.
 func (s *misState) Decided() bool { return s.InMIS || s.Covered }
 
@@ -200,10 +197,9 @@ func (s *misState) onRecv(ctx mac.Context, m mac.Message, fromG bool) {
 // (Section 4.1): broadcasts start at the beginning of a round and are
 // aborted at its end if not yet completed.
 type MISNode struct {
-	cfg   MISConfig
-	state *misState
-	round int
-	gSet  map[mac.NodeID]bool
+	state  *misState
+	rounds int // the schedule length, resolved once from the config
+	round  int
 }
 
 var (
@@ -214,7 +210,8 @@ var (
 
 // NewMISNode returns a standalone MIS automaton.
 func NewMISNode(cfg MISConfig) *MISNode {
-	return &MISNode{cfg: cfg.withDefaults(), state: newMISState(cfg)}
+	rc := cfg.withDefaults()
+	return &MISNode{state: &misState{cfg: rc}, rounds: rc.Rounds()}
 }
 
 // Reset implements mac.Resettable: the node returns to its pre-run state
@@ -222,9 +219,6 @@ func NewMISNode(cfg MISConfig) *MISNode {
 func (mn *MISNode) Reset() {
 	*mn.state = misState{cfg: mn.state.cfg}
 	mn.round = 0
-	if mn.gSet != nil {
-		clear(mn.gSet)
-	}
 }
 
 // NewMISFleet returns one MISNode per node.
@@ -242,15 +236,8 @@ func (mn *MISNode) InMIS() bool { return mn.state.InMIS }
 // Covered reports whether this node learned of an MIS G-neighbor.
 func (mn *MISNode) Covered() bool { return mn.state.Covered }
 
-// Wakeup implements mac.Automaton. The G-neighbor set map is kept across
-// Reset and refilled here, so warm-fleet wakeups allocate nothing.
+// Wakeup implements mac.Automaton.
 func (mn *MISNode) Wakeup(ctx mac.Context) {
-	if mn.gSet == nil {
-		mn.gSet = make(map[mac.NodeID]bool, len(ctx.GNeighbors()))
-	}
-	for _, v := range ctx.GNeighbors() {
-		mn.gSet[v] = true
-	}
 	mn.startRound(ctx.(mac.EnhancedContext))
 }
 
@@ -262,7 +249,7 @@ func (mn *MISNode) Timer(ctx mac.EnhancedContext) {
 }
 
 func (mn *MISNode) startRound(ctx mac.EnhancedContext) {
-	if mn.round >= mn.cfg.Rounds() {
+	if mn.round >= mn.rounds {
 		return
 	}
 	ctx.SetTimer(ctx.Fprog())
@@ -271,7 +258,14 @@ func (mn *MISNode) startRound(ctx mac.EnhancedContext) {
 
 // Recv implements mac.Automaton.
 func (mn *MISNode) Recv(ctx mac.Context, m mac.Message) {
-	mn.state.onRecv(ctx, m, mn.gSet[m.Sender])
+	mn.state.onRecv(ctx, m, isGNeighbor(ctx, m.Sender))
+}
+
+// isGNeighbor reports whether v is a reliable (G) neighbor of ctx's node, by
+// binary search of its sorted G row.
+func isGNeighbor(ctx mac.Context, v mac.NodeID) bool {
+	_, ok := slices.BinarySearch(ctx.GNeighbors(), v)
+	return ok
 }
 
 // Acked implements mac.Automaton; round-based broadcasts need no reaction.

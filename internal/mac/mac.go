@@ -281,6 +281,20 @@ func (b *Instance) MarkDelivered(to NodeID, at sim.Time, reliable bool) {
 	}
 }
 
+// Neighbors returns the sender's sorted G′ neighbor row. Position i of the
+// row is the instance's delivery slot i, which SlotDelivered and
+// SlotReliable read without searching. The row is shared with the graph;
+// callers must not mutate it.
+func (b *Instance) Neighbors() []NodeID { return b.nbrs }
+
+// SlotDelivered reports whether Neighbors()[i] has received the instance.
+func (b *Instance) SlotDelivered(i int) bool { return b.deliveredAt[i] != 0 }
+
+// SlotReliable reports whether the link to Neighbors()[i] is a G edge: the
+// arena's reliability bit for that arc, the fact G.HasEdge would look up.
+// Only engine-built instances carry the bits; schedulers see no others.
+func (b *Instance) SlotReliable(i int) bool { return b.csr.isReliable(b.base + int32(i)) }
+
 // GreyBuf returns the instance's reusable grey-target scratch buffer,
 // emptied. Schedulers append their drawn unreliable targets into it and hand
 // the result to API.ScheduleGreyDeliveries (which stores the possibly-grown

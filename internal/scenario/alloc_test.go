@@ -100,3 +100,49 @@ func TestUnpinnedWarmTrialAllocationBound(t *testing.T) {
 		t.Fatalf("warm unpinned trial allocates %.0f times per run, bound %d", allocs, bound)
 	}
 }
+
+// TestWarmFMMBTrialAllocationCeiling is the enhanced-model counterpart of
+// TestWarmTrialAllocationCeiling: a warm, pinned, trace-off FMMB trial on
+// the slot scheduler runs its millions-of-events shape (round timers, slot
+// handlers, aborts, receptions in every stage) in a small constant number
+// of allocations. Doubling the spread stage doubles its rounds and
+// receptions but must not add a single allocation: the automata keep no
+// per-reception pointers and the queue, slot scratch and fleet are warm.
+func TestWarmFMMBTrialAllocationCeiling(t *testing.T) {
+	const ceiling = 6
+	var allocs [2]float64
+	for i, phases := range []float64{12, 24} {
+		r := Spec{
+			Name: "alloc-fmmb",
+			Topology: TopologySpec{
+				Name:   "rline",
+				Params: topology.Params{"n": 24, "r": 2, "p": 0.6},
+				Seed:   7,
+			},
+			Workload:  WorkloadSpec{Kind: WorkloadSingleton, K: 3},
+			Algorithm: AlgorithmSpec{Name: "fmmb", Params: topology.Params{"spread-phases": phases}},
+			Run:       RunSpec{Seed: 1, Trials: 2, Trace: "off"},
+		}.WithDefaults()
+		w, err := newSpecRun(r, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			tr, err := w.trial(r.Run.Seed+1, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tr.Result.Solved {
+				t.Fatalf("trial not solved: %d/%d", tr.Result.Delivered, tr.Result.Required)
+			}
+		}
+		run() // warm the worker: fleet, arena, event pool, slot scratch
+		allocs[i] = testing.AllocsPerRun(20, run)
+		if allocs[i] > ceiling {
+			t.Fatalf("warm FMMB trial with %v spread phases allocates %.0f times per run, ceiling %d", phases, allocs[i], ceiling)
+		}
+	}
+	if allocs[1] != allocs[0] {
+		t.Fatalf("warm FMMB allocations grow with the schedule: %.0f at 12 spread phases, %.0f at 24", allocs[0], allocs[1])
+	}
+}

@@ -95,10 +95,9 @@ func greyTargets(api mac.API, b *mac.Instance, rel Reliability) []mac.NodeID {
 	if rel == nil {
 		return nil
 	}
-	d := api.Dual()
 	out := b.GreyBuf()
-	for _, j := range d.GPrime.Neighbors(b.Sender) {
-		if d.G.HasEdge(b.Sender, j) {
+	for i, j := range b.Neighbors() {
+		if b.SlotReliable(i) {
 			continue
 		}
 		if rel.Deliver(api.Rand(), b, j) {

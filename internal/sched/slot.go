@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"amac/internal/mac"
 	"amac/internal/sim"
 )
@@ -35,8 +37,15 @@ type Slot struct {
 
 	api        mac.API
 	live       []*mac.Instance
-	armed      map[sim.Time]bool
-	contenders [][]*mac.Instance
+	armed      []sim.Time // fire ticks of the pending slot handlers
+	contenders [][]contender
+}
+
+// contender is a live instance competing for a receiver, with the
+// receiver's slot in the instance's G′ row.
+type contender struct {
+	b    *mac.Instance
+	slot int
 }
 
 var (
@@ -52,15 +61,11 @@ func (s *Slot) Name() string { return "slot" }
 // Attach, which reuses its capacity.
 func (s *Slot) Reset(Env) bool { return true }
 
-// Attach implements mac.Scheduler. The live set, slot map and contender
+// Attach implements mac.Scheduler. The live set, armed ticks and contender
 // scratch keep their capacity across attachments.
 func (s *Slot) Attach(api mac.API) {
 	s.api = api
-	if s.armed == nil {
-		s.armed = make(map[sim.Time]bool)
-	} else {
-		clear(s.armed)
-	}
+	s.armed = s.armed[:0]
 	for i := range s.live {
 		s.live[i] = nil
 	}
@@ -87,30 +92,36 @@ func (s *Slot) OnBcast(b *mac.Instance) {
 // set lazily at the next slot handler.
 func (s *Slot) OnAbort(*mac.Instance) {}
 
-// armSlot schedules the end-of-slot handler for the current slot if not
-// already armed.
+// armSlot arms the handler of the current slot, which fires at the slot's
+// last tick. That tick is never before now, so a broadcast made at a slot's
+// last tick after that slot's handler ran re-arms a handler at the same
+// tick, which serves it within the slot: BMMB re-broadcasting from an ack
+// inside handleSlot does this.
 //
 //amac:hotpath
 func (s *Slot) armSlot() {
 	fprog := s.api.Fprog()
-	now := s.api.Now()
-	slot := now / fprog
-	fire := (slot+1)*fprog - 1
-	if fire < now {
-		// We are exactly at the last tick of a slot; serve next slot.
-		fire += fprog
-	}
-	if s.armed[fire] {
+	s.arm((s.api.Now()/fprog+1)*fprog - 1)
+}
+
+// arm posts the slot handler for tick fire unless one is already pending
+// there. At most a few handlers are ever pending, so armed is a short list.
+//
+//amac:hotpath
+func (s *Slot) arm(fire sim.Time) {
+	if slices.Contains(s.armed, fire) {
 		return
 	}
-	s.armed[fire] = true
+	s.armed = append(s.armed, fire)
 	s.api.ScheduleTimer(fire, nil, int64(fire), 0)
 }
 
 // OnTimer implements mac.TimerScheduler: the end-of-slot handler.
 func (s *Slot) OnTimer(_ any, a, _ int64) {
 	fire := sim.Time(a)
-	delete(s.armed, fire)
+	if i := slices.Index(s.armed, fire); i >= 0 {
+		s.armed = slices.Delete(s.armed, i, i+1)
+	}
 	s.handleSlot(fire)
 }
 
@@ -134,20 +145,21 @@ func (s *Slot) handleSlot(fire sim.Time) {
 
 	// Per-receiver contender sets, drawn from the pooled scratch so a warm
 	// slot allocates nothing once the per-receiver slices have grown.
+	// Contenders are (instance, slot) pairs, so the delivered flag and the
+	// reliability bit are read by slot instead of searched by receiver.
 	n := d.N()
 	if cap(s.contenders) < n {
-		s.contenders = make([][]*mac.Instance, n) //lint:hotalloc lazy grow: sized once per network size, then reused slot after slot
+		s.contenders = make([][]contender, n) //lint:hotalloc lazy grow: sized once per network size, then reused slot after slot
 	}
 	contenders := s.contenders[:n]
 	for j := range contenders {
 		contenders[j] = contenders[j][:0]
 	}
 	for _, b := range s.live {
-		for _, j := range d.GPrime.Neighbors(b.Sender) {
-			if b.WasDelivered(j) {
-				continue
+		for i, j := range b.Neighbors() {
+			if !b.SlotDelivered(i) {
+				contenders[j] = append(contenders[j], contender{b, i})
 			}
-			contenders[j] = append(contenders[j], b)
 		}
 	}
 
@@ -157,8 +169,8 @@ func (s *Slot) handleSlot(fire sim.Time) {
 			continue
 		}
 		reliable := false
-		for _, b := range cs {
-			if d.G.HasEdge(b.Sender, mac.NodeID(j)) {
+		for _, c := range cs {
+			if c.b.SlotReliable(c.slot) {
 				reliable = true
 				break
 			}
@@ -166,17 +178,14 @@ func (s *Slot) handleSlot(fire sim.Time) {
 		if !reliable && rng.Float64() >= s.greyP {
 			continue
 		}
-		pick := cs[rng.Intn(len(cs))]
+		pick := cs[rng.Intn(len(cs))].b
 		api.Deliver(pick, mac.NodeID(j))
 
 		// Deadline enforcement for lingering instances: force-complete any
 		// contender that cannot survive another slot.
-		for _, b := range cs {
-			if b == pick {
-				continue
-			}
-			if d.G.HasEdge(b.Sender, mac.NodeID(j)) && b.Start+api.Fack() < fire+api.Fprog() {
-				api.Deliver(b, mac.NodeID(j))
+		for _, c := range cs {
+			if c.b != pick && c.b.SlotReliable(c.slot) && c.b.Start+api.Fack() < fire+api.Fprog() {
+				api.Deliver(c.b, mac.NodeID(j))
 			}
 		}
 	}
@@ -197,10 +206,6 @@ func (s *Slot) handleSlot(fire sim.Time) {
 		}
 	}
 	if hasActive {
-		next := fire + api.Fprog()
-		if !s.armed[next] {
-			s.armed[next] = true
-			s.api.ScheduleTimer(next, nil, int64(next), 0)
-		}
+		s.arm(fire + api.Fprog())
 	}
 }

@@ -190,3 +190,49 @@ func greyPair() *topology.Dual {
 	gp.AddEdge(0, 1)
 	return &topology.Dual{G: g, GPrime: gp, Name: "grey-pair"}
 }
+
+// ackChainNode broadcasts at wakeup and again from each ack, up to n
+// broadcasts in all, as BMMB does while its queue is non-empty.
+type ackChainNode struct{ n, sent int }
+
+func (a *ackChainNode) Wakeup(ctx mac.Context)               { a.bcast(ctx) }
+func (a *ackChainNode) Recv(mac.Context, mac.Message)        {}
+func (a *ackChainNode) Acked(ctx mac.Context, _ mac.Message) { a.bcast(ctx) }
+
+func (a *ackChainNode) bcast(ctx mac.Context) {
+	if a.sent < a.n {
+		a.sent++
+		ctx.Bcast(mac.Int(int64(a.sent)))
+	}
+}
+
+func TestSlotRearmsAtLastTickAfterHandler(t *testing.T) {
+	// The slot handler acks the first broadcast at the slot's last tick,
+	// and the ack re-broadcasts at that same tick. The rule pinned here: a
+	// broadcast made at a slot's last tick after that slot's handler ran
+	// re-arms a handler at the same tick, so it is delivered and acked
+	// within that tick, not a slot later.
+	d := topology.Star(4)
+	autos := []mac.Automaton{&ackChainNode{n: 3}, &ackChainNode{}, &ackChainNode{}, &ackChainNode{}}
+	eng := runSlot(t, d, autos, 0, 1)
+	last := fprog - 1
+	insts := eng.Instances()
+	if len(insts) != 3 {
+		t.Fatalf("instances = %d, want 3", len(insts))
+	}
+	for i, b := range insts {
+		wantStart := last
+		if i == 0 {
+			wantStart = 0
+		}
+		if b.Start != wantStart || b.Term != mac.Acked || b.TermAt != last {
+			t.Fatalf("instance %d: start %v, term %v at %v; want start %v, acked at %v",
+				b.ID, b.Start, b.Term, b.TermAt, wantStart, last)
+		}
+		for _, to := range b.Receivers() {
+			if at, _ := b.DeliveredAt(to); at != last {
+				t.Fatalf("instance %d reached %d at %v, want %v", b.ID, to, at, last)
+			}
+		}
+	}
+}

@@ -88,7 +88,7 @@ func TestEventPoolBounded(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got, limit := len(e.queue.free), 2*len(e.queue.items)+freeFloor; got > limit {
+	if got, limit := len(e.queue.free), 2*e.queue.Len()+freeFloor; got > limit {
 		t.Fatalf("after a %d-event burst the free list holds %d events, bound is %d", burst, got, limit)
 	}
 	// The bound tracks the live queue: with events in flight the pool may

@@ -41,7 +41,6 @@ type Dispatcher interface {
 type Engine struct {
 	now      Time
 	queue    eventQueue
-	seq      uint64
 	rng      *rand.Rand
 	rngStale bool // rng predates the last Reset; re-seed before next draw
 	seed     int64
@@ -57,6 +56,7 @@ type Engine struct {
 // executions.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
+		queue:   newEventQueue(),
 		seed:    seed,
 		horizon: Infinity,
 	}
@@ -153,17 +153,15 @@ func (e *Engine) PostPayload(t Time, kind EventKind, p Payload, a, b int64) {
 	e.queue.push(ev)
 }
 
-// schedule allocates a pooled event for time t with the next sequence
-// number; the caller fills the payload and pushes it.
+// schedule allocates a pooled event for time t; the caller fills the payload
+// and pushes it.
 //
 //amac:hotpath
 func (e *Engine) schedule(t Time) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
-	ev := e.queue.alloc(t, e.seq)
-	e.seq++
-	return ev
+	return e.queue.alloc(t)
 }
 
 // Reset restores the engine to its initial state with a new seed, keeping
@@ -176,7 +174,6 @@ func (e *Engine) schedule(t Time) *event {
 func (e *Engine) Reset(seed int64) {
 	e.queue.recycleAll()
 	e.now = 0
-	e.seq = 0
 	e.stepped = 0
 	e.halted = false
 	e.limit = 0

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -195,24 +196,25 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
-// Property: the event queue pops events in non-decreasing (time, seq) order
-// for arbitrary insertion sequences.
+// Property: the event queue pops events in non-decreasing (time, push
+// index) order for arbitrary insertion sequences (times need not be pushed
+// in order). The a operand carries the push index.
 func TestQueueHeapProperty(t *testing.T) {
 	f := func(times []uint16) bool {
-		var q eventQueue
+		q := newEventQueue()
 		for i, tt := range times {
-			q.push(&event{at: Time(tt), seq: uint64(i)})
+			q.push(&event{at: Time(tt), a: int64(i)})
 		}
-		prevAt, prevSeq := Time(-1), uint64(0)
+		prevAt, prevSeq := Time(-1), int64(0)
 		for q.Len() > 0 {
 			ev := q.pop()
 			if ev.at < prevAt {
 				return false
 			}
-			if ev.at == prevAt && ev.seq < prevSeq {
+			if ev.at == prevAt && ev.a < prevSeq {
 				return false
 			}
-			prevAt, prevSeq = ev.at, ev.seq
+			prevAt, prevSeq = ev.at, ev.a
 		}
 		return true
 	}
@@ -224,8 +226,7 @@ func TestQueueHeapProperty(t *testing.T) {
 // Property: interleaved push/pop maintains heap order.
 func TestQueueInterleavedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var q eventQueue
-	seq := uint64(0)
+	q := newEventQueue()
 	lastPopped := Time(-1)
 	for i := 0; i < 10000; i++ {
 		if q.Len() == 0 || rng.Intn(2) == 0 {
@@ -234,14 +235,72 @@ func TestQueueInterleavedProperty(t *testing.T) {
 			if at < 0 {
 				at = 0
 			}
-			q.push(&event{at: at, seq: seq})
-			seq++
+			q.push(&event{at: at})
 		} else {
 			ev := q.pop()
 			if ev.at < lastPopped {
 				t.Fatalf("popped %v after %v", ev.at, lastPopped)
 			}
 			lastPopped = ev.at
+		}
+	}
+}
+
+// Property: pushes at the time being drained, interleaved with pops, come
+// out in exact (at, seq) order, seq being the push index (carried in the a
+// operand). Every push is at or after the last popped time and takes the
+// next seq, so it sorts after everything already popped and the whole pop
+// sequence must equal the sorted push sequence. Far-off pushes keep dozens
+// of times pending, churning the time index.
+func TestQueueDrainInterleavedOrder(t *testing.T) {
+	type key struct {
+		at  Time
+		seq int64
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		q := newEventQueue()
+		var pushed, popped []key
+		now := Time(0)
+		for i := 0; i < 20000; i++ {
+			if q.Len() > 0 && rng.Intn(2) == 0 {
+				ev := q.pop()
+				now = ev.at
+				popped = append(popped, key{ev.at, ev.a})
+				continue
+			}
+			at := now
+			switch r := rng.Intn(10); {
+			case r < 5: // the time being drained
+			case r < 9:
+				at += Time(rng.Intn(4))
+			default:
+				at += Time(rng.Intn(500))
+			}
+			k := key{at, int64(len(pushed))}
+			pushed = append(pushed, k)
+			q.push(&event{at: k.at, a: k.seq})
+		}
+		for q.Len() > 0 {
+			ev := q.pop()
+			popped = append(popped, key{ev.at, ev.a})
+		}
+		if q.pop() != nil {
+			t.Fatal("pop on an empty queue returned an event")
+		}
+		sort.Slice(pushed, func(i, j int) bool {
+			if pushed[i].at != pushed[j].at {
+				return pushed[i].at < pushed[j].at
+			}
+			return pushed[i].seq < pushed[j].seq
+		})
+		if len(popped) != len(pushed) {
+			t.Fatalf("seed %d: popped %d events, pushed %d", seed, len(popped), len(pushed))
+		}
+		for i := range pushed {
+			if popped[i] != pushed[i] {
+				t.Fatalf("seed %d: pop %d = %+v, want %+v", seed, i, popped[i], pushed[i])
+			}
 		}
 	}
 }
