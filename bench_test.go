@@ -296,6 +296,31 @@ func BenchmarkEngineThroughputSparse(b *testing.B) {
 	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "events/sec")
 }
 
+// BenchmarkBuildRGG measures network construction at the scale where it
+// dominates a run: a 2·10⁴-node grey-zone rgg (average degree 4 ln n, c 1.6,
+// p 0.5) built through the cell grid into a recycled workspace, CSR
+// compaction of G and G′ included, plus the sampled diameter every run
+// reads. arcs/op counts the G and G′ arcs each build emits.
+func BenchmarkBuildRGG(b *testing.B) {
+	params := topology.Params{"n": 20000, "side": 39.8, "c": 1.6, "p": 0.5}
+	ws := topology.NewWorkspace()
+	var arcs int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		built, err := topology.BuildInto("rgg", params, 1, ws)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if built.Dual.G.SampledDiameter() < 1 {
+			b.Fatal("degenerate diameter")
+		}
+		_, g := built.Dual.G.CSR()
+		_, gp := built.Dual.GPrime.CSR()
+		arcs += len(g) + len(gp)
+	}
+	b.ReportMetric(float64(arcs)/float64(b.N), "arcs/op")
+}
+
 // BenchmarkSweepPinnedTopology measures repeated trials of one pinned
 // topology through scenario.Sweep — the shape of every figure sweep in this
 // repo. B/op is the headline metric: warm trials reuse the fleet, the

@@ -2,7 +2,6 @@ package geom
 
 import (
 	"math"
-	"slices"
 
 	"amac/internal/graph"
 )
@@ -18,7 +17,9 @@ var cellGridMinNodes = 2048
 // cellGrid buckets an embedding into square cells of side ≥ the interaction
 // radius, so each node's neighbor candidates are confined to its 3×3 cell
 // block: O(n·deg) candidate pairs on bounded-density embeddings instead of
-// the all-pairs n²/2. Cells are stored CSR-style (one flat id array plus
+// the all-pairs n²/2. The side also grows to extent/⌈√n⌉ when that is
+// larger, so a sparse embedding over a wide square never has more than
+// about n cells. Cells are stored CSR-style (one flat id array plus
 // per-cell offsets), matching the graph core's layout.
 type cellGrid struct {
 	minX, minY float64
@@ -29,10 +30,10 @@ type cellGrid struct {
 	cand       []graph.NodeID // candidate scratch reused across nodes
 }
 
-// build indexes the embedding with cells of the given side (the interaction
-// radius; every pair within that distance shares a cell or touches an
-// adjacent one).
-func (cg *cellGrid) build(e Embedding, side float64) {
+// build indexes the embedding for the given interaction radius: every pair
+// within that distance shares a cell or touches an adjacent one, since the
+// cell side is max(radius, extent/⌈√n⌉).
+func (cg *cellGrid) build(e Embedding, radius float64) {
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	for _, pt := range e {
@@ -40,7 +41,8 @@ func (cg *cellGrid) build(e Embedding, side float64) {
 		maxX, maxY = math.Max(maxX, pt.X), math.Max(maxY, pt.Y)
 	}
 	cg.minX, cg.minY = minX, minY
-	cg.inv = 1 / side
+	extent := math.Max(maxX-minX, maxY-minY)
+	cg.inv = 1 / math.Max(radius, extent/math.Ceil(math.Sqrt(float64(len(e)))))
 	cg.cols = int((maxX-minX)*cg.inv) + 1
 	cg.rows = int((maxY-minY)*cg.inv) + 1
 	cells := cg.cols * cg.rows
@@ -67,10 +69,11 @@ func (cg *cellGrid) cell(pt Point) int {
 	return cy*cg.cols + cx
 }
 
-// candidates returns every node v > u in u's 3×3 cell block, sorted
-// ascending — a superset of the nodes within one cell side of u, in the
-// order the all-pairs scan would visit them. The slice is scratch owned by
-// the grid, overwritten by the next call.
+// candidates returns every node v > u in u's 3×3 cell block — a superset of
+// the nodes within the interaction radius of u — cell by cell, ascending
+// within each cell but not overall: callers that need the all-pairs scan's
+// increasing-v order sort what they keep. The slice is scratch owned by the
+// grid, overwritten by the next call.
 func (cg *cellGrid) candidates(e Embedding, u graph.NodeID) []graph.NodeID {
 	cx := int((e[u].X - cg.minX) * cg.inv)
 	cy := int((e[u].Y - cg.minY) * cg.inv)
@@ -100,7 +103,6 @@ func (cg *cellGrid) candidates(e Embedding, u graph.NodeID) []graph.NodeID {
 			out = append(out, bucket[lo:]...)
 		}
 	}
-	slices.Sort(out)
 	cg.cand = out
 	return out
 }

@@ -35,9 +35,10 @@ func TestUnitDiskCellGridMatchesScan(t *testing.T) {
 		{40, 4, 1, 3},
 		{120, 8, 1, 4},
 		{120, 8, 2.5, 5},
-		{200, 3, 1, 6},  // dense: most pairs in range
-		{200, 40, 1, 7}, // sparse: most cells empty
-		{64, 6, 0.3, 8}, // radius well under cell side of 1
+		{200, 3, 1, 6},   // dense: most pairs in range
+		{200, 40, 1, 7},  // sparse: most cells empty
+		{64, 6, 0.3, 8},  // radius well under cell side of 1
+		{256, 100, 1, 9}, // sparse over a wide square: cells of extent/16
 	} {
 		e := RandomUniform(tc.n, tc.side, rand.New(rand.NewSource(tc.seed)))
 
@@ -71,6 +72,7 @@ func TestGreyZoneCellGridMatchesScan(t *testing.T) {
 		{120, 8, 1, 0.5, 13}, // c = 1: no grey zone, no draws at all
 		{200, 6, 3, 1, 14},   // p = 1: every candidate taken, still no draws
 		{200, 30, 1.7, 0.9, 15},
+		{256, 100, 2, 0.5, 16}, // sparse over a wide square: cells of extent/16
 	} {
 		e := RandomUniform(tc.n, tc.side, rand.New(rand.NewSource(tc.seed)))
 
@@ -108,6 +110,29 @@ func TestCellGridIntoReusesStorage(t *testing.T) {
 		e.UnitDiskInto(recycled, 1)
 		if !slices.Equal(edgesOf(fresh), edgesOf(recycled)) {
 			t.Fatalf("seed %d: UnitDiskInto on recycled storage differs from fresh build", seed)
+		}
+	}
+}
+
+// TestCellGridCellsBoundedByN pins that the grid is sized by the node count,
+// not by the area of the embedding's square: a sparse embedding over a wide
+// square gets cells of side extent/⌈√n⌉ instead of one radius-sized cell per
+// unit of area (10⁶ cells here), and still finds every in-range pair.
+func TestCellGridCellsBoundedByN(t *testing.T) {
+	const n = 64
+	e := RandomUniform(n, 1000, rand.New(rand.NewSource(31)))
+	var cg cellGrid
+	cg.build(e, 1)
+	if cells := len(cg.start) - 1; cells > 4*n {
+		t.Fatalf("%d cells for %d points, want at most %d", cells, n, 4*n)
+	}
+	for u := range e {
+		cand := cg.candidates(e, graph.NodeID(u))
+		for v := u + 1; v < n; v++ {
+			// Every pair within one cell side must be a candidate.
+			if e[u].Dist(e[v]) <= 1/cg.inv && !slices.Contains(cand, graph.NodeID(v)) {
+				t.Fatalf("pair (%d, %d) at distance %g missing from the candidates", u, v, e[u].Dist(e[v]))
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"amac/internal/graph"
 )
@@ -45,7 +46,8 @@ func (e Embedding) UnitDisk(radius float64) *graph.Graph {
 // UnitDiskInto is UnitDisk emitting into g (reset first, keeping its
 // adjacency storage — see graph.Reset) and returns g. Past
 // cellGridMinNodes the candidate pairs come from a cell-grid bucketing of
-// the embedding instead of the all-pairs scan; the edge set is identical.
+// the embedding instead of the all-pairs scan, in cell order rather than
+// increasing v; only the edge set matters here, and it is identical.
 func (e Embedding) UnitDiskInto(g *graph.Graph, radius float64) *graph.Graph {
 	g.Reset(len(e))
 	if len(e) >= cellGridMinNodes && radius > 0 {
@@ -81,30 +83,40 @@ func (e Embedding) GreyZone(c, p float64, rng *rand.Rand) *graph.Graph {
 }
 
 // GreyZoneInto is GreyZone emitting into g (reset first, keeping its
-// adjacency storage) and returns g. The random stream is consumed in exactly
-// the order GreyZone consumes it, so equal seeds yield equal graphs on both
-// paths.
+// adjacency storage) and returns g. One variate is drawn per grey pair
+// (1 < d ≤ c, only when p < 1), in (u, v)-lexicographic order on both the
+// all-pairs scan and the cell-grid path past cellGridMinNodes, so equal
+// seeds yield equal graphs whichever path runs.
 func (e Embedding) GreyZoneInto(g *graph.Graph, c, p float64, rng *rand.Rand) *graph.Graph {
 	if c < 1 {
 		panic("geom: grey zone constant c must be >= 1")
 	}
 	g.Reset(len(e))
 	if len(e) >= cellGridMinNodes {
-		// Cell-grid path: candidates(u) returns every v > u within one cell
-		// length c, in increasing v — a superset of the pairs at distance
-		// ≤ c, visited in the same (u, v)-lexicographic order as the scan
-		// below. Since the scan draws from rng only for pairs with
-		// 1 < d ≤ c, and all such pairs are candidates, the random stream
-		// is consumed identically on both paths.
+		// Cell-grid path: candidates(u) is every v > u in u's 3×3 cell
+		// block, a superset of the pairs at distance ≤ c, in cell order.
+		// Pairs at d ≤ 1 need no draw and are added at once. The scan
+		// below draws from rng only for grey pairs (1 < d ≤ c, p < 1), in
+		// increasing v, so those alone are collected and sorted before
+		// drawing, and the random stream is consumed identically on both
+		// paths.
 		var cg cellGrid
 		cg.build(e, c)
+		var grey []graph.NodeID
 		for u := 0; u < len(e); u++ {
+			grey = grey[:0]
 			for _, v := range cg.candidates(e, graph.NodeID(u)) {
 				d := e[u].Dist(e[v])
 				switch {
-				case d <= 1:
+				case d <= 1, d <= c && p >= 1:
 					g.AddEdge(graph.NodeID(u), v)
-				case d <= c && (p >= 1 || rng.Float64() < p):
+				case d <= c:
+					grey = append(grey, v)
+				}
+			}
+			slices.Sort(grey)
+			for _, v := range grey {
+				if rng.Float64() < p {
 					g.AddEdge(graph.NodeID(u), v)
 				}
 			}

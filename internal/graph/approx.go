@@ -1,6 +1,12 @@
 package graph
 
-import "math/rand"
+import (
+	"math/rand"
+	"runtime"
+	"slices"
+
+	"amac/internal/par"
+)
 
 // ExactDiameterCutoff is the node count up to which ApproxDiameter computes
 // the exact all-source diameter. Exact diameter is O(n·m); past this size
@@ -23,8 +29,10 @@ func (g *Graph) SampledDiameter() int { return g.ApproxDiameter(8, 1) }
 // it never exceeds the true diameter. Graphs with at most
 // ExactDiameterCutoff nodes take the exact path, making the two observably
 // identical at the sizes the golden suites pin. Source selection is
-// deterministic in seed, and results are memoized per (k, seed) under the
-// same lock as Diameter, so shared graphs may call it concurrently.
+// deterministic in seed; the k double sweeps run on up to GOMAXPROCS
+// workers and the result does not depend on their number. Results are
+// memoized per (k, seed) under the same lock as Diameter, so shared graphs
+// may call it concurrently.
 func (g *Graph) ApproxDiameter(k int, seed int64) int {
 	g.finalize()
 	if g.n <= ExactDiameterCutoff {
@@ -42,31 +50,35 @@ func (g *Graph) ApproxDiameter(k int, seed int64) int {
 	if g.adiamOK && g.adiamK == k && g.adiamSeed == seed {
 		return g.adiam
 	}
+	// Draw every source first, in the sequence a serial loop would, then
+	// run the sweeps concurrently: each owns a pooled scratch and the
+	// reduction is a max, so the result is independent of the schedule.
 	rng := rand.New(rand.NewSource(seed))
+	srcs := make([]NodeID, k)
+	for i := range srcs {
+		srcs[i] = NodeID(rng.Intn(g.n))
+	}
+	ecc := make([]int, k)
+	par.For(runtime.GOMAXPROCS(0), k, func(i int) {
+		ecc[i] = g.doubleSweep(srcs[i])
+	})
+	best := slices.Max(ecc)
+	g.adiam, g.adiamOK, g.adiamK, g.adiamSeed = best, true, k, seed
+	return best
+}
+
+// doubleSweep BFSes from src, then returns the eccentricity of the farthest
+// node that walk reaches.
+func (g *Graph) doubleSweep(src NodeID) int {
 	s := getScratch(g.n)
 	resetDist(s.dist)
-	best := 0
-	for i := 0; i < k; i++ {
-		src := NodeID(rng.Intn(g.n))
-		// Sweep 1: find the node farthest from the sampled source.
-		s.queue = g.bfsInto(src, s.dist, s.queue)
-		far, fd := src, 0
-		for _, v := range s.queue {
-			if d := s.dist[v]; d > fd {
-				far, fd = v, d
-			}
-			s.dist[v] = Unreachable // restore for the next sweep
-		}
-		// Sweep 2: that node's eccentricity lower-bounds the diameter.
-		s.queue = g.bfsInto(far, s.dist, s.queue)
-		for _, v := range s.queue {
-			if d := s.dist[v]; d > best {
-				best = d
-			}
-			s.dist[v] = Unreachable
+	s.queue = g.bfsInto(src, s.dist, s.queue)
+	far, fd := src, 0
+	for _, v := range s.queue {
+		if d := s.dist[v]; d > fd {
+			far, fd = v, d
 		}
 	}
 	putScratch(s)
-	g.adiam, g.adiamOK, g.adiamK, g.adiamSeed = best, true, k, seed
-	return best
+	return g.Eccentricity(far)
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -195,21 +196,29 @@ func checkAgainstRef(t *testing.T, g *Graph, r *refGraph, rng *rand.Rand) {
 // naive reference, then compares every query. This is the pre/post-refactor
 // equivalence contract for the flat-CSR core.
 func TestCSRMatchesReference(t *testing.T) {
+	const (
+		uniform = iota
+		hub     // one node in most edges: long rows with many duplicates
+		desc    // sources inserted in descending order: reverse-sorted rows
+	)
 	cases := []struct {
 		n     int
 		edges int
 		seed  int64
+		shape int
 	}{
-		{0, 0, 1},
-		{1, 0, 2},
-		{2, 1, 3},
-		{7, 4, 4},
-		{16, 10, 5},
-		{16, 60, 6},
-		{40, 30, 7},
-		{40, 200, 8},
-		{97, 400, 9},
-		{128, 128, 10},
+		{0, 0, 1, uniform},
+		{1, 0, 2, uniform},
+		{2, 1, 3, uniform},
+		{7, 4, 4, uniform},
+		{16, 10, 5, uniform},
+		{16, 60, 6, uniform},
+		{40, 30, 7, uniform},
+		{40, 200, 8, uniform},
+		{97, 400, 9, uniform},
+		{128, 128, 10, uniform},
+		{300, 1500, 11, hub},
+		{200, 800, 12, desc},
 	}
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(tc.seed))
@@ -218,6 +227,12 @@ func TestCSRMatchesReference(t *testing.T) {
 		for i := 0; i < tc.edges; i++ {
 			u := NodeID(rng.Intn(tc.n))
 			v := NodeID(rng.Intn(tc.n))
+			switch {
+			case tc.shape == hub && rng.Intn(8) != 0:
+				u = 0
+			case tc.shape == desc:
+				u = NodeID(tc.n - 1 - i*tc.n/tc.edges)
+			}
 			if u == v {
 				continue
 			}
@@ -350,6 +365,87 @@ func TestApproxDiameterAboveCutoff(t *testing.T) {
 	g.AddEdge(NodeID(n-1), NodeID(n-2)) // duplicate — no-op, memo intact
 	if got := g.ApproxDiameter(1, 7); got != want {
 		t.Fatalf("after duplicate AddEdge: ApproxDiameter = %d, want %d", got, want)
+	}
+}
+
+// serialApproxDiameter is the single-goroutine double-sweep loop
+// ApproxDiameter ran before its sweeps went parallel, kept as the reference
+// the concurrent version must reproduce.
+func serialApproxDiameter(g *Graph, k int, seed int64) int {
+	g.Finalize()
+	rng := rand.New(rand.NewSource(seed))
+	dist := make([]int, g.n)
+	resetDist(dist)
+	var queue []NodeID
+	best := 0
+	for i := 0; i < k; i++ {
+		src := NodeID(rng.Intn(g.n))
+		queue = g.bfsInto(src, dist, queue)
+		far, fd := src, 0
+		for _, v := range queue {
+			if d := dist[v]; d > fd {
+				far, fd = v, d
+			}
+			dist[v] = Unreachable
+		}
+		queue = g.bfsInto(far, dist, queue)
+		for _, v := range queue {
+			if d := dist[v]; d > best {
+				best = d
+			}
+			dist[v] = Unreachable
+		}
+	}
+	return best
+}
+
+// randomGeometric is a unit-disk graph over n uniform points in a
+// side×side square, built by the all-pairs scan.
+func randomGeometric(n int, side float64, seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	xs, ys := make([]float64, n), make([]float64, n)
+	for i := range xs {
+		xs[i], ys[i] = rng.Float64()*side, rng.Float64()*side
+	}
+	g := New(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if dx, dy := xs[u]-xs[v], ys[u]-ys[v]; dx*dx+dy*dy <= 1 {
+				g.AddEdge(NodeID(u), NodeID(v))
+			}
+		}
+	}
+	return g
+}
+
+// TestApproxDiameterMatchesSerialSweeps checks the concurrent sweeps
+// against the serial loop on random geometric graphs past the cutoff — a
+// connected one and a sparse one with many components — for several k and
+// seeds, at one and two workers. Each run uses a fresh clone, so no answer
+// comes from the memo of another.
+func TestApproxDiameterMatchesSerialSweeps(t *testing.T) {
+	n := ExactDiameterCutoff + 200
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"connected", randomGeometric(n, 20, 41)},
+		{"sparse", randomGeometric(n, 45, 42)},
+	} {
+		name, g := tc.name, tc.g
+		for _, k := range []int{1, 3, 8} {
+			for _, seed := range []int64{1, 77} {
+				want := serialApproxDiameter(g, k, seed)
+				for _, procs := range []int{1, 2} {
+					runtime.GOMAXPROCS(procs)
+					if got := g.Clone().ApproxDiameter(k, seed); got != want {
+						t.Fatalf("%s k=%d seed=%d GOMAXPROCS=%d: ApproxDiameter = %d, serial sweeps %d",
+							name, k, seed, procs, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

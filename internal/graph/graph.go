@@ -25,12 +25,12 @@ type NodeID int
 // Mutation is build-phase-only and not goroutine-safe (like the previous
 // slice-of-slices representation): AddEdge appends to a pending arc buffer
 // and the first read — Neighbors, BFS, M, Edges, ... — compacts it into the
-// CSR block (sort + merge + dedup, so duplicate AddEdge calls stay
-// idempotent). HasEdge alone answers without compacting, through a lazily
-// built membership overlay, because the randomized builders interleave
-// HasEdge probes with AddEdge and must stay O(1) amortized per call.
-// Graphs shared read-only across goroutines must be finalized first (see
-// Finalize; topology.BuildInto does this for every registry build).
+// CSR block (bucket by source + per-row sort + dedup, so duplicate AddEdge
+// calls stay idempotent). HasEdge alone answers without compacting, through
+// a lazily built membership overlay, because the randomized builders
+// interleave HasEdge probes with AddEdge and must stay O(1) amortized per
+// call. Graphs shared read-only across goroutines must be finalized first
+// (see Finalize; topology.BuildInto does this for every registry build).
 type Graph struct {
 	n int
 	m int // edge count, recomputed when pending arcs compact
@@ -38,8 +38,8 @@ type Graph struct {
 	off  []int32  // row offsets, len n+1 (nil only for the zero value)
 	arcs []NodeID // flat arc array, rows sorted, concatenated in node order
 
-	// offBuf/arcsBuf are the spare buffers finalize merges into; the old
-	// storage is retained for the next merge, so alternating build/read
+	// offBuf/arcsBuf are the spare buffers finalize buckets into; the old
+	// storage is retained for the next compaction, so alternating build/read
 	// phases on a recycled graph allocate nothing in steady state.
 	offBuf  []int32
 	arcsBuf []NodeID
@@ -208,55 +208,73 @@ func (g *Graph) buildSeen() {
 // idempotent and cheap when nothing is pending.
 func (g *Graph) Finalize() { g.finalize() }
 
+// finalize buckets the pending arcs by source with one counting pass
+// (Gustavson's CSR transposition), so the cost is linear in the arc count
+// plus a sort of each row, never a sort of the whole pending buffer. Rows
+// arrive almost sorted from the geometric builders — the reversed arcs of a
+// row come in ascending source order — which the per-row sort exploits.
 func (g *Graph) finalize() {
 	if len(g.pend) == 0 {
 		return
 	}
-	slices.Sort(g.pend)
 	need := len(g.arcs) + len(g.pend)
-	dst := g.arcsBuf[:0]
+	if need > math.MaxInt32 {
+		panic("graph: arc count exceeds int32 offsets")
+	}
+	dst := g.arcsBuf
 	if cap(dst) < need {
-		dst = make([]NodeID, 0, need)
+		dst = make([]NodeID, need)
+	} else {
+		dst = dst[:need]
 	}
 	newOff := g.offBuf
 	if cap(newOff) < g.n+1 {
 		newOff = make([]int32, g.n+1)
 	} else {
 		newOff = newOff[:g.n+1]
+		clear(newOff)
 	}
-	pi := 0
+	// Row sizes: pending arcs per source plus the compacted row, shifted
+	// one slot so the exclusive prefix sum leaves each bucket's start in
+	// newOff[u].
+	for _, a := range g.pend {
+		newOff[a>>32+1]++
+	}
 	for u := 0; u < g.n; u++ {
-		newOff[u] = int32(len(dst))
-		oi, oe := int(g.off[u]), int(g.off[u+1])
-		for {
-			havePend := pi < len(g.pend) && g.pend[pi]>>32 == uint64(u)
-			if oi >= oe && !havePend {
-				break
+		newOff[u+1] += newOff[u] + g.off[u+1] - g.off[u]
+	}
+	// Fill each bucket: the compacted row first, then the pending targets
+	// behind it. newOff[u] serves as u's write cursor and ends at the start
+	// of bucket u+1; the shift below restores the starts.
+	for u := 0; u < g.n; u++ {
+		newOff[u] += int32(copy(dst[newOff[u]:], g.arcs[g.off[u]:g.off[u+1]]))
+	}
+	for _, a := range g.pend {
+		u := a >> 32
+		dst[newOff[u]] = NodeID(uint32(a))
+		newOff[u]++
+	}
+	copy(newOff[1:], newOff[:g.n])
+	newOff[0] = 0
+	// Sort each bucket and drop duplicates while compacting left. Bucket u
+	// is [lo, newOff[u+1]), read before newOff[u+1] is overwritten, and the
+	// write index w never passes the read index.
+	w, lo := int32(0), int32(0)
+	for u := 0; u < g.n; u++ {
+		hi := newOff[u+1]
+		row := dst[lo:hi]
+		slices.Sort(row)
+		newOff[u] = w
+		for _, v := range row {
+			if w == newOff[u] || dst[w-1] != v {
+				dst[w] = v
+				w++
 			}
-			var v NodeID
-			if !havePend {
-				v = g.arcs[oi]
-				oi++
-			} else if oi >= oe {
-				v = NodeID(uint32(g.pend[pi]))
-				pi++
-			} else if pv := NodeID(uint32(g.pend[pi])); pv < g.arcs[oi] {
-				v = pv
-				pi++
-			} else {
-				v = g.arcs[oi]
-				oi++
-			}
-			if n := len(dst); n > int(newOff[u]) && dst[n-1] == v {
-				continue // duplicate within the merged row
-			}
-			dst = append(dst, v)
 		}
+		lo = hi
 	}
-	if len(dst) > math.MaxInt32 {
-		panic("graph: arc count exceeds int32 offsets")
-	}
-	newOff[g.n] = int32(len(dst))
+	newOff[g.n] = w
+	dst = dst[:w]
 	// Swap: the displaced storage becomes the spare for the next merge.
 	g.arcsBuf, g.arcs = g.arcs, dst
 	g.offBuf, g.off = g.off, newOff

@@ -252,3 +252,20 @@ func TestTrialErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsRGGBelowUnitGreyZone pins that Run reports an rgg grey zone
+// constant below 1 as an error instead of panicking inside the geometric
+// builder (the job server runs specs without a recover).
+func TestRunRejectsRGGBelowUnitGreyZone(t *testing.T) {
+	rep, err := Run(Spec{
+		Topology:  TopologySpec{Name: "rgg", Params: topology.Params{"n": 50, "c": 0.5}},
+		Workload:  WorkloadSpec{Kind: WorkloadSingleton, K: 2},
+		Algorithm: AlgorithmSpec{Name: "bmmb"},
+	})
+	if err == nil {
+		t.Fatalf("Run = %v, want an error", rep)
+	}
+	if want := "rgg needs c >= 1, got 0.5"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not mention %q", err, want)
+	}
+}

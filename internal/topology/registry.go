@@ -274,6 +274,9 @@ func init() {
 			side = DefaultRGGSide(n)
 		}
 		c := p.Float("c", 1.6)
+		if c < 1 {
+			return nil, fmt.Errorf("topology: rgg needs c >= 1, got %g", c)
+		}
 		prob := p.Float("p", 0.5)
 		tries := p.Int("max-tries", 200)
 		d := ConnectedRandomGeometricInto(ws, n, side, c, prob, ws.Rand(seed), tries)

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -184,5 +185,24 @@ func TestParamsRoundToNearest(t *testing.T) {
 	}
 	if got := (Params{}).Int64("n", 7); got != 7 {
 		t.Errorf("absent Int64 default = %d, want 7", got)
+	}
+}
+
+// TestBuildRejectsRGGBelowUnitGreyZone pins that an rgg with c < 1 is a
+// build error, not a panic: the grey zone constraint needs c ≥ 1, and a job
+// spec carrying such a value must fail cleanly instead of taking the
+// process down.
+func TestBuildRejectsRGGBelowUnitGreyZone(t *testing.T) {
+	for _, c := range []float64{0.5, 0, -1} {
+		b, err := Build("rgg", Params{"n": 50, "c": c})
+		if err == nil || b != nil {
+			t.Fatalf("c=%g: Build = (%v, %v), want an error", c, b, err)
+		}
+		if want := "rgg needs c >= 1"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("c=%g: error %q does not mention %q", c, err, want)
+		}
+	}
+	if _, err := Build("rgg", Params{"n": 50, "c": 1}); err != nil {
+		t.Fatalf("c=1 is the smallest legal grey zone constant: %v", err)
 	}
 }
