@@ -321,6 +321,48 @@ func BenchmarkBuildRGG(b *testing.B) {
 	b.ReportMetric(float64(arcs)/float64(b.N), "arcs/op")
 }
 
+// BenchmarkBMMBRGG measures the standard-model reception path at scale:
+// one-shot BMMB (k = 2 singleton messages, sync scheduler with rel 0.5,
+// trace off, a fresh fleet and runner per iteration) on a prebuilt
+// 2·10⁴-node grey-zone rgg (the BuildRGG network). The build runs outside
+// the timer, so nearly all of the time is MAC receptions — most of them
+// duplicates BMMB's rcvd set discards. rcvs/op counts them; ns/rcv is the
+// time per reception.
+func BenchmarkBMMBRGG(b *testing.B) {
+	params := topology.Params{"n": 20000, "side": 39.8, "c": 1.6, "p": 0.5}
+	built, err := topology.BuildInto("rgg", params, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := built.Dual
+	n := d.N()
+	origins := []graph.NodeID{0, graph.NodeID(n / 2)}
+	var rcvs int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := core.MustRun(core.RunConfig{
+			Dual:             d,
+			Fack:             200,
+			Fprog:            10,
+			Scheduler:        &sched.Sync{Rel: sched.Bernoulli{P: 0.5}},
+			Seed:             int64(i + 1),
+			Assignment:       core.Singleton(n, origins),
+			Automata:         core.NewBMMBFleet(n),
+			HaltOnCompletion: true,
+			Options:          core.RunOptions{Trace: core.TraceOff},
+		})
+		if !res.Solved {
+			b.Fatal("not solved")
+		}
+		for _, in := range res.Engine.Instances() {
+			rcvs += in.NumDelivered()
+		}
+	}
+	b.ReportMetric(float64(rcvs)/float64(b.N), "rcvs/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rcvs), "ns/rcv")
+}
+
 // BenchmarkSweepPinnedTopology measures repeated trials of one pinned
 // topology through scenario.Sweep — the shape of every figure sweep in this
 // repo. B/op is the headline metric: warm trials reuse the fleet, the

@@ -77,8 +77,7 @@ func All(d *topology.Dual, insts []*mac.Instance, p Params) *Report {
 // ack, and at most EpsAbort after an abort.
 func ReceiveCorrectness(r *Report, d *topology.Dual, insts []*mac.Instance, p Params) {
 	for _, b := range insts {
-		for _, to := range b.Receivers() {
-			at, _ := b.DeliveredAt(to)
+		for to, at := range b.Receivers() {
 			if to == b.Sender {
 				r.add("receive correctness", "instance %d delivered to its sender %d", b.ID, to)
 			}
@@ -181,8 +180,7 @@ func ProgressBound(r *Report, d *topology.Dual, insts []*mac.Instance, p Params)
 		if b.Terminated() {
 			termAt = b.TermAt
 		}
-		for _, to := range b.Receivers() {
-			at, _ := b.DeliveredAt(to)
+		for to, at := range b.Receivers() {
 			events[to] = append(events[to], rcvEvent{tau: at, term: termAt})
 		}
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
+	"amac/internal/graph"
 	"amac/internal/mac"
 	"amac/internal/sched"
 	"amac/internal/topology"
@@ -42,6 +44,56 @@ func TestBMMBFloodAllocationBudget(t *testing.T) {
 	})
 	if allocs > budget {
 		t.Fatalf("BMMB flood allocates %.0f times per run, budget %d", allocs, budget)
+	}
+}
+
+// TestColdBMMBAllocationsFlatInInstances guards the storage of the
+// standard-model reception path on a cold one-shot run — fresh fleet,
+// runner and arena, as core.Run builds them — on a grey-zone rgg under
+// sync with rel 0.5. Instance records come from slabs, grey-target buffers
+// from an arena block, receivers are read off the delivery rows and BMMB's
+// rcvd set is a bitset in its fleet record, so no allocation is made per
+// broadcast instance or per reception: one ceiling of 10 allocations per
+// node holds at k = 2 and at k = 8 (600 and 2,400 instances). Storage that
+// grows per instance — a receiver list or grey buffer grown by append, a
+// record or a map per instance — costs 25+ allocations per node at k = 2.
+func TestColdBMMBAllocationsFlatInInstances(t *testing.T) {
+	d := topology.ConnectedRandomGeometric(300, 8, 1.6, 0.5, rand.New(rand.NewSource(11)), 50)
+	if d == nil {
+		t.Fatal("no connected rgg")
+	}
+	n := d.N()
+	ceiling := 10 * float64(n)
+	for _, k := range []int{2, 8} {
+		origins := make([]graph.NodeID, k)
+		for i := range origins {
+			origins[i] = graph.NodeID(i * n / k)
+		}
+		instances := 0
+		allocs := testing.AllocsPerRun(5, func() {
+			res := MustRun(RunConfig{
+				Dual:             d,
+				Fack:             200,
+				Fprog:            10,
+				Scheduler:        &sched.Sync{Rel: sched.Bernoulli{P: 0.5}},
+				Seed:             3,
+				Assignment:       Singleton(n, origins),
+				Automata:         NewBMMBFleet(n),
+				HaltOnCompletion: true,
+				Options:          RunOptions{Trace: TraceOff},
+			})
+			if !res.Solved {
+				t.Fatal("flood not solved")
+			}
+			instances = res.Broadcasts
+		})
+		if instances < k*n-k {
+			t.Fatalf("k=%d: %d broadcast instances, want about %d", k, instances, k*n)
+		}
+		if allocs > ceiling {
+			t.Fatalf("k=%d: cold BMMB run allocates %.0f times for %d instances, ceiling %.0f (10 per node)",
+				k, allocs, instances, ceiling)
+		}
 	}
 }
 

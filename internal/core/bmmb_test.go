@@ -255,3 +255,51 @@ func TestBMMBParallelLinesLowerBound(t *testing.T) {
 		}
 	}
 }
+
+// TestBMMBRcvdBitsetPastOneWord floods k = 130 messages — three words of
+// BMMB's rcvd bitset, so the set grows past its inline first word — and
+// checks that the run solves, that Received agrees with the deliveries at
+// every node (and rejects IDs outside 0..k−1), and that Reset empties the
+// set and the queue so a warm rerun solves again.
+func TestBMMBRcvdBitsetPastOneWord(t *testing.T) {
+	const k = 130
+	d := topology.Line(5)
+	a := SingleSource(d.N(), 2, k)
+	fleet := NewBMMBFleet(d.N())
+	rn := NewRunner(d)
+	for run := 0; run < 2; run++ {
+		res, err := rn.Run(RunConfig{Dual: d, Fack: testFack, Fprog: testFprog,
+			Scheduler: &sched.Sync{}, Seed: 1, Assignment: a, Automata: fleet,
+			HaltOnCompletion: true, Options: RunOptions{Check: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Solved || res.Delivered != k*d.N() || len(res.MMBViolations) != 0 || !res.Report.OK() {
+			t.Fatalf("run %d: solved=%v delivered %d/%d, violations %v %v",
+				run, res.Solved, res.Delivered, k*d.N(), res.MMBViolations, res.Report.Violations)
+		}
+		for v, auto := range fleet {
+			b := auto.(*BMMB)
+			for id := 0; id < k; id++ {
+				if !b.Received(Msg{ID: id, Origin: 2}) {
+					t.Fatalf("run %d: node %d delivered m%d but Received says no", run, v, id)
+				}
+			}
+			if b.Received(Msg{ID: k, Origin: 2}) || b.Received(Msg{ID: -1, Origin: 2}) {
+				t.Fatalf("run %d: node %d reports receiving an ID outside 0..%d", run, v, k-1)
+			}
+		}
+		for _, auto := range fleet {
+			b := auto.(*BMMB)
+			b.Reset()
+			for id := 0; id < k; id++ {
+				if b.Received(Msg{ID: id, Origin: 2}) {
+					t.Fatalf("Reset left m%d in rcvd", id)
+				}
+			}
+			if len(b.Queue()) != 0 {
+				t.Fatalf("Reset left %d queued messages", len(b.Queue()))
+			}
+		}
+	}
+}

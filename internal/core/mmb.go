@@ -24,7 +24,11 @@ import (
 // broadcast — the algorithms here send exactly one per broadcast. Msg is
 // comparable so it can key sets and maps.
 type Msg struct {
-	// ID uniquely identifies the message within an execution.
+	// ID identifies the message within an execution: a workload of k
+	// messages numbers them 0..k−1, each exactly once (Run rejects any
+	// other numbering; every generator here complies), so per-message
+	// state — BMMB's rcvd set, the runner's completion watcher — is a
+	// dense table indexed by ID.
 	ID int
 	// Origin is the node the environment injected the message at.
 	Origin mac.NodeID

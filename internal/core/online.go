@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"amac/internal/graph"
@@ -23,8 +24,11 @@ type Workload struct {
 	arrivals []Arrival
 	// sorted memoizes Arrivals(): workloads are built once and consulted
 	// repeatedly (twice per run, once per trial of a warm sweep), so the
-	// sort-and-copy happens once per mutation instead of per call.
+	// sort-and-copy happens once per mutation instead of per call. idErr
+	// memoizes the message-ID check (see Msg.ID) alongside it, so warm
+	// trials re-check nothing.
 	sorted []Arrival
+	idErr  error
 }
 
 // Add appends one arrival.
@@ -40,12 +44,44 @@ func (w *Workload) K() int { return len(w.arrivals) }
 // The returned slice is memoized and owned by the workload; callers must not
 // mutate it.
 func (w *Workload) Arrivals() []Arrival {
-	if w.sorted == nil && len(w.arrivals) > 0 {
-		out := append([]Arrival(nil), w.arrivals...)
-		sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-		w.sorted = out
-	}
+	w.memoize()
 	return w.sorted
+}
+
+// memoize fills the sorted arrivals and the ID check once per mutation.
+func (w *Workload) memoize() {
+	if w.sorted != nil || len(w.arrivals) == 0 {
+		return
+	}
+	out := append([]Arrival(nil), w.arrivals...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	w.sorted = out
+	w.idErr = checkIDs(w.arrivals)
+}
+
+// idError reports the memoized message-ID check (nil when the IDs follow
+// the Msg.ID contract).
+func (w *Workload) idError() error {
+	w.memoize()
+	return w.idErr
+}
+
+// checkIDs reports the first arrival, in insertion order, that breaks the
+// Msg.ID contract: the k messages carry IDs 0..k−1, each exactly once.
+func checkIDs(arrivals []Arrival) error {
+	k := len(arrivals)
+	used := make([]uint64, (k+63)/64)
+	for _, ar := range arrivals {
+		id := ar.Msg.ID
+		if id < 0 || id >= k {
+			return fmt.Errorf("core: message %v has ID %d outside 0..%d (the k messages need IDs 0..k-1, each once)", ar.Msg, id, k-1)
+		}
+		if used[id>>6]&(1<<(uint(id)&63)) != 0 {
+			return fmt.Errorf("core: message ID %d is used twice (the k messages need IDs 0..k-1, each once)", id)
+		}
+		used[id>>6] |= 1 << (uint(id) & 63)
+	}
+	return nil
 }
 
 // MaxAt returns the latest arrival time (0 when empty).

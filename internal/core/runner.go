@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"amac/internal/check"
 	"amac/internal/graph"
@@ -101,19 +102,22 @@ type Result struct {
 // first violation. It covers every condition Run (and the engine underneath)
 // requires, so a config that validates cleanly cannot fail to start.
 func (cfg *RunConfig) Validate() error {
-	_, err := cfg.resolve()
+	_, err := cfg.resolve(false)
 	return err
 }
 
 // resolve validates the configuration and returns the resolved workload
 // (building it from the assignment when needed), so Run validates and
-// resolves in one pass.
-func (cfg *RunConfig) resolve() (*Workload, error) {
+// resolves in one pass. dualChecked skips re-validating the dual, for a
+// Runner whose own dual it is: NewRunner or Rebind validated it once.
+func (cfg *RunConfig) resolve(dualChecked bool) (*Workload, error) {
 	if cfg.Dual == nil {
 		return nil, fmt.Errorf("core: RunConfig.Dual is required")
 	}
-	if err := cfg.Dual.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid dual: %w", err)
+	if !dualChecked {
+		if err := validateDual(cfg.Dual); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Scheduler == nil {
 		return nil, fmt.Errorf("core: RunConfig.Scheduler is required")
@@ -163,7 +167,19 @@ func (cfg *RunConfig) resolve() (*Workload, error) {
 			return nil, fmt.Errorf("core: arrival of %v at node %d contradicts its origin", ar.Msg, ar.Node)
 		}
 	}
+	if err := workload.idError(); err != nil {
+		return nil, err
+	}
 	return workload, nil
+}
+
+// validateDual is the one check of a network's structural invariant per
+// run, worded as every entry point reports it.
+func validateDual(d *topology.Dual) error {
+	if err := d.Validate(); err != nil {
+		return fmt.Errorf("core: invalid dual: %w", err)
+	}
+	return nil
 }
 
 // Run executes the configured MMB instance to completion (or horizon) on a
@@ -171,11 +187,11 @@ func (cfg *RunConfig) resolve() (*Workload, error) {
 // descriptive error (see Validate) rather than panicking; fail-fast callers
 // use MustRun.
 func Run(cfg RunConfig) (*Result, error) {
-	workload, err := cfg.resolve()
+	workload, err := cfg.resolve(false)
 	if err != nil {
 		return nil, err
 	}
-	return NewRunner(cfg.Dual).run(cfg, workload)
+	return newRunner(cfg.Dual).run(cfg, workload)
 }
 
 // Runner executes repeated MMB configurations on one pinned network with
@@ -231,8 +247,31 @@ func newSlot(d *topology.Dual) *slot {
 
 // NewRunner returns a warm runner for the given network. It panics on an
 // invalid dual, exactly like mac.NewEngine: runners are constructed from
-// already-built topologies, so this is a programming error.
+// already-built topologies, so this is a programming error. NewRunnerChecked
+// returns the error instead.
 func NewRunner(d *topology.Dual) *Runner {
+	r, err := NewRunnerChecked(d)
+	if err != nil {
+		panic(err.Error())
+	}
+	return r
+}
+
+// NewRunnerChecked is NewRunner for networks built outside the registry: an
+// invalid dual is returned as the error Run reports for it. The dual is
+// validated here once; the runner's runs and its arenas do not re-check it.
+func NewRunnerChecked(d *topology.Dual) (*Runner, error) {
+	if d == nil {
+		return nil, fmt.Errorf("core: nil dual")
+	}
+	if err := validateDual(d); err != nil {
+		return nil, err
+	}
+	return newRunner(d), nil
+}
+
+// newRunner builds a runner for a dual its caller has validated.
+func newRunner(d *topology.Dual) *Runner {
 	r := &Runner{dual: d, slots: []*slot{newSlot(d)}}
 	r.compOf, r.compSizes, _ = componentIndexInto(d.G, nil, nil, nil)
 	return r
@@ -244,13 +283,17 @@ func (r *Runner) Dual() *topology.Dual { return r.dual }
 // Rebind re-targets the runner at a new dual network: every slot's arena
 // is rebound (reliability bitset refilled, delivery block kept when
 // capacity fits) and the component index of G is recomputed into its
-// existing slices. The watcher maps are per-run state and reset on the next
-// Run as always. Unpinned trial sweeps rebind one runner per worker to each
-// per-trial network draw; executions stay byte-identical to one-shot
-// core.Run calls. Rebinding to the runner's current dual is a no-op.
+// existing slices. The watcher tables are per-run state and reset on the
+// next Run as always. Unpinned trial sweeps rebind one runner per worker to
+// each per-trial network draw; executions stay byte-identical to one-shot
+// core.Run calls. Like NewRunner, it validates the new dual once and panics
+// if it is invalid. Rebinding to the runner's current dual is a no-op.
 func (r *Runner) Rebind(d *topology.Dual) {
 	if d == r.dual {
 		return
+	}
+	if err := validateDual(d); err != nil {
+		panic(err.Error())
 	}
 	for _, s := range r.slots {
 		s.arena.Rebind(d)
@@ -263,7 +306,7 @@ func (r *Runner) Rebind(d *topology.Dual) {
 // exact network the runner was built for (pointer identity — a structurally
 // equal copy would invalidate the precomputed CSR index anyway).
 func (r *Runner) Run(cfg RunConfig) (*Result, error) {
-	workload, err := cfg.resolve()
+	workload, err := cfg.resolve(cfg.Dual == r.dual)
 	if err != nil {
 		return nil, err
 	}
@@ -330,15 +373,68 @@ func componentIndexInto(g *graph.Graph, compOf, compSizes []int, queue []graph.N
 
 // runState is the completion-watcher state of one execution: it counts
 // required deliveries, flags MMB violations and halts on completion. Each
-// slot owns one and recycles its maps across runs.
+// slot owns one and recycles its tables across runs. The tables are dense,
+// indexed by message ID (IDs are 0..k−1, see Msg.ID): origin[id] is the
+// origin of the message this run injects with that ID (−1 for none), bit id
+// of arrived is set when its arrive event fires, and bit node·k + id of seen
+// when node first delivers it. A deliver of a message the run never injects
+// — an ID outside 0..k−1, or another origin — is reported as delivered
+// before any arrive and is neither recorded nor counted.
 type runState struct {
 	res      *Result
 	eng      *mac.Engine
 	compOf   []int
 	required int
 	halt     bool
-	seen     map[deliverKey]bool
-	arrived  map[Msg]bool
+	k        int
+	origin   []mac.NodeID
+	arrived  []uint64
+	seen     []uint64
+}
+
+// arm resets the tables for a run of the workload's k messages on n nodes,
+// injecting arrivals. Only nodes deliver (nil: every node), so only their
+// rows of seen are cleared: a shard run clears its component's rows instead
+// of the whole k·n bits.
+func (st *runState) arm(k, n int, nodes []mac.NodeID, arrivals []Arrival) {
+	st.k = k
+	st.origin = slices.Grow(st.origin[:0], k)[:k]
+	for i := range st.origin {
+		st.origin[i] = -1
+	}
+	for _, ar := range arrivals {
+		st.origin[ar.Msg.ID] = ar.Msg.Origin
+	}
+	words := (k + 63) / 64
+	st.arrived = slices.Grow(st.arrived[:0], words)[:words]
+	clear(st.arrived)
+	words = (k*n + 63) / 64
+	switch {
+	case cap(st.seen) < words:
+		st.seen = make([]uint64, words)
+	case nodes == nil:
+		st.seen = st.seen[:words]
+		clear(st.seen)
+	default:
+		st.seen = st.seen[:words]
+		for _, v := range nodes {
+			clearBits(st.seen, int(v)*k, k)
+		}
+	}
+}
+
+// clearBits clears bits [lo, lo+n).
+func clearBits(bits []uint64, lo, n int) {
+	for hi := lo + n; lo < hi; {
+		span := min(64-lo&63, hi-lo)
+		bits[lo>>6] &^= ^uint64(0) >> (64 - span) << (lo & 63)
+		lo += span
+	}
+}
+
+// injected reports whether m is a message this run injects.
+func (st *runState) injected(m Msg) bool {
+	return uint(m.ID) < uint(len(st.origin)) && st.origin[m.ID] == m.Origin
 }
 
 // onEvent observes every trace event of the execution. It decodes message
@@ -347,27 +443,33 @@ type runState struct {
 func (st *runState) onEvent(ev sim.TraceEvent) {
 	switch ev.Kind {
 	case "arrive":
-		st.arrived[mustMsg(ev.P)] = true
+		m := mustMsg(ev.P)
+		st.arrived[m.ID>>6] |= 1 << (uint(m.ID) & 63)
 	case DeliverKind:
 		m, ok := MsgFromPayload(ev.P)
 		if !ok {
 			return
 		}
-		key := deliverKey{node: mac.NodeID(ev.Node), msg: m}
-		if st.seen[key] {
+		if !st.injected(m) {
+			st.res.MMBViolations = append(st.res.MMBViolations,
+				fmt.Sprintf("deliver of %v at node %d before any arrive", m, ev.Node))
+			return
+		}
+		bit := ev.Node*st.k + m.ID
+		if st.seen[bit>>6]&(1<<(uint(bit)&63)) != 0 {
 			st.res.MMBViolations = append(st.res.MMBViolations,
 				fmt.Sprintf("duplicate deliver of %v at node %d", m, ev.Node))
 			return
 		}
-		if !st.arrived[m] {
+		if st.arrived[m.ID>>6]&(1<<(uint(m.ID)&63)) == 0 {
 			st.res.MMBViolations = append(st.res.MMBViolations,
 				fmt.Sprintf("deliver of %v at node %d before any arrive", m, ev.Node))
 		}
-		st.seen[key] = true
+		st.seen[bit>>6] |= 1 << (uint(bit) & 63)
 		// Count only deliveries required by the problem (same component
 		// as the origin); cross-component leakage through G'-edges is
 		// legal but not required.
-		if st.compOf[key.node] == st.compOf[m.Origin] {
+		if st.compOf[ev.Node] == st.compOf[m.Origin] {
 			st.res.Delivered++
 			if st.res.Delivered == st.required {
 				st.res.Solved = true
@@ -461,13 +563,7 @@ func (s *slot) run(cfg RunConfig, scheduler mac.Scheduler, sink sim.TraceSink, n
 
 	res := &Result{Required: required, Engine: eng}
 	st := &s.st
-	if st.seen == nil {
-		st.seen = make(map[deliverKey]bool, required)
-		st.arrived = make(map[Msg]bool, len(arrivals))
-	} else {
-		clear(st.seen)
-		clear(st.arrived)
-	}
+	st.arm(cfg.Workload.K(), cfg.Dual.N(), nodes, arrivals)
 	st.res, st.eng, st.compOf = res, eng, compOf
 	st.required, st.halt = required, cfg.HaltOnCompletion
 	eng.Watch(s.watch)
@@ -514,11 +610,6 @@ func MustRun(cfg RunConfig) *Result {
 		panic(err)
 	}
 	return res
-}
-
-type deliverKey struct {
-	node mac.NodeID
-	msg  Msg
 }
 
 // SingleSource builds an assignment with k messages all injected at origin.

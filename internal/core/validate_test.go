@@ -59,6 +59,23 @@ func TestRunConfigValidateRejections(t *testing.T) {
 			w.Add(0, 1, Msg{ID: 0, Origin: 2})
 			c.Workload = w
 		}, "contradicts its origin"},
+		{"G edge missing from G'", func(c *RunConfig) {
+			c.Dual = &topology.Dual{G: topology.Line(4).G, GPrime: graph.New(4), Name: "not-a-subgraph"}
+		}, "invalid dual"},
+		{"duplicate message ID", func(c *RunConfig) {
+			w := &Workload{}
+			w.Add(0, 0, Msg{ID: 0, Origin: 0})
+			w.Add(5, 3, Msg{ID: 0, Origin: 3})
+			c.Workload = w
+		}, "message ID 0 is used twice"},
+		{"negative message ID", func(c *RunConfig) {
+			w := &Workload{}
+			w.Add(0, 0, Msg{ID: -1, Origin: 0})
+			c.Workload = w
+		}, "ID -1 outside 0..0"},
+		{"message ID not below k", func(c *RunConfig) {
+			c.Assignment = Assignment{{{ID: 0, Origin: 0}}, nil, {{ID: 2, Origin: 2}}, nil}
+		}, "ID 2 outside 0..1"},
 	}
 	for _, tc := range cases {
 		cfg := validRunConfig()
@@ -99,5 +116,43 @@ func TestRunValidConfigSolves(t *testing.T) {
 	}
 	if !res.Solved {
 		t.Fatalf("valid config unsolved: %d/%d", res.Delivered, res.Required)
+	}
+}
+
+// TestInvalidDualEntryPoints pins where a network is validated now that it
+// is validated once per run: NewRunner and Rebind panic with the error Run
+// reports, NewRunnerChecked returns it, and a runner's runs on its own
+// (validated) dual still solve.
+func TestInvalidDualEntryPoints(t *testing.T) {
+	bad := &topology.Dual{G: topology.Line(4).G, GPrime: graph.New(4), Name: "not-a-subgraph"}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatalf("%s accepted an invalid dual", name)
+			}
+			if msg, _ := r.(string); !strings.Contains(msg, "core: invalid dual") {
+				t.Fatalf("%s panicked with %v, want the invalid-dual error", name, r)
+			}
+		}()
+		f()
+	}
+	mustPanic("NewRunner", func() { NewRunner(bad) })
+	rn := NewRunner(topology.Line(4))
+	mustPanic("Rebind", func() { rn.Rebind(bad) })
+	if _, err := NewRunnerChecked(bad); err == nil || !strings.Contains(err.Error(), "core: invalid dual") {
+		t.Fatalf("NewRunnerChecked returned %v, want the invalid-dual error", err)
+	}
+	cfg := validRunConfig()
+	rn = NewRunner(cfg.Dual)
+	for i := 0; i < 2; i++ {
+		res, err := rn.Run(cfg)
+		if err != nil || !res.Solved {
+			t.Fatalf("run %d on the runner's own dual: %v", i, err)
+		}
+		for _, a := range cfg.Automata {
+			a.(*BMMB).Reset()
+		}
 	}
 }

@@ -153,6 +153,11 @@ func (g *Graph) AddEdge(u, v NodeID) {
 	g.adiamOK = false
 }
 
+// Reserve makes room for arcs more pending arcs (each AddEdge adds two), so
+// a builder that knows a bound on its edge count adds them without
+// regrowing the pending buffer from empty. Reset keeps the room.
+func (g *Graph) Reserve(arcs int) { g.pend = slices.Grow(g.pend, arcs) }
+
 // hasArc reports whether (u, v) is in the compacted CSR block (pending arcs
 // not considered) by binary-searching u's sorted row.
 func (g *Graph) hasArc(u, v NodeID) bool {

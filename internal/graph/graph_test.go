@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -456,4 +457,40 @@ func TestEdgeSeqEarlyBreak(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("walked %d edges after break at 3", count)
 	}
+}
+
+// TestReserveIsCapacityOnly pins Graph.Reserve as room and nothing else: a
+// graph built after reserving is arc-for-arc the graph built without it,
+// and the reserved graph adds its edges without growing the pending buffer,
+// also after a Reset.
+func TestReserveIsCapacityOnly(t *testing.T) {
+	const n, m = 60, 300
+	rng := rand.New(rand.NewSource(4))
+	var edges [][2]NodeID
+	for len(edges) < m {
+		u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+		if u != v {
+			edges = append(edges, [2]NodeID{u, v})
+		}
+	}
+	plain, reserved := New(n), New(n)
+	reserved.Reserve(2 * m)
+	room := cap(reserved.pend)
+	add := func(g *Graph) {
+		for _, e := range edges {
+			g.AddEdge(e[0], e[1])
+		}
+		if g == reserved && (cap(g.pend) != room || len(g.pend) != 2*m) {
+			t.Fatalf("pending buffer %d/%d after %d edges into room for %d arcs", len(g.pend), cap(g.pend), m, room)
+		}
+	}
+	add(plain)
+	add(reserved)
+	po, pa := plain.CSR()
+	ro, ra := reserved.CSR()
+	if !slices.Equal(po, ro) || !slices.Equal(pa, ra) {
+		t.Fatal("reserving room changed the graph")
+	}
+	reserved.Reset(n)
+	add(reserved)
 }

@@ -1,8 +1,6 @@
 package mac
 
 import (
-	"fmt"
-
 	"amac/internal/sim"
 	"amac/internal/topology"
 )
@@ -31,6 +29,9 @@ type csrIndex struct {
 	// growth floor (one row per node's first broadcast is exactly one
 	// full arc space).
 	arcCount int
+	// greyCount is the number of directed G′\G arcs, 2(m′ − m) — the grey
+	// block's growth floor, by the same argument.
+	greyCount int
 }
 
 func newCSRIndex(d *topology.Dual) *csrIndex {
@@ -48,6 +49,7 @@ func (idx *csrIndex) fill(d *topology.Dual) {
 	pOff, pArcs := d.GPrime.CSR()
 	idx.off, idx.arcs = pOff, pArcs
 	idx.arcCount = len(pArcs)
+	idx.greyCount = len(pArcs) - len(gArcs)
 	words := (len(pArcs) + 63) / 64
 	if cap(idx.reliable) < words {
 		idx.reliable = make([]uint64, words)
@@ -101,22 +103,28 @@ type Arena struct {
 	// reallocating, so warm runs write into recycled memory.
 	block []sim.Time
 	used  int
+	// grey is the flat storage instances carve their grey-target buffers
+	// from (Instance.GreyBuf), greyUsed its cursor. Buffers are written
+	// before they are read, so reset rewinds the cursor without zeroing.
+	grey     []NodeID
+	greyUsed int
 
 	// insts pools the instance records of past runs (pointers are stable;
-	// the structs are recycled field-by-field, keeping their receivers
-	// capacity). next is the reuse cursor of the current run.
+	// the structs are recycled). Records are allocated in slabs of up to
+	// maxSlab, so a cold run allocates for them once per slab rather than
+	// once per broadcast. next is the reuse cursor of the current run.
 	insts []*Instance
 	next  int
 }
 
-// NewArena builds the reusable run state for the given dual network. It
-// panics on an invalid dual.
+// NewArena builds the reusable run state for the given dual network, which
+// must be valid (topology.Dual.Validate): the arena derives its reliability
+// bits assuming E ⊆ E′. It does not re-check that; the network is validated
+// once where it enters a run — core.NewRunner, Runner.Rebind, core.Run, or
+// NewEngine without an arena.
 func NewArena(d *topology.Dual) *Arena {
 	if d == nil {
 		panic("mac: nil dual")
-	}
-	if err := d.Validate(); err != nil {
-		panic(fmt.Sprintf("mac: invalid dual: %v", err))
 	}
 	return &Arena{dual: d, csr: newCSRIndex(d)}
 }
@@ -130,17 +138,14 @@ func (a *Arena) Dual() *topology.Dual { return a.dual }
 // geometrically otherwise, and the pooled engine, instance records and
 // event pool all carry over. Unpinned trial sweeps rebind one arena per
 // worker to each per-trial network draw instead of building a fresh arena.
-// Like NewArena, it panics on an invalid dual. Rebinding to the arena's
-// current dual is a no-op.
+// Like NewArena, it expects a valid dual and does not re-check it.
+// Rebinding to the arena's current dual is a no-op.
 func (a *Arena) Rebind(d *topology.Dual) {
 	if d == a.dual {
 		return
 	}
 	if d == nil {
 		panic("mac: nil dual")
-	}
-	if err := d.Validate(); err != nil {
-		panic(fmt.Sprintf("mac: invalid dual: %v", err))
 	}
 	a.csr.fill(d)
 	if a.csr.arcCount > len(a.block) {
@@ -164,10 +169,11 @@ func (a *Arena) Cap() int { return len(a.block) }
 
 // reset recycles the storage of the previous execution: the delivery block
 // is zeroed up to its high-water mark (rows are handed out pre-zeroed, like
-// a fresh make) and the instance cursor rewinds.
+// a fresh make), and the grey and instance cursors rewind.
 func (a *Arena) reset() {
 	clear(a.block[:a.used])
 	a.used = 0
+	a.greyUsed = 0
 	a.next = 0
 }
 
@@ -195,42 +201,65 @@ func (a *Arena) row(deg int) []sim.Time {
 	return r
 }
 
+// greyRow carves n entries of grey-target storage, empty with capacity n.
+// Growth follows row: double, with a floor of one full grey-arc space, no
+// copy — earlier buffers keep aliasing the old block for the rest of the
+// run.
+//
+//amac:hotpath
+func (a *Arena) greyRow(n int) []NodeID {
+	if need := a.greyUsed + n; need > len(a.grey) {
+		newLen := max(2*len(a.grey), a.csr.greyCount, need)
+		a.grey = make([]NodeID, newLen) //lint:hotalloc doubling grow: amortized O(1) and absent in warm trials, where the block is sized from the first run
+	}
+	r := a.grey[a.greyUsed : a.greyUsed : a.greyUsed+n]
+	a.greyUsed += n
+	return r
+}
+
 // instance returns a broadcast-instance record backed by arena storage: the
 // delivery row comes from the flat block, the struct from the pool, and the
 // neighbor row plus its base offset come straight off the graph's shared
-// arc array, giving Deliver its slot and reliability bit with one binary
-// search over the row.
+// arc array, so slot s of the row is global arc base+s — the reliable batch
+// walks it by slot, and Deliver finds a node's slot with one binary search.
+// The grey buffer is left unset: GreyBuf carves it on first use, so a
+// recycled record never keeps a buffer aliasing an earlier run's block.
 //
 //amac:hotpath
 func (a *Arena) instance(id InstanceID, sender NodeID, payload Payload, start sim.Time) *Instance {
 	base := a.csr.off[sender]
 	row := a.csr.arcs[base:a.csr.off[sender+1]:a.csr.off[sender+1]]
-	fresh := Instance{
+	if a.next == len(a.insts) {
+		a.grow()
+	}
+	b := a.insts[a.next]
+	a.next++
+	*b = Instance{
 		ID:                id,
 		Sender:            sender,
 		Payload:           payload,
 		Start:             start,
 		nbrs:              row,
 		deliveredAt:       a.row(len(row)),
-		csr:               a.csr,
+		arena:             a,
 		base:              base,
 		remainingReliable: a.dual.G.Degree(sender),
 	}
-	if a.next < len(a.insts) {
-		b := a.insts[a.next]
-		a.next++
-		fresh.receivers = b.receivers[:0]
-		fresh.greybuf = b.greybuf[:0]
-		*b = fresh
-		return b
-	}
-	// new + copy rather than &fresh: taking fresh's address would force it
-	// to the heap on every call, including the pooled path above.
-	b := new(Instance) //lint:hotalloc pool miss: only the first run of a fleet reaches this; warm trials always hit the pooled path above
-	*b = fresh
-	a.insts = append(a.insts, b)
-	a.next++
 	return b
+}
+
+// maxSlab caps an instance slab at about 1 MB of records, so a pool that
+// outgrows its last slab reserves at most that much it may never use.
+const maxSlab = 4096
+
+// grow extends the instance pool by one slab as large as the pool so far,
+// between 64 and maxSlab records: small pools double, large ones grow by a
+// fixed step.
+func (a *Arena) grow() {
+	slab := make([]Instance, min(max(len(a.insts), 64), maxSlab))
+	for i := range slab {
+		a.insts = append(a.insts, &slab[i])
+	}
 }
 
 // engineFor returns the arena's engine configured for cfg: built once on

@@ -201,8 +201,11 @@ func NewEngine(cfg Config, automata []Automaton) *Engine {
 		panic(fmt.Sprintf("mac: %d automata for %d nodes", len(automata), cfg.Dual.N()))
 	}
 	if cfg.Arena == nil {
-		// NewArena validates the dual, which an arena-backed config
-		// skips: the arena validated it when it was built or rebound.
+		// An arena-backed config skips this: whoever built or rebound the
+		// arena validated the dual then.
+		if err := cfg.Dual.Validate(); err != nil {
+			panic(fmt.Sprintf("mac: invalid dual: %v", err))
+		}
 		cfg.Arena = NewArena(cfg.Dual)
 	}
 	return cfg.Arena.engineFor(cfg, automata)
@@ -293,12 +296,19 @@ func (e *Engine) Dispatch(kind sim.EventKind, op sim.Op) {
 			e.Deliver(b, to)
 		}
 	case evDeliverReliable:
+		// The sender's G-neighbors are exactly the row slots whose
+		// reliability bit is set, and slot order is ascending node ID —
+		// G.Neighbors(sender) order — so walking the row delivers in the
+		// same order with no search.
 		b := op.Obj.(*Instance)
-		for _, j := range e.cfg.Dual.G.Neighbors(b.Sender) {
+		for slot := range b.nbrs {
+			if !b.SlotReliable(slot) {
+				continue
+			}
 			if b.Term != Active {
 				return
 			}
-			e.Deliver(b, j)
+			e.deliver(b, slot, true)
 		}
 	case evDeliverGrey:
 		b := op.Obj.(*Instance)
@@ -419,15 +429,32 @@ func (e *Engine) ScheduleTimer(t sim.Time, obj any, a, b int64) {
 //
 //amac:hotpath
 func (e *Engine) Deliver(b *Instance, to NodeID) {
-	if to == b.Sender {
-		panic(fmt.Sprintf("mac: delivery of instance %d to its own sender", b.ID))
-	}
 	// The instance's row IS the graph's CSR row, so one binary search over
 	// it yields the G′ membership check, the delivery slot and (via the
 	// global arc position base+slot) the reliability bit.
 	slot := b.slot(to)
 	if slot < 0 {
+		if to == b.Sender {
+			panic(fmt.Sprintf("mac: delivery of instance %d to its own sender", b.ID))
+		}
 		panic(fmt.Sprintf("mac: delivery %d→%d without a G' edge", b.Sender, to))
+	}
+	e.deliver(b, slot, b.SlotReliable(slot))
+}
+
+// deliver performs the rcv event for b at row slot slot, whose reliability
+// bit the caller has read: the slot-addressed core that Deliver and the
+// reliable batch share. It enforces the remaining receive-correctness
+// checks — not the sender (G′ has no self-loops, so no row holds it; the
+// check is kept as the invariant's guard), not yet received, not after the
+// ack, and within EpsAbort of an abort — and records the rcv time in the
+// row, the only delivery record the instance keeps.
+//
+//amac:hotpath
+func (e *Engine) deliver(b *Instance, slot int, reliable bool) {
+	to := b.nbrs[slot]
+	if to == b.Sender {
+		panic(fmt.Sprintf("mac: delivery of instance %d to its own sender", b.ID))
 	}
 	if b.deliveredAt[slot] != 0 {
 		panic(fmt.Sprintf("mac: duplicate delivery of instance %d to %d", b.ID, to))
@@ -443,14 +470,14 @@ func (e *Engine) Deliver(b *Instance, to NodeID) {
 		}
 	}
 	b.deliveredAt[slot] = now + 1
-	b.receivers = append(b.receivers, to)
-	if b.csr.isReliable(b.base + int32(slot)) {
+	b.delivered++
+	if reliable {
 		b.remainingReliable--
 	}
 	if e.recording() {
 		e.emit("rcv", to, Int(int64(b.ID)))
 	}
-	ns := e.node(to)
+	ns := &e.nodes[to]
 	ns.automaton.Recv(ns, Message{Instance: b.ID, Sender: b.Sender, Payload: b.Payload})
 }
 

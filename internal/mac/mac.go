@@ -15,7 +15,9 @@ package mac
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
+	"slices"
 
 	"amac/internal/graph"
 	"amac/internal/sim"
@@ -162,12 +164,16 @@ const (
 // sender's sorted G′ adjacency row with the topology and keeps one rcv time
 // per neighbor slot, so per-instance memory is O(deg′(sender)) — O(m) over
 // any workload — instead of the dense O(n) slice that dominated memory on
-// large sparse networks. Lookups binary-search the row (O(log d)); the
-// remaining-reliable counter keeps the ack-readiness check O(1). Marks
-// addressed outside the row (checkers deliberately build invalid histories)
-// spill into a lazily allocated overflow map that real executions never
-// touch. Outside the engine (checker tests building histories), construct
-// instances with NewInstance and record deliveries with MarkDelivered.
+// large sparse networks. That row is the only record of who received the
+// instance and when: there is no separate receiver list, NumDelivered is a
+// counter, and Receivers reads the row back in slot (ascending node) order.
+// The engine's reliable batch walks the row by slot; lookups by node
+// binary-search it (O(log d)); the remaining-reliable counter keeps the
+// ack-readiness check O(1). Marks addressed outside the row (checkers
+// deliberately build invalid histories) spill into a lazily allocated
+// overflow map that real executions never touch. Outside the engine
+// (checker tests building histories), construct instances with NewInstance
+// and record deliveries with MarkDelivered.
 type Instance struct {
 	ID      InstanceID
 	Sender  NodeID
@@ -187,12 +193,12 @@ type Instance struct {
 	// fill; arena-built instances carve the row out of one flat pre-zeroed
 	// block instead.
 	deliveredAt []sim.Time
-	// csr is the arena's shared delivery index (nil on NewInstance
+	// arena is the arena the instance was carved from (nil on NewInstance
 	// records, which only checkers build); base is the sender's row offset
-	// into its global arc array, so slot s of this instance is global arc
-	// base+s — where the reliability bit lives.
-	csr  *csrIndex
-	base int32
+	// into the global arc array of the arena's delivery index, so slot s of
+	// this instance is global arc base+s — where the reliability bit lives.
+	arena *Arena
+	base  int32
 	// overflow records marks outside the row's domain — nodes that are not
 	// G′ neighbors, or negative rcv times, both only constructible by
 	// checker tests building invalid histories; nil in every real
@@ -203,12 +209,12 @@ type Instance struct {
 	// grey holds the drawn unreliable targets of a pending batch delivery
 	// (see API.ScheduleGreyDeliveries).
 	grey []NodeID
-	// greybuf is the reusable backing store schedulers draw grey targets
-	// into (GreyBuf). Its capacity survives the batch firing and arena
-	// instance recycling, so steady-state grey draws allocate nothing.
+	// greybuf is the scratch buffer schedulers draw grey targets into
+	// (GreyBuf): carved from the arena's grey block on first use in an
+	// execution, with room for every G′\G neighbor, so draws never grow it.
 	greybuf []NodeID
-	// receivers lists delivered nodes in delivery order.
-	receivers []NodeID
+	// delivered counts the nodes that have received the instance.
+	delivered int
 	// remainingReliable counts the sender's G-neighbors yet to receive.
 	remainingReliable int
 }
@@ -275,7 +281,7 @@ func (b *Instance) MarkDelivered(to NodeID, at sim.Time, reliable bool) {
 		}
 		b.overflow[to] = at + 1
 	}
-	b.receivers = append(b.receivers, to)
+	b.delivered++
 	if reliable {
 		b.remainingReliable--
 	}
@@ -293,16 +299,24 @@ func (b *Instance) SlotDelivered(i int) bool { return b.deliveredAt[i] != 0 }
 // SlotReliable reports whether the link to Neighbors()[i] is a G edge: the
 // arena's reliability bit for that arc, the fact G.HasEdge would look up.
 // Only engine-built instances carry the bits; schedulers see no others.
-func (b *Instance) SlotReliable(i int) bool { return b.csr.isReliable(b.base + int32(i)) }
+func (b *Instance) SlotReliable(i int) bool { return b.arena.csr.isReliable(b.base + int32(i)) }
 
-// GreyBuf returns the instance's reusable grey-target scratch buffer,
-// emptied. Schedulers append their drawn unreliable targets into it and hand
-// the result to API.ScheduleGreyDeliveries (which stores the possibly-grown
-// slice back); the capacity survives across arena instance recycling, so a
-// warm run's grey draws allocate nothing. The buffer must not be used while
-// a grey batch is pending (at most one may be, and an instance broadcasts
-// once, so the window cannot arise in a well-formed execution).
-func (b *Instance) GreyBuf() []NodeID { return b.greybuf[:0] }
+// GreyBuf returns the instance's grey-target scratch buffer, emptied.
+// Schedulers append their drawn unreliable targets into it and hand the
+// result to API.ScheduleGreyDeliveries (which stores the slice back). On an
+// engine-built instance the buffer is carved from the arena's flat grey
+// block on the first call of the execution, with capacity deg′ − deg — one
+// entry per G′\G neighbor, the most a draw can select — so no draw grows
+// it, warm or cold, and schedulers that never draw grey targets reserve
+// nothing. The buffer must not be used while a grey batch is pending (at
+// most one may be, and an instance broadcasts once, so the window cannot
+// arise in a well-formed execution).
+func (b *Instance) GreyBuf() []NodeID {
+	if b.greybuf == nil && b.arena != nil {
+		b.greybuf = b.arena.greyRow(len(b.nbrs) - b.arena.dual.G.Degree(b.Sender))
+	}
+	return b.greybuf[:0]
+}
 
 // SetGreyBuf stores a possibly-grown scratch slice back on the instance, so
 // growth during a draw is retained even when the scheduler delivers the
@@ -334,12 +348,36 @@ func (b *Instance) DeliveredAt(to NodeID) (sim.Time, bool) {
 	return 0, false
 }
 
-// Receivers returns the nodes that received the instance, in delivery
-// order. The slice is owned by the instance; callers must not mutate it.
-func (b *Instance) Receivers() []NodeID { return b.receivers }
+// Receivers yields every node that received the instance with its rcv
+// time: first the delivery row in slot order — ascending node ID, which is
+// not delivery order — then the overflow marks (checker-built histories
+// only) in ascending node order. It reads the row the engine writes at
+// delivery time; no receiver list is kept.
+func (b *Instance) Receivers() iter.Seq2[NodeID, sim.Time] {
+	return func(yield func(NodeID, sim.Time) bool) {
+		for i, at := range b.deliveredAt {
+			if at != 0 && !yield(b.nbrs[i], at-1) {
+				return
+			}
+		}
+		if len(b.overflow) == 0 {
+			return
+		}
+		nodes := make([]NodeID, 0, len(b.overflow))
+		for v := range b.overflow {
+			nodes = append(nodes, v)
+		}
+		slices.Sort(nodes)
+		for _, v := range nodes {
+			if !yield(v, b.overflow[v]-1) {
+				return
+			}
+		}
+	}
+}
 
 // NumDelivered reports how many nodes have received the instance.
-func (b *Instance) NumDelivered() int { return len(b.receivers) }
+func (b *Instance) NumDelivered() int { return b.delivered }
 
 // AllReliableDelivered reports whether every G-neighbor of the sender has
 // received the instance — the ack-readiness condition, in O(1).

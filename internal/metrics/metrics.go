@@ -69,7 +69,7 @@ func Collect(d *topology.Dual, insts []*mac.Instance, trace *sim.Trace) *Report 
 			r.Aborted++
 			r.Nodes[b.Sender].Aborts++
 		}
-		for _, to := range b.Receivers() {
+		for to := range b.Receivers() {
 			r.Nodes[to].Receives++
 			if d.G.HasEdge(b.Sender, to) {
 				r.ReliableDeliveries++

@@ -142,7 +142,7 @@ func TestRealTimeBMMBGreyZone(t *testing.T) {
 	}
 	grey := 0
 	for _, b := range eng.Instances() {
-		for _, to := range b.Receivers() {
+		for to := range b.Receivers() {
 			if !d.G.HasEdge(b.Sender, to) {
 				grey++
 			}

@@ -534,12 +534,14 @@ func topologyPinned(r Spec) bool {
 // a fresh one-worker executor pinned to that instance. Nothing else shares
 // the executor's state, so the result stays valid indefinitely.
 func trialOn(s Spec, seed int64, built *topology.Built) (*TrialResult, error) {
-	// core.NewRunner panics on an invalid dual; a caller-built instance
-	// gets the error core.Run would return instead.
-	if err := built.Dual.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid dual: %w", err)
+	// A caller-built instance gets the error core.Run would return for an
+	// invalid dual, before anything reads the network; the runner it
+	// validates is the worker's, so the run does not check it again.
+	rn, err := core.NewRunnerChecked(built.Dual)
+	if err != nil {
+		return nil, err
 	}
-	sr := &specRun{spec: s.WithDefaults(), workers: make([]worker, 1)}
+	sr := &specRun{spec: s.WithDefaults(), workers: []worker{{rn: rn}}}
 	if err := sr.pin(built); err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"amac/internal/core"
+	"amac/internal/graph"
 	"amac/internal/sched"
 	"amac/internal/topology"
 )
@@ -267,5 +268,35 @@ func TestRunRejectsRGGBelowUnitGreyZone(t *testing.T) {
 	}
 	if want := "rgg needs c >= 1, got 0.5"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not mention %q", err, want)
+	}
+}
+
+// TestTrialOnInvalidDual pins that a caller-built network is validated
+// before anything reads it: TrialOn returns the error core.Run reports for
+// an invalid dual — a node-count mismatch or a G edge missing from G′ —
+// instead of panicking, and still runs the valid instance it was built from.
+func TestTrialOnInvalidDual(t *testing.T) {
+	spec := Spec{
+		Name:      "trial-on",
+		Topology:  TopologySpec{Name: "line", Params: topology.Params{"n": 4}},
+		Workload:  WorkloadSpec{Kind: WorkloadSingleton, K: 2},
+		Algorithm: AlgorithmSpec{Name: "bmmb"},
+	}
+	built, err := BuildTopology(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr, err := TrialOn(spec, 1, built); err != nil || !tr.Result.Solved {
+		t.Fatalf("valid instance: %v", err)
+	}
+	for name, d := range map[string]*topology.Dual{
+		"node counts": {G: built.Dual.G, GPrime: graph.New(3), Name: "mismatch"},
+		"E ⊄ E′":      {G: built.Dual.G, GPrime: graph.New(4), Name: "not-a-subgraph"},
+	} {
+		bad := *built
+		bad.Dual = d
+		if _, err := TrialOn(spec, 1, &bad); err == nil || !strings.Contains(err.Error(), "core: invalid dual") {
+			t.Errorf("%s: TrialOn returned %v, want the invalid-dual error", name, err)
+		}
 	}
 }

@@ -130,7 +130,7 @@ func TestFlakyInsideSyncSchedulerModelCompliance(t *testing.T) {
 		chattyFleet(10, 4), 6)
 	grey := 0
 	for _, b := range eng.Instances() {
-		for _, to := range b.Receivers() {
+		for to := range b.Receivers() {
 			if !d.G.HasEdge(b.Sender, to) {
 				grey++
 			}

@@ -148,7 +148,7 @@ func TestParallelLinesCrossDeliveriesExist(t *testing.T) {
 
 	cross := 0
 	for _, b := range eng.Instances() {
-		for _, to := range b.Receivers() {
+		for to := range b.Receivers() {
 			if !net.G.HasEdge(b.Sender, to) {
 				cross++
 			}

@@ -129,7 +129,7 @@ func TestSyncGreyDeliveries(t *testing.T) {
 	// With Never, only G neighbors receive.
 	eng = runChecked(t, d, &sched.Sync{Rel: sched.Never{}}, chattyFleet(8, 1), 3)
 	for _, b := range eng.Instances() {
-		for _, to := range b.Receivers() {
+		for to := range b.Receivers() {
 			if !d.G.HasEdge(b.Sender, to) {
 				t.Fatalf("instance %d leaked to non-G neighbor %d under Never", b.ID, to)
 			}

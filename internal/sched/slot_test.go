@@ -90,8 +90,7 @@ func TestSlotSoloBroadcasterReachesAllNeighbors(t *testing.T) {
 		}
 		// Delivery happens within the slot the broadcast started in.
 		slotEnd := (b.Start/fprog+1)*fprog - 1
-		for _, to := range b.Receivers() {
-			at, _ := b.DeliveredAt(to)
+		for to, at := range b.Receivers() {
 			if at > slotEnd {
 				t.Fatalf("delivery to %d at %v after slot end %v", to, at, slotEnd)
 			}
@@ -229,8 +228,8 @@ func TestSlotRearmsAtLastTickAfterHandler(t *testing.T) {
 			t.Fatalf("instance %d: start %v, term %v at %v; want start %v, acked at %v",
 				b.ID, b.Start, b.Term, b.TermAt, wantStart, last)
 		}
-		for _, to := range b.Receivers() {
-			if at, _ := b.DeliveredAt(to); at != last {
+		for to, at := range b.Receivers() {
+			if at != last {
 				t.Fatalf("instance %d reached %d at %v, want %v", b.ID, to, at, last)
 			}
 		}

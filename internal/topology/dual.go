@@ -261,7 +261,10 @@ func RandomGeometric(n int, side, c, p float64, rng *rand.Rand) *Dual {
 func RandomGeometricInto(ws *Workspace, n int, side, c, p float64, rng *rand.Rand) *Dual {
 	e := geom.RandomUniformInto(ws.Points(n), n, side, rng)
 	g := e.UnitDiskInto(ws.Graph(n), 1.0)
-	gp := e.GreyZoneInto(ws.Graph(n), c, p, rng)
+	// E ⊆ E′, so G's arc count is a floor on G′'s pending arcs.
+	gp := ws.Graph(n)
+	gp.Reserve(2 * g.M())
+	gp = e.GreyZoneInto(gp, c, p, rng)
 	return &Dual{
 		G:      g,
 		GPrime: gp,
