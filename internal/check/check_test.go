@@ -10,13 +10,16 @@ import (
 
 // inst builds a bare instance record over n nodes. The reliable-degree
 // counter is irrelevant here: the checkers re-derive every property from
-// the dual graph, never from the instance's own ack-readiness counter. No
-// neighbor row is attached, so every mark goes through the instance's
-// overflow path — these tests deliberately build histories the engine
-// would reject.
+// the dual graph, never from the instance's own ack-readiness counter. The
+// row is every node 0..n−1, not the sender's G′ neighbors, so any node can
+// be marked — these tests deliberately build histories the engine would
+// reject.
 func inst(id int, sender mac.NodeID, start sim.Time, n int) *mac.Instance {
-	_ = n
-	return mac.NewInstance(mac.InstanceID(id), sender, mac.Payload{}, start, nil, 0)
+	row := make([]mac.NodeID, n)
+	for i := range row {
+		row[i] = mac.NodeID(i)
+	}
+	return mac.NewInstance(mac.InstanceID(id), sender, mac.Payload{}, start, row, 0)
 }
 
 func params() Params {

@@ -20,7 +20,9 @@ const (
 	// held in RAM (pair with a sim.TraceWriter).
 	TraceStream
 	// TraceOff disables trace recording entirely — the throughput fast
-	// path. Watchers attached by the runner still observe events.
+	// path: the engine builds no MAC-level event (bcast, rcv, ack, abort),
+	// while the runner's completion watcher still observes the arrive and
+	// deliver events it counts.
 	TraceOff
 )
 

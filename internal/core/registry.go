@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"amac/internal/mac"
@@ -80,22 +81,8 @@ func ValidateAlgorithmSpec(name string, p topology.Params) error {
 	if !ok {
 		return fmt.Errorf("core: unknown algorithm %q (registered: %v)", name, AlgorithmNames())
 	}
-	accepted := make(map[string]bool, len(a.Params))
-	for _, k := range a.Params {
-		accepted[k] = true
-	}
-	// Sorted so the reported parameter is the same on every run: which key a
-	// map range sees first is randomized, and validation errors end up in
-	// job records and test expectations.
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !accepted[k] {
-			return fmt.Errorf("core: algorithm %q does not accept parameter %q", name, k)
-		}
+	if k, ok := p.Unknown(func(k string) bool { return slices.Contains(a.Params, k) }); ok {
+		return fmt.Errorf("core: algorithm %q does not accept parameter %q", name, k)
 	}
 	return nil
 }

@@ -437,9 +437,10 @@ func (st *runState) injected(m Msg) bool {
 	return uint(m.ID) < uint(len(st.origin)) && st.origin[m.ID] == m.Origin
 }
 
-// onEvent observes every trace event of the execution. It decodes message
-// arguments from the typed payload directly — no boxing — because it runs on
-// the event hot path of every trial.
+// onEvent observes the MMB interface of the execution (mac.Engine.Watch): the
+// arrive events and the automata's Emits, of which it reads arrive and
+// deliver. It decodes message arguments from the typed payload directly — no
+// boxing — because it runs on every delivery of every trial.
 func (st *runState) onEvent(ev sim.TraceEvent) {
 	switch ev.Kind {
 	case "arrive":

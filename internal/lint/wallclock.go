@@ -9,7 +9,7 @@ import (
 // (time.Now/Since/Until), the process-global math/rand generators, and
 // environment variables. Engine code must take all time from the simulator's
 // virtual clock and all randomness from the engine's seeded streams
-// (sim.Engine.Rand / Fork / Reseed) so that a (spec, seed) pair fully
+// (sim.Engine.Fork / Reseed) so that a (spec, seed) pair fully
 // determines the execution; configuration flows through explicit structs,
 // never the environment. Constructing local generators (rand.New,
 // rand.NewSource, ...) and calling methods on a *rand.Rand are fine — that

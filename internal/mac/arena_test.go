@@ -256,15 +256,15 @@ func TestArenaRebindGrowsGeometrically(t *testing.T) {
 	}
 }
 
-// TestArenaRebindClearsOverflow pins that checker-injected overflow marks on
-// a pooled instance record never leak into the instances of a later run on
-// a rebound arena.
+// TestArenaRebindClearsOverflow pins that delivery marks injected into a
+// pooled instance record through its row never leak into the instances of
+// a later run on a rebound arena.
 func TestArenaRebindClearsOverflow(t *testing.T) {
 	d1 := topology.Line(4)
 	a := mac.NewArena(d1)
 	var captured *mac.Instance
 	s := &hookScheduler{onBcast: func(inst *mac.Instance) {
-		if captured == nil {
+		if captured == nil && inst.Sender == 1 {
 			captured = inst
 		}
 	}}
@@ -275,19 +275,18 @@ func TestArenaRebindClearsOverflow(t *testing.T) {
 	if captured == nil {
 		t.Fatal("no broadcast observed")
 	}
-	// Poison the pooled record through both overflow routes: a non-neighbor
-	// mark and a negative-time mark.
-	captured.MarkDelivered(3, 5, false)
-	captured.MarkDelivered(1, -5, true)
-	if !captured.WasDelivered(3) || !captured.WasDelivered(1) {
-		t.Fatal("overflow marks not recorded")
+	// Poison the pooled record through every slot of its row.
+	captured.MarkDelivered(0, 5, true)
+	captured.MarkDelivered(2, 0, true)
+	if !captured.WasDelivered(0) || !captured.WasDelivered(2) || captured.NumDelivered() != 2 {
+		t.Fatal("row marks not recorded")
 	}
 
 	d2 := topology.Line(4)
 	a.Rebind(d2)
 	var fresh *mac.Instance
 	s2 := &hookScheduler{onBcast: func(inst *mac.Instance) {
-		if fresh == nil {
+		if fresh == nil && inst.Sender == 1 {
 			fresh = inst
 		}
 	}}
@@ -303,10 +302,11 @@ func TestArenaRebindClearsOverflow(t *testing.T) {
 	}
 	for v := 0; v < 4; v++ {
 		if fresh.WasDelivered(mac.NodeID(v)) {
-			t.Fatalf("overflow state leaked across Rebind: node %d reads delivered", v)
+			t.Fatalf("delivery state leaked across Rebind: node %d reads delivered", v)
 		}
 	}
-	if fresh.NumDelivered() != 0 {
-		t.Fatalf("recycled instance reports %d deliveries", fresh.NumDelivered())
+	if fresh.NumDelivered() != 0 || fresh.AllReliableDelivered() {
+		t.Fatalf("recycled instance reports %d deliveries, all reliable delivered %v",
+			fresh.NumDelivered(), fresh.AllReliableDelivered())
 	}
 }

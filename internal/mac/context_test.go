@@ -74,15 +74,26 @@ func TestContextSurface(t *testing.T) {
 	}
 }
 
+// haltSink is a trace sink that halts eng on the first event of kind.
+type haltSink struct {
+	eng  *mac.Engine
+	kind string
+}
+
+func (h *haltSink) Append(ev sim.TraceEvent) {
+	if ev.Kind == h.kind {
+		h.eng.Halt()
+	}
+}
+
 func TestEngineHaltStopsRun(t *testing.T) {
 	d := topology.Line(2)
 	a := &echoAutomaton{payload: mac.Int(1)}
-	eng := newTestEngine(t, d, mac.Standard, []mac.Automaton{a, &echoAutomaton{}})
-	eng.Watch(func(ev sim.TraceEvent) {
-		if ev.Kind == "bcast" {
-			eng.Halt()
-		}
-	})
+	sink := &haltSink{kind: "bcast"}
+	eng := mac.NewEngine(mac.Config{
+		Dual: d, Fack: 100, Fprog: 10, Scheduler: &directScheduler{}, Seed: 1, Trace: sink,
+	}, []mac.Automaton{a, &echoAutomaton{}})
+	sink.eng = eng
 	eng.Start()
 	eng.Run()
 	// Halted right after the bcast: no deliveries processed.

@@ -21,16 +21,18 @@ type Config struct {
 	Scheduler Scheduler
 	// Mode selects Standard or Enhanced. Defaults to Standard.
 	Mode Mode
-	// Seed drives all randomness (engine, per-node streams, scheduler).
+	// Seed drives all randomness (per-node streams, scheduler).
 	Seed int64
 	// EpsAbort bounds how long after an abort a rcv caused by the aborted
 	// instance may still occur (the paper's ε_abort). Defaults to 0.
 	EpsAbort sim.Time
 	// Trace receives every trace event in execution order: a *sim.Trace
 	// records in memory (what checkers replay), a sim.TraceWriter streams
-	// to disk. Nil records nothing; watchers still observe every event, and
-	// when none are registered either the engine skips event construction
-	// altogether — the throughput fast path.
+	// to disk. It is the only observer of the MAC-level events (bcast, rcv,
+	// ack, abort). Nil records nothing, and the engine then builds no
+	// MAC-level event at all — the throughput fast path; arrive and
+	// automaton Emit events are still built while a watcher is registered
+	// (see Engine.Watch).
 	Trace sim.TraceSink
 	// Arena, when set, must have been built for Dual (pointer identity)
 	// and makes construction reuse the arena's warm storage: pooled engine
@@ -82,9 +84,10 @@ type API interface {
 	// stopping if the instance terminates mid-batch.
 	ScheduleReliableDeliveries(t sim.Time, b *Instance)
 	// ScheduleGreyDeliveries posts one batched event at time t delivering b
-	// to targets in order (same mid-batch termination guard). The slice is
-	// retained by the instance until the batch fires; at most one grey
-	// batch may be pending per instance.
+	// to targets in order (same mid-batch termination guard). targets is
+	// normally the slice a draw into b.GreyBuf() produced; the instance
+	// holds it until the batch fires, and at most one grey batch may be
+	// pending per instance.
 	ScheduleGreyDeliveries(t sim.Time, b *Instance, targets []NodeID)
 	// ScheduleAck posts the acknowledgment of b at time t, skipped if the
 	// instance has terminated by then.
@@ -222,31 +225,42 @@ func (e *Engine) Mode() Mode { return e.cfg.Mode }
 // order. The slice and records are owned by the engine.
 func (e *Engine) Instances() []*Instance { return e.insts }
 
-// Watch registers fn to observe every trace event as it is appended.
+// Watch registers fn to observe the MMB interface of the execution: every
+// arrive event and every event an automaton Emits (deliver, and the
+// algorithms' own kinds), as each is appended to the trace. The MAC-level
+// events (bcast, rcv, ack, abort) go to Config.Trace alone.
 func (e *Engine) Watch(fn func(sim.TraceEvent)) {
 	e.watchers = append(e.watchers, fn)
 }
 
-// recording reports whether anyone observes trace events. When false, emit
-// call sites skip event construction (and the interface boxing of the
-// argument) entirely — the no-trace fast path.
-func (e *Engine) recording() bool {
-	return e.cfg.Trace != nil || len(e.watchers) > 0
-}
-
+// emit appends an MMB-interface event (arrive or an automaton's Emit) to the
+// trace and hands it to every watcher.
+//
 //amac:hotpath
 func (e *Engine) emit(kind string, node NodeID, arg Payload) {
-	if !e.recording() {
+	if e.cfg.Trace != nil {
+		e.trace(kind, node, arg)
+	}
+	if len(e.watchers) == 0 {
 		return
 	}
 	ev := sim.TraceEvent{At: e.sim.Now(), Kind: kind, Node: int(node), P: arg}
-	if e.mem != nil {
-		e.mem.Append(ev)
-	} else if e.cfg.Trace != nil {
-		e.cfg.Trace.Append(ev)
-	}
 	for _, w := range e.watchers {
 		w(ev)
+	}
+}
+
+// trace appends an event to cfg.Trace, which must be set. The MAC-level
+// events (bcast, rcv, ack, abort) go through it alone, each call site
+// guarded by cfg.Trace != nil, so an untraced run builds none of them.
+//
+//amac:hotpath
+func (e *Engine) trace(kind string, node NodeID, arg Payload) {
+	ev := sim.TraceEvent{At: e.sim.Now(), Kind: kind, Node: int(node), P: arg}
+	if e.mem != nil {
+		e.mem.Append(ev)
+	} else {
+		e.cfg.Trace.Append(ev)
 	}
 }
 
@@ -390,9 +404,7 @@ func (e *Engine) ScheduleReliableDeliveries(t sim.Time, b *Instance) {
 }
 
 // ScheduleGreyDeliveries posts the batched grey delivery (see API). The
-// targets slice is parked on the instance until the batch fires, and is
-// retained afterwards as the instance's grey scratch buffer (GreyBuf), so
-// recycled instances redraw into warm storage.
+// targets slice is parked on the instance until the batch fires.
 //
 //amac:hotpath
 func (e *Engine) ScheduleGreyDeliveries(t sim.Time, b *Instance, targets []NodeID) {
@@ -400,7 +412,6 @@ func (e *Engine) ScheduleGreyDeliveries(t sim.Time, b *Instance, targets []NodeI
 		panic(fmt.Sprintf("mac: instance %d already has a grey batch pending", b.ID))
 	}
 	b.grey = targets
-	b.greybuf = targets
 	e.sim.Post(t, evDeliverGrey, b, 0, 0)
 }
 
@@ -474,8 +485,8 @@ func (e *Engine) deliver(b *Instance, slot int, reliable bool) {
 	if reliable {
 		b.remainingReliable--
 	}
-	if e.recording() {
-		e.emit("rcv", to, Int(int64(b.ID)))
+	if e.cfg.Trace != nil {
+		e.trace("rcv", to, Int(int64(b.ID)))
 	}
 	ns := &e.nodes[to]
 	ns.automaton.Recv(ns, Message{Instance: b.ID, Sender: b.Sender, Payload: b.Payload})
@@ -509,8 +520,8 @@ func (e *Engine) Ack(b *Instance) {
 		panic(fmt.Sprintf("mac: ack for instance %d which is not pending at %d", b.ID, b.Sender))
 	}
 	ns.pending = nil
-	if e.recording() {
-		e.emit("ack", b.Sender, Int(int64(b.ID)))
+	if e.cfg.Trace != nil {
+		e.trace("ack", b.Sender, Int(int64(b.ID)))
 	}
 	ns.automaton.Acked(ns, Message{Instance: b.ID, Sender: b.Sender, Payload: b.Payload})
 }
@@ -534,8 +545,8 @@ func (ns *nodeState) Bcast(payload Payload) {
 	e.nextID++
 	e.insts = append(e.insts, b)
 	ns.pending = b
-	if e.recording() {
-		e.emit("bcast", ns.id, Int(int64(b.ID)))
+	if e.cfg.Trace != nil {
+		e.trace("bcast", ns.id, Int(int64(b.ID)))
 	}
 	e.cfg.Scheduler.OnBcast(b)
 }
@@ -612,6 +623,8 @@ func (ns *nodeState) Abort() {
 	b.Term = Aborted
 	b.TermAt = ns.eng.sim.Now()
 	ns.pending = nil
-	ns.eng.emit("abort", ns.id, Int(int64(b.ID)))
+	if ns.eng.cfg.Trace != nil {
+		ns.eng.trace("abort", ns.id, Int(int64(b.ID)))
+	}
 	ns.eng.cfg.Scheduler.OnAbort(b)
 }

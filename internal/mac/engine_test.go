@@ -1,6 +1,7 @@
 package mac_test
 
 import (
+	"slices"
 	"testing"
 
 	"amac/internal/mac"
@@ -236,22 +237,42 @@ func (r *eagerAcker) Attach(api mac.API)      { r.api = api }
 func (r *eagerAcker) OnBcast(b *mac.Instance) { r.api.Ack(b) }
 func (r *eagerAcker) OnAbort(*mac.Instance)   {}
 
+// arriveEmitter emits one algorithm-level "got" event per arrive.
+type arriveEmitter struct{ echoAutomaton }
+
+func (a *arriveEmitter) Arrive(ctx mac.Context, p mac.Payload) { ctx.Emit("got", p) }
+
+// TestEngineWatch pins what watchers observe: the MMB interface — arrive
+// events and automaton Emits — exactly as the trace records them, in order,
+// while the MAC-level events (bcast, rcv, ack) go to the trace alone.
 func TestEngineWatch(t *testing.T) {
 	d := topology.Line(2)
-	var kinds []string
-	eng := newTestEngine(t, d, mac.Standard,
-		[]mac.Automaton{&echoAutomaton{payload: mac.Int(1)}, &echoAutomaton{}})
-	eng.Watch(func(ev sim.TraceEvent) { kinds = append(kinds, ev.Kind) })
+	var tr sim.Trace
+	eng := mac.NewEngine(mac.Config{
+		Dual: d, Fack: 100, Fprog: 10, Scheduler: &directScheduler{}, Seed: 1, Trace: &tr,
+	}, []mac.Automaton{&echoAutomaton{payload: mac.Int(1)}, &arriveEmitter{}})
+	var watched []sim.TraceEvent
+	eng.Watch(func(ev sim.TraceEvent) { watched = append(watched, ev) })
 	eng.Start()
+	eng.Arrive(1, mac.Int(7), 1)
 	eng.Run()
-	want := []string{"bcast", "rcv", "ack"}
-	if len(kinds) != len(want) {
-		t.Fatalf("kinds = %v", kinds)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("kinds = %v, want %v", kinds, want)
+
+	var kinds []string
+	var mmb []sim.TraceEvent
+	for _, ev := range tr.Events() {
+		kinds = append(kinds, ev.Kind)
+		switch ev.Kind {
+		case "bcast", "rcv", "ack", "abort":
+		default:
+			mmb = append(mmb, ev)
 		}
+	}
+	want := []string{"bcast", "arrive", "got", "rcv", "ack"}
+	if !slices.Equal(kinds, want) {
+		t.Fatalf("trace kinds = %v, want %v", kinds, want)
+	}
+	if !slices.Equal(watched, mmb) {
+		t.Fatalf("watcher saw %v, want the trace's MMB events %v", watched, mmb)
 	}
 }
 

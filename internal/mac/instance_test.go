@@ -5,65 +5,79 @@ import (
 
 	"amac/internal/graph"
 	"amac/internal/mac"
+	"amac/internal/sim"
 )
 
-// TestMarkDeliveredNegativeTime is the regression test for the overflow
-// bias bug: checker-built histories may deliver at time −1, which the +1
-// bias stores as 0 — the old `overflow[to] != 0` lookup conflated that with
-// "never delivered", so WasDelivered lied and duplicate marks slipped
-// through. Lookups are existence-based now, and row neighbors marked at
-// negative times route through the overflow map uniformly, so both domains
-// report the delivery and its exact time.
+// mustPanic runs f and fails the test unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestMarkDeliveredNegativeTime pins that a mark at a negative time panics
+// and records nothing: the clock never goes below zero, and the row's +1
+// bias would store time −1 as 0, which reads as "never delivered" — the
+// conflation behind an earlier bug where WasDelivered lied and duplicate
+// marks slipped through. A row neighbor can still be marked at a real
+// time, once; a node outside the row cannot be marked at any time.
 func TestMarkDeliveredNegativeTime(t *testing.T) {
 	row := []graph.NodeID{1, 3, 5}
 	for _, tc := range []struct {
-		name string
-		to   mac.NodeID
+		name  string
+		to    mac.NodeID
+		inRow bool
 	}{
-		{"row-neighbor", 3},
-		{"outside-row", 2},
+		{"row-neighbor", 3, true},
+		{"outside-row", 2, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := mac.NewInstance(7, 0, mac.Payload{}, 0, row, 0)
-			b.MarkDelivered(tc.to, -1, false)
-			if !b.WasDelivered(tc.to) {
-				t.Fatalf("WasDelivered(%d) = false after a delivery at time -1", tc.to)
+			for _, at := range []sim.Time{-1, -3} {
+				mustPanic(t, "MarkDelivered at a negative time", func() { b.MarkDelivered(tc.to, at, false) })
 			}
-			at, ok := b.DeliveredAt(tc.to)
-			if !ok || at != -1 {
-				t.Fatalf("DeliveredAt(%d) = (%d, %v), want (-1, true)", tc.to, at, ok)
+			if b.WasDelivered(tc.to) || b.NumDelivered() != 0 {
+				t.Fatalf("a rejected mark was recorded: WasDelivered=%v NumDelivered=%d",
+					b.WasDelivered(tc.to), b.NumDelivered())
+			}
+			if !tc.inRow {
+				mustPanic(t, "MarkDelivered outside the row", func() { b.MarkDelivered(tc.to, 4, false) })
+				return
+			}
+			b.MarkDelivered(tc.to, 4, false)
+			if at, ok := b.DeliveredAt(tc.to); !ok || at != 4 {
+				t.Fatalf("DeliveredAt(%d) = (%d, %v), want (4, true)", tc.to, at, ok)
 			}
 			if n := b.NumDelivered(); n != 1 {
 				t.Fatalf("NumDelivered = %d, want 1", n)
 			}
-			defer func() {
-				if recover() == nil {
-					t.Fatal("duplicate MarkDelivered at time -1 did not panic")
-				}
-			}()
-			b.MarkDelivered(tc.to, 4, false)
+			mustPanic(t, "duplicate MarkDelivered", func() { b.MarkDelivered(tc.to, 5, false) })
 		})
 	}
 }
 
-// TestMarkDeliveredRowAndOverflowDisjoint pins that a node marked through
-// the overflow domain (negative time) cannot be re-marked through its row
-// slot and vice versa — the duplicate check spans both domains.
+// TestMarkDeliveredRowAndOverflowDisjoint pins that the row is the record's
+// whole domain: a node outside it cannot be marked (the mark panics and
+// records nothing), and a node of the row cannot be marked twice.
 func TestMarkDeliveredRowAndOverflowDisjoint(t *testing.T) {
 	row := []graph.NodeID{1, 2}
 	b := mac.NewInstance(1, 0, mac.Payload{}, 0, row, 0)
-	b.MarkDelivered(1, 5, false) // row domain, real time
-	b.MarkDelivered(2, -3, false)
+	b.MarkDelivered(1, 5, false)
+	for _, v := range []mac.NodeID{0, 3} {
+		mustPanic(t, "MarkDelivered outside the row", func() { b.MarkDelivered(v, 6, false) })
+		if b.WasDelivered(v) {
+			t.Fatalf("WasDelivered(%d) = true after a rejected mark", v)
+		}
+	}
 	if at, ok := b.DeliveredAt(1); !ok || at != 5 {
 		t.Fatalf("DeliveredAt(1) = (%d, %v), want (5, true)", at, ok)
 	}
-	if at, ok := b.DeliveredAt(2); !ok || at != -3 {
-		t.Fatalf("DeliveredAt(2) = (%d, %v), want (-3, true)", at, ok)
+	if n := b.NumDelivered(); n != 1 {
+		t.Fatalf("NumDelivered = %d, want 1", n)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-marking an overflow-delivered node via its row did not panic")
-		}
-	}()
-	b.MarkDelivered(2, 6, false)
+	mustPanic(t, "duplicate MarkDelivered", func() { b.MarkDelivered(1, 6, false) })
 }

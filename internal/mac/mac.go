@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
-	"slices"
 
 	"amac/internal/graph"
 	"amac/internal/sim"
@@ -169,11 +168,10 @@ const (
 // counter, and Receivers reads the row back in slot (ascending node) order.
 // The engine's reliable batch walks the row by slot; lookups by node
 // binary-search it (O(log d)); the remaining-reliable counter keeps the
-// ack-readiness check O(1). Marks addressed outside the row (checkers
-// deliberately build invalid histories) spill into a lazily allocated
-// overflow map that real executions never touch. Outside the engine
-// (checker tests building histories), construct instances with NewInstance
-// and record deliveries with MarkDelivered.
+// ack-readiness check O(1). Outside the engine (the real-time executor,
+// checker tests building histories), construct instances with NewInstance
+// and record deliveries with MarkDelivered, which accepts only nodes of the
+// row and times ≥ 0 — the domain every execution stays in.
 type Instance struct {
 	ID      InstanceID
 	Sender  NodeID
@@ -199,13 +197,6 @@ type Instance struct {
 	// this instance is global arc base+s — where the reliability bit lives.
 	arena *Arena
 	base  int32
-	// overflow records marks outside the row's domain — nodes that are not
-	// G′ neighbors, or negative rcv times, both only constructible by
-	// checker tests building invalid histories; nil in every real
-	// execution. Values carry the same +1 bias as the row, but lookups are
-	// existence-based so a delivery at time −1 (biased to 0) is still
-	// distinguishable from "never delivered".
-	overflow map[NodeID]sim.Time
 	// grey holds the drawn unreliable targets of a pending batch delivery
 	// (see API.ScheduleGreyDeliveries).
 	grey []NodeID
@@ -221,9 +212,9 @@ type Instance struct {
 
 // NewInstance returns an instance record for a sender whose sorted G′
 // adjacency row is gPrimeNbrs (shared, not copied) and who has reliableDeg
-// G-neighbors. A nil row is legal and routes every mark through the
-// overflow map — checker tests building histories without a topology use
-// that.
+// G-neighbors. The row bounds which nodes MarkDelivered accepts; checker
+// tests building histories the engine would reject pass a row that holds
+// every node they mark.
 func NewInstance(id InstanceID, sender NodeID, payload Payload, start sim.Time, gPrimeNbrs []NodeID, reliableDeg int) *Instance {
 	return &Instance{
 		ID:                id,
@@ -261,26 +252,20 @@ func (b *Instance) slot(to NodeID) int {
 // reliable marks a delivery to a G-neighbor of the sender, decrementing the
 // counter AllReliableDelivered consults. It performs no model validation
 // (mac.Engine.Deliver does; checkers deliberately build invalid histories)
-// but panics on duplicates, which every caller is expected to screen out.
-// Negative times — constructible only by checkers, since the engine's clock
-// never goes below zero — are routed through the overflow map, whose
-// existence-based lookups survive the +1 bias collapsing at+1 to zero.
+// but panics on a node outside the row, a negative time (the clock never
+// goes below zero, and the row's +1 bias would read it as never delivered)
+// and a duplicate, which every caller is expected to screen out.
 func (b *Instance) MarkDelivered(to NodeID, at sim.Time, reliable bool) {
 	s := b.slot(to)
-	// The duplicate check spans both domains with the one slot lookup
-	// above: a node may have been marked through either its row (real
-	// time) or the overflow map (negative time or no row slot).
-	if delivered := s >= 0 && b.deliveredAt[s] != 0; delivered || b.inOverflow(to) {
+	switch {
+	case s < 0:
+		panic(fmt.Sprintf("mac: MarkDelivered of instance %d at %d, outside the sender's row", b.ID, to))
+	case at < 0:
+		panic(fmt.Sprintf("mac: MarkDelivered of instance %d at %d at negative time %v", b.ID, to, at))
+	case b.deliveredAt[s] != 0:
 		panic(fmt.Sprintf("mac: duplicate MarkDelivered of instance %d at %d", b.ID, to))
 	}
-	if s >= 0 && at >= 0 {
-		b.deliveredAt[s] = at + 1
-	} else {
-		if b.overflow == nil {
-			b.overflow = make(map[NodeID]sim.Time)
-		}
-		b.overflow[to] = at + 1
-	}
+	b.deliveredAt[s] = at + 1
 	b.delivered++
 	if reliable {
 		b.remainingReliable--
@@ -303,14 +288,15 @@ func (b *Instance) SlotReliable(i int) bool { return b.arena.csr.isReliable(b.ba
 
 // GreyBuf returns the instance's grey-target scratch buffer, emptied.
 // Schedulers append their drawn unreliable targets into it and hand the
-// result to API.ScheduleGreyDeliveries (which stores the slice back). On an
+// result to API.ScheduleGreyDeliveries or deliver it themselves. On an
 // engine-built instance the buffer is carved from the arena's flat grey
 // block on the first call of the execution, with capacity deg′ − deg — one
 // entry per G′\G neighbor, the most a draw can select — so no draw grows
-// it, warm or cold, and schedulers that never draw grey targets reserve
-// nothing. The buffer must not be used while a grey batch is pending (at
-// most one may be, and an instance broadcasts once, so the window cannot
-// arise in a well-formed execution).
+// it, warm or cold, nothing needs storing back, and schedulers that never
+// draw grey targets reserve nothing. A NewInstance record has no arena and
+// gets a nil buffer. The buffer must not be used while a grey batch is
+// pending (at most one may be, and an instance broadcasts once, so the
+// window cannot arise in a well-formed execution).
 func (b *Instance) GreyBuf() []NodeID {
 	if b.greybuf == nil && b.arena != nil {
 		b.greybuf = b.arena.greyRow(len(b.nbrs) - b.arena.dual.G.Degree(b.Sender))
@@ -318,23 +304,10 @@ func (b *Instance) GreyBuf() []NodeID {
 	return b.greybuf[:0]
 }
 
-// SetGreyBuf stores a possibly-grown scratch slice back on the instance, so
-// growth during a draw is retained even when the scheduler delivers the
-// targets itself instead of handing them to ScheduleGreyDeliveries.
-func (b *Instance) SetGreyBuf(s []NodeID) { b.greybuf = s }
-
-// inOverflow reports whether to was marked through the overflow map.
-func (b *Instance) inOverflow(to NodeID) bool {
-	_, ok := b.overflow[to]
-	return ok
-}
-
 // WasDelivered reports whether node to has received the instance.
 func (b *Instance) WasDelivered(to NodeID) bool {
-	if s := b.slot(to); s >= 0 && b.deliveredAt[s] != 0 {
-		return true
-	}
-	return b.inOverflow(to)
+	s := b.slot(to)
+	return s >= 0 && b.deliveredAt[s] != 0
 }
 
 // DeliveredAt returns the rcv time at node to, and whether it received.
@@ -342,34 +315,17 @@ func (b *Instance) DeliveredAt(to NodeID) (sim.Time, bool) {
 	if s := b.slot(to); s >= 0 && b.deliveredAt[s] != 0 {
 		return b.deliveredAt[s] - 1, true
 	}
-	if biased, ok := b.overflow[to]; ok {
-		return biased - 1, true
-	}
 	return 0, false
 }
 
 // Receivers yields every node that received the instance with its rcv
-// time: first the delivery row in slot order — ascending node ID, which is
-// not delivery order — then the overflow marks (checker-built histories
-// only) in ascending node order. It reads the row the engine writes at
-// delivery time; no receiver list is kept.
+// time, in slot order — ascending node ID, which is not delivery order. It
+// reads the row the engine writes at delivery time; no receiver list is
+// kept.
 func (b *Instance) Receivers() iter.Seq2[NodeID, sim.Time] {
 	return func(yield func(NodeID, sim.Time) bool) {
 		for i, at := range b.deliveredAt {
 			if at != 0 && !yield(b.nbrs[i], at-1) {
-				return
-			}
-		}
-		if len(b.overflow) == 0 {
-			return
-		}
-		nodes := make([]NodeID, 0, len(b.overflow))
-		for v := range b.overflow {
-			nodes = append(nodes, v)
-		}
-		slices.Sort(nodes)
-		for _, v := range nodes {
-			if !yield(v, b.overflow[v]-1) {
 				return
 			}
 		}

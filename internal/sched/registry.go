@@ -65,18 +65,8 @@ func ValidateSpec(name string, p topology.Params) error {
 	if !ok {
 		return fmt.Errorf("sched: unknown scheduler %q (registered: %v)", name, Names())
 	}
-	// Sorted so the reported parameter is the same on every run: which key a
-	// map range sees first is randomized, and validation errors end up in
-	// job records and test expectations.
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !reg.params[k] {
-			return fmt.Errorf("sched: %q does not accept parameter %q", name, k)
-		}
+	if k, ok := p.Unknown(func(k string) bool { return reg.params[k] }); ok {
+		return fmt.Errorf("sched: %q does not accept parameter %q", name, k)
 	}
 	return nil
 }

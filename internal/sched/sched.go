@@ -104,6 +104,5 @@ func greyTargets(api mac.API, b *mac.Instance, rel Reliability) []mac.NodeID {
 			out = append(out, j)
 		}
 	}
-	b.SetGreyBuf(out)
 	return out
 }

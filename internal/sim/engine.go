@@ -41,8 +41,6 @@ type Dispatcher interface {
 type Engine struct {
 	now      Time
 	queue    eventQueue
-	rng      *rand.Rand
-	rngStale bool // rng predates the last Reset; re-seed before next draw
 	seed     int64
 	halted   bool
 	stepped  uint64
@@ -51,9 +49,9 @@ type Engine struct {
 	dispatch Dispatcher
 }
 
-// NewEngine returns an engine whose random stream is seeded with seed.
-// Identical seeds and identical scheduling sequences yield identical
-// executions.
+// NewEngine returns an engine whose derived random streams (Fork, Reseed)
+// are keyed by seed. Identical seeds and identical scheduling sequences
+// yield identical executions.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
 		queue:   newEventQueue(),
@@ -64,24 +62,6 @@ func NewEngine(seed int64) *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Seed returns the seed the engine was created with.
-func (e *Engine) Seed() int64 { return e.seed }
-
-// Rand returns the engine's deterministic random stream. Algorithms and
-// schedulers must draw all randomness from here (or from streams derived via
-// Fork) so executions replay exactly. The stream is created (or, after a
-// Reset, re-seeded in place) on first use: seeding a math/rand source is
-// expensive, and throughput-oriented runs never draw from it.
-func (e *Engine) Rand() *rand.Rand {
-	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(e.seed))
-	} else if e.rngStale {
-		e.rng.Seed(e.seed)
-	}
-	e.rngStale = false
-	return e.rng
-}
 
 // forkSeed mixes (seed, id) into the derived stream seed Fork and Reseed
 // share (SplitMix-style).
@@ -94,8 +74,9 @@ func (e *Engine) forkSeed(id int64) int64 {
 }
 
 // Fork derives an independent deterministic random stream, keyed by id, from
-// the engine seed. Per-node streams keep executions reproducible even when
-// the set or order of nodes' random draws changes.
+// the engine seed. Algorithms and schedulers draw all randomness from such
+// streams, so executions replay exactly; per-node streams keep them
+// reproducible even when the set or order of nodes' random draws changes.
 func (e *Engine) Fork(id int64) *rand.Rand {
 	return rand.New(rand.NewSource(e.forkSeed(id)))
 }
@@ -167,10 +148,8 @@ func (e *Engine) schedule(t Time) *event {
 // Reset restores the engine to its initial state with a new seed, keeping
 // the event pool warm: still-queued events (a halted run leaves them behind)
 // are recycled into the free list, so the next execution schedules against
-// pre-allocated structs. The dispatcher is kept; the random stream object is
-// also kept and re-seeded lazily from the new seed on the next draw, which
-// is indistinguishable from the fresh stream NewEngine would derive. Arenas
-// use this to make repeated executions on a pinned topology allocation-free.
+// pre-allocated structs. The dispatcher is kept. Arenas use this to make
+// repeated executions on a pinned topology allocation-free.
 func (e *Engine) Reset(seed int64) {
 	e.queue.recycleAll()
 	e.now = 0
@@ -178,7 +157,6 @@ func (e *Engine) Reset(seed int64) {
 	e.halted = false
 	e.limit = 0
 	e.horizon = Infinity
-	e.rngStale = e.rng != nil
 	e.seed = seed
 }
 

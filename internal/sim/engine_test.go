@@ -143,14 +143,15 @@ func TestEngineStepLimit(t *testing.T) {
 func TestEngineDeterministicReplay(t *testing.T) {
 	run := func(seed int64) []int64 {
 		e := newFuncEngine(seed)
+		rng := e.Fork(0)
 		var draws []int64
 		var tick func()
 		n := 0
 		tick = func() {
-			draws = append(draws, e.Rand().Int63n(1000))
+			draws = append(draws, rng.Int63n(1000))
 			n++
 			if n < 50 {
-				after(e, Duration(1+e.Rand().Int63n(5)), tick)
+				after(e, Duration(1+rng.Int63n(5)), tick)
 			}
 		}
 		at(e, 0, tick)

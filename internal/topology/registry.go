@@ -47,6 +47,25 @@ func (p Params) Int64(name string, def int64) int64 {
 	return def
 }
 
+// Unknown returns the lexicographically first parameter name accepts
+// rejects, and whether there is one: the unknown-parameter check of every
+// registry's spec validation. The least key is named, not whichever a map
+// range meets first, so the report is the same on every run — validation
+// errors end up in job records and test expectations.
+func (p Params) Unknown(accepts func(name string) bool) (string, bool) {
+	keys := make([]string, 0, len(p))
+	for k := range p {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if !accepts(k) {
+			return k, true
+		}
+	}
+	return "", false
+}
+
 // Clone returns a copy of the parameter set (nil-safe).
 func (p Params) Clone() Params {
 	out := make(Params, len(p)+1)
@@ -138,19 +157,9 @@ func ValidateSpec(name string, p Params) error {
 	if !ok {
 		return fmt.Errorf("topology: unknown topology %q (registered: %v)", name, Names())
 	}
-	// Sorted so the reported parameter is the same on every run: which key a
-	// map range sees first is randomized, and validation errors end up in
-	// job records and test expectations.
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !reg.params[k] {
-			return fmt.Errorf("topology: %q does not accept parameter %q (accepted: %v)",
-				name, k, sortedKeys(reg.params))
-		}
+	if k, ok := p.Unknown(func(k string) bool { return reg.params[k] }); ok {
+		return fmt.Errorf("topology: %q does not accept parameter %q (accepted: %v)",
+			name, k, sortedKeys(reg.params))
 	}
 	return nil
 }
