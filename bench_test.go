@@ -8,11 +8,13 @@ package amac_bench
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strconv"
 	"testing"
 
+	"amac/internal/check"
 	"amac/internal/core"
 	"amac/internal/graph"
 	"amac/internal/harness"
@@ -361,6 +363,56 @@ func BenchmarkBMMBRGG(b *testing.B) {
 	}
 	b.ReportMetric(float64(rcvs)/float64(b.N), "rcvs/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rcvs), "ns/rcv")
+}
+
+// BenchmarkCheckAll measures the model checker on its own: check.All over
+// a prebuilt BMMB execution (k = 8 singleton messages, sync scheduler with
+// rel 0.5, trace off) on a 4,000-node grey-zone rgg at the large-n density
+// — side √(πn / (4 ln n)), so the average degree is 4 ln n — with c 1.6
+// and p 0.5. The run happens outside the timer. rcvs/op counts the
+// recorded receives each check re-derives the guarantees from; ns/rcv is
+// the checking time per receive.
+func BenchmarkCheckAll(b *testing.B) {
+	const n = 4000
+	side := math.Sqrt(math.Pi * n / (4 * math.Log(n)))
+	built, err := topology.BuildInto("rgg", topology.Params{"n": n, "side": side, "c": 1.6, "p": 0.5}, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := built.Dual
+	origins := make([]graph.NodeID, 8)
+	for i := range origins {
+		origins[i] = graph.NodeID(i * n / len(origins))
+	}
+	res := core.MustRun(core.RunConfig{
+		Dual:             d,
+		Fack:             200,
+		Fprog:            10,
+		Scheduler:        &sched.Sync{Rel: sched.Bernoulli{P: 0.5}},
+		Seed:             1,
+		Assignment:       core.Singleton(n, origins),
+		Automata:         core.NewBMMBFleet(n),
+		HaltOnCompletion: true,
+		Options:          core.RunOptions{Trace: core.TraceOff},
+	})
+	if !res.Solved {
+		b.Fatal("not solved")
+	}
+	insts := res.Engine.Instances()
+	rcvs := 0
+	for _, in := range insts {
+		rcvs += in.NumDelivered()
+	}
+	p := check.Params{Fack: 200, Fprog: 10, End: res.End}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if rep := check.All(d, insts, p); !rep.OK() {
+			b.Fatalf("clean execution flagged: %v", rep.Violations[0])
+		}
+	}
+	b.ReportMetric(float64(rcvs), "rcvs/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rcvs), "ns/rcv")
 }
 
 // BenchmarkSweepPinnedTopology measures repeated trials of one pinned

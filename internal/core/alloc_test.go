@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"amac/internal/check"
 	"amac/internal/graph"
 	"amac/internal/mac"
 	"amac/internal/sched"
@@ -175,5 +177,57 @@ func TestWarmArenaTrialAllocations(t *testing.T) {
 	})
 	if warm >= cold/2 {
 		t.Fatalf("warm trial allocates %.0f times vs %.0f cold — arena reuse is not amortizing construction", warm, cold)
+	}
+}
+
+// TestCheckAllAllocationsFlat guards the storage of the model checker:
+// check.All over a clean BMMB execution (k = 8, contention with rel 0.5,
+// trace off) makes the same small number of allocations on a 20×20 and a
+// 40×40 grid-crosstalk network — the report plus the progress check's flat
+// tables, whatever the node, instance and receive counts. Tables kept per
+// receiver (a receive list grown by append, a suffix-minimum slice each)
+// cost about 4,350 and 17,500 allocations on these networks.
+func TestCheckAllAllocationsFlat(t *testing.T) {
+	const ceiling = 8
+	// The process's first collection starts the runtime's background mark
+	// workers, whose allocations would land in whichever count it falls in.
+	runtime.GC()
+	var allocs []float64
+	for _, side := range []int{20, 40} {
+		built, err := topology.BuildSeeded("grid-crosstalk",
+			topology.Params{"rows": float64(side), "cols": float64(side), "r": 2, "p": 0.5}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := built.Dual
+		n := d.N()
+		origins := make([]graph.NodeID, 8)
+		for i := range origins {
+			origins[i] = graph.NodeID(i * n / len(origins))
+		}
+		res := MustRun(RunConfig{
+			Dual:             d,
+			Fack:             200,
+			Fprog:            10,
+			Scheduler:        &sched.Contention{Rel: sched.Bernoulli{P: 0.5}},
+			Seed:             1,
+			Assignment:       Singleton(n, origins),
+			Automata:         NewBMMBFleet(n),
+			HaltOnCompletion: true,
+			Options:          RunOptions{Trace: TraceOff},
+		})
+		if !res.Solved {
+			t.Fatalf("%d nodes: flood not solved", n)
+		}
+		insts := res.Engine.Instances()
+		p := check.Params{Fack: 200, Fprog: 10, End: res.End}
+		if rep := check.All(d, insts, p); !rep.OK() {
+			t.Fatalf("%d nodes: clean execution flagged: %v", n, rep.Violations[0])
+		}
+		allocs = append(allocs, testing.AllocsPerRun(5, func() { check.All(d, insts, p) }))
+		t.Logf("%d nodes, %d instances: check.All allocates %.0f times", n, len(insts), allocs[len(allocs)-1])
+	}
+	if allocs[0] != allocs[1] || allocs[1] > ceiling {
+		t.Fatalf("check.All allocates %v times on 400 and 1,600 nodes, want one constant ≤ %d", allocs, ceiling)
 	}
 }

@@ -6,10 +6,12 @@ import (
 )
 
 // enginePkgs are the determinism-critical packages: everything a seeded
-// execution flows through on its way to a trace byte. mapiter and wallclock
-// apply here. cmd/, examples/, harness and rt are deliberately outside the
-// set — amacbench timestamps its records with wall time and rt is the
-// real-time runtime whose whole point is the wall clock.
+// execution flows through on its way to a trace byte, plus the checker,
+// whose violation order job records store and amacd-smoke diffs byte for
+// byte. mapiter and wallclock apply here. cmd/, examples/, harness and rt
+// are deliberately outside the set — amacbench timestamps its records with
+// wall time and rt is the real-time runtime whose whole point is the wall
+// clock.
 var enginePkgs = []string{
 	"amac/internal/sim",
 	"amac/internal/mac",
@@ -20,6 +22,7 @@ var enginePkgs = []string{
 	"amac/internal/geom",
 	"amac/internal/scenario",
 	"amac/internal/jobs",
+	"amac/internal/check",
 }
 
 // hotPkgs are the packages on the per-event path, where payload boxing is
