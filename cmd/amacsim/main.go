@@ -41,7 +41,6 @@ import (
 	"os"
 	"runtime"
 
-	"amac/internal/check"
 	"amac/internal/core"
 	"amac/internal/graph"
 	"amac/internal/jobs"
@@ -313,28 +312,28 @@ func specFromFlags(topo string, n, k, r int, algName, sname string, rel float64,
 	return spec, nil
 }
 
-// printReport renders the scenario outcome in amacsim's report format.
+// printReport renders the scenario outcome in amacsim's report format. A
+// run that broke a guarantee of the model or of the MMB problem prints every
+// violation and fails, as does a run that did not solve MMB.
 func printReport(out io.Writer, rep *scenario.Report, stats, trace bool) error {
 	spec := rep.Spec
 	first := rep.Trials[0]
-	d := first.Built.Dual
+	net := first.Network
 	alg, _ := core.LookupAlgorithm(spec.Algorithm.Name)
 
 	// The sampled diameter is exact up to graph.ExactDiameterCutoff nodes
-	// and a lower bound above it; the run memoized it on the graph, so the
-	// header pays for no BFS of its own.
+	// and a lower bound above it.
 	diam := "D="
-	if d.N() > graph.ExactDiameterCutoff {
+	if net.N > graph.ExactDiameterCutoff {
 		diam = "D≥"
 	}
 	fmt.Fprintf(out, "network    : %s (n=%d, %s%d, |E|=%d, |E'\\E|=%d)\n",
-		d.Name, d.N(), diam, d.G.SampledDiameter(),
-		d.G.M(), len(d.UnreliableEdges()))
+		net.Name, net.N, diam, net.Diameter, net.Edges, net.Unreliable)
 	if spec.Workload.Kind == scenario.WorkloadPoisson {
 		fmt.Fprintf(out, "workload   : k=%d messages arriving online over the first %d ticks\n",
-			first.Workload.K(), spec.Workload.Span)
+			first.K, spec.Workload.Span)
 	} else {
-		fmt.Fprintf(out, "workload   : k=%d messages at time zero\n", first.Workload.K())
+		fmt.Fprintf(out, "workload   : k=%d messages at time zero\n", first.K)
 	}
 	fmt.Fprintf(out, "algorithm  : %s (%s model)\n", spec.Algorithm.Name, alg.Mode)
 	fmt.Fprintf(out, "scheduler  : %s\n", first.SchedulerName)
@@ -354,12 +353,10 @@ func printReport(out io.Writer, rep *scenario.Report, stats, trace bool) error {
 			float64(res.CompletionTime)/fack)
 	}
 	fmt.Fprintf(out, "broadcasts : %d instances over %d simulation events\n", res.Broadcasts, res.Steps)
-	if res.Report != nil {
-		printCheckReport(out, res.Report)
+	if res.Report != nil && res.Report.OK() {
+		fmt.Fprintln(out, "model check: all guarantees hold (receive/ack correctness, termination, Fack bound, Fprog bound)")
 	}
-	if len(res.MMBViolations) > 0 {
-		fmt.Fprintf(out, "MMB violations: %v\n", res.MMBViolations)
-	}
+	violations := printViolations(out, "", res)
 	if stats {
 		if res.Engine == nil {
 			return fmt.Errorf("-stats needs the per-instance records the decomposed executor does not retain (drop -shards)")
@@ -367,7 +364,7 @@ func printReport(out io.Writer, rep *scenario.Report, stats, trace bool) error {
 		if res.Trace == nil {
 			return fmt.Errorf("-stats needs the in-memory trace (run with trace mode %q)", core.TraceMemory)
 		}
-		m := metrics.Collect(d, res.Engine.Instances(), res.Trace)
+		m := metrics.Collect(res.Engine.Dual(), res.Engine.Instances(), res.Trace)
 		fmt.Fprint(out, m.String())
 	}
 	if trace {
@@ -376,20 +373,24 @@ func printReport(out io.Writer, rep *scenario.Report, stats, trace bool) error {
 		}
 		fmt.Fprint(out, res.Trace.String())
 	}
-	if !res.Solved {
+	switch {
+	case violations > 0:
+		return fmt.Errorf("%d violations of the model or the MMB conditions", violations)
+	case !res.Solved:
 		return fmt.Errorf("MMB not solved within the horizon")
 	}
 	return nil
 }
 
 // printTrials renders the Monte-Carlo report: per-seed summaries in seed
-// order plus the aggregate. Each run is an independent deterministic
-// simulation, so the report is identical at any parallelism.
+// order, each followed by its violations, plus the aggregate. Each run is
+// an independent deterministic simulation, so the report is identical at
+// any parallelism.
 func printTrials(out io.Writer, rep *scenario.Report) error {
 	spec := rep.Spec
 	fmt.Fprintf(out, "trials     : %d seeds starting at %d, %d workers\n",
 		spec.Run.Trials, spec.Run.Seed, spec.Run.Parallelism)
-	solved := 0
+	solved, violating := 0, 0
 	var sum, worst float64
 	var steps uint64
 	for _, tr := range rep.Trials {
@@ -400,6 +401,9 @@ func printTrials(out io.Writer, rep *scenario.Report) error {
 		}
 		fmt.Fprintf(out, "  seed %-5d: %s in %d ticks (%d/%d deliveries, %d events)\n",
 			tr.Seed, status, int64(res.CompletionTime), res.Delivered, res.Required, res.Steps)
+		if printViolations(out, "    ", res) > 0 {
+			violating++
+		}
 		if res.Solved {
 			solved++
 			sum += float64(res.CompletionTime)
@@ -408,34 +412,37 @@ func printTrials(out io.Writer, rep *scenario.Report) error {
 			}
 		}
 		steps += res.Steps
-		if res.Report != nil && !res.Report.OK() {
-			return fmt.Errorf("seed %d: model violation: %v", tr.Seed, res.Report.Violations[0])
-		}
 	}
 	if solved == 0 {
 		fmt.Fprintf(out, "aggregate  : 0/%d solved, %d events total\n", spec.Run.Trials, steps)
-		return fmt.Errorf("all %d trials unsolved", spec.Run.Trials)
+	} else {
+		fack := float64(spec.Model.Fack)
+		fmt.Fprintf(out, "aggregate  : %d/%d solved, mean completion %.1f ticks (%.2f Fack), worst %.0f, %d events total\n",
+			solved, spec.Run.Trials, sum/float64(solved), sum/float64(solved)/fack, worst, steps)
 	}
-	fack := float64(spec.Model.Fack)
-	fmt.Fprintf(out, "aggregate  : %d/%d solved, mean completion %.1f ticks (%.2f Fack), worst %.0f, %d events total\n",
-		solved, spec.Run.Trials, sum/float64(solved), sum/float64(solved)/fack, worst, steps)
-	if solved != spec.Run.Trials {
+	switch {
+	case violating > 0:
+		return fmt.Errorf("%d of %d trials violated the model or the MMB conditions", violating, spec.Run.Trials)
+	case solved == 0:
+		return fmt.Errorf("all %d trials unsolved", spec.Run.Trials)
+	case solved != spec.Run.Trials:
 		return fmt.Errorf("%d of %d trials unsolved", spec.Run.Trials-solved, spec.Run.Trials)
 	}
 	return nil
 }
 
-func printCheckReport(out io.Writer, rep *check.Report) {
-	if rep.OK() {
-		fmt.Fprintln(out, "model check: all guarantees hold (receive/ack correctness, termination, Fack bound, Fprog bound)")
-		return
-	}
-	fmt.Fprintf(out, "model check: %d violations\n", len(rep.Violations))
-	for i, v := range rep.Violations {
-		if i == 5 {
-			fmt.Fprintf(out, "  ... and %d more\n", len(rep.Violations)-5)
-			break
+// printViolations prints every model-check and MMB violation of a run, one
+// a line after the given indent, and returns how many it printed.
+func printViolations(out io.Writer, indent string, res *core.Result) int {
+	n := len(res.MMBViolations)
+	if res.Report != nil {
+		n += len(res.Report.Violations)
+		for _, v := range res.Report.Violations {
+			fmt.Fprintf(out, "%smodel violation: %s\n", indent, v.Error())
 		}
-		fmt.Fprintf(out, "  %s\n", v.Error())
 	}
+	for _, v := range res.MMBViolations {
+		fmt.Fprintf(out, "%sMMB violation: %s\n", indent, v)
+	}
+	return n
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"amac/internal/check"
+	"amac/internal/core"
 	"amac/internal/graph"
 	"amac/internal/scenario"
 )
@@ -202,6 +204,72 @@ func TestStatsNeedsMemoryTrace(t *testing.T) {
 		err = run([]string{"-scenario", path, "-stats"}, &out)
 		if err == nil || !strings.Contains(err.Error(), `trace mode "memory"`) {
 			t.Fatalf("run {%s}: want an error naming trace mode memory, got %v\n%s", mode, err, out.String())
+		}
+	}
+}
+
+// TestViolationsFailTheRun pins amacsim's verdict on runs that broke a
+// guarantee: single-trial and multi-trial reports alike print every
+// model-check and MMB violation and return an error, while clean reports
+// return nil. The reports are synthetic, so every combination is covered
+// without provoking a faulty execution.
+func TestViolationsFailTheRun(t *testing.T) {
+	clean := func() *core.Result {
+		return &core.Result{Solved: true, CompletionTime: 40, Delivered: 4, Required: 4, Report: &check.Report{}}
+	}
+	modelBroken := clean()
+	modelBroken.Report.Violations = []check.Violation{
+		{Property: "ack bound", Detail: "instance 3 acked at 420"},
+		{Property: "progress bound", Detail: "node 5 starved over [10, 31]"},
+	}
+	mmbBroken := clean()
+	mmbBroken.MMBViolations = []string{"node 2 delivered m0 twice", "node 7 delivered m1 unsolicited"}
+	for _, tc := range []struct {
+		name   string
+		trials []*core.Result
+		broken *core.Result // the violating trial, nil for a clean report
+	}{
+		{"single clean", []*core.Result{clean()}, nil},
+		{"single model violation", []*core.Result{modelBroken}, modelBroken},
+		{"single MMB violation", []*core.Result{mmbBroken}, mmbBroken},
+		{"trials clean", []*core.Result{clean(), clean()}, nil},
+		{"trials model violation", []*core.Result{clean(), modelBroken}, modelBroken},
+		{"trials MMB violation", []*core.Result{mmbBroken, clean()}, mmbBroken},
+	} {
+		rep := &scenario.Report{Spec: scenario.Spec{
+			Algorithm: scenario.AlgorithmSpec{Name: "bmmb"},
+			Model:     scenario.ModelSpec{Fprog: 10, Fack: 200},
+			Run:       scenario.RunSpec{Seed: 1, Trials: len(tc.trials)},
+		}}
+		for i, res := range tc.trials {
+			rep.Trials = append(rep.Trials, &scenario.TrialResult{
+				Seed:          int64(1 + i),
+				Network:       scenario.Network{Name: "ring(8)", N: 8, Edges: 8, Diameter: 4},
+				K:             2,
+				SchedulerName: "sync",
+				Result:        res,
+			})
+		}
+		var out bytes.Buffer
+		err := printReport(&out, rep, false, false)
+		if tc.broken == nil {
+			if err != nil {
+				t.Errorf("%s: clean report failed: %v\n%s", tc.name, err, out.String())
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: violating report returned no error\n%s", tc.name, out.String())
+		}
+		var want []string
+		for _, v := range tc.broken.Report.Violations {
+			want = append(want, v.Error())
+		}
+		want = append(want, tc.broken.MMBViolations...)
+		for _, w := range want {
+			if !strings.Contains(out.String(), w) {
+				t.Errorf("%s: report does not print violation %q\n%s", tc.name, w, out.String())
+			}
 		}
 	}
 }

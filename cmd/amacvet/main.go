@@ -1,6 +1,6 @@
 // Command amacvet is the project's static-analysis gate: a multichecker
-// running the internal/lint suite (mapiter, wallclock, hotalloc, payloadbox,
-// pooledhandle) over the package patterns given on the command line. It
+// running the internal/lint suite (mapiter, wallclock, hotalloc, payloadbox)
+// over the package patterns given on the command line. It
 // exits 0 on a clean tree, 1 when any diagnostic survives suppression, and
 // 2 on a load or internal failure — the same contract as go vet, so CI can
 // treat it identically.

@@ -45,9 +45,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "adversarial: %v\n", err)
 		os.Exit(1)
 	}
-	trial := report.Trials[0]
-	net := trial.Built.Artifact.(*topology.ParallelLinesC)
-	res := trial.Result
+	// The narration reads the construction's line layout, which the trial's
+	// network summary does not carry: build the (deterministic) instance the
+	// trial ran on.
+	built, err := scenario.BuildTopology(base, base.Run.Seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "adversarial: %v\n", err)
+		os.Exit(1)
+	}
+	net := built.Artifact.(*topology.ParallelLinesC)
+	res := report.Trials[0].Result
 
 	fmt.Printf("network C (Figure 2): two %d-node lines, %d reliable + %d unreliable edges\n",
 		D, net.G.M(), len(net.UnreliableEdges()))

@@ -64,9 +64,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	dual := reports[0].Trials[0].Built.Dual
+	net := reports[0].Trials[0].Network
 	fmt.Printf("network: %s (D=%d), k=%d messages, Fprog=%d ticks\n\n",
-		dual.Name, dual.G.Diameter(), k, fprog)
+		net.Name, net.Diameter, k, fprog)
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Fack/Fprog\tBMMB (standard layer)\tFMMB (enhanced layer)")

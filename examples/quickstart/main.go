@@ -47,23 +47,23 @@ func main() {
 		os.Exit(1)
 	}
 	trial := report.Trials[0]
-	dual, result := trial.Built.Dual, trial.Result
+	net, result := trial.Network, trial.Result
 
-	fmt.Printf("network: %s\n", dual.Name)
+	fmt.Printf("network: %s\n", net.Name)
 	fmt.Printf("  nodes=%d  diameter=%d  reliable-links=%d  unreliable-links=%d\n",
-		dual.N(), dual.G.Diameter(), dual.G.M(), len(dual.UnreliableEdges()))
+		net.N, net.Diameter, net.Edges, net.Unreliable)
 
 	if !result.Solved {
 		fmt.Fprintf(os.Stderr, "quickstart: MMB not solved (%d/%d deliveries)\n",
 			result.Delivered, result.Required)
 		os.Exit(1)
 	}
-	k := trial.Workload.K()
-	fmt.Printf("solved: all %d messages reached all %d nodes\n", k, dual.N())
+	k := trial.K
+	fmt.Printf("solved: all %d messages reached all %d nodes\n", k, net.N)
 	fmt.Printf("  completion time : %d ticks\n", int64(result.CompletionTime))
 	fmt.Printf("  broadcasts used : %d\n", result.Broadcasts)
 	fmt.Printf("  theoretical cap : O((D+k)·Fack) = %d ticks (Theorem 3.1)\n",
-		(dual.G.Diameter()+k)*int(spec.Model.Fack))
+		(net.Diameter+k)*int(spec.Model.Fack))
 	if result.Report.OK() {
 		fmt.Println("  model check     : receive/ack correctness, termination, Fack and Fprog bounds all hold")
 	} else {

@@ -65,8 +65,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	diameter := reports[0].Trials[0].Built.Dual.G.Diameter()
-	n := reports[0].Trials[0].Built.Dual.N()
+	diameter := reports[0].Trials[0].Network.Diameter
+	n := reports[0].Trials[0].Network.N
 	fmt.Printf("sensor field: %d×%d grid, n=%d, D=%d, k=%d west-edge readings\n\n",
 		rows, cols, n, diameter, k)
 
@@ -87,7 +87,7 @@ func main() {
 		}
 		bound := diameter*fprog + r*k*fack
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%.3f\n",
-			r, len(trial.Built.Dual.UnreliableEdges()), int64(res.CompletionTime), bound,
+			r, trial.Network.Unreliable, int64(res.CompletionTime), bound,
 			float64(res.CompletionTime)/float64(bound))
 	}
 	w.Flush()

@@ -88,13 +88,13 @@ type Result struct {
 	// on the decomposed executor it is a freshly merged trace the caller
 	// owns.
 	Trace *sim.Trace
-	// Engine exposes the underlying engine for post-run inspection. For
-	// executions on a warm Runner the engine is pooled: it stays valid
-	// only until the Runner's next Run recycles it, so inspect (or copy
-	// out of) it before starting another trial. Plain core.Run results
+	// Engine exposes the underlying engine for post-run inspection. It is
+	// valid until the Runner's next Run, which recycles it, so inspect (or
+	// copy out of) it before starting another trial; plain core.Run results
 	// keep their engine indefinitely. Decomposed executions (Options.Shards
 	// >= 1 on a multi-component network) run many engines and leave Engine
-	// nil.
+	// nil. Its non-test readers are amacsim -stats, the
+	// ablation-message-complexity experiment and perfbench's verification.
 	Engine *mac.Engine
 }
 

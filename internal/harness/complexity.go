@@ -53,7 +53,7 @@ func MessageComplexity(o Options) *Table {
 		// Run BMMB to quiescence (not just completion) so trailing
 		// re-broadcasts are counted: the flooding invariant is about
 		// the whole execution.
-		bm := mustTrialOn(scenario.Spec{
+		bm := mustTrialOn(t.ID, scenario.Spec{
 			Topology:  topo,
 			Workload:  workload,
 			Algorithm: scenario.AlgorithmSpec{Name: "bmmb"},
@@ -62,14 +62,14 @@ func MessageComplexity(o Options) *Table {
 			Run:       scenario.RunSpec{Check: o.Check, ToQuiescence: true},
 		}, seed, built)
 
-		fm := mustTrialOn(scenario.Spec{
+		fm := mustTrialOn(t.ID, scenario.Spec{
 			Topology:  topo,
 			Workload:  workload,
 			Algorithm: scenario.AlgorithmSpec{Name: "fmmb", Params: topology.Params{"c": c}},
 			Model:     model,
 			Run:       scenario.RunSpec{Check: o.Check},
 		}, seed, built)
-		fmm := metrics.Collect(fm.Built.Dual, fm.Result.Engine.Instances(), fm.Result.Trace)
+		fmm := metrics.Collect(built.Dual, fm.Result.Engine.Instances(), fm.Result.Trace)
 		return trial{
 			bB:     float64(bm.Result.Broadcasts),
 			fB:     float64(fmm.TotalInstances),

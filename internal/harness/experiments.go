@@ -429,24 +429,15 @@ func AblationFackRatio(o Options) *Table {
 	return t
 }
 
-// mustTrialOn executes one scenario trial on a pre-built network instance
-// with the harness's fail-fast contract: spec errors, unsolved runs and
-// model violations all panic.
-func mustTrialOn(s scenario.Spec, seed int64, built *topology.Built) *scenario.TrialResult {
+// mustTrialOn executes one scenario trial of experiment id on a pre-built
+// network instance, panicking on a spec error, and holds it to
+// mustSucceed.
+func mustTrialOn(id string, s scenario.Spec, seed int64, built *topology.Built) *scenario.TrialResult {
 	tr, err := scenario.TrialOn(s, seed, built)
 	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
+		panic(fmt.Sprintf("harness: %s: %v", id, err))
 	}
-	countSimEvents(tr.Result.Steps)
-	if !tr.Result.Solved {
-		panic(fmt.Sprintf("harness: %s failed on %s seed %d (%d/%d delivered by %v)",
-			s.Algorithm.Name, tr.Built.Dual.Name, seed,
-			tr.Result.Delivered, tr.Result.Required, tr.Result.End))
-	}
-	if tr.Result.Report != nil && !tr.Result.Report.OK() {
-		panic(fmt.Sprintf("harness: model violation on %s: %v",
-			tr.Built.Dual.Name, tr.Result.Report.Violations[0]))
-	}
+	mustSucceed(id, s.Algorithm.Name, tr)
 	return tr
 }
 

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"amac/internal/check"
+	"amac/internal/core"
 	"amac/internal/scenario"
 )
 
@@ -75,6 +78,57 @@ func TestAblationFackRatioRunsThroughSweeper(t *testing.T) {
 	}
 	if want := AblationFackRatio(quickOpts()).String(); got != want {
 		t.Fatalf("table through the sweeper:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestMustSweepFailsFast pins the harness's fail-fast contract through an
+// Options.Sweeper stub returning synthetic reports: a trial that did not
+// solve, broke a model guarantee or broke an MMB condition panics with a
+// message naming the experiment, the network, the seed and the fault, and a
+// clean trial passes. With checking off, the MMB violations are the only
+// record of a duplicate or unsolicited deliver.
+func TestMustSweepFailsFast(t *testing.T) {
+	clean := func() *core.Result { return &core.Result{Solved: true, Report: &check.Report{}} }
+	unsolved := clean()
+	unsolved.Solved = false
+	model := clean()
+	model.Report.Violations = []check.Violation{{Property: "ack bound", Detail: "instance 3 acked late"}}
+	mmb := &core.Result{Solved: true, MMBViolations: []string{"node 2 delivered m0 twice"}}
+	for _, tc := range []struct {
+		name string
+		res  *core.Result
+		want string // a fragment of the panic, empty when none is expected
+	}{
+		{"clean", clean(), ""},
+		{"unsolved", unsolved, "bmmb failed on ring(8) seed 5"},
+		{"model violation", model, "model violation on ring(8) seed 5: check: ack bound violated: instance 3 acked late"},
+		{"MMB violation", mmb, "MMB violation on ring(8) seed 5: node 2 delivered m0 twice"},
+	} {
+		o := Options{Sweeper: func(string, []scenario.Spec, scenario.SweepOptions) ([]*scenario.Report, error) {
+			return []*scenario.Report{{
+				Spec: scenario.Spec{Algorithm: scenario.AlgorithmSpec{Name: "bmmb"}},
+				Trials: []*scenario.TrialResult{{
+					Seed: 5, Network: scenario.Network{Name: "ring(8)", N: 8}, K: 2, Result: tc.res,
+				}},
+			}}, nil
+		}}
+		got := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			o.mustSweep("stub-experiment", nil)
+			return ""
+		}()
+		switch {
+		case tc.want == "" && got != "":
+			t.Errorf("%s: clean trial panicked: %s", tc.name, got)
+		case tc.want != "" && !strings.HasPrefix(got, "harness: stub-experiment: "):
+			t.Errorf("%s: panic %q does not name the experiment", tc.name, got)
+		case !strings.Contains(got, tc.want):
+			t.Errorf("%s: panic %q, want it to contain %q", tc.name, got, tc.want)
+		}
 	}
 }
 

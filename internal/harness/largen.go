@@ -94,12 +94,11 @@ func LargeNRGG(o Options) *Table {
 		fm := reports[2*pi+1].Trials[0]
 		bmT, bmEv := bm.Result.CompletionTime, bm.Result.Steps
 		fmT, fmEv := fm.Result.CompletionTime, fm.Result.Steps
-		g := bm.Built.Dual.G
-		d := g.SampledDiameter()
+		d := bm.Network.Diameter
 		// BMMB(Fack) ≈ D·Fprog + k·Fack meets FMMB's Fack-free completion
 		// at Fack* = (fmmb - D·Fprog)/k; report Fack*/Fprog.
 		crossover := (float64(fmT) - float64(d)*float64(o.Fprog)) / float64(k) / float64(o.Fprog)
-		t.AddRow(fmt.Sprint(n), fmt.Sprint(d), fmt.Sprint(g.M()),
+		t.AddRow(fmt.Sprint(n), fmt.Sprint(d), fmt.Sprint(bm.Network.Edges),
 			fmt.Sprint(bmT), fmt.Sprint(bmEv), fmt.Sprint(fmT), fmt.Sprint(fmEv),
 			fmt.Sprintf("%.0f", crossover))
 	}

@@ -55,10 +55,8 @@ func (o Options) sweep(id string, specs []scenario.Spec) ([]*scenario.Report, er
 	return scenario.SweepWithOptions(specs, so)
 }
 
-// mustSweep runs an experiment's spec grid through sweep and keeps the
-// harness's fail-fast contract: experiments are calibrated so every run
-// solves its instance, so a spec error, an unsolved run or a model
-// violation panics. Every trial's sim events are counted.
+// mustSweep runs an experiment's spec grid through sweep, panicking on a
+// spec error, and holds every trial to mustSucceed.
 func (o Options) mustSweep(id string, specs []scenario.Spec) []*scenario.Report {
 	reports, err := o.sweep(id, specs)
 	if err != nil {
@@ -66,19 +64,31 @@ func (o Options) mustSweep(id string, specs []scenario.Spec) []*scenario.Report 
 	}
 	for _, r := range reports {
 		for _, tr := range r.Trials {
-			countSimEvents(tr.Result.Steps)
-			if !tr.Result.Solved {
-				panic(fmt.Sprintf("harness: %s: %s failed on %s (%d/%d delivered by %v)",
-					id, r.Spec.Algorithm.Name, tr.Built.Dual.Name,
-					tr.Result.Delivered, tr.Result.Required, tr.Result.End))
-			}
-			if tr.Result.Report != nil && !tr.Result.Report.OK() {
-				panic(fmt.Sprintf("harness: %s: model violation on %s: %v",
-					id, tr.Built.Dual.Name, tr.Result.Report.Violations[0]))
-			}
+			mustSucceed(id, r.Spec.Algorithm.Name, tr)
 		}
 	}
 	return reports
+}
+
+// mustSucceed counts a trial's sim events and keeps the harness's fail-fast
+// contract on it: experiments are calibrated so every run solves its
+// instance cleanly, so an unsolved run, a model violation or an MMB
+// violation (a duplicate or unsolicited deliver, which the runner records
+// even with checking off) panics, naming the experiment, algorithm,
+// network and seed.
+func mustSucceed(id, alg string, tr *scenario.TrialResult) {
+	countSimEvents(tr.Result.Steps)
+	switch res := tr.Result; {
+	case !res.Solved:
+		panic(fmt.Sprintf("harness: %s: %s failed on %s seed %d (%d/%d delivered by %v)",
+			id, alg, tr.Network.Name, tr.Seed, res.Delivered, res.Required, res.End))
+	case res.Report != nil && !res.Report.OK():
+		panic(fmt.Sprintf("harness: %s: %s model violation on %s seed %d: %v",
+			id, alg, tr.Network.Name, tr.Seed, res.Report.Violations[0]))
+	case len(res.MMBViolations) > 0:
+		panic(fmt.Sprintf("harness: %s: %s MMB violation on %s seed %d: %s",
+			id, alg, tr.Network.Name, tr.Seed, res.MMBViolations[0]))
+	}
 }
 
 func (o Options) withDefaults() Options {

@@ -170,5 +170,5 @@ func (c *Client) RunSpecs(name string, specs []scenario.Spec) ([]*scenario.Repor
 	if err != nil {
 		return nil, err
 	}
-	return Reports(res)
+	return Reports(res), nil
 }

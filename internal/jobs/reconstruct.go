@@ -1,10 +1,6 @@
 package jobs
 
-import (
-	"fmt"
-
-	"amac/internal/scenario"
-)
+import "amac/internal/scenario"
 
 // Execute runs the job in-process on a single machine — no shards, no
 // checkpoints — and returns its result. This is the reference the sharded
@@ -27,50 +23,23 @@ func Execute(job Spec, parallelism int) (*Result, error) {
 
 // Reports reconstructs per-spec scenario reports from a wire result, so
 // report consumers (amacsim's renderer, harness bound formulas) work
-// identically on remote results. Network instances and workloads never
-// cross the wire; they are pure functions of (spec, seed) and are rebuilt
-// here exactly as the executing worker built them: pinned specs get one
-// instance at the run seed shared by every trial, unpinned specs get fresh
-// builds for their first and last trials — the only ones the warm sweep
-// path guarantees stable instances for (see scenario.TrialResult.Built) —
-// with middle trials sharing the first build, mirroring that contract.
-func Reports(res *Result) ([]*scenario.Report, error) {
+// identically on remote results. Each trial record carries its network
+// summary and message count, so nothing is rebuilt here; only the engine
+// and the trace stay on the executing side.
+func Reports(res *Result) []*scenario.Report {
 	out := make([]*scenario.Report, len(res.Specs))
 	for i, sr := range res.Specs {
-		spec := sr.Spec
-		rep := &scenario.Report{Spec: spec, Trials: make([]*scenario.TrialResult, len(sr.Trials))}
-		pinned := scenario.TopologyPinned(spec)
-		var first *scenario.TrialResult
+		rep := &scenario.Report{Spec: sr.Spec, Trials: make([]*scenario.TrialResult, len(sr.Trials))}
 		for t, rec := range sr.Trials {
-			tr := &scenario.TrialResult{
+			rep.Trials[t] = &scenario.TrialResult{
 				Seed:          rec.Seed,
+				Network:       rec.Network,
+				K:             rec.K,
 				SchedulerName: rec.Scheduler,
 				Result:        rec.result(),
 			}
-			rebuild := t == 0 || (!pinned && t == len(sr.Trials)-1)
-			if rebuild {
-				seed := rec.Seed
-				if pinned {
-					seed = spec.Run.Seed
-				}
-				built, err := scenario.BuildTopology(spec, seed)
-				if err != nil {
-					return nil, fmt.Errorf("jobs: rebuild spec %d (%s) trial %d: %w", i, spec.Name, t, err)
-				}
-				workload, err := scenario.ResolveWorkload(spec, built)
-				if err != nil {
-					return nil, fmt.Errorf("jobs: rebuild spec %d (%s) trial %d: %w", i, spec.Name, t, err)
-				}
-				tr.Built, tr.Workload = built, workload
-			} else {
-				tr.Built, tr.Workload = first.Built, first.Workload
-			}
-			if t == 0 {
-				first = tr
-			}
-			rep.Trials[t] = tr
 		}
 		out[i] = rep
 	}
-	return out, nil
+	return out
 }

@@ -10,24 +10,25 @@ import (
 	"amac/internal/sim"
 )
 
-// TrialRecord is the serialized form of one executed trial: exactly the
-// scalar outcome of the simulation, nothing derived. Everything else a
-// report consumer needs — the network instance, the workload — is a pure
-// function of (spec, seed) and is rebuilt on the reading side (see
-// Reports), so shards ship kilobytes, not object graphs.
+// TrialRecord is the serialized form of one executed trial: the scalar
+// outcome of the simulation plus the network summary and message count a
+// report consumer reads, so shards ship kilobytes, not object graphs, and
+// the reading side rebuilds nothing (see Reports).
 type TrialRecord struct {
-	Seed          int64          `json:"seed"`
-	Scheduler     string         `json:"scheduler"`
-	Solved        bool           `json:"solved"`
-	Completion    int64          `json:"completion"`
-	End           int64          `json:"end"`
-	Delivered     int            `json:"delivered"`
-	Required      int            `json:"required"`
-	Broadcasts    int            `json:"broadcasts"`
-	Steps         uint64         `json:"steps"`
-	Checked       bool           `json:"checked,omitempty"`
-	CheckFailures []CheckFailure `json:"check_failures,omitempty"`
-	MMBViolations []string       `json:"mmb_violations,omitempty"`
+	Seed          int64            `json:"seed"`
+	Network       scenario.Network `json:"network"`
+	K             int              `json:"k"`
+	Scheduler     string           `json:"scheduler"`
+	Solved        bool             `json:"solved"`
+	Completion    int64            `json:"completion"`
+	End           int64            `json:"end"`
+	Delivered     int              `json:"delivered"`
+	Required      int              `json:"required"`
+	Broadcasts    int              `json:"broadcasts"`
+	Steps         uint64           `json:"steps"`
+	Checked       bool             `json:"checked,omitempty"`
+	CheckFailures []CheckFailure   `json:"check_failures,omitempty"`
+	MMBViolations []string         `json:"mmb_violations,omitempty"`
 }
 
 // CheckFailure mirrors check.Violation field-for-field so compliance
@@ -41,6 +42,8 @@ type CheckFailure struct {
 func RecordTrial(t *scenario.TrialResult) TrialRecord {
 	r := TrialRecord{
 		Seed:          t.Seed,
+		Network:       t.Network,
+		K:             t.K,
 		Scheduler:     t.SchedulerName,
 		Solved:        t.Result.Solved,
 		Completion:    int64(t.Result.CompletionTime),

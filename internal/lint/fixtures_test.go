@@ -33,7 +33,3 @@ func TestHotAllocFixtures(t *testing.T) {
 func TestPayloadBoxFixtures(t *testing.T) {
 	linttest.Run(t, src, lint.PayloadBox, "amac/internal/core/payloadboxfix")
 }
-
-func TestPooledHandleFixtures(t *testing.T) {
-	linttest.Run(t, src, lint.PooledHandle, "amac/internal/sim")
-}

@@ -1,9 +1,9 @@
 // Package lint is the project-specific static-analysis suite behind
-// cmd/amacvet: five analyzers that enforce, at compile time, the invariants
+// cmd/amacvet: four analyzers that enforce, at compile time, the invariants
 // every runtime gate in this repo (golden traces, shards-N diffs, warm-vs-cold
 // equality, alloc ceilings) can only spot-check — determinism of iteration
-// order, seeded randomness, allocation-free hot paths, boxing only at
-// Payload.Value, and pooled-event tenancy.
+// order, seeded randomness, allocation-free hot paths, and boxing only at
+// Payload.Value.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, per-position diagnostics) but is self-contained on the
@@ -90,7 +90,6 @@ var Analyzers = []*Analyzer{
 	WallClock,
 	HotAlloc,
 	PayloadBox,
-	PooledHandle,
 }
 
 // AnalyzerNames returns the suite's names, in suite order.

@@ -52,12 +52,12 @@ func isEnginePkg(path string) bool { return inPkgSet(enginePkgs, path) }
 func isHotPkg(path string) bool { return inPkgSet(hotPkgs, path) }
 
 // isSimPkg reports whether path is the simulator core package (the owner of
-// the pooled event structs and the Payload type).
+// the Payload type).
 func isSimPkg(path string) bool { return path == "amac/internal/sim" }
 
 // simNamed reports whether t (after pointer stripping) is the named type
 // pkg sim's name refers to, e.g. simNamed(t, "Payload") or simNamed(t,
-// "event").
+// "TraceEvent").
 func simNamed(t types.Type, name string) bool {
 	if t == nil {
 		return false

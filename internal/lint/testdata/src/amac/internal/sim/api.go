@@ -1,7 +1,7 @@
 // Package sim is a miniature stand-in for the real simulator core: just
-// enough API surface (Payload and its boxers, the pooled event queue) for
-// the analyzer fixtures to exercise amacvet's package-path matching at the
-// exact import paths the real analyzers key on.
+// enough API surface (Payload and its boxers) for the analyzer fixtures to
+// exercise amacvet's package-path matching at the exact import paths the
+// real analyzers key on.
 package sim
 
 // Time is the virtual clock.

@@ -40,7 +40,7 @@ func TestWarmTrialAllocationCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() {
-		tr, err := w.trial(r.Run.Seed+1, 0, false)
+		tr, err := w.trial(r.Run.Seed+1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestUnpinnedWarmTrialAllocationBound(t *testing.T) {
 	seed := r.Run.Seed
 	run := func() {
 		seed++
-		tr, err := w.trial(seed, 0, false)
+		tr, err := w.trial(seed, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestWarmFMMBTrialAllocationCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func() {
-			tr, err := w.trial(r.Run.Seed+1, 0, false)
+			tr, err := w.trial(r.Run.Seed+1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -49,8 +49,8 @@ func reportFingerprint(reports []*Report) string {
 		for _, tr := range r.Trials {
 			res := tr.Result
 			ok := res.Report == nil || res.Report.OK()
-			out += fmt.Sprintf("%s seed=%d net=%s sched=%s solved=%v t=%d end=%d del=%d req=%d bcasts=%d steps=%d check=%v\n",
-				r.Spec.Name, tr.Seed, tr.Built.Dual.Name, tr.SchedulerName, res.Solved, res.CompletionTime,
+			out += fmt.Sprintf("%s seed=%d net=%+v k=%d sched=%s solved=%v t=%d end=%d del=%d req=%d bcasts=%d steps=%d check=%v\n",
+				r.Spec.Name, tr.Seed, tr.Network, tr.K, tr.SchedulerName, res.Solved, res.CompletionTime,
 				res.End, res.Delivered, res.Required, res.Broadcasts, res.Steps, ok)
 		}
 	}

@@ -16,34 +16,56 @@ import (
 	"amac/internal/topology"
 )
 
-// TrialResult is one executed seed of a scenario.
+// TrialResult is one executed seed of a scenario. Every field but Result
+// is a plain value.
 type TrialResult struct {
 	// Seed is the run seed of this trial.
 	Seed int64
-	// Built is the topology the trial ran on (randomized families draw a
-	// fresh instance per trial unless the spec pins the topology seed).
-	// Unpinned trials of Run and Sweep reuse warm per-worker state, so the
-	// graphs behind Built are workspace storage recycled by the next trial
-	// on the same worker — except for the spec's first and final trials,
-	// which are always built into stable storage so report consumers stay
-	// correct (amacsim's header reads the first trial's network, bound
-	// formulas the last trial's). Callers needing every trial's instance
-	// intact copy it in a watcher or run the trials through Trial.
-	Built *topology.Built
-	// Workload is the resolved arrival schedule.
-	Workload *core.Workload
+	// Network summarizes the network instance the trial ran on
+	// (randomized families draw a fresh instance per trial unless the spec
+	// pins the topology seed).
+	Network Network
+	// K is the number of messages the trial's workload injected.
+	K int
 	// SchedulerName is the resolved scheduler's self-description.
 	SchedulerName string
-	// Result is the execution outcome. Trials of Run and Sweep reuse a
-	// warm runner per worker, so Result.Engine and Result.Trace — both
-	// pooled in that runner — are recycled by the next trial on the same
-	// worker: with Trials == 1 they stay valid, and the scalar fields and
-	// Report are always safe, but multi-trial callers that need per-trial
-	// traces or instances must either copy them in a watcher or run the
-	// trials through Trial. Decomposed runs (shards >= 1 on a
-	// multi-component network) leave Engine nil and return a freshly
-	// merged Trace the caller owns.
+	// Result is the execution outcome. Its scalar fields and Report are
+	// always safe; its Engine and Trace belong to the runner of the worker
+	// that ran the trial and are valid until that runner's next Run (see
+	// core.Result.Engine), so with Trials == 1 they stay valid. Decomposed
+	// runs (shards >= 1 on a multi-component network) leave Engine nil and
+	// return a freshly merged Trace the caller owns.
 	Result *core.Result
+}
+
+// Network summarizes a trial's network instance in the quantities the
+// paper's bounds are stated in. It is filled before the worker that ran the
+// trial reuses its storage, so it stays valid indefinitely and crosses the
+// wire as is (see internal/jobs).
+type Network struct {
+	Name string `json:"name"`
+	N    int    `json:"n"`
+	// Edges is |E|, the reliable edges.
+	Edges int `json:"edges"`
+	// Unreliable is |E′\E|, the edges only G′ has.
+	Unreliable int `json:"unreliable"`
+	// Diameter is G's sampled diameter, the one every run and report
+	// shares: exact up to graph.ExactDiameterCutoff nodes, a lower bound
+	// above it.
+	Diameter int `json:"diameter"`
+}
+
+// summarize computes the network summary of an instance. The diameter is
+// memoized on the graph, where the default horizon or FMMB's schedule has
+// usually put it already.
+func summarize(d *topology.Dual) Network {
+	return Network{
+		Name:       d.Name,
+		N:          d.N(),
+		Edges:      d.G.M(),
+		Unreliable: d.GPrime.M() - d.G.M(),
+		Diameter:   d.G.SampledDiameter(),
+	}
 }
 
 // Report is the outcome of Run: the resolved spec plus one result per trial,
@@ -260,13 +282,7 @@ func (p *sweepPlan) run(parallelism, lo, hi int) ([]*TrialResult, error) {
 			si++
 		}
 		seed := p.resolved[si].Run.Seed + int64(task-p.offsets[si])
-		// keepBuilt marks the first and last tasks this call runs for the
-		// spec: unpinned draws build into stable storage there, so the
-		// returned TrialResults honor the Built contract (see
-		// TrialResult.Built) even when the range is a shard.
-		first := max(p.offsets[si], lo)
-		last := min(p.offsets[si+1], hi) - 1
-		trials[i], errs[i] = p.runs[si].trial(seed, worker, task == first || task == last)
+		trials[i], errs[i] = p.runs[si].trial(seed, worker)
 		if errs[i] != nil {
 			errs[i] = fmt.Errorf("trial with seed %d: %w", seed, errs[i])
 		} else if p.progress != nil {
@@ -350,16 +366,13 @@ func (sr *specRun) pin(built *topology.Built) error {
 	return nil
 }
 
-// trial executes one seed on the given worker's warm state. keepBuilt marks
-// an unpinned spec's first and final trials: they build into stable storage
-// instead of the recycled workspace, keeping the report's edge instances
-// valid after the sweep (see TrialResult.Built).
-func (sr *specRun) trial(seed int64, worker int, keepBuilt bool) (*TrialResult, error) {
+// trial executes one seed on the given worker's warm state.
+func (sr *specRun) trial(seed int64, worker int) (*TrialResult, error) {
 	w := &sr.workers[worker]
 	p := sr.plan
 	if p == nil {
 		var err error
-		if p, err = w.draw(sr.spec, seed, keepBuilt); err != nil {
+		if p, err = w.draw(sr.spec, seed); err != nil {
 			return nil, err
 		}
 	} else if w.rn == nil {
@@ -368,19 +381,15 @@ func (sr *specRun) trial(seed int64, worker int, keepBuilt bool) (*TrialResult, 
 	return p.execute(seed, w)
 }
 
-// draw builds trial seed's network — into the worker's workspace unless
-// keepBuilt — rebinds the worker's runner to it and returns its plan. Builds
-// are byte-identical with and without the workspace, and a rebound runner
-// is byte-identical to a fresh one.
-func (w *worker) draw(r Spec, seed int64, keepBuilt bool) (*trialPlan, error) {
-	var ws *topology.Workspace
-	if !keepBuilt {
-		if w.ws == nil {
-			w.ws = topology.NewWorkspace()
-		}
-		ws = w.ws
+// draw builds trial seed's network into the worker's workspace, rebinds the
+// worker's runner to it and returns its plan. Builds are byte-identical
+// with and without the workspace, and a rebound runner is byte-identical to
+// a fresh one.
+func (w *worker) draw(r Spec, seed int64) (*trialPlan, error) {
+	if w.ws == nil {
+		w.ws = topology.NewWorkspace()
 	}
-	built, err := buildTopologyInto(r, seed, ws)
+	built, err := buildTopologyInto(r, seed, w.ws)
 	if err != nil {
 		return nil, err
 	}
@@ -464,7 +473,10 @@ func Trial(s Spec, seed int64) (*TrialResult, error) {
 // BuildTopology constructs the network instance that trial `seed` of the
 // spec would run on. Callers replaying one pinned instance across many
 // hand-rolled trials build it once here and pass it to TrialOn; Run and
-// Sweep already do this automatically for pinned topologies.
+// Sweep already do this automatically for pinned topologies. Callers that
+// need a trial's instance itself, not its summary, build it here too: the
+// adversarial example reads its construction artifact, and perfbench's
+// layer-by-layer replay rebuilds each trial's network.
 func BuildTopology(s Spec, seed int64) (*topology.Built, error) {
 	return buildTopology(s.WithDefaults(), seed)
 }
@@ -478,9 +490,8 @@ func TrialOn(s Spec, seed int64, built *topology.Built) (*TrialResult, error) {
 
 // ResolveWorkload resolves the spec's workload against a built instance —
 // the same resolution every trial performs. The result depends only on the
-// spec and the instance, never on the trial seed, so clients reconstructing
-// reports from serialized trial records (internal/jobs) recover the exact
-// workload a remote worker ran.
+// spec and the instance, never on the trial seed, so perfbench's replay,
+// which drives the runner itself, injects the exact workload a trial ran.
 func ResolveWorkload(s Spec, built *topology.Built) (*core.Workload, error) {
 	assignment, workload, err := buildWorkload(s.WithDefaults(), built)
 	if err != nil {
@@ -494,8 +505,8 @@ func ResolveWorkload(s Spec, built *topology.Built) (*core.Workload, error) {
 
 // TopologyPinned reports whether every trial of the spec runs on the same
 // network instance (built once from the run's base seed), as opposed to a
-// fresh draw per trial seed. Exported for report reconstruction: a pinned
-// spec's instance is rebuilt once, an unpinned spec's per trial seed.
+// fresh draw per trial seed. Exported for perfbench's replay, which builds
+// a pinned spec's instance once and an unpinned spec's per trial seed.
 func TopologyPinned(s Spec) bool {
 	return topologyPinned(s.WithDefaults())
 }
@@ -545,17 +556,18 @@ func trialOn(s Spec, seed int64, built *topology.Built) (*TrialResult, error) {
 	if err := sr.pin(built); err != nil {
 		return nil, err
 	}
-	return sr.trial(seed, 0, false)
+	return sr.trial(seed, 0)
 }
 
 // trialPlan is everything about a trial that is a pure function of the
 // resolved spec and its built network: the workload, payloads, algorithm,
-// horizon and step limit. It is the single spec-resolution pipeline behind
-// every trial: a pinned specRun resolves one per spec, an unpinned one
-// interns one per worker.
+// horizon, step limit and network summary. It is the single
+// spec-resolution pipeline behind every trial: a pinned specRun resolves
+// one per spec, an unpinned one interns one per worker.
 type trialPlan struct {
 	spec      Spec // resolved
 	built     *topology.Built
+	net       Network
 	n         int // node count the plan was resolved for
 	workload  *core.Workload
 	payloads  []sim.Payload
@@ -601,6 +613,7 @@ func resolvePlan(r Spec, built *topology.Built) (*trialPlan, error) {
 	return &trialPlan{
 		spec:      r,
 		built:     built,
+		net:       summarize(built.Dual),
 		n:         built.Dual.N(),
 		workload:  workload,
 		payloads:  payloads,
@@ -618,12 +631,13 @@ func (p *trialPlan) newFleet() ([]mac.Automaton, error) {
 }
 
 // rebind points an interned plan at a fresh draw of the same node count,
-// recomputing the only instance-dependent field: the horizon, whose
-// registered formula may read instance invariants like the diameter. The
-// result is field-for-field identical to resolvePlan(spec, built), which
-// TestInternedPlanMatchesResolved pins.
+// recomputing the instance-dependent fields: the network summary and the
+// horizon, whose registered formula may read instance invariants like the
+// diameter. The result is field-for-field identical to resolvePlan(spec,
+// built), which TestInternedPlanMatchesResolved pins.
 func (p *trialPlan) rebind(built *topology.Built) {
 	p.built = built
+	p.net = summarize(built.Dual)
 	horizon := sim.Time(p.spec.Run.Horizon)
 	if horizon == 0 && p.alg.Horizon != nil {
 		horizon = p.alg.Horizon(built.Dual, p.k, sim.Time(p.spec.Model.Fprog), p.spec.Algorithm.Params)
@@ -732,8 +746,8 @@ func (p *trialPlan) execute(seed int64, w *worker) (*TrialResult, error) {
 	w.park(automata)
 	return &TrialResult{
 		Seed:          seed,
-		Built:         p.built,
-		Workload:      p.workload,
+		Network:       p.net,
+		K:             p.k,
 		SchedulerName: schedName,
 		Result:        res,
 	}, nil

@@ -126,7 +126,7 @@ func TestScenarioShardedWarmMatchesCold(t *testing.T) {
 					t.Fatalf("cold trial seed %d: %v", seed, err)
 				}
 				want := trialSnapshot(cold)
-				tr, err := warm.trial(seed, 0, false)
+				tr, err := warm.trial(seed, 0)
 				if err != nil {
 					t.Fatalf("warm trial seed %d: %v", seed, err)
 				}

@@ -167,6 +167,9 @@ func TestInternedPlanMatchesResolved(t *testing.T) {
 				seed, got.horizon, got.stepLimit, got.k, got.schedName,
 				want.horizon, want.stepLimit, want.k, want.schedName)
 		}
+		if got.net != want.net {
+			t.Fatalf("seed %d: interned network summary %+v, resolved %+v", seed, got.net, want.net)
+		}
 		if !reflect.DeepEqual(got.payloads, want.payloads) {
 			t.Fatalf("seed %d: interned payloads diverged", seed)
 		}

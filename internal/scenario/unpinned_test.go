@@ -41,14 +41,14 @@ func unpinnedSpecs(trials int) []Spec {
 }
 
 // trialSnapshot renders everything observable about one executed trial —
-// network name, scalar outcome and the full trace text — for byte-for-byte
-// comparison. It must be taken before the worker's next trial recycles the
+// network summary, scalar outcome and the full trace text — for
+// byte-for-byte comparison. It must be taken before the worker's next trial recycles the
 // pooled engine.
 func trialSnapshot(tr *TrialResult) string {
 	res := tr.Result
 	ok := res.Report == nil || res.Report.OK()
-	return fmt.Sprintf("net=%s sched=%s solved=%v t=%d end=%d del=%d req=%d bcasts=%d steps=%d check=%v\n%s",
-		tr.Built.Dual.Name, tr.SchedulerName, res.Solved, res.CompletionTime, res.End,
+	return fmt.Sprintf("net=%+v k=%d sched=%s solved=%v t=%d end=%d del=%d req=%d bcasts=%d steps=%d check=%v\n%s",
+		tr.Network, tr.K, tr.SchedulerName, res.Solved, res.CompletionTime, res.End,
 		res.Delivered, res.Required, res.Broadcasts, res.Steps, ok,
 		res.Trace.String())
 }
@@ -72,7 +72,7 @@ func TestWarmTrialMatchesFresh(t *testing.T) {
 					t.Fatalf("fresh trial seed %d: %v", seed, err)
 				}
 				want := trialSnapshot(fresh)
-				tr, err := warm.trial(seed, 0, false)
+				tr, err := warm.trial(seed, 0)
 				if err != nil {
 					t.Fatalf("warm trial seed %d: %v", seed, err)
 				}
@@ -111,9 +111,6 @@ func TestDeterministicFamilyTakesWarmPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Trials[0].Built != warm.Trials[1].Built {
-		t.Fatal("trials of a deterministic family did not share one built instance")
-	}
 	if warm.Trials[0].Result.Engine != warm.Trials[1].Result.Engine {
 		t.Fatal("trials of a deterministic family did not reuse the warm engine")
 	}
@@ -141,7 +138,18 @@ func TestLargeTrialSeedsStayDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := rep.Trials[0].Built.Dual, rep.Trials[1].Built.Dual
+	var duals [2]*topology.Dual
+	for i, tr := range rep.Trials {
+		built, err := BuildTopology(spec, tr.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := summarize(built.Dual); tr.Network != got {
+			t.Fatalf("trial %d ran on %+v, but its seed builds %+v", i, tr.Network, got)
+		}
+		duals[i] = built.Dual
+	}
+	a, b := duals[0], duals[1]
 	if fmt.Sprint(a.G.Edges()) == fmt.Sprint(b.G.Edges()) &&
 		fmt.Sprint(a.GPrime.Edges()) == fmt.Sprint(b.GPrime.Edges()) {
 		t.Fatal("adjacent trial seeds above 2^53 drew the same network — the seed is being rounded through a float64")
@@ -156,24 +164,38 @@ func TestLargeTrialSeedsStayDistinct(t *testing.T) {
 	}
 }
 
-// TestUnpinnedEdgeTrialsBuiltStable pins the stable-storage contract of
-// TrialResult.Built: the first and last trials of an unpinned warm run keep
-// their own networks after the sweep (amacsim's report header reads the
-// first, bound formulas the last) instead of aliasing recycled workspace
-// graphs overwritten by later trials.
-func TestUnpinnedEdgeTrialsBuiltStable(t *testing.T) {
-	spec := unpinnedSpecs(5)[0]
-	rep, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{0, len(rep.Trials) - 1} {
-		want, err := BuildTopology(spec, rep.Trials[i].Seed)
+// TestTrialNetworkMatchesBuild pins the network summary every trial
+// carries: for pinned and unpinned specs, at sequential and parallel pool
+// sizes, each trial's summary equals the one computed from a fresh build of
+// its seed, so no trial reports a network recycled by a later trial on its
+// worker. The unreliable-edge count, taken from the two edge totals, must
+// equal the count of G′ edges missing from G.
+func TestTrialNetworkMatchesBuild(t *testing.T) {
+	specs := append(unpinnedSpecs(5), pinnedSpecs(5)...)
+	for _, parallelism := range []int{1, 2} {
+		reports, err := SweepWithOptions(specs, SweepOptions{Parallelism: parallelism})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("parallelism %d: %v", parallelism, err)
 		}
-		if fmt.Sprint(rep.Trials[i].Built.Dual.G.Edges()) != fmt.Sprint(want.Dual.G.Edges()) {
-			t.Fatalf("trial %d's Built was recycled by a later trial on its worker", i)
+		for si, rep := range reports {
+			for _, tr := range rep.Trials {
+				built, err := BuildTopology(specs[si], tr.Seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := summarize(built.Dual)
+				if tr.Network != want {
+					t.Fatalf("parallelism %d: %s seed %d: summary %+v, fresh build %+v",
+						parallelism, rep.Spec.Name, tr.Seed, tr.Network, want)
+				}
+				if grey := len(built.Dual.UnreliableEdges()); want.Unreliable != grey {
+					t.Fatalf("%s seed %d: |E'\\E| = %d from the edge totals, %d unreliable edges",
+						rep.Spec.Name, tr.Seed, want.Unreliable, grey)
+				}
+				if tr.K != rep.Spec.Workload.K {
+					t.Fatalf("%s seed %d: k = %d, spec asks for %d", rep.Spec.Name, tr.Seed, tr.K, rep.Spec.Workload.K)
+				}
+			}
 		}
 	}
 }

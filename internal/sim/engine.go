@@ -117,9 +117,10 @@ func (e *Engine) SetDispatcher(d Dispatcher) { e.dispatch = d }
 //
 //amac:hotpath
 func (e *Engine) Post(t Time, kind EventKind, obj any, a, b int64) {
-	ev := e.schedule(t)
-	ev.kind, ev.obj, ev.a, ev.b = kind, obj, a, b
-	e.queue.push(ev)
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
+	}
+	e.queue.push(t, kind, Op{Obj: obj, A: a, B: b})
 }
 
 // PostPayload schedules a typed event like Post, carrying a typed message
@@ -129,20 +130,10 @@ func (e *Engine) Post(t Time, kind EventKind, obj any, a, b int64) {
 //
 //amac:hotpath
 func (e *Engine) PostPayload(t Time, kind EventKind, p Payload, a, b int64) {
-	ev := e.schedule(t)
-	ev.kind, ev.p, ev.a, ev.b = kind, p, a, b
-	e.queue.push(ev)
-}
-
-// schedule allocates a pooled event for time t; the caller fills the payload
-// and pushes it.
-//
-//amac:hotpath
-func (e *Engine) schedule(t Time) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
-	return e.queue.alloc(t)
+	e.queue.push(t, kind, Op{A: a, B: b, P: p})
 }
 
 // Reset restores the engine to its initial state with a new seed, keeping
@@ -174,25 +165,19 @@ func (e *Engine) Step() bool {
 	if e.limit != 0 && e.stepped >= e.limit {
 		return false
 	}
-	ev := e.queue.pop()
-	if ev == nil {
+	at, kind, op, ok := e.queue.pop()
+	if !ok {
 		return false
 	}
-	if ev.at > e.horizon {
+	if at > e.horizon {
 		// Leave the horizon-crossing event consumed; the run is over.
-		e.queue.release(ev)
 		return false
 	}
-	if ev.at < e.now {
+	if at < e.now {
 		panic("sim: time went backwards")
 	}
-	e.now = ev.at
+	e.now = at
 	e.stepped++
-	// Recycle before dispatching: the handler may schedule (and the pool
-	// hand the struct straight back out), so the operands are copied out
-	// first.
-	kind, op := ev.kind, Op{Obj: ev.obj, A: ev.a, B: ev.b, P: ev.p}
-	e.queue.release(ev)
 	e.dispatch.Dispatch(kind, op)
 	return true
 }

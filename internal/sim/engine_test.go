@@ -204,18 +204,18 @@ func TestQueueHeapProperty(t *testing.T) {
 	f := func(times []uint16) bool {
 		q := newEventQueue()
 		for i, tt := range times {
-			q.push(&event{at: Time(tt), a: int64(i)})
+			q.push(Time(tt), 0, Op{A: int64(i)})
 		}
 		prevAt, prevSeq := Time(-1), int64(0)
 		for q.Len() > 0 {
-			ev := q.pop()
-			if ev.at < prevAt {
+			at, _, op, _ := q.pop()
+			if at < prevAt {
 				return false
 			}
-			if ev.at == prevAt && ev.a < prevSeq {
+			if at == prevAt && op.A < prevSeq {
 				return false
 			}
-			prevAt, prevSeq = ev.at, ev.a
+			prevAt, prevSeq = at, op.A
 		}
 		return true
 	}
@@ -236,13 +236,13 @@ func TestQueueInterleavedProperty(t *testing.T) {
 			if at < 0 {
 				at = 0
 			}
-			q.push(&event{at: at})
+			q.push(at, 0, Op{})
 		} else {
-			ev := q.pop()
-			if ev.at < lastPopped {
-				t.Fatalf("popped %v after %v", ev.at, lastPopped)
+			at, _, _, _ := q.pop()
+			if at < lastPopped {
+				t.Fatalf("popped %v after %v", at, lastPopped)
 			}
-			lastPopped = ev.at
+			lastPopped = at
 		}
 	}
 }
@@ -265,9 +265,9 @@ func TestQueueDrainInterleavedOrder(t *testing.T) {
 		now := Time(0)
 		for i := 0; i < 20000; i++ {
 			if q.Len() > 0 && rng.Intn(2) == 0 {
-				ev := q.pop()
-				now = ev.at
-				popped = append(popped, key{ev.at, ev.a})
+				at, _, op, _ := q.pop()
+				now = at
+				popped = append(popped, key{at, op.A})
 				continue
 			}
 			at := now
@@ -280,13 +280,13 @@ func TestQueueDrainInterleavedOrder(t *testing.T) {
 			}
 			k := key{at, int64(len(pushed))}
 			pushed = append(pushed, k)
-			q.push(&event{at: k.at, a: k.seq})
+			q.push(k.at, 0, Op{A: k.seq})
 		}
 		for q.Len() > 0 {
-			ev := q.pop()
-			popped = append(popped, key{ev.at, ev.a})
+			at, _, op, _ := q.pop()
+			popped = append(popped, key{at, op.A})
 		}
-		if q.pop() != nil {
+		if _, _, _, ok := q.pop(); ok {
 			t.Fatal("pop on an empty queue returned an event")
 		}
 		sort.Slice(pushed, func(i, j int) bool {

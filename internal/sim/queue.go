@@ -3,20 +3,17 @@ package sim
 // event is a scheduled callback in virtual time. Events with equal times fire
 // in insertion order, which makes executions fully deterministic.
 //
-// An event is typed: a kind plus the small fixed operand set (obj, a, b, p),
-// executed by the engine's Dispatcher. Scheduling therefore allocates no
-// closures at all.
+// An event is typed: a kind plus its operand set, executed by the engine's
+// Dispatcher. Scheduling therefore allocates no closures at all.
 //
-// Events are pooled: once popped and executed, the engine recycles the
-// struct through a free list, so steady-state scheduling performs no heap
-// allocation. Nothing outside the queue holds an event, so a released struct
-// can be handed straight to the next tenancy.
+// Events are pooled: push takes a struct from a free list and pop hands its
+// fields back by value and returns it to the list, so steady-state
+// scheduling performs no heap allocation, and no *event ever leaves this
+// file.
 type event struct {
 	at   Time
-	next *event  // next event of the same time, in insertion order
-	obj  any     // typed payload: object operand (a pointer; boxing is free)
-	a, b int64   // typed payload: scalar operands
-	p    Payload // typed payload: message operand (carried unboxed)
+	next *event // next event of the same time, in insertion order
+	op   Op
 	kind EventKind
 }
 
@@ -69,51 +66,16 @@ func newEventQueue() eventQueue {
 // Len reports the number of events still queued.
 func (q *eventQueue) Len() int { return q.n }
 
-// alloc returns a recycled event or a fresh one when the pool is empty. The
-// caller fills in the payload (kind + operands).
-//
-//amac:hotpath
-func (q *eventQueue) alloc(at Time) *event {
-	if n := len(q.free); n > 0 {
-		ev := q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-		ev.at = at
-		return ev
-	}
-	return &event{at: at}
-}
-
-// release returns a popped event to the pool. Dropping obj releases the
-// object reference, and clearing p keeps a later Post, which sets only obj,
-// from carrying this tenancy's payload. The pool is bounded: a delivery
-// burst must not pin its peak event count for the rest of the run, so
-// whenever the free list exceeds twice the live queue (plus a small floor),
-// the excess structs are dropped for the collector.
-//
-//amac:hotpath
-func (q *eventQueue) release(ev *event) {
-	ev.obj = nil
-	ev.p = Payload{}
-	q.free = append(q.free, ev)
-	if limit := 2*q.n + freeFloor; len(q.free) > limit {
-		for i := limit; i < len(q.free); i++ {
-			q.free[i] = nil
-		}
-		q.free = q.free[:limit]
-	}
-}
-
 // recycleAll moves every still-queued event into the free list, emptying the
-// queue. Unlike release it skips the shrink rule: it runs between executions
+// queue. Unlike pop it skips the shrink rule: it runs between executions
 // on a warm arena, where the point is to keep the pool sized for the next
 // run's burst rather than for the (now empty) live queue. The list stays
-// bounded because every in-run release re-applies the 2×live+floor rule.
+// bounded because every in-run pop re-applies the 2×live+floor rule.
 func (q *eventQueue) recycleAll() {
 	for i, b := range q.times {
 		for ev := b.head; ev != nil; {
 			next := ev.next
-			ev.next, ev.obj, ev.p = nil, nil, Payload{}
+			ev.next, ev.op.Obj = nil, nil
 			q.free = append(q.free, ev)
 			ev = next
 		}
@@ -125,16 +87,27 @@ func (q *eventQueue) recycleAll() {
 	q.n = 0
 }
 
-// push appends e to the bucket of its time, opening the bucket when the
-// time is not yet pending.
+// push queues an event at time at, appending it to the bucket of its time
+// and opening the bucket when the time is not yet pending. The struct comes
+// from the free list when it has one; push writes every field, so nothing of
+// its last tenancy survives.
 //
 //amac:hotpath
-func (q *eventQueue) push(e *event) {
+func (q *eventQueue) push(at Time, kind EventKind, op Op) {
+	var e *event
+	if n := len(q.free); n > 0 {
+		e = q.free[n-1]
+		q.free[n-1] = nil
+		q.free = q.free[:n-1]
+	} else {
+		e = &event{}
+	}
+	*e = event{at: at, op: op, kind: kind}
 	q.n++
 	b := q.last
-	if b == nil || b.at != e.at {
-		if b = q.index[e.at]; b == nil {
-			b = q.openBucket(e.at)
+	if b == nil || b.at != at {
+		if b = q.index[at]; b == nil {
+			b = q.openBucket(at)
 			b.head = e
 			b.tail = e
 			q.last = b
@@ -146,23 +119,35 @@ func (q *eventQueue) push(e *event) {
 	b.tail = e
 }
 
-// pop removes and returns the earliest event, or nil when the queue is
-// empty.
+// pop removes the earliest event and returns its time, kind and operands by
+// value; ok is false when the queue is empty. The struct goes back to the
+// free list with its object operand dropped, so the pool pins no object.
+// The list is bounded: a delivery burst must not pin its peak event count
+// for the rest of the run, so whenever it exceeds twice the live queue
+// (plus a small floor), the excess structs are dropped for the collector.
 //
 //amac:hotpath
-func (q *eventQueue) pop() *event {
+func (q *eventQueue) pop() (at Time, kind EventKind, op Op, ok bool) {
 	if len(q.times) == 0 {
-		return nil
+		return 0, 0, Op{}, false
 	}
 	b := q.times[0]
 	ev := b.head
 	b.head = ev.next
-	ev.next = nil
 	q.n--
 	if b.head == nil {
 		q.closeBucket(b)
 	}
-	return ev
+	at, kind, op = ev.at, ev.kind, ev.op
+	ev.next, ev.op.Obj = nil, nil
+	q.free = append(q.free, ev)
+	if limit := 2*q.n + freeFloor; len(q.free) > limit {
+		for i := limit; i < len(q.free); i++ {
+			q.free[i] = nil
+		}
+		q.free = q.free[:limit]
+	}
+	return at, kind, op, true
 }
 
 // openBucket makes a bucket for the not-yet-pending time at and enters it
