@@ -99,17 +99,40 @@ func TestGreyZoneCellGridMatchesScan(t *testing.T) {
 }
 
 // TestCellGridIntoReusesStorage checks the grid path composes with the
-// structure-sharing Into builders: emitting into a recycled graph matches a
-// fresh build.
+// structure-sharing Into builders: emitting into a recycled graph through a
+// recycled Scratch matches a fresh build.
 func TestCellGridIntoReusesStorage(t *testing.T) {
 	forceCellGrid(t, 0)
-	recycled := graph.New(0)
+	recycled, s := graph.New(0), new(Scratch)
 	for _, seed := range []int64{21, 22, 23} {
 		e := RandomUniform(150, 7, rand.New(rand.NewSource(seed)))
 		fresh := e.UnitDisk(1)
-		e.UnitDiskInto(recycled, 1)
+		e.UnitDiskInto(recycled, 1, s)
 		if !slices.Equal(edgesOf(fresh), edgesOf(recycled)) {
 			t.Fatalf("seed %d: UnitDiskInto on recycled storage differs from fresh build", seed)
+		}
+	}
+}
+
+// TestWarmBuildsAllocateNothing pins what the Scratch is for: rebuilding
+// into recycled graphs through a recycled Scratch allocates nothing, for
+// UnitDiskInto and GreyZoneDualInto, on the all-pairs scan and on the cell
+// grid.
+func TestWarmBuildsAllocateNothing(t *testing.T) {
+	e := RandomUniform(300, 8, rand.New(rand.NewSource(31)))
+	rng := rand.New(rand.NewSource(32))
+	for _, min := range []int{len(e) + 1, 0} {
+		forceCellGrid(t, min)
+		g, gp, s := graph.New(0), graph.New(0), new(Scratch)
+		builds := map[string]func(){
+			"UnitDiskInto":     func() { e.UnitDiskInto(g, 1, s) },
+			"GreyZoneDualInto": func() { e.GreyZoneDualInto(g, gp, 1.7, 0.5, rng, s) },
+		}
+		for name, build := range builds {
+			build()
+			if allocs := testing.AllocsPerRun(10, build); allocs != 0 {
+				t.Errorf("%s, grid threshold %d: warm build allocates %.0f times, want 0", name, min, allocs)
+			}
 		}
 	}
 }
@@ -127,10 +150,16 @@ func TestCellGridCellsBoundedByN(t *testing.T) {
 		t.Fatalf("%d cells for %d points, want at most %d", cells, n, 4*n)
 	}
 	for u := range e {
-		cand := cg.candidates(e, graph.NodeID(u))
+		var cand []int32
+		cx, cy := cg.coords(e[u])
+		for y := max(cy-1, 0); y <= min(cy+1, cg.rows-1); y++ {
+			for x := max(cx-1, 0); x <= min(cx+1, cg.cols-1); x++ {
+				cand = append(cand, cg.tail(x, y, int32(u))...)
+			}
+		}
 		for v := u + 1; v < n; v++ {
 			// Every pair within one cell side must be a candidate.
-			if e[u].Dist(e[v]) <= 1/cg.inv && !slices.Contains(cand, graph.NodeID(v)) {
+			if e[u].Dist(e[v]) <= 1/cg.inv && !slices.Contains(cand, int32(v)) {
 				t.Fatalf("pair (%d, %d) at distance %g missing from the candidates", u, v, e[u].Dist(e[v]))
 			}
 		}

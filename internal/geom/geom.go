@@ -40,35 +40,19 @@ func (e Embedding) Dist(u, v graph.NodeID) float64 {
 // are adjacent iff their distance is at most radius. The paper normalizes
 // radius to 1.
 func (e Embedding) UnitDisk(radius float64) *graph.Graph {
-	return e.UnitDiskInto(graph.New(len(e)), radius)
+	return e.UnitDiskInto(graph.New(len(e)), radius, nil)
 }
 
 // UnitDiskInto is UnitDisk emitting into g (reset first, keeping its
-// adjacency storage — see graph.Reset) and returns g. Past
-// cellGridMinNodes the candidate pairs come from a cell-grid bucketing of
-// the embedding instead of the all-pairs scan, in cell order rather than
-// increasing v; only the edge set matters here, and it is identical.
-func (e Embedding) UnitDiskInto(g *graph.Graph, radius float64) *graph.Graph {
-	g.Reset(len(e))
-	if len(e) >= cellGridMinNodes && radius > 0 {
-		var cg cellGrid
-		cg.build(e, radius)
-		for u := 0; u < len(e); u++ {
-			for _, v := range cg.candidates(e, graph.NodeID(u)) {
-				if e[u].Dist(e[v]) <= radius {
-					g.AddEdge(graph.NodeID(u), v)
-				}
-			}
-		}
-		return g
+// adjacency storage — see graph.Reset) and returns g. It runs the scan
+// GreyZoneDualInto runs, with no grey band and no G′ rows. s holds the
+// scan's scratch across builds; nil allocates it for this call.
+func (e Embedding) UnitDiskInto(g *graph.Graph, radius float64, s *Scratch) *graph.Graph {
+	if s == nil {
+		s = new(Scratch)
 	}
-	for u := 0; u < len(e); u++ {
-		for v := u + 1; v < len(e); v++ {
-			if e[u].Dist(e[v]) <= radius {
-				g.AddEdge(graph.NodeID(u), graph.NodeID(v))
-			}
-		}
-	}
+	s.scan(e, radius, radius, 1, nil, false)
+	g.SetForward(len(e), s.g.off, s.g.arcs)
 	return g
 }
 
@@ -77,64 +61,125 @@ func (e Embedding) UnitDiskInto(g *graph.Graph, radius float64) *graph.Graph {
 // (distance in (1, c]) independently with probability p, drawn from rng.
 // With p = 1 the result is the densest legal grey-zone G′. The result
 // always satisfies the paper's grey zone constraint: E ⊆ E′ and every E′
-// edge has length ≤ c.
+// edge has length ≤ c. It is the G′ half of GreyZoneDualInto.
 func (e Embedding) GreyZone(c, p float64, rng *rand.Rand) *graph.Graph {
-	return e.GreyZoneInto(graph.New(len(e)), c, p, rng)
+	gp := graph.New(len(e))
+	e.GreyZoneDualInto(graph.New(len(e)), gp, c, p, rng, nil)
+	return gp
 }
 
-// GreyZoneInto is GreyZone emitting into g (reset first, keeping its
-// adjacency storage) and returns g. One variate is drawn per grey pair
-// (1 < d ≤ c, only when p < 1), in (u, v)-lexicographic order on both the
-// all-pairs scan and the cell-grid path past cellGridMinNodes, so equal
-// seeds yield equal graphs whichever path runs.
-func (e Embedding) GreyZoneInto(g *graph.Graph, c, p float64, rng *rand.Rand) *graph.Graph {
-	if c < 1 {
+// GreyZoneDualInto builds both graphs of the grey-zone dual from one scan of
+// the embedding at radius c: g becomes the unit-disk graph G (distance
+// ≤ 1) and gp the G′ of GreyZone, both reset first and keeping their
+// storage. Each node's forward row (its neighbours v > u) is written in
+// ascending v, pairs at d ≤ 1 at once and each grey pair (1 < d ≤ c) after
+// its draw, and graph.SetForward turns the rows into CSR. One variate is
+// drawn per grey pair, only when p < 1, in (u, v)-lexicographic order on
+// both the all-pairs scan and the cell-grid path past cellGridMinNodes, so
+// equal seeds yield equal graphs whichever path runs. s holds the scan's
+// scratch across builds; nil allocates it for this call.
+func (e Embedding) GreyZoneDualInto(g, gp *graph.Graph, c, p float64, rng *rand.Rand, s *Scratch) {
+	if !(c >= 1) {
 		panic("geom: grey zone constant c must be >= 1")
 	}
-	g.Reset(len(e))
-	if len(e) >= cellGridMinNodes {
-		// Cell-grid path: candidates(u) is every v > u in u's 3×3 cell
-		// block, a superset of the pairs at distance ≤ c, in cell order.
-		// Pairs at d ≤ 1 need no draw and are added at once. The scan
-		// below draws from rng only for grey pairs (1 < d ≤ c, p < 1), in
-		// increasing v, so those alone are collected and sorted before
-		// drawing, and the random stream is consumed identically on both
-		// paths.
-		var cg cellGrid
-		cg.build(e, c)
-		var grey []graph.NodeID
-		for u := 0; u < len(e); u++ {
-			grey = grey[:0]
-			for _, v := range cg.candidates(e, graph.NodeID(u)) {
-				d := e[u].Dist(e[v])
-				switch {
-				case d <= 1, d <= c && p >= 1:
-					g.AddEdge(graph.NodeID(u), v)
-				case d <= c:
-					grey = append(grey, v)
+	if s == nil {
+		s = new(Scratch)
+	}
+	s.scan(e, 1, c, p, rng, true)
+	g.SetForward(len(e), s.g.off, s.g.arcs)
+	gp.SetForward(len(e), s.gp.off, s.gp.arcs)
+}
+
+// Scratch is the reusable storage of the geometric builders: the cell grid,
+// one node's candidate keys and the forward rows of G and G′. Builds that
+// pass the same Scratch reuse it, so a recycled build grows nothing. The
+// zero value is ready to use.
+type Scratch struct {
+	cg    cellGrid
+	keys  []uint64 // one node's in-range candidates as appendPair keys
+	g, gp forwardRows
+}
+
+// forwardRows is graph.SetForward's input: row u is arcs[off[u]:off[u+1]].
+type forwardRows struct {
+	off  []int32
+	arcs []int32
+}
+
+func (f *forwardRows) reset(n int) {
+	f.off = append(slices.Grow(f.off[:0], n+1), 0)
+	f.arcs = f.arcs[:0]
+}
+
+// appendPair appends the key of the pair with node v at distance d if the
+// pair lies within outer: v<<1, plus 1 in the band (inner, outer] when grey
+// is set, so keys order by v and say which rows take the pair.
+func appendPair(keys []uint64, d float64, v int, inner, outer float64, grey bool) []uint64 {
+	switch {
+	case d <= inner:
+		return append(keys, uint64(v)<<1)
+	case grey && d <= outer:
+		return append(keys, uint64(v)<<1|1)
+	}
+	return keys
+}
+
+// scan writes every node's forward rows from one pass over the pairs within
+// outer: s.g gets the pairs at d ≤ inner and, with grey set, s.gp gets them
+// too plus each pair at inner < d ≤ outer that p keeps — rng.Float64() < p,
+// one variate per such pair in ascending (u, v), none when p ≥ 1. Without
+// grey, s.gp is left alone. Past cellGridMinNodes the pairs come from a
+// cell grid of side ≥ outer instead of the all-pairs scan; the nine cells
+// around a node interleave in v, so its in-range candidates are sorted
+// before its row is written.
+func (s *Scratch) scan(e Embedding, inner, outer, p float64, rng *rand.Rand, grey bool) {
+	n := len(e)
+	if n > math.MaxInt32 {
+		panic("geom: embedding exceeds int32 node ids")
+	}
+	s.g.reset(n)
+	if grey {
+		s.gp.reset(n)
+	}
+	gridded := n >= cellGridMinNodes && n > 0 && outer > 0
+	if gridded {
+		s.cg.build(e, outer)
+	}
+	for u := range e {
+		keys := s.keys[:0]
+		if gridded {
+			cx, cy := s.cg.coords(e[u])
+			for y := max(cy-1, 0); y <= min(cy+1, s.cg.rows-1); y++ {
+				for x := max(cx-1, 0); x <= min(cx+1, s.cg.cols-1); x++ {
+					for _, v := range s.cg.tail(x, y, int32(u)) {
+						keys = appendPair(keys, e[u].Dist(e[v]), int(v), inner, outer, grey)
+					}
 				}
 			}
-			slices.Sort(grey)
-			for _, v := range grey {
-				if rng.Float64() < p {
-					g.AddEdge(graph.NodeID(u), v)
-				}
+			slices.Sort(keys)
+		} else {
+			for v := u + 1; v < n; v++ {
+				keys = appendPair(keys, e[u].Dist(e[v]), v, inner, outer, grey)
 			}
 		}
-		return g
-	}
-	for u := 0; u < len(e); u++ {
-		for v := u + 1; v < len(e); v++ {
-			d := e[u].Dist(e[v])
+		s.keys = keys
+		for _, k := range keys {
+			v := int32(k >> 1)
 			switch {
-			case d <= 1:
-				g.AddEdge(graph.NodeID(u), graph.NodeID(v))
-			case d <= c && (p >= 1 || rng.Float64() < p):
-				g.AddEdge(graph.NodeID(u), graph.NodeID(v))
+			case k&1 == 0:
+				s.g.arcs = append(s.g.arcs, v)
+				if grey {
+					s.gp.arcs = append(s.gp.arcs, v)
+				}
+			case p >= 1 || rng.Float64() < p:
+				s.gp.arcs = append(s.gp.arcs, v)
 			}
 		}
+		s.g.off = append(s.g.off, int32(len(s.g.arcs)))
+		if grey {
+			s.gp.off = append(s.gp.off, int32(len(s.gp.arcs)))
+		}
 	}
-	return g
 }
 
 // VerifyGreyZone checks the grey zone constraint of Section 2 for a dual

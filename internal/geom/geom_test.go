@@ -182,10 +182,14 @@ func TestRandomUniformDeterministic(t *testing.T) {
 }
 
 func TestGreyZoneBadC(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("c < 1 did not panic")
-		}
-	}()
-	LinePoints(3, 1).GreyZone(0.5, 1, rand.New(rand.NewSource(1)))
+	for _, c := range []float64{0.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("c = %g did not panic", c)
+				}
+			}()
+			LinePoints(3, 1).GreyZone(c, 1, rand.New(rand.NewSource(1)))
+		}()
+	}
 }

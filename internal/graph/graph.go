@@ -29,8 +29,10 @@ type NodeID int
 // calls stay idempotent). HasEdge alone answers without compacting, through
 // a lazily built membership overlay, because the randomized builders
 // interleave HasEdge probes with AddEdge and must stay O(1) amortized per
-// call. Graphs shared read-only across goroutines must be finalized first
-// (see Finalize; topology.BuildInto does this for every registry build).
+// call. SetForward instead fills the block in one pass from sorted forward
+// rows — the geometric builders' path, with no pending buffer at all.
+// Graphs shared read-only across goroutines must be finalized first (see
+// Finalize; topology.BuildInto does this for every registry build).
 type Graph struct {
 	n int
 	m int // edge count, recomputed when pending arcs compact
@@ -153,10 +155,67 @@ func (g *Graph) AddEdge(u, v NodeID) {
 	g.adiamOK = false
 }
 
-// Reserve makes room for arcs more pending arcs (each AddEdge adds two), so
-// a builder that knows a bound on its edge count adds them without
-// regrowing the pending buffer from empty. Reset keeps the room.
-func (g *Graph) Reserve(arcs int) { g.pend = slices.Grow(g.pend, arcs) }
+// SetForward resets g to n nodes and fills its CSR block straight from
+// forward rows: fwd[off[u]:off[u+1]] lists node u's neighbors v > u in
+// strictly ascending order, and off has length n+1. One counting
+// transposition places every arc: row u receives its back arcs (each w < u
+// whose forward row lists u) in ascending w, ahead of its own forward row,
+// so every row comes out sorted with no per-row sort and no pending buffer.
+// The geometric builders emit their edge sets this way; AddEdge stays the
+// path for builders that add edges in arbitrary order. It panics on a row
+// that is out of order or out of range, and keeps g's storage like Reset.
+func (g *Graph) SetForward(n int, off []int32, fwd []int32) {
+	if len(off) != n+1 {
+		panic(fmt.Sprintf("graph: %d forward offsets for %d nodes", len(off), n))
+	}
+	g.Reset(n)
+	need := 2 * int(off[n])
+	if need > math.MaxInt32 {
+		panic("graph: arc count exceeds int32 offsets")
+	}
+	// Row sizes, shifted one slot so the prefix sum leaves row u's start in
+	// g.off[u]: the forward row, plus one back arc per forward row naming u.
+	cnt := g.off
+	for u := 0; u < n; u++ {
+		row := fwd[off[u]:off[u+1]]
+		cnt[u+1] += int32(len(row))
+		prev := int32(u)
+		for _, v := range row {
+			if v <= prev || int(v) >= n {
+				panic(fmt.Sprintf("graph: forward row of node %d is not ascending in (%d, %d)", u, u, n))
+			}
+			cnt[v+1]++
+			prev = v
+		}
+	}
+	for u := 0; u < n; u++ {
+		cnt[u+1] += cnt[u]
+	}
+	arcs := g.arcs
+	if cap(arcs) < need {
+		arcs = make([]NodeID, need)
+	} else {
+		arcs = arcs[:need]
+	}
+	// cnt[u] is row u's write cursor and ends at the start of row u+1; the
+	// shift below restores the starts. When node u's turn comes, every
+	// w < u has written its back arc into row u, so the forward row lands
+	// behind them in order.
+	for u := 0; u < n; u++ {
+		w := cnt[u]
+		for _, v := range fwd[off[u]:off[u+1]] {
+			arcs[w] = NodeID(v)
+			w++
+			arcs[cnt[v]] = NodeID(u)
+			cnt[v]++
+		}
+		cnt[u] = w
+	}
+	copy(cnt[1:], cnt[:n])
+	cnt[0] = 0
+	g.arcs = arcs
+	g.m = need / 2
+}
 
 // hasArc reports whether (u, v) is in the compacted CSR block (pending arcs
 // not considered) by binary-searching u's sorted row.
@@ -215,9 +274,9 @@ func (g *Graph) Finalize() { g.finalize() }
 
 // finalize buckets the pending arcs by source with one counting pass
 // (Gustavson's CSR transposition), so the cost is linear in the arc count
-// plus a sort of each row, never a sort of the whole pending buffer. Rows
-// arrive almost sorted from the geometric builders — the reversed arcs of a
-// row come in ascending source order — which the per-row sort exploits.
+// plus a sort of each row, never a sort of the whole pending buffer. The
+// geometric builders skip it: they hand SetForward rows that are already
+// sorted.
 func (g *Graph) finalize() {
 	if len(g.pend) == 0 {
 		return

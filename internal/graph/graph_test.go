@@ -459,38 +459,51 @@ func TestEdgeSeqEarlyBreak(t *testing.T) {
 	}
 }
 
-// TestReserveIsCapacityOnly pins Graph.Reserve as room and nothing else: a
-// graph built after reserving is arc-for-arc the graph built without it,
-// and the reserved graph adds its edges without growing the pending buffer,
-// also after a Reset.
-func TestReserveIsCapacityOnly(t *testing.T) {
-	const n, m = 60, 300
+// TestSetForwardMatchesAddEdge pins SetForward against the pending-arc
+// build: random forward rows become, byte for byte, the CSR block AddEdge
+// and finalize produce from the same edges, on fresh and recycled storage
+// alike, and rows out of order or out of range panic.
+func TestSetForwardMatchesAddEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	var edges [][2]NodeID
-	for len(edges) < m {
-		u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-		if u != v {
-			edges = append(edges, [2]NodeID{u, v})
+	recycled := New(0)
+	for _, tc := range []struct {
+		n    int
+		prob float64
+	}{{0, 0}, {1, 0}, {2, 1}, {40, 0.1}, {60, 0.5}, {30, 1}} {
+		ref := New(tc.n)
+		off := []int32{0}
+		var fwd []int32
+		for u := 0; u < tc.n; u++ {
+			for v := u + 1; v < tc.n; v++ {
+				if rng.Float64() < tc.prob {
+					fwd = append(fwd, int32(v))
+					ref.AddEdge(NodeID(v), NodeID(u))
+				}
+			}
+			off = append(off, int32(len(fwd)))
+		}
+		ro, ra := ref.CSR()
+		for _, g := range []*Graph{New(0), recycled} {
+			g.SetForward(tc.n, off, fwd)
+			go_, ga := g.CSR()
+			if !slices.Equal(go_, ro) || !slices.Equal(ga, ra) || g.M() != ref.M() {
+				t.Fatalf("n=%d p=%g: SetForward CSR differs from the AddEdge build", tc.n, tc.prob)
+			}
 		}
 	}
-	plain, reserved := New(n), New(n)
-	reserved.Reserve(2 * m)
-	room := cap(reserved.pend)
-	add := func(g *Graph) {
-		for _, e := range edges {
-			g.AddEdge(e[0], e[1])
-		}
-		if g == reserved && (cap(g.pend) != room || len(g.pend) != 2*m) {
-			t.Fatalf("pending buffer %d/%d after %d edges into room for %d arcs", len(g.pend), cap(g.pend), m, room)
-		}
+	for name, rows := range map[string][]int32{
+		"descending":   {2, 1},
+		"duplicate":    {1, 1},
+		"self":         {0},
+		"out of range": {3},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s forward row did not panic", name)
+				}
+			}()
+			New(0).SetForward(3, []int32{0, int32(len(rows)), int32(len(rows)), int32(len(rows))}, rows)
+		}()
 	}
-	add(plain)
-	add(reserved)
-	po, pa := plain.CSR()
-	ro, ra := reserved.CSR()
-	if !slices.Equal(po, ro) || !slices.Equal(pa, ra) {
-		t.Fatal("reserving room changed the graph")
-	}
-	reserved.Reset(n)
-	add(reserved)
 }

@@ -80,6 +80,20 @@ func (idx *csrIndex) isReliable(i int32) bool {
 	return idx.reliable[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
+// spanMask returns the bits of reliability word w that fall inside the
+// global arc range [lo, hi) — one sender's row — so a row is scanned a word
+// at a time: set bits are its G-neighbors, clear bits its G′\G neighbors.
+func spanMask(w, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if base := w << 6; base < lo {
+		m <<= uint(lo - base)
+	}
+	if end := w<<6 + 64; end > hi {
+		m &= ^uint64(0) >> uint(end-hi)
+	}
+	return m
+}
+
 // Arena owns the reusable run state for repeated executions on one pinned
 // dual network: the precomputed CSR position index, a single flat backing
 // block that all instance delivery rows are carved from, the pooled
@@ -103,10 +117,10 @@ type Arena struct {
 	// reallocating, so warm runs write into recycled memory.
 	block []sim.Time
 	used  int
-	// grey is the flat storage instances carve their grey-target buffers
-	// from (Instance.GreyBuf), greyUsed its cursor. Buffers are written
+	// grey is the flat storage instances carve their grey-slot buffers
+	// from (Instance.GreySlots), greyUsed its cursor. Buffers are written
 	// before they are read, so reset rewinds the cursor without zeroing.
-	grey     []NodeID
+	grey     []int32
 	greyUsed int
 
 	// insts pools the instance records of past runs (pointers are stable;
@@ -201,16 +215,16 @@ func (a *Arena) row(deg int) []sim.Time {
 	return r
 }
 
-// greyRow carves n entries of grey-target storage, empty with capacity n.
+// greyRow carves n entries of grey-slot storage, empty with capacity n.
 // Growth follows row: double, with a floor of one full grey-arc space, no
 // copy — earlier buffers keep aliasing the old block for the rest of the
 // run.
 //
 //amac:hotpath
-func (a *Arena) greyRow(n int) []NodeID {
+func (a *Arena) greyRow(n int) []int32 {
 	if need := a.greyUsed + n; need > len(a.grey) {
 		newLen := max(2*len(a.grey), a.csr.greyCount, need)
-		a.grey = make([]NodeID, newLen) //lint:hotalloc doubling grow: amortized O(1) and absent in warm trials, where the block is sized from the first run
+		a.grey = make([]int32, newLen) //lint:hotalloc doubling grow: amortized O(1) and absent in warm trials, where the block is sized from the first run
 	}
 	r := a.grey[a.greyUsed : a.greyUsed : a.greyUsed+n]
 	a.greyUsed += n
@@ -221,8 +235,9 @@ func (a *Arena) greyRow(n int) []NodeID {
 // delivery row comes from the flat block, the struct from the pool, and the
 // neighbor row plus its base offset come straight off the graph's shared
 // arc array, so slot s of the row is global arc base+s — the reliable batch
-// walks it by slot, and Deliver finds a node's slot with one binary search.
-// The grey buffer is left unset: GreyBuf carves it on first use, so a
+// and grey draws walk its reliability words by slot, and Deliver finds a
+// node's slot with one binary search.
+// The grey buffer is left unset: GreySlots carves it on first use, so a
 // recycled record never keeps a buffer aliasing an earlier run's block.
 //
 //amac:hotpath

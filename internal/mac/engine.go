@@ -2,6 +2,7 @@ package mac
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"amac/internal/sim"
@@ -84,11 +85,12 @@ type API interface {
 	// stopping if the instance terminates mid-batch.
 	ScheduleReliableDeliveries(t sim.Time, b *Instance)
 	// ScheduleGreyDeliveries posts one batched event at time t delivering b
-	// to targets in order (same mid-batch termination guard). targets is
-	// normally the slice a draw into b.GreyBuf() produced; the instance
-	// holds it until the batch fires, and at most one grey batch may be
-	// pending per instance.
-	ScheduleGreyDeliveries(t sim.Time, b *Instance, targets []NodeID)
+	// to the neighbors at the given row slots (positions in b.Neighbors()),
+	// in order, with the same mid-batch termination guard. slots is
+	// normally a draw filtered from b.GreySlots(); the instance holds it
+	// until the batch fires, and at most one grey batch may be pending per
+	// instance.
+	ScheduleGreyDeliveries(t sim.Time, b *Instance, slots []int32)
 	// ScheduleAck posts the acknowledgment of b at time t, skipped if the
 	// instance has terminated by then.
 	ScheduleAck(t sim.Time, b *Instance)
@@ -152,8 +154,8 @@ const (
 	// evDeliverReliable delivers instance Obj to every G-neighbor of its
 	// sender, in neighbor order, stopping on termination.
 	evDeliverReliable
-	// evDeliverGrey delivers instance Obj to its drawn grey targets, in
-	// draw order, stopping on termination.
+	// evDeliverGrey delivers instance Obj at its drawn grey slots, in draw
+	// order, stopping on termination.
 	evDeliverGrey
 	// evAck acknowledges instance Obj if still active.
 	evAck
@@ -312,27 +314,28 @@ func (e *Engine) Dispatch(kind sim.EventKind, op sim.Op) {
 	case evDeliverReliable:
 		// The sender's G-neighbors are exactly the row slots whose
 		// reliability bit is set, and slot order is ascending node ID —
-		// G.Neighbors(sender) order — so walking the row delivers in the
-		// same order with no search.
+		// G.Neighbors(sender) order — so walking the set bits of the row's
+		// reliability words delivers in the same order with no search.
 		b := op.Obj.(*Instance)
-		for slot := range b.nbrs {
-			if !b.SlotReliable(slot) {
-				continue
+		rel := e.arena.csr.reliable
+		lo, hi := int(b.base), int(b.base)+len(b.nbrs)
+		for w := lo >> 6; w<<6 < hi; w++ {
+			for set := rel[w] & spanMask(w, lo, hi); set != 0; set &= set - 1 {
+				if b.Term != Active {
+					return
+				}
+				e.deliver(b, w<<6+bits.TrailingZeros64(set)-lo, true)
 			}
-			if b.Term != Active {
-				return
-			}
-			e.deliver(b, slot, true)
 		}
 	case evDeliverGrey:
 		b := op.Obj.(*Instance)
 		grey := b.grey
 		b.grey = nil
-		for _, j := range grey {
+		for _, slot := range grey {
 			if b.Term != Active {
 				return
 			}
-			e.Deliver(b, j)
+			e.deliver(b, int(slot), b.SlotReliable(int(slot)))
 		}
 	case evAck:
 		b := op.Obj.(*Instance)
@@ -404,14 +407,14 @@ func (e *Engine) ScheduleReliableDeliveries(t sim.Time, b *Instance) {
 }
 
 // ScheduleGreyDeliveries posts the batched grey delivery (see API). The
-// targets slice is parked on the instance until the batch fires.
+// slots slice is parked on the instance until the batch fires.
 //
 //amac:hotpath
-func (e *Engine) ScheduleGreyDeliveries(t sim.Time, b *Instance, targets []NodeID) {
+func (e *Engine) ScheduleGreyDeliveries(t sim.Time, b *Instance, slots []int32) {
 	if b.grey != nil {
 		panic(fmt.Sprintf("mac: instance %d already has a grey batch pending", b.ID))
 	}
-	b.grey = targets
+	b.grey = slots
 	e.sim.Post(t, evDeliverGrey, b, 0, 0)
 }
 

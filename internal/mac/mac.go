@@ -16,6 +16,7 @@ package mac
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 	"math/rand"
 
 	"amac/internal/graph"
@@ -166,8 +167,9 @@ const (
 // large sparse networks. That row is the only record of who received the
 // instance and when: there is no separate receiver list, NumDelivered is a
 // counter, and Receivers reads the row back in slot (ascending node) order.
-// The engine's reliable batch walks the row by slot; lookups by node
-// binary-search it (O(log d)); the remaining-reliable counter keeps the
+// The engine's reliable batch and grey draws (GreySlots) walk the row's
+// reliability words by slot, and grey batches deliver by slot; lookups by
+// node binary-search it (O(log d)); the remaining-reliable counter keeps the
 // ack-readiness check O(1). Outside the engine (the real-time executor,
 // checker tests building histories), construct instances with NewInstance
 // and record deliveries with MarkDelivered, which accepts only nodes of the
@@ -197,13 +199,13 @@ type Instance struct {
 	// this instance is global arc base+s — where the reliability bit lives.
 	arena *Arena
 	base  int32
-	// grey holds the drawn unreliable targets of a pending batch delivery
-	// (see API.ScheduleGreyDeliveries).
-	grey []NodeID
-	// greybuf is the scratch buffer schedulers draw grey targets into
-	// (GreyBuf): carved from the arena's grey block on first use in an
-	// execution, with room for every G′\G neighbor, so draws never grow it.
-	greybuf []NodeID
+	// grey holds the row slots of a pending grey batch delivery (see
+	// API.ScheduleGreyDeliveries).
+	grey []int32
+	// greybuf holds the grey candidate slots schedulers draw from
+	// (GreySlots): carved from the arena's grey block on first use in an
+	// execution, with room for every G′\G neighbor, so it never grows.
+	greybuf []int32
 	// delivered counts the nodes that have received the instance.
 	delivered int
 	// remainingReliable counts the sender's G-neighbors yet to receive.
@@ -286,22 +288,37 @@ func (b *Instance) SlotDelivered(i int) bool { return b.deliveredAt[i] != 0 }
 // Only engine-built instances carry the bits; schedulers see no others.
 func (b *Instance) SlotReliable(i int) bool { return b.arena.csr.isReliable(b.base + int32(i)) }
 
-// GreyBuf returns the instance's grey-target scratch buffer, emptied.
-// Schedulers append their drawn unreliable targets into it and hand the
-// result to API.ScheduleGreyDeliveries or deliver it themselves. On an
-// engine-built instance the buffer is carved from the arena's flat grey
-// block on the first call of the execution, with capacity deg′ − deg — one
-// entry per G′\G neighbor, the most a draw can select — so no draw grows
-// it, warm or cold, nothing needs storing back, and schedulers that never
-// draw grey targets reserve nothing. A NewInstance record has no arena and
-// gets a nil buffer. The buffer must not be used while a grey batch is
-// pending (at most one may be, and an instance broadcasts once, so the
-// window cannot arise in a well-formed execution).
-func (b *Instance) GreyBuf() []NodeID {
-	if b.greybuf == nil && b.arena != nil {
-		b.greybuf = b.arena.greyRow(len(b.nbrs) - b.arena.dual.G.Degree(b.Sender))
+// GreySlots returns the row slots of the sender's G′\G neighbors — the
+// slots whose reliability bit is clear — in ascending order, read off the
+// arena's reliability words a word at a time. Schedulers select their grey
+// targets by filtering it in place and hand the result to
+// API.ScheduleGreyDeliveries, or deliver to Neighbors()[slot] themselves.
+// The slice is the instance's grey buffer: on an engine-built instance it
+// is carved from the arena's flat grey block on the first call of the
+// execution, with capacity deg′ − deg, exactly the candidates, so no call
+// grows it, warm or cold, and schedulers that never draw grey targets
+// reserve nothing. A NewInstance record has no arena and gets nil. The
+// buffer must not be used while a grey batch is pending (at most one may
+// be, and an instance broadcasts once, so the window cannot arise in a
+// well-formed execution).
+//
+//amac:hotpath
+func (b *Instance) GreySlots() []int32 {
+	a := b.arena
+	if a == nil {
+		return nil
 	}
-	return b.greybuf[:0]
+	if b.greybuf == nil {
+		b.greybuf = a.greyRow(len(b.nbrs) - a.dual.G.Degree(b.Sender))
+	}
+	out := b.greybuf[:0]
+	lo, hi := int(b.base), int(b.base)+len(b.nbrs)
+	for w := lo >> 6; w<<6 < hi; w++ {
+		for clr := ^a.csr.reliable[w] & spanMask(w, lo, hi); clr != 0; clr &= clr - 1 {
+			out = append(out, int32(w<<6+bits.TrailingZeros64(clr)-lo))
+		}
+	}
+	return out
 }
 
 // WasDelivered reports whether node to has received the instance.

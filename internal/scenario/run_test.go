@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -268,6 +269,32 @@ func TestRunRejectsRGGBelowUnitGreyZone(t *testing.T) {
 	}
 	if want := "rgg needs c >= 1, got 0.5"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not mention %q", err, want)
+	}
+}
+
+// TestRunRejectsRGGNonFiniteGeometry pins that Run reports a non-finite rgg
+// grey zone constant or side as the build error it is. At n = 3000 a NaN c
+// used to reach the network validation in core.NewRunner ("violates
+// E ⊆ E′") after the cell grid dropped every G′ candidate.
+func TestRunRejectsRGGNonFiniteGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		params topology.Params
+		want   string
+	}{
+		{topology.Params{"n": 3000, "c": math.NaN()}, "rgg needs a finite c, got NaN"},
+		{topology.Params{"n": 50, "side": math.Inf(1)}, "rgg needs a finite side, got +Inf"},
+	} {
+		rep, err := Run(Spec{
+			Topology:  TopologySpec{Name: "rgg", Params: tc.params},
+			Workload:  WorkloadSpec{Kind: WorkloadSingleton, K: 2},
+			Algorithm: AlgorithmSpec{Name: "bmmb"},
+		})
+		if err == nil {
+			t.Fatalf("%v: Run = %v, want an error", tc.params, rep)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%v: error %q does not mention %q", tc.params, err, tc.want)
+		}
 	}
 }
 

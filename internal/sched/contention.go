@@ -178,8 +178,9 @@ func (c *Contention) OnBcast(b *mac.Instance) {
 	for _, j := range c.api.Dual().G.Neighbors(b.Sender) {
 		c.enqueue(j, candidate{inst: b, deadline: deadline, required: true})
 	}
-	for _, j := range greyTargets(c.api, b, c.Rel) {
-		c.enqueue(j, candidate{inst: b, deadline: deadline, required: false})
+	nbrs := b.Neighbors()
+	for _, s := range greyTargets(c.api, b, c.Rel) {
+		c.enqueue(nbrs[s], candidate{inst: b, deadline: deadline, required: false})
 	}
 	if c.api.Dual().G.Degree(b.Sender) == 0 {
 		// No reliable neighbors to wait for: ack after one progress window.

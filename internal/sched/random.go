@@ -59,8 +59,9 @@ func (r *Random) OnBcast(b *mac.Instance) {
 		api.ScheduleDeliver(now+d, b, j)
 	}
 	ackDelay := uniformTime(rng, maxRecv, api.Fack())
-	for _, j := range greyTargets(api, b, r.Rel) {
-		api.ScheduleDeliver(now+uniformTime(rng, 1, ackDelay), b, j)
+	nbrs := b.Neighbors()
+	for _, s := range greyTargets(api, b, r.Rel) {
+		api.ScheduleDeliver(now+uniformTime(rng, 1, ackDelay), b, nbrs[s])
 	}
 	api.ScheduleAck(now+ackDelay, b)
 }

@@ -88,20 +88,38 @@ func resetRel(rel Reliability) {
 	}
 }
 
-// greyTargets returns the G′\G neighbors of b's sender selected by rel. The
-// result is backed by the instance's grey scratch buffer, so steady-state
-// draws allocate nothing; it is valid until b's next broadcast.
-func greyTargets(api mac.API, b *mac.Instance, rel Reliability) []mac.NodeID {
+// greyTargets returns the row slots of the G′\G neighbors of b's sender
+// that rel selects, in ascending slot order — the order rel is consulted
+// in, so the random stream is drawn as one consultation per candidate
+// would draw it. The candidates come from one word scan of the row
+// (mac.Instance.GreySlots) and are filtered in place; the scheduler's
+// stream is fetched once per broadcast, and constant-p Bernoulli draws
+// without going through the Reliability interface. The result is backed
+// by the instance's grey buffer, so steady-state draws allocate nothing;
+// it is valid until b's next broadcast.
+//
+//amac:hotpath
+func greyTargets(api mac.API, b *mac.Instance, rel Reliability) []int32 {
 	if rel == nil {
 		return nil
 	}
-	out := b.GreyBuf()
-	for i, j := range b.Neighbors() {
-		if b.SlotReliable(i) {
-			continue
+	slots := b.GreySlots()
+	if len(slots) == 0 {
+		return slots
+	}
+	rng, out := api.Rand(), slots[:0]
+	if r, ok := rel.(Bernoulli); ok {
+		for _, s := range slots {
+			if rng.Float64() < r.P {
+				out = append(out, s)
+			}
 		}
-		if rel.Deliver(api.Rand(), b, j) {
-			out = append(out, j)
+		return out
+	}
+	nbrs := b.Neighbors()
+	for _, s := range slots {
+		if rel.Deliver(rng, b, nbrs[s]) {
+			out = append(out, s)
 		}
 	}
 	return out

@@ -257,14 +257,12 @@ func RandomGeometric(n int, side, c, p float64, rng *rand.Rand) *Dual {
 
 // RandomGeometricInto is RandomGeometric emitting the embedding and both
 // graphs into ws storage; a nil ws allocates fresh. The rng stream is drawn
-// exactly as RandomGeometric draws it.
+// exactly as RandomGeometric draws it. G and G′ come out of one scan of the
+// embedding (geom.Embedding.GreyZoneDualInto), with its scratch kept in ws.
 func RandomGeometricInto(ws *Workspace, n int, side, c, p float64, rng *rand.Rand) *Dual {
 	e := geom.RandomUniformInto(ws.Points(n), n, side, rng)
-	g := e.UnitDiskInto(ws.Graph(n), 1.0)
-	// E ⊆ E′, so G's arc count is a floor on G′'s pending arcs.
-	gp := ws.Graph(n)
-	gp.Reserve(2 * g.M())
-	gp = e.GreyZoneInto(gp, c, p, rng)
+	g, gp := ws.Graph(n), ws.Graph(n)
+	e.GreyZoneDualInto(g, gp, c, p, rng, ws.Scratch())
 	return &Dual{
 		G:      g,
 		GPrime: gp,

@@ -283,7 +283,12 @@ func init() {
 			side = DefaultRGGSide(n)
 		}
 		c := p.Float("c", 1.6)
-		if c < 1 {
+		switch {
+		case math.IsNaN(side) || math.IsInf(side, 0):
+			return nil, fmt.Errorf("topology: rgg needs a finite side, got %g", side)
+		case math.IsNaN(c) || math.IsInf(c, 0):
+			return nil, fmt.Errorf("topology: rgg needs a finite c, got %g", c)
+		case c < 1:
 			return nil, fmt.Errorf("topology: rgg needs c >= 1, got %g", c)
 		}
 		prob := p.Float("p", 0.5)
@@ -328,7 +333,7 @@ func init() {
 			return nil, fmt.Errorf("topology: grid-crosstalk needs r >= 1, got %d", r)
 		}
 		e := geom.GridPoints(rows, cols, 1.0)
-		base := e.UnitDiskInto(ws.Graph(rows*cols), 1.0)
+		base := e.UnitDiskInto(ws.Graph(rows*cols), 1.0, ws.Scratch())
 		d := RRestrictedInto(ws, base, r, p.Float("p", 0.5), ws.Rand(seed),
 			fmt.Sprintf("grid-crosstalk(%dx%d,r=%d)", rows, cols, r))
 		d.Embed = e

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -204,5 +205,33 @@ func TestBuildRejectsRGGBelowUnitGreyZone(t *testing.T) {
 	}
 	if _, err := Build("rgg", Params{"n": 50, "c": 1}); err != nil {
 		t.Fatalf("c=1 is the smallest legal grey zone constant: %v", err)
+	}
+}
+
+// TestBuildRejectsRGGNonFiniteGeometry pins that a non-finite grey zone
+// constant or square side is a descriptive build error. Unchecked, c = NaN
+// passes the c < 1 test and the cell grid, sized by a NaN cell side, drops
+// every candidate pair, so G′ misses G's edges; c = +Inf puts every node in
+// one cell; and a non-finite side only fails after max-tries full builds.
+// The cell-grid size (n ≥ 2048) is where the NaN grid went wrong.
+func TestBuildRejectsRGGNonFiniteGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		p    Params
+		want string
+	}{
+		{Params{"n": 3000, "c": math.NaN()}, "rgg needs a finite c, got NaN"},
+		{Params{"n": 300, "c": math.NaN()}, "rgg needs a finite c, got NaN"},
+		{Params{"n": 300, "c": math.Inf(1)}, "rgg needs a finite c, got +Inf"},
+		{Params{"n": 300, "side": math.NaN()}, "rgg needs a finite side, got NaN"},
+		{Params{"n": 300, "side": math.Inf(1)}, "rgg needs a finite side, got +Inf"},
+		{Params{"n": 300, "side": math.Inf(-1)}, "rgg needs a finite side, got -Inf"},
+	} {
+		b, err := Build("rgg", tc.p)
+		if err == nil || b != nil {
+			t.Fatalf("%v: Build = (%v, %v), want an error", tc.p, b, err)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%v: error %q does not mention %q", tc.p, err, tc.want)
+		}
 	}
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // Workspace is reusable construction scratch for the registry's builders:
-// a pool of resettable graphs, a point-embedding buffer and a reseedable
-// random stream. BuildInto threads one through a builder so repeated builds
-// — the per-trial topology draws of an unpinned scenario sweep — emit into
-// recycled storage instead of fresh allocations.
+// a pool of resettable graphs, a point-embedding buffer, a reseedable
+// random stream and the geometric builders' scan scratch. BuildInto
+// threads one through a builder so repeated builds — the per-trial
+// topology draws of an unpinned scenario sweep — emit into recycled
+// storage instead of fresh allocations.
 //
 // Networks built into a workspace alias its storage: the next BuildInto on
 // the same workspace recycles the graphs and embedding of the previous one.
@@ -20,10 +21,11 @@ import (
 // engines. A nil *Workspace is valid everywhere and allocates fresh, so
 // builders are written once against the workspace surface.
 type Workspace struct {
-	graphs []*graph.Graph
-	next   int
-	points geom.Embedding
-	rng    *rand.Rand
+	graphs  []*graph.Graph
+	next    int
+	points  geom.Embedding
+	rng     *rand.Rand
+	scratch *geom.Scratch
 }
 
 // NewWorkspace returns an empty workspace; storage is grown on first use and
@@ -85,6 +87,20 @@ func (ws *Workspace) Points(n int) geom.Embedding {
 		ws.points = ws.points[:n]
 	}
 	return ws.points
+}
+
+// Scratch returns the workspace's geometric-build scratch (the cell grid
+// and forward rows geom.Embedding.GreyZoneDualInto and UnitDiskInto fill),
+// so recycled builds reuse it. With a nil receiver it returns nil, which
+// the builders read as "allocate for this call".
+func (ws *Workspace) Scratch() *geom.Scratch {
+	if ws == nil {
+		return nil
+	}
+	if ws.scratch == nil {
+		ws.scratch = new(geom.Scratch)
+	}
+	return ws.scratch
 }
 
 // Rand returns the workspace's random stream reseeded to seed — the exact
