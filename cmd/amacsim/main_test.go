@@ -208,6 +208,31 @@ func TestStatsNeedsMemoryTrace(t *testing.T) {
 	}
 }
 
+// TestCheckWithoutMemoryTrace pins -check on a scenario that keeps no
+// in-memory trace: the model check reads the run's instances, so a streamed
+// or untraced run checks like any other.
+func TestCheckWithoutMemoryTrace(t *testing.T) {
+	path := writeScenario(t, "-topology", "ring", "-n", "16", "-k", "2", "-check=false")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := `"trace": "stream", "trace_file": ` + strconv.Quote(filepath.Join(t.TempDir(), "ring.amtr")) + `, `
+	for _, mode := range []string{stream, `"trace": "off", `} {
+		patched := strings.Replace(string(raw), `"run": {`, `"run": {`+mode, 1)
+		if err := os.WriteFile(path, []byte(patched), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run([]string{"-scenario", path, "-check"}, &out); err != nil {
+			t.Fatalf("run {%s} -check: %v\n%s", mode, err, out.String())
+		}
+		if !strings.Contains(out.String(), "model check: all guarantees hold") {
+			t.Fatalf("run {%s} -check: no model-check verdict:\n%s", mode, out.String())
+		}
+	}
+}
+
 // TestViolationsFailTheRun pins amacsim's verdict on runs that broke a
 // guarantee: single-trial and multi-trial reports alike print every
 // model-check and MMB violation and return an error, while clean reports

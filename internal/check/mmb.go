@@ -4,22 +4,10 @@ import (
 	"amac/internal/sim"
 )
 
-// MMBParams describes what the MMB checker needs to know about the
-// execution: which trace kinds encode the problem's external interface.
-// The defaults match the core package ("arrive" and "deliver").
+// MMBParams names the trace kind of the MMB deliver output; "" selects
+// "deliver", the core package's. Arrivals are the engine's "arrive" events.
 type MMBParams struct {
-	ArriveKind  string
 	DeliverKind string
-}
-
-func (p MMBParams) withDefaults() MMBParams {
-	if p.ArriveKind == "" {
-		p.ArriveKind = "arrive"
-	}
-	if p.DeliverKind == "" {
-		p.DeliverKind = "deliver"
-	}
-	return p
 }
 
 // MMB verifies the MMB problem conditions of Section 3.2.2 on a trace:
@@ -32,8 +20,13 @@ func (p MMBParams) withDefaults() MMBParams {
 // liveness property tied to the workload's components; the runner checks
 // it via completion accounting (Result.Solved), so it is not re-derived
 // here.
+//
+// The runner no longer calls MMB: its watcher checks these conditions
+// online in every trace mode, and MMB is the reference it is tested against.
 func MMB(r *Report, events []sim.TraceEvent, p MMBParams) {
-	p = p.withDefaults()
+	if p.DeliverKind == "" {
+		p.DeliverKind = "deliver"
+	}
 	// Messages key by their typed payload: payloads of the same kind with
 	// equal operands stand for the same message. Violation text renders the
 	// boxed value (the rare path), matching the old any-keyed output.
@@ -41,7 +34,7 @@ func MMB(r *Report, events []sim.TraceEvent, p MMBParams) {
 	delivered := make(map[deliverKey]sim.Time)
 	for _, ev := range events {
 		switch ev.Kind {
-		case p.ArriveKind:
+		case "arrive":
 			if prev, dup := arrived[ev.P]; dup {
 				r.add("MMB well-formedness",
 					"message %v arrived twice (first %v, again %v at node %d)",

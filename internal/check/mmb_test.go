@@ -76,12 +76,15 @@ func TestMMBDeliverBeforeArrive(t *testing.T) {
 }
 
 func TestMMBCustomKinds(t *testing.T) {
+	// Under the custom deliver kind, node 1's "deliver" event is not a
+	// second deliver.
 	events := []sim.TraceEvent{
-		ev(0, "inject", 0, 7),
+		ev(0, "arrive", 0, 7),
 		ev(1, "output", 1, 7),
+		ev(2, "deliver", 1, 7),
 	}
 	r := &Report{}
-	MMB(r, events, MMBParams{ArriveKind: "inject", DeliverKind: "output"})
+	MMB(r, events, MMBParams{DeliverKind: "output"})
 	if !r.OK() {
 		t.Fatalf("custom kinds flagged: %v", r.Violations)
 	}

@@ -12,8 +12,7 @@ type TraceMode int
 
 const (
 	// TraceMemory (the default) keeps the full trace in memory on
-	// Result.Trace. Required when Check is set: checkers replay the
-	// recorded events.
+	// Result.Trace.
 	TraceMemory TraceMode = iota
 	// TraceStream appends every event to RunOptions.Sink as it happens and
 	// keeps nothing in memory — the path for networks whose trace cannot be
@@ -65,8 +64,9 @@ type RunOptions struct {
 	// then, forbidden otherwise.
 	Sink sim.TraceSink
 	// Check verifies the execution against the abstract MAC layer
-	// guarantees and the MMB correctness conditions after the run. Requires
-	// Trace == TraceMemory (checkers replay the recorded trace).
+	// guarantees after the run (check.All over the recorded instances, in
+	// any trace mode). The MMB correctness conditions need no option: the
+	// runner enforces them online on every run (Result.MMBViolations).
 	Check bool
 	// Shards enables the decomposed executor: the network is carved into
 	// G′-component shards, each run on its own engine, with at most Shards
@@ -89,9 +89,6 @@ func (o RunOptions) Validate() error {
 	}
 	if o.Trace != TraceStream && o.Sink != nil {
 		return fmt.Errorf("core: Sink set but Trace=%s (only Trace=stream streams to a sink)", o.Trace)
-	}
-	if o.Check && o.Trace != TraceMemory {
-		return fmt.Errorf("core: Check requires Trace=memory (checkers replay the in-memory trace), got Trace=%s", o.Trace)
 	}
 	if o.Shards < 0 {
 		return fmt.Errorf("core: negative Shards %d", o.Shards)

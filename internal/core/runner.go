@@ -79,8 +79,8 @@ type Result struct {
 	Steps uint64
 	// Report holds the model-compliance report (nil unless Check).
 	Report *check.Report
-	// MMBViolations lists violations of the MMB problem's own
-	// correctness conditions (duplicate or unsolicited delivers).
+	// MMBViolations lists violations of the MMB problem's own arrive and
+	// deliver conditions, which every run checks online (see runState).
 	MMBViolations []string
 	// Trace holds the recorded execution trace when Options.Trace is
 	// TraceMemory, nil otherwise. On the single-engine executor it aliases
@@ -371,15 +371,17 @@ func componentIndexInto(g *graph.Graph, compOf, compSizes []int, queue []graph.N
 	return compOf, compSizes, queue
 }
 
-// runState is the completion-watcher state of one execution: it counts
-// required deliveries, flags MMB violations and halts on completion. Each
-// slot owns one and recycles its tables across runs. The tables are dense,
-// indexed by message ID (IDs are 0..k−1, see Msg.ID): origin[id] is the
-// origin of the message this run injects with that ID (−1 for none), bit id
-// of arrived is set when its arrive event fires, and bit node·k + id of seen
-// when node first delivers it. A deliver of a message the run never injects
-// — an ID outside 0..k−1, or another origin — is reported as delivered
-// before any arrive and is neither recorded nor counted.
+// runState is the completion-watcher state of one execution and the
+// runner's one MMB oracle: it counts required deliveries, flags every
+// violation of the MMB conditions (Section 3.2.2) online and halts on
+// completion. Each slot owns one and recycles its tables across runs. The
+// tables are dense, indexed by message ID (IDs are 0..k−1, see Msg.ID):
+// origin[id] is the origin of the message this run injects with that ID
+// (−1 for none), bit id of arrived is set when it first arrives, and bit
+// node·k + id of seen when node first delivers it. Any other arrive, and a
+// deliver of a non-message, is reported; so is a deliver of a message the
+// run never injects — an ID outside 0..k−1, or another origin — as
+// delivered before any arrive, and it is neither recorded nor counted.
 type runState struct {
 	res      *Result
 	eng      *mac.Engine
@@ -437,6 +439,11 @@ func (st *runState) injected(m Msg) bool {
 	return uint(m.ID) < uint(len(st.origin)) && st.origin[m.ID] == m.Origin
 }
 
+// violate records one MMB violation on the run's result.
+func (st *runState) violate(format string, args ...any) {
+	st.res.MMBViolations = append(st.res.MMBViolations, fmt.Sprintf(format, args...))
+}
+
 // onEvent observes the MMB interface of the execution (mac.Engine.Watch): the
 // arrive events and the automata's Emits, of which it reads arrive and
 // deliver. It decodes message arguments from the typed payload directly — no
@@ -444,27 +451,34 @@ func (st *runState) injected(m Msg) bool {
 func (st *runState) onEvent(ev sim.TraceEvent) {
 	switch ev.Kind {
 	case "arrive":
-		m := mustMsg(ev.P)
-		st.arrived[m.ID>>6] |= 1 << (uint(m.ID) & 63)
+		m, ok := MsgFromPayload(ev.P)
+		switch {
+		case !ok:
+			st.violate("arrive of a non-message payload (kind %d) at node %d", ev.P.Kind, ev.Node)
+		case !st.injected(m):
+			st.violate("arrive of %v at node %d, a message the run does not inject", m, ev.Node)
+		case st.arrived[m.ID>>6]&(1<<(uint(m.ID)&63)) != 0:
+			st.violate("duplicate arrive of %v at node %d", m, ev.Node)
+		default:
+			st.arrived[m.ID>>6] |= 1 << (uint(m.ID) & 63)
+		}
 	case DeliverKind:
 		m, ok := MsgFromPayload(ev.P)
 		if !ok {
+			st.violate("deliver of a non-message payload (kind %d) at node %d", ev.P.Kind, ev.Node)
 			return
 		}
 		if !st.injected(m) {
-			st.res.MMBViolations = append(st.res.MMBViolations,
-				fmt.Sprintf("deliver of %v at node %d before any arrive", m, ev.Node))
+			st.violate("deliver of %v at node %d before any arrive", m, ev.Node)
 			return
 		}
 		bit := ev.Node*st.k + m.ID
 		if st.seen[bit>>6]&(1<<(uint(bit)&63)) != 0 {
-			st.res.MMBViolations = append(st.res.MMBViolations,
-				fmt.Sprintf("duplicate deliver of %v at node %d", m, ev.Node))
+			st.violate("duplicate deliver of %v at node %d", m, ev.Node)
 			return
 		}
 		if st.arrived[m.ID>>6]&(1<<(uint(m.ID)&63)) == 0 {
-			st.res.MMBViolations = append(st.res.MMBViolations,
-				fmt.Sprintf("deliver of %v at node %d before any arrive", m, ev.Node))
+			st.violate("deliver of %v at node %d before any arrive", m, ev.Node)
 		}
 		st.seen[bit>>6] |= 1 << (uint(bit) & 63)
 		// Count only deliveries required by the problem (same component
@@ -546,8 +560,8 @@ func (r *Runner) run(cfg RunConfig, workload *Workload) (*Result, error) {
 // slot's arena: nodes wake up in slice order (nil wakes the whole network),
 // the arrivals are injected, and the watcher counts deliveries toward
 // required against the G component index compOf. Events go to sink — the
-// slot's own trace, a caller's stream, or nil for none — and Check replays
-// the slot's trace. The Result's Engine is the slot's pooled engine.
+// slot's own trace, a caller's stream, or nil for none; Check reads only
+// the engine's instances. The Result's Engine is the slot's pooled engine.
 func (s *slot) run(cfg RunConfig, scheduler mac.Scheduler, sink sim.TraceSink, nodes []mac.NodeID, arrivals []Arrival, required int, compOf []int) *Result {
 	s.trace.Reset()
 	eng := mac.NewEngine(mac.Config{
@@ -590,12 +604,6 @@ func (s *slot) run(cfg RunConfig, scheduler mac.Scheduler, sink sim.TraceSink, n
 			Fprog:    cfg.Fprog,
 			EpsAbort: cfg.EpsAbort,
 			End:      res.End,
-		})
-		// Defense in depth: re-derive the MMB problem conditions from the
-		// trace with the generic checker (the watcher above catches them
-		// online; this validates the full recorded history).
-		check.MMB(res.Report, s.trace.Events(), check.MMBParams{
-			DeliverKind: DeliverKind,
 		})
 	}
 	return res

@@ -221,10 +221,10 @@ func TestRunOptionsValidate(t *testing.T) {
 		{"stream", RunOptions{Trace: TraceStream, Sink: &sink}, ""},
 		{"off", RunOptions{Trace: TraceOff}, ""},
 		{"sharded", RunOptions{Shards: 4}, ""},
+		{"check+stream", RunOptions{Trace: TraceStream, Sink: &sink, Check: true}, ""},
+		{"check+off", RunOptions{Trace: TraceOff, Check: true}, ""},
 		{"stream without sink", RunOptions{Trace: TraceStream}, "requires a Sink"},
 		{"sink without stream", RunOptions{Sink: &sink}, "only Trace=stream"},
-		{"check+stream", RunOptions{Trace: TraceStream, Sink: &sink, Check: true}, "Check requires Trace=memory"},
-		{"check+off", RunOptions{Trace: TraceOff, Check: true}, "Check requires Trace=memory"},
 		{"negative shards", RunOptions{Shards: -1}, "negative Shards"},
 	}
 	for _, tc := range cases {

@@ -28,7 +28,7 @@ type Config struct {
 	// instance may still occur (the paper's ε_abort). Defaults to 0.
 	EpsAbort sim.Time
 	// Trace receives every trace event in execution order: a *sim.Trace
-	// records in memory (what checkers replay), a sim.TraceWriter streams
+	// records in memory (what metrics.Collect reads), a sim.TraceWriter streams
 	// to disk. It is the only observer of the MAC-level events (bcast, rcv,
 	// ack, abort). Nil records nothing, and the engine then builds no
 	// MAC-level event at all — the throughput fast path; arrive and

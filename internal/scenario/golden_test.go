@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"amac/internal/check"
+	"amac/internal/core"
 	"amac/internal/scenario"
 	"amac/internal/sched"
 	"amac/internal/topology"
@@ -92,7 +94,9 @@ func TestGoldenTraces(t *testing.T) {
 	}
 }
 
-// goldenRun executes spec and renders the golden trace format.
+// goldenRun executes spec and renders the golden trace format. The run
+// must be clean under both MMB checkers: the runner's online watcher and
+// check.MMB's replay of the recorded trace.
 func goldenRun(t *testing.T, spec scenario.Spec) string {
 	t.Helper()
 	rep, err := scenario.Run(spec)
@@ -105,6 +109,14 @@ func goldenRun(t *testing.T, spec scenario.Spec) string {
 	}
 	if tr.Result.Report != nil && !tr.Result.Report.OK() {
 		t.Fatalf("model violation: %v", tr.Result.Report.Violations[0])
+	}
+	if len(tr.Result.MMBViolations) > 0 {
+		t.Fatalf("MMB violations: %v", tr.Result.MMBViolations)
+	}
+	mmb := &check.Report{}
+	check.MMB(mmb, tr.Result.Trace.Events(), check.MMBParams{DeliverKind: core.DeliverKind})
+	if !mmb.OK() {
+		t.Fatalf("check.MMB: %v", mmb.Violations)
 	}
 	return fmt.Sprintf("# scheduler=%s solved@%d steps=%d broadcasts=%d\n%s",
 		tr.SchedulerName, tr.Result.CompletionTime, tr.Result.Steps,

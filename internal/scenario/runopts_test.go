@@ -9,8 +9,8 @@ import (
 )
 
 // TestRunSpecTraceMode walks the normalization table for the "run" block's
-// trace surface: the explicit "trace" mode, its trace_file pairing, and
-// every illegal combination.
+// trace surface: the explicit "trace" mode, its trace_file pairing, check in
+// every mode, and every illegal combination.
 func TestRunSpecTraceMode(t *testing.T) {
 	cases := []struct {
 		name string
@@ -23,10 +23,10 @@ func TestRunSpecTraceMode(t *testing.T) {
 		{"explicit off", RunSpec{Trace: "off"}, core.TraceOff, ""},
 		{"explicit stream", RunSpec{Trace: "stream", TraceFile: "t.jsonl"}, core.TraceStream, ""},
 		{"memory+check", RunSpec{Trace: "memory", Check: true}, core.TraceMemory, ""},
+		{"check+off", RunSpec{Trace: "off", Check: true}, core.TraceOff, ""},
+		{"check+stream", RunSpec{Trace: "stream", TraceFile: "t.jsonl", Check: true}, core.TraceStream, ""},
 		// Illegal combinations.
 		{"unknown mode", RunSpec{Trace: "ndjson"}, 0, "unknown trace mode"},
-		{"check+off", RunSpec{Trace: "off", Check: true}, 0, "check requires trace=memory"},
-		{"check+stream", RunSpec{Trace: "stream", TraceFile: "t.jsonl", Check: true}, 0, "check requires trace=memory"},
 		{"stream without file", RunSpec{Trace: "stream"}, 0, "requires trace_file"},
 		{"file without stream", RunSpec{Trace: "memory", TraceFile: "t.jsonl"}, 0, "trace_file requires trace=stream"},
 		{"bare trace_file", RunSpec{TraceFile: "t.jsonl"}, 0, "trace_file requires trace=stream"},

@@ -132,12 +132,12 @@ type RunSpec struct {
 	// Parallelism bounds concurrent trial simulations; results are
 	// seed-keyed and deterministic at any value. 0 selects 1.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Check verifies the model guarantees after every run. Requires the
-	// memory trace mode.
+	// Check verifies the model guarantees after every run, in any trace
+	// mode (core.RunOptions.Check).
 	Check bool `json:"check,omitempty"`
 	// Trace selects the trace mode: "memory" (default), "stream" (requires
 	// trace_file) or "off". It mirrors core.RunOptions.Trace; illegal
-	// combinations with check and trace_file fail Validate.
+	// combinations with trace_file fail Validate.
 	Trace string `json:"trace,omitempty"`
 	// Shards selects the decomposed executor with at most this many
 	// component shards running concurrently; 0 (default) keeps the
@@ -290,15 +290,11 @@ func (s Spec) Validate() error {
 }
 
 // TraceMode parses the "trace" key into the core.TraceMode the execution
-// uses, or returns an error for an illegal combination with check or
-// trace_file.
+// uses, or returns an error for an illegal combination with trace_file.
 func (r RunSpec) TraceMode() (core.TraceMode, error) {
 	m, err := core.ParseTraceMode(r.Trace)
 	if err != nil {
 		return 0, fmt.Errorf("scenario: run: %w", err)
-	}
-	if r.Check && m != core.TraceMemory {
-		return 0, fmt.Errorf("scenario: run: check requires trace=memory (the checkers read the in-memory trace), got trace=%q", r.Trace)
 	}
 	if m == core.TraceStream && r.TraceFile == "" {
 		return 0, fmt.Errorf("scenario: run: trace=stream requires trace_file")
