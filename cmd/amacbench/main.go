@@ -48,7 +48,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "base random seed")
 	checkFlag := flag.Bool("check", false, "verify the abstract MAC layer guarantees on every run (slower)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker pool size for sweep points and trials")
-	shards := flag.Int("shards", 0, "worker count for experiments with a component-sharded leg (0 = NumCPU); tables are byte-identical at any value")
 	only := flag.String("only", "", "run only experiments whose id contains this substring")
 	gates := flag.String("experiments", "", "comma-separated gated experiment groups to enable (e.g. \"large-n\"); gated experiments are skipped by default")
 	server := flag.String("server", "", "run experiment sweeps on an amacd daemon at this base URL instead of in-process")
@@ -84,7 +83,6 @@ func main() {
 		Seed:        *seed,
 		Check:       *checkFlag,
 		Parallelism: *parallel,
-		Shards:      *shards,
 	}
 	if *server != "" {
 		client := &jobs.Client{Base: *server}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"amac/internal/graph"
 	"amac/internal/mac"
 	"amac/internal/sched"
 	"amac/internal/sim"
@@ -260,12 +261,14 @@ func runExecution(t *testing.T, name string, seed int64) (*topology.Dual, []*mac
 	}
 	if env.Dual == nil {
 		n := 5 + rng.Intn(15)
-		base := topology.Line(n).G
+		edges := topology.Line(n).G.Edges()
 		for range n / 2 {
 			if u, v := rng.Intn(n), rng.Intn(n); u != v {
-				base.AddEdge(mac.NodeID(u), mac.NodeID(v))
+				edges = append(edges, [2]mac.NodeID{mac.NodeID(u), mac.NodeID(v)})
 			}
 		}
+		base := new(graph.Graph)
+		base.SetEdges(n, edges)
 		env.Dual = topology.RRestricted(base, 1+rng.Intn(4), rng.Float64(), rng, "grey")
 	}
 	s, err := sched.Build(name, env, params)

@@ -37,13 +37,6 @@ var (
 	_ mac.Resettable = (*BMMB)(nil)
 )
 
-// NewBMMB returns a fresh BMMB process.
-func NewBMMB() *BMMB {
-	b := &BMMB{}
-	b.rcvd = b.word0[:]
-	return b
-}
-
 // Reset implements mac.Resettable: the process returns to its initial
 // state (empty queue, empty rcvd set), keeping the bitset and queue
 // capacity so reused fleets run allocation-free.

@@ -115,13 +115,8 @@ func TestBMMBSchedulerMatrix(t *testing.T) {
 func TestBMMBDisconnectedComponents(t *testing.T) {
 	// Two disjoint lines; message in each component must only cover its
 	// own component.
-	g := graph.New(8)
-	for i := 0; i < 3; i++ {
-		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
-	}
-	for i := 4; i < 7; i++ {
-		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
-	}
+	g := new(graph.Graph)
+	g.SetEdges(8, [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}})
 	d := topology.Reliable(g, "two-lines")
 	a := Singleton(8, []graph.NodeID{0, 4})
 	res := runBMMB(t, d, &sched.Sync{}, a, 3)

@@ -17,13 +17,15 @@ import (
 // graphs of `per` nodes each — a multi-component network for the sharded
 // executor.
 func disjointLines(lines, per int) *topology.Dual {
-	g := graph.New(lines * per)
+	var edges [][2]graph.NodeID
 	for l := 0; l < lines; l++ {
 		base := l * per
 		for i := 0; i < per-1; i++ {
-			g.AddEdge(graph.NodeID(base+i), graph.NodeID(base+i+1))
+			edges = append(edges, [2]graph.NodeID{graph.NodeID(base + i), graph.NodeID(base + i + 1)})
 		}
 	}
+	g := new(graph.Graph)
+	g.SetEdges(lines*per, edges)
 	return topology.Reliable(g, fmt.Sprintf("%d-disjoint-lines", lines))
 }
 

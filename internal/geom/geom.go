@@ -52,7 +52,7 @@ func (e Embedding) UnitDiskInto(g *graph.Graph, radius float64, s *Scratch) *gra
 		s = new(Scratch)
 	}
 	s.scan(e, radius, radius, 1, nil, false)
-	g.SetForward(len(e), s.g.off, s.g.arcs)
+	g.SetForward(&s.g)
 	return g
 }
 
@@ -86,8 +86,8 @@ func (e Embedding) GreyZoneDualInto(g, gp *graph.Graph, c, p float64, rng *rand.
 		s = new(Scratch)
 	}
 	s.scan(e, 1, c, p, rng, true)
-	g.SetForward(len(e), s.g.off, s.g.arcs)
-	gp.SetForward(len(e), s.gp.off, s.gp.arcs)
+	g.SetForward(&s.g)
+	gp.SetForward(&s.gp)
 }
 
 // Scratch is the reusable storage of the geometric builders: the cell grid,
@@ -97,18 +97,7 @@ func (e Embedding) GreyZoneDualInto(g, gp *graph.Graph, c, p float64, rng *rand.
 type Scratch struct {
 	cg    cellGrid
 	keys  []uint64 // one node's in-range candidates as appendPair keys
-	g, gp forwardRows
-}
-
-// forwardRows is graph.SetForward's input: row u is arcs[off[u]:off[u+1]].
-type forwardRows struct {
-	off  []int32
-	arcs []int32
-}
-
-func (f *forwardRows) reset(n int) {
-	f.off = append(slices.Grow(f.off[:0], n+1), 0)
-	f.arcs = f.arcs[:0]
+	g, gp graph.ForwardRows
 }
 
 // appendPair appends the key of the pair with node v at distance d if the
@@ -137,9 +126,9 @@ func (s *Scratch) scan(e Embedding, inner, outer, p float64, rng *rand.Rand, gre
 	if n > math.MaxInt32 {
 		panic("geom: embedding exceeds int32 node ids")
 	}
-	s.g.reset(n)
+	s.g.Reset(n)
 	if grey {
-		s.gp.reset(n)
+		s.gp.Reset(n)
 	}
 	gridded := n >= cellGridMinNodes && n > 0 && outer > 0
 	if gridded {
@@ -167,17 +156,17 @@ func (s *Scratch) scan(e Embedding, inner, outer, p float64, rng *rand.Rand, gre
 			v := int32(k >> 1)
 			switch {
 			case k&1 == 0:
-				s.g.arcs = append(s.g.arcs, v)
+				s.g.Arcs = append(s.g.Arcs, v)
 				if grey {
-					s.gp.arcs = append(s.gp.arcs, v)
+					s.gp.Arcs = append(s.gp.Arcs, v)
 				}
 			case p >= 1 || rng.Float64() < p:
-				s.gp.arcs = append(s.gp.arcs, v)
+				s.gp.Arcs = append(s.gp.Arcs, v)
 			}
 		}
-		s.g.off = append(s.g.off, int32(len(s.g.arcs)))
+		s.g.EndRow()
 		if grey {
-			s.gp.off = append(s.gp.off, int32(len(s.gp.arcs)))
+			s.gp.EndRow()
 		}
 	}
 }

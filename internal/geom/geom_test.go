@@ -58,8 +58,8 @@ func TestVerifyGreyZoneRejects(t *testing.T) {
 	e := LinePoints(4, 1.0)
 	g := e.UnitDisk(1.0)
 	// Add a too-long edge to G': 0 to 3 has length 3 > c = 2.
-	bad := g.Clone()
-	bad.AddEdge(0, 3)
+	bad := new(graph.Graph)
+	bad.SetEdges(4, append(g.Edges(), [2]graph.NodeID{0, 3}))
 	if e.VerifyGreyZone(g, bad, 2.0) {
 		t.Fatal("VerifyGreyZone accepted an over-length G' edge")
 	}

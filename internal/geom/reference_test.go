@@ -10,34 +10,37 @@ import (
 
 // This file keeps the grey-zone build as it was before G and G′ came out of
 // one forward-row scan: a unit-disk scan into G, then a second scan at
-// radius c into G′, each through graph.AddEdge and the pending-arc
-// compaction, with the cell grid of that time. The bodies are unchanged
-// apart from their names (the G′ buffer's capacity reservation is left
-// out: it never changed a byte). TestGreyZoneDualMatchesReference and
-// FuzzGreyZoneDualMatchesReference hold the builder to them: equal CSR bytes
-// and an equally advanced random stream.
+// radius c into G′, with the cell grid of that time. Each scan lists its
+// pairs in the order it finds them and graph.SetEdges assembles the list;
+// the pairs and the draws are unchanged apart from the names (the G′
+// buffer's capacity reservation is left out: it never changed a byte).
+// TestGreyZoneDualMatchesReference and FuzzGreyZoneDualMatchesReference
+// hold the builder to them: equal CSR bytes and an equally advanced random
+// stream.
 
 func refUnitDiskInto(e Embedding, g *graph.Graph, radius float64) *graph.Graph {
-	g.Reset(len(e))
+	var edges [][2]graph.NodeID
 	if len(e) >= cellGridMinNodes && radius > 0 {
 		var cg refCellGrid
 		cg.build(e, radius)
 		for u := 0; u < len(e); u++ {
 			for _, v := range cg.candidates(e, graph.NodeID(u)) {
 				if e[u].Dist(e[v]) <= radius {
-					g.AddEdge(graph.NodeID(u), v)
+					edges = append(edges, [2]graph.NodeID{graph.NodeID(u), v})
 				}
 			}
 		}
+		g.SetEdges(len(e), edges)
 		return g
 	}
 	for u := 0; u < len(e); u++ {
 		for v := u + 1; v < len(e); v++ {
 			if e[u].Dist(e[v]) <= radius {
-				g.AddEdge(graph.NodeID(u), graph.NodeID(v))
+				edges = append(edges, [2]graph.NodeID{graph.NodeID(u), graph.NodeID(v)})
 			}
 		}
 	}
+	g.SetEdges(len(e), edges)
 	return g
 }
 
@@ -45,7 +48,7 @@ func refGreyZoneInto(e Embedding, g *graph.Graph, c, p float64, rng *rand.Rand) 
 	if c < 1 {
 		panic("geom: grey zone constant c must be >= 1")
 	}
-	g.Reset(len(e))
+	var edges [][2]graph.NodeID
 	if len(e) >= cellGridMinNodes {
 		var cg refCellGrid
 		cg.build(e, c)
@@ -56,7 +59,7 @@ func refGreyZoneInto(e Embedding, g *graph.Graph, c, p float64, rng *rand.Rand) 
 				d := e[u].Dist(e[v])
 				switch {
 				case d <= 1, d <= c && p >= 1:
-					g.AddEdge(graph.NodeID(u), v)
+					edges = append(edges, [2]graph.NodeID{graph.NodeID(u), v})
 				case d <= c:
 					grey = append(grey, v)
 				}
@@ -64,10 +67,11 @@ func refGreyZoneInto(e Embedding, g *graph.Graph, c, p float64, rng *rand.Rand) 
 			slices.Sort(grey)
 			for _, v := range grey {
 				if rng.Float64() < p {
-					g.AddEdge(graph.NodeID(u), v)
+					edges = append(edges, [2]graph.NodeID{graph.NodeID(u), v})
 				}
 			}
 		}
+		g.SetEdges(len(e), edges)
 		return g
 	}
 	for u := 0; u < len(e); u++ {
@@ -75,12 +79,13 @@ func refGreyZoneInto(e Embedding, g *graph.Graph, c, p float64, rng *rand.Rand) 
 			d := e[u].Dist(e[v])
 			switch {
 			case d <= 1:
-				g.AddEdge(graph.NodeID(u), graph.NodeID(v))
+				edges = append(edges, [2]graph.NodeID{graph.NodeID(u), graph.NodeID(v)})
 			case d <= c && (p >= 1 || rng.Float64() < p):
-				g.AddEdge(graph.NodeID(u), graph.NodeID(v))
+				edges = append(edges, [2]graph.NodeID{graph.NodeID(u), graph.NodeID(v)})
 			}
 		}
 	}
+	g.SetEdges(len(e), edges)
 	return g
 }
 

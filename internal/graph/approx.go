@@ -34,7 +34,6 @@ func (g *Graph) SampledDiameter() int { return g.ApproxDiameter(8, 1) }
 // memoized per (k, seed) under the same lock as Diameter, so shared graphs
 // may call it concurrently.
 func (g *Graph) ApproxDiameter(k int, seed int64) int {
-	g.finalize()
 	if g.n <= ExactDiameterCutoff {
 		return g.Diameter()
 	}

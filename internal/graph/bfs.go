@@ -48,8 +48,7 @@ func resetDist(dist []int) {
 
 // bfsInto walks the component of src, writing hop distances into dist —
 // whose entries must be Unreachable beforehand — and returns the visited
-// nodes in traversal order in queue's storage. The graph must be finalized
-// (every public entry point below finalizes first).
+// nodes in traversal order in queue's storage.
 //
 //amac:hotpath
 func (g *Graph) bfsInto(src NodeID, dist []int, queue []NodeID) []NodeID {
@@ -71,7 +70,6 @@ func (g *Graph) bfsInto(src NodeID, dist []int, queue []NodeID) []NodeID {
 // in other components.
 func (g *Graph) BFS(src NodeID) []int {
 	g.check(src)
-	g.finalize()
 	dist := make([]int, g.n)
 	resetDist(dist)
 	s := getScratch(g.n)
@@ -84,7 +82,6 @@ func (g *Graph) BFS(src NodeID) []int {
 func (g *Graph) Dist(u, v NodeID) int {
 	g.check(u)
 	g.check(v)
-	g.finalize()
 	s := getScratch(g.n)
 	defer putScratch(s)
 	resetDist(s.dist)
@@ -96,7 +93,6 @@ func (g *Graph) Dist(u, v NodeID) int {
 // the farthest node in src's component).
 func (g *Graph) Eccentricity(src NodeID) int {
 	g.check(src)
-	g.finalize()
 	s := getScratch(g.n)
 	defer putScratch(s)
 	resetDist(s.dist)
@@ -112,11 +108,11 @@ func (g *Graph) Eccentricity(src NodeID) int {
 
 // Diameter returns the maximum eccentricity over all nodes, considering only
 // intra-component distances. For an empty graph it returns 0. The result is
-// memoized until the next mutation (runners recompute the diameter of the
-// same network for every execution); the memo is lock-guarded because
-// finished graphs are shared read-only across parallel harness workers.
+// memoized until the graph is built again (runners recompute the diameter
+// of the same network for every execution); the memo is lock-guarded
+// because finished graphs are shared read-only across parallel harness
+// workers.
 func (g *Graph) Diameter() int {
-	g.finalize()
 	g.diamMu.Lock()
 	defer g.diamMu.Unlock()
 	if g.diamOK {
@@ -142,7 +138,6 @@ func (g *Graph) Diameter() int {
 // Components returns the connected components as slices of node IDs, each
 // sorted, ordered by smallest member.
 func (g *Graph) Components() [][]NodeID {
-	g.finalize()
 	s := getScratch(g.n)
 	resetDist(s.dist)
 	var comps [][]NodeID
@@ -169,7 +164,6 @@ func (g *Graph) IsConnected() bool {
 	if g.n <= 1 {
 		return true
 	}
-	g.finalize()
 	s := getScratch(g.n)
 	defer putScratch(s)
 	resetDist(s.dist)
@@ -181,7 +175,6 @@ func (g *Graph) IsConnected() bool {
 // It matches the paper's N_G^r(j) notation.
 func (g *Graph) Ball(center NodeID, r int) []NodeID {
 	g.check(center)
-	g.finalize()
 	dist := map[NodeID]int{center: 0}
 	queue := []NodeID{center}
 	for len(queue) > 0 {
@@ -210,28 +203,36 @@ func (g *Graph) Ball(center NodeID, r int) []NodeID {
 // self-loops).
 func (g *Graph) Power(r int) *Graph { return g.PowerInto(r, New(g.n)) }
 
-// PowerInto builds Gʳ into dst, reusing dst's adjacency storage (see Reset),
-// and returns dst. The r-balls are walked with a bounded BFS over two
-// scratch slices shared by all n source walks of the call — two allocations
-// per call instead of Ball's map per node; the resulting edge set is
-// identical to Power's.
+// PowerInto builds Gʳ into dst, reusing dst's adjacency storage (see
+// Reset), and returns dst, which must not be g. Its forward rows come from
+// PowerRows, into rows allocated for the call.
 func (g *Graph) PowerInto(r int, dst *Graph) *Graph {
-	if r < 1 {
-		panic("graph: power exponent must be >= 1")
-	}
 	if dst == g {
 		panic("graph: PowerInto onto its own receiver")
 	}
-	g.finalize()
-	dst.Reset(g.n)
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = Unreachable
+	var rows ForwardRows
+	g.PowerRows(r, &rows)
+	dst.SetForward(&rows)
+	return dst
+}
+
+// PowerRows writes Gʳ's forward rows into rows (reset first, keeping its
+// storage): row u lists every v > u within r hops of u, ascending. One
+// bounded BFS per u walks u's r-ball over pooled scratch, and the nodes it
+// reaches above u, sorted, become u's row, so a caller that keeps rows
+// across builds allocates nothing once warm.
+func (g *Graph) PowerRows(r int, rows *ForwardRows) {
+	if r < 1 {
+		panic("graph: power exponent must be >= 1")
 	}
-	queue := make([]NodeID, 0, g.n)
+	rows.Reset(g.n)
+	s := getScratch(g.n)
+	defer putScratch(s)
+	dist := s.dist
+	resetDist(dist)
 	for u := 0; u < g.n; u++ {
 		dist[u] = 0
-		queue = append(queue[:0], NodeID(u))
+		queue := append(s.queue[:0], NodeID(u))
 		for qi := 0; qi < len(queue); qi++ {
 			v := queue[qi]
 			if dist[v] == r {
@@ -244,14 +245,17 @@ func (g *Graph) PowerInto(r int, dst *Graph) *Graph {
 				}
 			}
 		}
+		start := len(rows.Arcs)
 		for _, v := range queue {
-			if v != NodeID(u) {
-				dst.AddEdge(NodeID(u), v)
+			if v > NodeID(u) {
+				rows.Arcs = append(rows.Arcs, int32(v))
 			}
 			dist[v] = Unreachable
 		}
+		slices.Sort(rows.Arcs[start:])
+		rows.EndRow()
+		s.queue = queue
 	}
-	return dst
 }
 
 func sortNodeIDs(s []NodeID) {

@@ -12,8 +12,9 @@ import (
 // every query below is re-derived from this naive form and compared
 // field-for-field with the CSR answer on randomized edge streams.
 type refGraph struct {
-	n   int
-	adj []map[NodeID]bool
+	n    int
+	adj  []map[NodeID]bool
+	rows [][]NodeID // sorted adj rows, filled on first read after a change
 }
 
 func newRef(n int) *refGraph {
@@ -27,15 +28,20 @@ func newRef(n int) *refGraph {
 func (r *refGraph) addEdge(u, v NodeID) {
 	r.adj[u][v] = true
 	r.adj[v][u] = true
+	r.rows = nil
 }
 
 func (r *refGraph) neighbors(u NodeID) []NodeID {
-	out := make([]NodeID, 0, len(r.adj[u]))
-	for v := range r.adj[u] {
-		out = append(out, v)
+	if r.rows == nil {
+		r.rows = make([][]NodeID, r.n)
+		for w, nb := range r.adj {
+			for v := range nb {
+				r.rows[w] = append(r.rows[w], v)
+			}
+			slices.Sort(r.rows[w])
+		}
 	}
-	slices.Sort(out)
-	return out
+	return r.rows[u]
 }
 
 func (r *refGraph) m() int {
@@ -190,83 +196,50 @@ func checkAgainstRef(t *testing.T, g *Graph, r *refGraph, rng *rand.Rand) {
 	}
 }
 
-// TestCSRMatchesReference drives randomized edge streams — with duplicate
-// inserts, HasEdge probes interleaved mid-build, and reads that force
-// compaction between build phases — through both the CSR graph and the
-// naive reference, then compares every query. This is the pre/post-refactor
-// equivalence contract for the flat-CSR core.
-func TestCSRMatchesReference(t *testing.T) {
-	const (
-		uniform = iota
-		hub     // one node in most edges: long rows with many duplicates
-		desc    // sources inserted in descending order: reverse-sorted rows
-	)
-	cases := []struct {
-		n     int
-		edges int
-		seed  int64
-		shape int
-	}{
-		{0, 0, 1, uniform},
-		{1, 0, 2, uniform},
-		{2, 1, 3, uniform},
-		{7, 4, 4, uniform},
-		{16, 10, 5, uniform},
-		{16, 60, 6, uniform},
-		{40, 30, 7, uniform},
-		{40, 200, 8, uniform},
-		{97, 400, 9, uniform},
-		{128, 128, 10, uniform},
-		{300, 1500, 11, hub},
-		{200, 800, 12, desc},
-	}
-	for _, tc := range cases {
-		rng := rand.New(rand.NewSource(tc.seed))
-		g := New(tc.n)
-		r := newRef(tc.n)
-		for i := 0; i < tc.edges; i++ {
-			u := NodeID(rng.Intn(tc.n))
-			v := NodeID(rng.Intn(tc.n))
-			switch {
-			case tc.shape == hub && rng.Intn(8) != 0:
-				u = 0
-			case tc.shape == desc:
-				u = NodeID(tc.n - 1 - i*tc.n/tc.edges)
-			}
-			if u == v {
-				continue
-			}
-			// Interleave membership probes with inserts: this is the access
-			// pattern of the randomized topology builders, and it exercises
-			// the pending-arc overlay rather than the compacted rows.
-			if g.HasEdge(u, v) != r.adj[u][v] {
-				t.Fatalf("n=%d seed=%d: mid-build HasEdge(%d,%d) = %v, want %v",
-					tc.n, tc.seed, u, v, g.HasEdge(u, v), r.adj[u][v])
-			}
-			g.AddEdge(u, v)
-			if rng.Intn(4) == 0 {
-				g.AddEdge(v, u) // duplicate insert must stay idempotent
-			}
-			r.addEdge(u, v)
-			if rng.Intn(8) == 0 {
-				g.M() // force a compaction mid-stream
-			}
-		}
-		checkAgainstRef(t, g, r, rng)
+// maxFuzzNodes caps a fuzz input's node count, so the reference's
+// all-sources diameter stays fast.
+const maxFuzzNodes = 64
 
-		// Mutate after the reads above: the merge path now folds new pending
-		// arcs into an already-compacted CSR block.
-		for i := 0; i < tc.edges/2; i++ {
-			u := NodeID(rng.Intn(tc.n))
-			v := NodeID(rng.Intn(tc.n))
-			if u == v {
-				continue
-			}
-			g.AddEdge(u, v)
-			r.addEdge(u, v)
-		}
-		checkAgainstRef(t, g, r, rng)
+// decodeEdges reads a fuzz input as an edge list: byte 0 picks n in
+// [0, maxFuzzNodes], and each following byte pair (a, b) is the edge
+// (a mod n, b mod n), self-pairs skipped. Repeats, both orientations of one
+// edge, hub rows and rows listed in descending order all come through as
+// they are, for SetEdges to merge.
+func decodeEdges(data []byte) (int, [][2]NodeID) {
+	if len(data) == 0 {
+		return 0, nil
 	}
+	n := int(data[0]) % (maxFuzzNodes + 1)
+	var edges [][2]NodeID
+	for i := 1; i+1 < len(data) && n > 1; i += 2 {
+		if u, v := NodeID(int(data[i])%n), NodeID(int(data[i+1])%n); u != v {
+			edges = append(edges, [2]NodeID{u, v})
+		}
+	}
+	return n, edges
+}
+
+// FuzzCSRMatchesReference builds a graph from a generated edge list, once
+// into fresh storage and once into a graph recycled across inputs, and
+// compares every query of both with the naive reference built from the same
+// list. This is the equivalence contract of the flat-CSR core. The seed
+// corpus holds edge streams of uniform, hub-heavy and descending-source
+// shapes, with about a quarter of the edges repeated reversed.
+func FuzzCSRMatchesReference(f *testing.F) {
+	recycled := New(0)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, edges := decodeEdges(data)
+		r := newRef(n)
+		for _, e := range edges {
+			r.addEdge(e[0], e[1])
+		}
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		fresh := new(Graph)
+		fresh.SetEdges(n, slices.Clone(edges))
+		checkAgainstRef(t, fresh, r, rng)
+		recycled.SetEdges(n, slices.Clone(edges))
+		checkAgainstRef(t, recycled, r, rng)
+	})
 }
 
 // TestCSRRecycledStorageMatchesFresh pins the structure-sharing contract:
@@ -278,16 +251,15 @@ func TestCSRRecycledStorageMatchesFresh(t *testing.T) {
 	clone := New(0)
 	for _, n := range []int{30, 7, 64, 1, 50} {
 		recycled.Reset(n)
-		r := newRef(n)
-		for i := 0; i < 3*n; i++ {
-			u := NodeID(rng.Intn(n))
-			v := NodeID(rng.Intn(n))
-			if u == v {
-				continue
-			}
-			recycled.AddEdge(u, v)
-			r.addEdge(u, v)
+		if !graphEqual(recycled, New(n)) {
+			t.Fatalf("Reset(%d) kept edges: %v", n, recycled.Edges())
 		}
+		r := newRef(n)
+		edges := randomEdges(rng, nil, n, 3*n)
+		for _, e := range edges {
+			r.addEdge(e[0], e[1])
+		}
+		recycled.SetEdges(n, edges)
 		checkAgainstRef(t, recycled, r, rng)
 		checkAgainstRef(t, recycled.CloneInto(clone), r, rng)
 	}
@@ -299,14 +271,7 @@ func TestCSRRecycledStorageMatchesFresh(t *testing.T) {
 func TestApproxDiameterExactBelowCutoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, n := range []int{1, 9, 33, 80} {
-		g := New(n)
-		for i := 0; i < 2*n; i++ {
-			u := NodeID(rng.Intn(n))
-			v := NodeID(rng.Intn(n))
-			if u != v {
-				g.AddEdge(u, v)
-			}
-		}
+		g := fromEdges(n, randomEdges(rng, nil, n, 2*n)...)
 		want := g.Diameter()
 		for _, k := range []int{0, 1, 4} {
 			for _, seed := range []int64{1, 99} {
@@ -332,8 +297,7 @@ func TestApproxDiameterAboveCutoff(t *testing.T) {
 
 	// A cycle: every double sweep finds an antipodal pair, so the sample is
 	// exact at n/2 regardless of the source draw.
-	cyc := line(n)
-	cyc.AddEdge(0, NodeID(n-1))
+	cyc := fromEdges(n, append(lineEdges(n), [2]NodeID{0, NodeID(n - 1)})...)
 	if got, want := cyc.ApproxDiameter(2, 3), n/2; got != want {
 		t.Fatalf("cycle ApproxDiameter = %d, want %d", got, want)
 	}
@@ -341,10 +305,11 @@ func TestApproxDiameterAboveCutoff(t *testing.T) {
 	// A star: diameter 2, and any double sweep sees it (sweep 1 ends on a
 	// leaf, whose eccentricity is 2). Also checks determinism and the
 	// lower-bound property against the cheap exact value.
-	star := New(n)
+	var spokes [][2]NodeID
 	for i := 1; i < n; i++ {
-		star.AddEdge(0, NodeID(i))
+		spokes = append(spokes, [2]NodeID{0, NodeID(i)})
 	}
+	star := fromEdges(n, spokes...)
 	a := star.ApproxDiameter(3, 5)
 	if b := star.ApproxDiameter(3, 5); b != a {
 		t.Fatalf("ApproxDiameter not deterministic: %d then %d", a, b)
@@ -360,11 +325,11 @@ func TestApproxDiameterAboveCutoff(t *testing.T) {
 		t.Fatalf("post-Diameter ApproxDiameter = %d, want exact 2", got)
 	}
 
-	// Mutation invalidates the memo: extending the line stretches the
-	// diameter, and the refreshed sample must see it.
-	g.AddEdge(NodeID(n-1), NodeID(n-2)) // duplicate — no-op, memo intact
-	if got := g.ApproxDiameter(1, 7); got != want {
-		t.Fatalf("after duplicate AddEdge: ApproxDiameter = %d, want %d", got, want)
+	// Building the graph again drops the memo: closing the line into a
+	// cycle halves its diameter, and the refreshed sample must see it.
+	g.SetEdges(n, append(lineEdges(n), [2]NodeID{0, NodeID(n - 1)}))
+	if got := g.ApproxDiameter(1, 7); got != n/2 {
+		t.Fatalf("after rebuilding into a cycle: ApproxDiameter = %d, want %d", got, n/2)
 	}
 }
 
@@ -372,7 +337,6 @@ func TestApproxDiameterAboveCutoff(t *testing.T) {
 // ApproxDiameter ran before its sweeps went parallel, kept as the reference
 // the concurrent version must reproduce.
 func serialApproxDiameter(g *Graph, k int, seed int64) int {
-	g.Finalize()
 	rng := rand.New(rand.NewSource(seed))
 	dist := make([]int, g.n)
 	resetDist(dist)
@@ -407,15 +371,15 @@ func randomGeometric(n int, side float64, seed int64) *Graph {
 	for i := range xs {
 		xs[i], ys[i] = rng.Float64()*side, rng.Float64()*side
 	}
-	g := New(n)
+	var edges [][2]NodeID
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if dx, dy := xs[u]-xs[v], ys[u]-ys[v]; dx*dx+dy*dy <= 1 {
-				g.AddEdge(NodeID(u), NodeID(v))
+				edges = append(edges, [2]NodeID{NodeID(u), NodeID(v)})
 			}
 		}
 	}
-	return g
+	return fromEdges(n, edges...)
 }
 
 // TestApproxDiameterMatchesSerialSweeps checks the concurrent sweeps
@@ -470,7 +434,6 @@ func TestBFSQueriesAllocationFree(t *testing.T) {
 		t.Skip("race mode drops sync.Pool puts at random, so the pooled scratch may allocate")
 	}
 	g := line(512)
-	g.Finalize()
 	// Warm the pool and each query's internal state.
 	g.Dist(0, 511)
 	g.Eccentricity(5)
@@ -493,12 +456,11 @@ func TestBFSQueriesAllocationFree(t *testing.T) {
 }
 
 // TestSharedGraphQueriesConcurrent hammers the read-only query surface of
-// one finalized graph from many goroutines — the sharing pattern of
+// one built graph from many goroutines — the sharing pattern of
 // parallel harness workers. Run under -race this pins the lock discipline
 // of the Diameter/ApproxDiameter memo and the pooled BFS scratch.
 func TestSharedGraphQueriesConcurrent(t *testing.T) {
 	g := line(ExactDiameterCutoff + 50)
-	g.Finalize()
 	done := make(chan int, 8)
 	for w := 0; w < 8; w++ {
 		go func(w int) {

@@ -5,6 +5,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
 	"math"
@@ -22,43 +23,23 @@ type NodeID int
 // adjacency cache-friendly and lets consumers index straight off the shared
 // arc array. The zero value is an empty graph with no nodes; use New.
 //
-// Mutation is build-phase-only and not goroutine-safe (like the previous
-// slice-of-slices representation): AddEdge appends to a pending arc buffer
-// and the first read — Neighbors, BFS, M, Edges, ... — compacts it into the
-// CSR block (bucket by source + per-row sort + dedup, so duplicate AddEdge
-// calls stay idempotent). HasEdge alone answers without compacting, through
-// a lazily built membership overlay, because the randomized builders
-// interleave HasEdge probes with AddEdge and must stay O(1) amortized per
-// call. SetForward instead fills the block in one pass from sorted forward
-// rows — the geometric builders' path, with no pending buffer at all.
-// Graphs shared read-only across goroutines must be finalized first (see
-// Finalize; topology.BuildInto does this for every registry build).
+// A graph is built in one call, SetForward from forward rows or SetEdges
+// from an edge list, and is immutable from then on: any number of
+// goroutines may read it at once (the diameter memo takes its own lock).
+// Building again into the same graph (Reset, SetForward, SetEdges, or
+// CloneInto onto it) recycles its storage for a new network, the way
+// topology.Workspace reuses graphs across builds; it invalidates every
+// slice read from the old one and must not overlap any reader.
 type Graph struct {
 	n int
-	m int // edge count, recomputed when pending arcs compact
+	m int // edge count
 
 	off  []int32  // row offsets, len n+1 (nil only for the zero value)
 	arcs []NodeID // flat arc array, rows sorted, concatenated in node order
 
-	// offBuf/arcsBuf are the spare buffers finalize buckets into; the old
-	// storage is retained for the next compaction, so alternating build/read
-	// phases on a recycled graph allocate nothing in steady state.
-	offBuf  []int32
-	arcsBuf []NodeID
-
-	// pend holds arcs added since the last finalize, packed u<<32|v (both
-	// directions per AddEdge), unsorted and possibly duplicated.
-	pend []uint64
-	// seen is the pending-arc membership overlay HasEdge consults while
-	// dirty; built lazily on the first such probe and kept in sync by
-	// AddEdge from then on (seenOK). Invalidated by finalize and Reset.
-	seen   map[uint64]struct{}
-	seenOK bool
-
 	// diam memoizes Diameter() under diamMu: finished graphs are shared
 	// read-only across harness workers, so the lazy fill must be
-	// synchronized. diamOK is cleared by AddEdge (mutation is
-	// build-phase-only and not goroutine-safe, like the rest of Graph).
+	// synchronized. Reset clears it.
 	diamMu sync.Mutex
 	diam   int
 	diamOK bool
@@ -82,10 +63,9 @@ func New(n int) *Graph {
 func (g *Graph) N() int { return g.n }
 
 // Reset restores g to an empty graph with n nodes while keeping the backing
-// storage of its arc block and pending buffer, so rebuilding a same-shaped
-// graph performs no allocation. It is the structure-sharing construction
-// mode behind topology.Workspace: a Reset graph is observably identical to
-// New(n), only the memory is recycled.
+// storage of its arc block, so rebuilding a same-shaped graph performs no
+// allocation. A Reset graph is observably identical to New(n), only the
+// memory is recycled.
 func (g *Graph) Reset(n int) {
 	if n < 0 {
 		panic("graph: negative node count")
@@ -97,8 +77,6 @@ func (g *Graph) Reset(n int) {
 		clear(g.off)
 	}
 	g.arcs = g.arcs[:0]
-	g.pend = g.pend[:0]
-	g.seenOK = false
 	g.n = n
 	g.m = 0
 	g.diamOK = false
@@ -111,7 +89,6 @@ func (g *Graph) CloneInto(dst *Graph) *Graph {
 	if dst == g {
 		panic("graph: CloneInto onto itself")
 	}
-	g.finalize()
 	dst.Reset(g.n)
 	dst.off = append(dst.off[:0], g.off...)
 	dst.arcs = append(dst.arcs[:0], g.arcs...)
@@ -120,10 +97,7 @@ func (g *Graph) CloneInto(dst *Graph) *Graph {
 }
 
 // M returns the number of edges.
-func (g *Graph) M() int {
-	g.finalize()
-	return g.m
-}
+func (g *Graph) M() int { return g.m }
 
 func (g *Graph) check(v NodeID) {
 	if v < 0 || int(v) >= g.n {
@@ -131,43 +105,34 @@ func (g *Graph) check(v NodeID) {
 	}
 }
 
-func pack(u, v NodeID) uint64 {
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
+// ForwardRows is an edge set in the form SetForward assembles: row u,
+// Arcs[Off[u]:Off[u+1]], lists u's neighbors v > u in strictly ascending
+// order. A builder calls Reset, then for each node in turn appends its row
+// to Arcs and calls EndRow. Reset keeps the storage, so rows reused build
+// after build grow nothing once warm. The zero value is ready to use.
+type ForwardRows struct {
+	Off  []int32
+	Arcs []int32
 }
 
-// AddEdge inserts the undirected edge (u, v). Self-loops are rejected;
-// duplicate insertions are idempotent.
-func (g *Graph) AddEdge(u, v NodeID) {
-	g.check(u)
-	g.check(v)
-	if u == v {
-		panic("graph: self-loop")
-	}
-	if g.hasArc(u, v) {
-		return
-	}
-	g.pend = append(g.pend, pack(u, v), pack(v, u))
-	if g.seenOK {
-		g.seen[pack(u, v)] = struct{}{}
-		g.seen[pack(v, u)] = struct{}{}
-	}
-	g.diamOK = false
-	g.adiamOK = false
+// Reset starts the rows of an n-node graph, keeping the storage.
+func (r *ForwardRows) Reset(n int) {
+	r.Off = append(slices.Grow(r.Off[:0], n+1), 0)
+	r.Arcs = r.Arcs[:0]
 }
 
-// SetForward resets g to n nodes and fills its CSR block straight from
-// forward rows: fwd[off[u]:off[u+1]] lists node u's neighbors v > u in
-// strictly ascending order, and off has length n+1. One counting
-// transposition places every arc: row u receives its back arcs (each w < u
-// whose forward row lists u) in ascending w, ahead of its own forward row,
-// so every row comes out sorted with no per-row sort and no pending buffer.
-// The geometric builders emit their edge sets this way; AddEdge stays the
-// path for builders that add edges in arbitrary order. It panics on a row
-// that is out of order or out of range, and keeps g's storage like Reset.
-func (g *Graph) SetForward(n int, off []int32, fwd []int32) {
-	if len(off) != n+1 {
-		panic(fmt.Sprintf("graph: %d forward offsets for %d nodes", len(off), n))
-	}
+// EndRow closes the current node's row; the next arcs go to the next node.
+func (r *ForwardRows) EndRow() { r.Off = append(r.Off, int32(len(r.Arcs))) }
+
+// SetForward is the CSR assembler every builder ends in: it resets g to
+// len(r.Off)−1 nodes (keeping its storage like Reset) and fills the CSR
+// block from the forward rows r. One counting transposition places every
+// arc: row u receives its back arcs (each w < u whose forward row lists u)
+// in ascending w, ahead of its own forward row, so every row comes out
+// sorted with no per-row sort. It panics on a row that is out of order or
+// out of range, and on more arcs than int32 offsets can address.
+func (g *Graph) SetForward(r *ForwardRows) {
+	n, off, fwd := len(r.Off)-1, r.Off, r.Arcs
 	g.Reset(n)
 	need := 2 * int(off[n])
 	if need > math.MaxInt32 {
@@ -217,171 +182,97 @@ func (g *Graph) SetForward(n int, off []int32, fwd []int32) {
 	g.m = need / 2
 }
 
-// hasArc reports whether (u, v) is in the compacted CSR block (pending arcs
-// not considered) by binary-searching u's sorted row.
-func (g *Graph) hasArc(u, v NodeID) bool {
-	row := g.arcs[g.off[u]:g.off[u+1]]
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if row[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
+// SetEdges resets r to the forward rows of an n-node graph with the given
+// edges, listed in any order: each edge may come in either orientation and
+// more than once. It orients every edge as (u, v) with u < v in place,
+// sorts the list and drops repeats, so the rows are the same for any order
+// of the same edges. It panics on a self-loop or a node outside [0, n).
+func (r *ForwardRows) SetEdges(n int, edges [][2]NodeID) {
+	for i, e := range edges {
+		u, v := e[0], e[1]
+		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+			panic(fmt.Sprintf("graph: edge (%d, %d) out of range [0,%d)", u, v, n))
+		}
+		if u == v {
+			panic("graph: self-loop")
+		}
+		if u > v {
+			edges[i] = [2]NodeID{v, u}
 		}
 	}
-	return lo < len(row) && row[lo] == v
+	slices.SortFunc(edges, func(a, b [2]NodeID) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	r.Reset(n)
+	r.Arcs = slices.Grow(r.Arcs, len(edges))
+	u := 0
+	for i, e := range edges {
+		if i > 0 && e == edges[i-1] {
+			continue
+		}
+		for ; u < int(e[0]); u++ {
+			r.EndRow()
+		}
+		r.Arcs = append(r.Arcs, int32(e[1]))
+	}
+	for ; u < n; u++ {
+		r.EndRow()
+	}
 }
 
-// HasEdge reports whether (u, v) is an edge. It answers without compacting
-// pending arcs: the randomized builders interleave HasEdge with AddEdge,
-// and a full compaction per probe would be quadratic.
+// SetEdges builds g with n nodes from an edge list in any order (see
+// ForwardRows.SetEdges, which reorders the list), through forward rows
+// allocated for the call; a builder that keeps its rows across builds calls
+// ForwardRows.SetEdges and SetForward itself.
+func (g *Graph) SetEdges(n int, edges [][2]NodeID) {
+	var r ForwardRows
+	r.SetEdges(n, edges)
+	g.SetForward(&r)
+}
+
+// HasEdge reports whether (u, v) is an edge, by binary search of u's row.
 func (g *Graph) HasEdge(u, v NodeID) bool {
 	g.check(u)
 	g.check(v)
-	if g.hasArc(u, v) {
-		return true
-	}
-	if len(g.pend) == 0 {
-		return false
-	}
-	if !g.seenOK {
-		g.buildSeen()
-	}
-	_, ok := g.seen[pack(u, v)]
+	_, ok := slices.BinarySearch(g.row(u), v)
 	return ok
 }
 
-// buildSeen fills the pending-arc membership overlay from pend, reusing the
-// map's buckets across builds.
-func (g *Graph) buildSeen() {
-	if g.seen == nil {
-		g.seen = make(map[uint64]struct{}, len(g.pend))
-	} else {
-		clear(g.seen)
-	}
-	for _, k := range g.pend {
-		g.seen[k] = struct{}{}
-	}
-	g.seenOK = true
-}
-
-// Finalize compacts any pending arcs into the flat CSR block. Every read
-// API does this implicitly; builders that hand a graph to concurrent
-// readers call it explicitly so no reader races the compaction. It is
-// idempotent and cheap when nothing is pending.
-func (g *Graph) Finalize() { g.finalize() }
-
-// finalize buckets the pending arcs by source with one counting pass
-// (Gustavson's CSR transposition), so the cost is linear in the arc count
-// plus a sort of each row, never a sort of the whole pending buffer. The
-// geometric builders skip it: they hand SetForward rows that are already
-// sorted.
-func (g *Graph) finalize() {
-	if len(g.pend) == 0 {
-		return
-	}
-	need := len(g.arcs) + len(g.pend)
-	if need > math.MaxInt32 {
-		panic("graph: arc count exceeds int32 offsets")
-	}
-	dst := g.arcsBuf
-	if cap(dst) < need {
-		dst = make([]NodeID, need)
-	} else {
-		dst = dst[:need]
-	}
-	newOff := g.offBuf
-	if cap(newOff) < g.n+1 {
-		newOff = make([]int32, g.n+1)
-	} else {
-		newOff = newOff[:g.n+1]
-		clear(newOff)
-	}
-	// Row sizes: pending arcs per source plus the compacted row, shifted
-	// one slot so the exclusive prefix sum leaves each bucket's start in
-	// newOff[u].
-	for _, a := range g.pend {
-		newOff[a>>32+1]++
-	}
-	for u := 0; u < g.n; u++ {
-		newOff[u+1] += newOff[u] + g.off[u+1] - g.off[u]
-	}
-	// Fill each bucket: the compacted row first, then the pending targets
-	// behind it. newOff[u] serves as u's write cursor and ends at the start
-	// of bucket u+1; the shift below restores the starts.
-	for u := 0; u < g.n; u++ {
-		newOff[u] += int32(copy(dst[newOff[u]:], g.arcs[g.off[u]:g.off[u+1]]))
-	}
-	for _, a := range g.pend {
-		u := a >> 32
-		dst[newOff[u]] = NodeID(uint32(a))
-		newOff[u]++
-	}
-	copy(newOff[1:], newOff[:g.n])
-	newOff[0] = 0
-	// Sort each bucket and drop duplicates while compacting left. Bucket u
-	// is [lo, newOff[u+1]), read before newOff[u+1] is overwritten, and the
-	// write index w never passes the read index.
-	w, lo := int32(0), int32(0)
-	for u := 0; u < g.n; u++ {
-		hi := newOff[u+1]
-		row := dst[lo:hi]
-		slices.Sort(row)
-		newOff[u] = w
-		for _, v := range row {
-			if w == newOff[u] || dst[w-1] != v {
-				dst[w] = v
-				w++
-			}
-		}
-		lo = hi
-	}
-	newOff[g.n] = w
-	dst = dst[:w]
-	// Swap: the displaced storage becomes the spare for the next merge.
-	g.arcsBuf, g.arcs = g.arcs, dst
-	g.offBuf, g.off = g.off, newOff
-	g.pend = g.pend[:0]
-	g.seenOK = false
-	g.m = len(g.arcs) / 2
-}
-
-// row returns u's neighbor row. The graph must be finalized.
+// row returns u's neighbor row.
 func (g *Graph) row(u NodeID) []NodeID {
 	return g.arcs[g.off[u]:g.off[u+1]]
 }
 
 // Neighbors returns u's adjacency list in increasing order, as a zero-copy
 // subslice of the graph's flat arc array. The slice is owned by the graph;
-// callers must not mutate it, and it is invalidated by the next mutation.
+// callers must not mutate it, and it is invalidated when the graph is
+// built again.
 func (g *Graph) Neighbors(u NodeID) []NodeID {
 	g.check(u)
-	g.finalize()
 	return g.arcs[g.off[u]:g.off[u+1]:g.off[u+1]]
 }
 
-// CSR exposes the finalized flat adjacency: off has length N()+1 and node
-// u's sorted neighbor row occupies arcs[off[u]:off[u+1]]. Consumers that
-// keep per-arc side state (mac.Arena's delivery rows and reliability bits)
-// index straight off this shared array instead of re-deriving per-node
-// rows. Both slices are owned by the graph, must not be mutated, and are
-// invalidated by the next mutation.
+// CSR exposes the flat adjacency: off has length N()+1 and node u's sorted
+// neighbor row occupies arcs[off[u]:off[u+1]]. Consumers that keep per-arc
+// side state (mac.Arena's delivery rows and reliability bits) index
+// straight off this shared array instead of re-deriving per-node rows.
+// Both slices are owned by the graph, must not be mutated, and are
+// invalidated when the graph is built again.
 func (g *Graph) CSR() (off []int32, arcs []NodeID) {
-	g.finalize()
 	return g.off, g.arcs
 }
 
 // Degree returns the number of neighbors of u.
 func (g *Graph) Degree(u NodeID) int {
 	g.check(u)
-	g.finalize()
 	return int(g.off[u+1] - g.off[u])
 }
 
 // MaxDegree returns the maximum degree over all nodes (0 for empty graphs).
 func (g *Graph) MaxDegree() int {
-	g.finalize()
 	max := 0
 	for u := 0; u < g.n; u++ {
 		if d := int(g.off[u+1] - g.off[u]); d > max {
@@ -409,7 +300,6 @@ func (g *Graph) Edges() [][2]NodeID {
 // between Edges and EdgeSeq freely: the visit order is identical.
 func (g *Graph) EdgeSeq() iter.Seq2[NodeID, NodeID] {
 	return func(yield func(NodeID, NodeID) bool) {
-		g.finalize()
 		for u := 0; u < g.n; u++ {
 			for _, v := range g.row(NodeID(u)) {
 				if NodeID(u) < v && !yield(NodeID(u), v) {
@@ -425,19 +315,6 @@ func (g *Graph) Clone() *Graph {
 	return g.CloneInto(New(g.n))
 }
 
-// Union returns a new graph with n nodes containing the edges of both g and
-// h. Both graphs must have the same node count.
-func Union(g, h *Graph) *Graph {
-	if g.n != h.n {
-		panic("graph: union of graphs with different node counts")
-	}
-	u := g.Clone()
-	for a, b := range h.EdgeSeq() {
-		u.AddEdge(a, b)
-	}
-	return u
-}
-
 // IsSubgraphOf reports whether every edge of g is also an edge of h (the
 // paper's G ⊆ G′ requirement). It merge-walks the two sorted CSR rows per
 // node — no edge-slice allocation, O(m + m′) total — because dual
@@ -446,8 +323,6 @@ func (g *Graph) IsSubgraphOf(h *Graph) bool {
 	if g.n != h.n {
 		return false
 	}
-	g.finalize()
-	h.finalize()
 	for u := 0; u < g.n; u++ {
 		gr, hr := g.row(NodeID(u)), h.row(NodeID(u))
 		hi := 0
@@ -466,7 +341,6 @@ func (g *Graph) IsSubgraphOf(h *Graph) bool {
 // IsIndependent reports whether no two nodes in set are adjacent in g
 // (G-independence, Section 4 of the paper).
 func (g *Graph) IsIndependent(set []NodeID) bool {
-	g.finalize()
 	in := make(map[NodeID]bool, len(set))
 	for _, v := range set {
 		in[v] = true

@@ -7,19 +7,39 @@ import (
 	"testing/quick"
 )
 
-func line(n int) *Graph {
-	g := New(n)
-	for i := 0; i < n-1; i++ {
-		g.AddEdge(NodeID(i), NodeID(i+1))
-	}
+// fromEdges returns an n-node graph built by SetEdges from the given edges.
+func fromEdges(n int, edges ...[2]NodeID) *Graph {
+	g := new(Graph)
+	g.SetEdges(n, edges)
 	return g
 }
 
-func TestAddEdgeIdempotent(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(0, 1)
+// lineEdges returns the edges of the n-node path 0-1-...-(n-1).
+func lineEdges(n int) [][2]NodeID {
+	var edges [][2]NodeID
+	for i := 0; i < n-1; i++ {
+		edges = append(edges, [2]NodeID{NodeID(i), NodeID(i + 1)})
+	}
+	return edges
+}
+
+func line(n int) *Graph { return fromEdges(n, lineEdges(n)...) }
+
+// randomEdges draws k node pairs uniformly from [0, n), dropping
+// self-pairs, and appends them to edges.
+func randomEdges(rng *rand.Rand, edges [][2]NodeID, n, k int) [][2]NodeID {
+	for i := 0; i < k; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			edges = append(edges, [2]NodeID{NodeID(u), NodeID(v)})
+		}
+	}
+	return edges
+}
+
+// TestSetEdgesDedups pins that an edge given more than once, in either
+// orientation, is one edge.
+func TestSetEdgesDedups(t *testing.T) {
+	g := fromEdges(3, [2]NodeID{0, 1}, [2]NodeID{1, 0}, [2]NodeID{0, 1})
 	if g.M() != 1 {
 		t.Fatalf("M = %d, want 1", g.M())
 	}
@@ -37,24 +57,24 @@ func TestSelfLoopPanics(t *testing.T) {
 			t.Fatal("self-loop did not panic")
 		}
 	}()
-	New(2).AddEdge(1, 1)
+	fromEdges(2, [2]NodeID{1, 1})
 }
 
 func TestOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range node did not panic")
-		}
-	}()
-	New(2).AddEdge(0, 2)
+	for _, e := range [][2]NodeID{{0, 2}, {2, 0}, {-1, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("out-of-range edge %v did not panic", e)
+				}
+			}()
+			fromEdges(2, e)
+		}()
+	}
 }
 
 func TestNeighborsSorted(t *testing.T) {
-	g := New(5)
-	g.AddEdge(2, 4)
-	g.AddEdge(2, 0)
-	g.AddEdge(2, 3)
-	g.AddEdge(2, 1)
+	g := fromEdges(5, [2]NodeID{2, 4}, [2]NodeID{2, 0}, [2]NodeID{3, 2}, [2]NodeID{2, 1})
 	nbrs := g.Neighbors(2)
 	want := []NodeID{0, 1, 3, 4}
 	if len(nbrs) != len(want) {
@@ -71,10 +91,7 @@ func TestNeighborsSorted(t *testing.T) {
 }
 
 func TestEdgesEnumeration(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 1)
-	g.AddEdge(3, 0)
+	g := fromEdges(4, [2]NodeID{0, 1}, [2]NodeID{2, 1}, [2]NodeID{3, 0})
 	edges := g.Edges()
 	if len(edges) != 3 {
 		t.Fatalf("Edges = %v", edges)
@@ -106,9 +123,7 @@ func TestBFSLine(t *testing.T) {
 }
 
 func TestBFSDisconnected(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
+	g := fromEdges(4, [2]NodeID{0, 1}, [2]NodeID{2, 3})
 	dist := g.BFS(0)
 	if dist[2] != Unreachable || dist[3] != Unreachable {
 		t.Fatalf("dist = %v, want unreachable for 2,3", dist)
@@ -166,18 +181,22 @@ func TestPowerExponentPanics(t *testing.T) {
 	line(3).Power(0)
 }
 
+// TestUnionAndClone pins that a union is one SetEdges call over both edge
+// lists (shared edges count once), and that rebuilding a Clone leaves the
+// source alone.
 func TestUnionAndClone(t *testing.T) {
-	a := New(4)
-	a.AddEdge(0, 1)
-	b := New(4)
-	b.AddEdge(2, 3)
-	u := Union(a, b)
+	a := fromEdges(4, [2]NodeID{0, 1})
+	b := fromEdges(4, [2]NodeID{2, 3}, [2]NodeID{1, 0})
+	u := fromEdges(4, append(a.Edges(), b.Edges()...)...)
 	if !u.HasEdge(0, 1) || !u.HasEdge(2, 3) || u.M() != 2 {
 		t.Fatalf("union wrong: %v", u.Edges())
 	}
 	c := a.Clone()
-	c.AddEdge(1, 2)
-	if a.HasEdge(1, 2) {
+	if !graphEqual(c, a) {
+		t.Fatalf("Clone diverged: %v vs %v", c.Edges(), a.Edges())
+	}
+	c.SetEdges(4, append(c.Edges(), [2]NodeID{1, 2}))
+	if a.HasEdge(1, 2) || a.M() != 1 {
 		t.Fatal("clone aliases original")
 	}
 }
@@ -206,14 +225,15 @@ func TestPowerOneIdentity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(20)
-		g := New(n)
+		var edges [][2]NodeID
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if rng.Intn(3) == 0 {
-					g.AddEdge(NodeID(i), NodeID(j))
+					edges = append(edges, [2]NodeID{NodeID(i), NodeID(j)})
 				}
 			}
 		}
+		g := fromEdges(n, edges...)
 		p := g.Power(1)
 		return p.M() == g.M() && g.IsSubgraphOf(p) && p.IsSubgraphOf(g)
 	}
@@ -228,16 +248,7 @@ func TestPowerDistanceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(15)
 		r := 1 + rng.Intn(4)
-		g := New(n)
-		for i := 0; i < n-1; i++ {
-			g.AddEdge(NodeID(i), NodeID(i+1))
-		}
-		for e := 0; e < n/2; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				g.AddEdge(NodeID(u), NodeID(v))
-			}
-		}
+		g := fromEdges(n, randomEdges(rng, lineEdges(n), n, n/2)...)
 		p := g.Power(r)
 		for _, e := range p.Edges() {
 			d := g.Dist(e[0], e[1])
@@ -267,13 +278,7 @@ func TestBFSLipschitzProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(30)
-		g := line(n) // ensure connected
-		for e := 0; e < n; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				g.AddEdge(NodeID(u), NodeID(v))
-			}
-		}
+		g := fromEdges(n, randomEdges(rng, lineEdges(n), n, n)...) // a line: connected
 		dist := g.BFS(0)
 		for _, e := range g.Edges() {
 			du, dv := dist[e[0]], dist[e[1]]
@@ -290,13 +295,7 @@ func TestBFSLipschitzProperty(t *testing.T) {
 
 func TestComponentsPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g := New(40)
-	for e := 0; e < 30; e++ {
-		u, v := rng.Intn(40), rng.Intn(40)
-		if u != v {
-			g.AddEdge(NodeID(u), NodeID(v))
-		}
-	}
+	g := fromEdges(40, randomEdges(rng, nil, 40, 30)...)
 	seen := map[NodeID]bool{}
 	for _, comp := range g.Components() {
 		for _, v := range comp {
@@ -328,9 +327,7 @@ func TestResetMatchesNew(t *testing.T) {
 		if !graphEqual(g, New(n)) {
 			t.Fatalf("Reset(%d) != New(%d): edges %v", n, n, g.Edges())
 		}
-		for i := 0; i < n-1; i++ {
-			g.AddEdge(NodeID(i), NodeID(i+1))
-		}
+		g.SetEdges(n, lineEdges(n))
 		if !graphEqual(g, line(n)) {
 			t.Fatalf("rebuilt line(%d) after Reset diverged: %v", n, g.Edges())
 		}
@@ -341,16 +338,21 @@ func TestResetMatchesNew(t *testing.T) {
 }
 
 // TestResetReusesRows asserts the point of Reset: rebuilding a same-shaped
-// graph into a Reset receiver and compacting it (M finalizes into the spare
-// buffers) performs no allocation.
+// graph into a Reset receiver from recycled forward rows performs no
+// allocation.
 func TestResetReusesRows(t *testing.T) {
 	g := line(64)
-	g.M() // fill the CSR block; the warm-up run below fills the spare
+	var rows ForwardRows
 	allocs := testing.AllocsPerRun(20, func() {
 		g.Reset(64)
-		for i := 0; i < 63; i++ {
-			g.AddEdge(NodeID(i), NodeID(i+1))
+		rows.Reset(64)
+		for i := 0; i < 64; i++ {
+			if i < 63 {
+				rows.Arcs = append(rows.Arcs, int32(i+1))
+			}
+			rows.EndRow()
 		}
+		g.SetForward(&rows)
 		if g.M() != 63 {
 			t.Fatalf("M = %d, want 63", g.M())
 		}
@@ -360,8 +362,8 @@ func TestResetReusesRows(t *testing.T) {
 	}
 }
 
-// TestCloneInto pins that CloneInto equals Clone and does not alias the
-// source.
+// TestCloneInto pins that CloneInto and Clone copy the source and do not
+// alias it: building the copy again leaves the source as it was.
 func TestCloneInto(t *testing.T) {
 	src := line(6)
 	dst := New(0)
@@ -373,8 +375,8 @@ func TestCloneInto(t *testing.T) {
 		if !graphEqual(dst, src) {
 			t.Fatalf("CloneInto diverged: %v vs %v", dst.Edges(), src.Edges())
 		}
-		dst.AddEdge(0, 5)
-		if src.HasEdge(0, 5) {
+		dst.SetEdges(6, append(dst.Edges(), [2]NodeID{0, 5}))
+		if src.HasEdge(0, 5) || src.M() != 5 {
 			t.Fatal("CloneInto aliases the source rows")
 		}
 	}
@@ -394,13 +396,7 @@ func TestPowerIntoMatchesPower(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		n := 2 + rng.Intn(20)
 		r := 1 + rng.Intn(4)
-		g := line(n)
-		for e := 0; e < n/2; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				g.AddEdge(NodeID(u), NodeID(v))
-			}
-		}
+		g := fromEdges(n, randomEdges(rng, lineEdges(n), n, n/2)...)
 		want := g.Power(r)
 		if got := g.PowerInto(r, dst); !graphEqual(got, want) {
 			t.Fatalf("PowerInto(%d) diverged on n=%d: %v vs %v", r, n, got.Edges(), want.Edges())
@@ -415,6 +411,23 @@ func TestPowerIntoMatchesPower(t *testing.T) {
 	g.PowerInto(2, g)
 }
 
+// TestPowerRowsReusesRows pins what PowerRows' pooled scratch is for: with
+// rows kept across calls, a warm call allocates nothing.
+func TestPowerRowsReusesRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode drops sync.Pool puts at random, so the pooled scratch may allocate")
+	}
+	g := line(200)
+	var rows ForwardRows
+	g.PowerRows(3, &rows)
+	if allocs := testing.AllocsPerRun(20, func() { g.PowerRows(3, &rows) }); allocs != 0 {
+		t.Fatalf("warm PowerRows allocates %.0f times, want 0", allocs)
+	}
+	if want := 3*200 - 6; len(rows.Arcs) != want {
+		t.Fatalf("line(200)^3 has %d edges, want %d", len(rows.Arcs), want)
+	}
+}
+
 // TestEdgeSeqMatchesEdges pins the streaming iterator's contract: EdgeSeq
 // yields exactly the pairs Edges materializes, in the same lexicographic
 // order — the property the randomized builders rely on to keep their rng
@@ -423,13 +436,7 @@ func TestEdgeSeqMatchesEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(40)
-		g := New(n)
-		for k := 0; k < n*2; k++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				g.AddEdge(NodeID(u), NodeID(v))
-			}
-		}
+		g := fromEdges(n, randomEdges(rng, nil, n, 2*n)...)
 		want := g.Edges()
 		i := 0
 		for u, v := range g.EdgeSeq() {
@@ -459,39 +466,45 @@ func TestEdgeSeqEarlyBreak(t *testing.T) {
 	}
 }
 
-// TestSetForwardMatchesAddEdge pins SetForward against the pending-arc
-// build: random forward rows become, byte for byte, the CSR block AddEdge
-// and finalize produce from the same edges, on fresh and recycled storage
-// alike, and rows out of order or out of range panic.
-func TestSetForwardMatchesAddEdge(t *testing.T) {
+// TestSetForwardMatchesSetEdges pins the two entry points to one another:
+// random forward rows and the same edges handed to SetEdges reversed, in
+// shuffled order and partly repeated, give byte for byte the same CSR
+// block, on fresh and recycled storage alike, and rows out of order or out
+// of range panic.
+func TestSetForwardMatchesSetEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	recycled := New(0)
 	for _, tc := range []struct {
 		n    int
 		prob float64
 	}{{0, 0}, {1, 0}, {2, 1}, {40, 0.1}, {60, 0.5}, {30, 1}} {
-		ref := New(tc.n)
-		off := []int32{0}
-		var fwd []int32
+		var rows ForwardRows
+		rows.Reset(tc.n)
+		var edges [][2]NodeID
 		for u := 0; u < tc.n; u++ {
 			for v := u + 1; v < tc.n; v++ {
 				if rng.Float64() < tc.prob {
-					fwd = append(fwd, int32(v))
-					ref.AddEdge(NodeID(v), NodeID(u))
+					rows.Arcs = append(rows.Arcs, int32(v))
+					edges = append(edges, [2]NodeID{NodeID(v), NodeID(u)})
+					if rng.Intn(4) == 0 {
+						edges = append(edges, [2]NodeID{NodeID(u), NodeID(v)})
+					}
 				}
 			}
-			off = append(off, int32(len(fwd)))
+			rows.EndRow()
 		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		ref := fromEdges(tc.n, edges...)
 		ro, ra := ref.CSR()
 		for _, g := range []*Graph{New(0), recycled} {
-			g.SetForward(tc.n, off, fwd)
+			g.SetForward(&rows)
 			go_, ga := g.CSR()
 			if !slices.Equal(go_, ro) || !slices.Equal(ga, ra) || g.M() != ref.M() {
-				t.Fatalf("n=%d p=%g: SetForward CSR differs from the AddEdge build", tc.n, tc.prob)
+				t.Fatalf("n=%d p=%g: SetForward CSR differs from the SetEdges build", tc.n, tc.prob)
 			}
 		}
 	}
-	for name, rows := range map[string][]int32{
+	for name, arcs := range map[string][]int32{
 		"descending":   {2, 1},
 		"duplicate":    {1, 1},
 		"self":         {0},
@@ -503,7 +516,8 @@ func TestSetForwardMatchesAddEdge(t *testing.T) {
 					t.Errorf("%s forward row did not panic", name)
 				}
 			}()
-			New(0).SetForward(3, []int32{0, int32(len(rows)), int32(len(rows)), int32(len(rows))}, rows)
+			k := int32(len(arcs))
+			New(0).SetForward(&ForwardRows{Off: []int32{0, k, k, k}, Arcs: arcs})
 		}()
 	}
 }

@@ -6,7 +6,6 @@ package graph
 // against: both produce maximal independent sets; the distributed one does
 // it in O(polylog n) Fprog-rounds over the abstract MAC layer.
 func (g *Graph) GreedyMIS() []NodeID {
-	g.finalize()
 	blocked := make([]bool, g.n)
 	var mis []NodeID
 	for u := 0; u < g.n; u++ {
@@ -25,28 +24,29 @@ func (g *Graph) GreedyMIS() []NodeID {
 // Overlay returns the overlay graph H = (set, E_set) of Section 4.4: the
 // graph over the given node subset with an edge between two members
 // whenever their hop distance in g is at most maxDist (the paper uses
-// maxDist = 3 over an MIS). Node i of the result corresponds to set[i];
-// the mapping is returned alongside.
+// maxDist = 3 over an MIS). Node i of the result is the i-th smallest
+// member of set; that mapping, the set sorted, is returned alongside.
 func (g *Graph) Overlay(set []NodeID, maxDist int) (*Graph, []NodeID) {
-	g.finalize()
 	idx := make(map[NodeID]int, len(set))
 	members := append([]NodeID(nil), set...)
 	sortNodeIDs(members)
 	for i, v := range members {
 		idx[v] = i
 	}
-	h := New(len(members))
+	var edges [][2]NodeID
 	for i, v := range members {
 		dist := g.boundedBFS(v, maxDist)
-		//lint:mapiter AddEdge order is invisible: finalize sorts and dedups the CSR arc array, so the built graph is identical for any visit order
+		//lint:mapiter the visit order is invisible: SetEdges sorts the edge list and drops repeats, so the graph is the same for any order
 		for u, d := range dist {
 			j, ok := idx[u]
 			if !ok || j == i || d > maxDist {
 				continue
 			}
-			h.AddEdge(NodeID(i), NodeID(j))
+			edges = append(edges, [2]NodeID{NodeID(i), NodeID(j)})
 		}
 	}
+	h := new(Graph)
+	h.SetEdges(len(members), edges)
 	return h, members
 }
 

@@ -28,13 +28,7 @@ func TestGreedyMISProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(40)
-		g := New(n)
-		for e := 0; e < 2*n; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				g.AddEdge(NodeID(u), NodeID(v))
-			}
-		}
+		g := fromEdges(n, randomEdges(rng, nil, n, 2*n)...)
 		return g.IsMaximalIndependent(g.GreedyMIS())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -72,13 +66,7 @@ func TestOverlayMISConnectivityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(30)
-		g := line(n) // connected spine
-		for e := 0; e < n/2; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				g.AddEdge(NodeID(u), NodeID(v))
-			}
-		}
+		g := fromEdges(n, randomEdges(rng, lineEdges(n), n, n/2)...) // a line: connected spine
 		mis := g.GreedyMIS()
 		h, _ := g.Overlay(mis, 3)
 		if !h.IsConnected() {

@@ -153,14 +153,11 @@ func LargeNGrid(o Options) *Table {
 // amacbench run, so the benchdiff gate catches sharded-path throughput and
 // allocation regressions exactly like serial ones. The "1==P" column is
 // the correctness half: the decomposed execution must be byte-identical
-// between one worker and Options.Shards workers (it is a pure function of
-// the configuration), and a mismatch renders VIOLATED.
+// between one worker and runtime.NumCPU() workers (it is a pure function
+// of the configuration), and a mismatch renders VIOLATED.
 func LargeNSharded(o Options) *Table {
 	o = o.withDefaults()
-	shards := o.Shards
-	if shards == 0 {
-		shards = runtime.NumCPU()
-	}
+	shards := runtime.NumCPU()
 	const pods = 8
 	sizes := []int{2000, 8000}
 	if o.Quick {

@@ -28,13 +28,6 @@ type Options struct {
 	// are reduced in index order, so rendered tables are byte-identical at
 	// any Parallelism.
 	Parallelism int
-	// Shards is the worker count experiments with a sharded leg pass to
-	// the decomposed executor (amacbench -shards); zero selects
-	// runtime.NumCPU(). Decomposed executions are pure functions of their
-	// configuration, so every measured column is identical at any value;
-	// only the informational shards column (which worker count ran)
-	// reflects the setting.
-	Shards int
 	// Sweeper overrides how RunSweep executes an experiment's spec grid:
 	// nil runs in-process via scenario.SweepWithOptions; amacbench
 	// -server installs a jobs client here so experiments run on an amacd

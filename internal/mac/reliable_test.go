@@ -30,15 +30,17 @@ func randomDual(rng *rand.Rand) *topology.Dual {
 // randomGraph returns an Erdős–Rényi graph on n nodes with a random edge
 // probability.
 func randomGraph(rng *rand.Rand, n int) *graph.Graph {
-	g := graph.New(n)
+	var edges [][2]graph.NodeID
 	p := rng.Float64() / 2
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Float64() < p {
-				g.AddEdge(graph.NodeID(u), graph.NodeID(v))
+				edges = append(edges, [2]graph.NodeID{graph.NodeID(u), graph.NodeID(v)})
 			}
 		}
 	}
+	g := new(graph.Graph)
+	g.SetEdges(n, edges)
 	return g
 }
 

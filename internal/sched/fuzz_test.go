@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"amac/internal/check"
+	"amac/internal/graph"
 	"amac/internal/mac"
 	"amac/internal/sched"
 	"amac/internal/sim"
@@ -60,13 +61,7 @@ func TestSchedulerFuzz(t *testing.T) {
 		// Random connected base graph: a line plus random chords, with a
 		// random r-restricted G'.
 		n := 5 + rng.Intn(15)
-		base := topology.Line(n).G
-		for e := 0; e < n/2; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				base.AddEdge(mac.NodeID(u), mac.NodeID(v))
-			}
-		}
+		base := lineWithChords(rng, n)
 		r := 1 + rng.Intn(4)
 		d := topology.RRestricted(base, r, rng.Float64(), rng, "fuzz")
 		for bi, mk := range builders {
@@ -102,13 +97,7 @@ func TestSlotFuzz(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed + 100))
 		n := 4 + rng.Intn(12)
-		base := topology.Line(n).G
-		for e := 0; e < n/2; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				base.AddEdge(mac.NodeID(u), mac.NodeID(v))
-			}
-		}
+		base := lineWithChords(rng, n)
 		d := topology.RRestricted(base, 2, 0.5, rng, "slot-fuzz")
 		autos := make([]mac.Automaton, n)
 		for i := range autos {
@@ -132,4 +121,18 @@ func TestSlotFuzz(t *testing.T) {
 			t.Fatalf("seed %d on n=%d: %v", seed, n, rep.Violations[0])
 		}
 	}
+}
+
+// lineWithChords returns an n-node line plus n/2 random chords drawn from
+// rng, self-pairs skipped: a random connected base graph.
+func lineWithChords(rng *rand.Rand, n int) *graph.Graph {
+	edges := topology.Line(n).G.Edges()
+	for e := 0; e < n/2; e++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			edges = append(edges, [2]mac.NodeID{mac.NodeID(u), mac.NodeID(v)})
+		}
+	}
+	g := new(graph.Graph)
+	g.SetEdges(n, edges)
+	return g
 }

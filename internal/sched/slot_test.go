@@ -185,8 +185,8 @@ func TestSlotGreyZoneDelivery(t *testing.T) {
 // greyPair builds two nodes joined only by an unreliable edge.
 func greyPair() *topology.Dual {
 	g := graph.New(2)
-	gp := graph.New(2)
-	gp.AddEdge(0, 1)
+	gp := new(graph.Graph)
+	gp.SetEdges(2, [][2]graph.NodeID{{0, 1}})
 	return &topology.Dual{G: g, GPrime: gp, Name: "grey-pair"}
 }
 

@@ -101,16 +101,36 @@ func Reliable(g *graph.Graph, name string) *Dual {
 
 // Line returns a path of n nodes with G′ = G. Its diameter is n−1.
 func Line(n int) *Dual {
-	return Reliable(lineInto(nil, n), fmt.Sprintf("line(n=%d)", n))
+	return Reliable(linesInto(nil, n, 1), fmt.Sprintf("line(n=%d)", n))
 }
 
-// lineInto builds the n-node path graph into ws storage — the one source of
-// truth for every line-shaped G (Line, LineRRestrictedInto, noisy-line).
-func lineInto(ws *Workspace, n int) *graph.Graph {
-	g := ws.Graph(n)
-	for i := 0; i < n-1; i++ {
-		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
+// linesInto builds k disjoint paths covering n nodes into ws storage, path
+// i on the contiguous range [i·n/k, (i+1)·n/k): the one source of truth for
+// every line-shaped G (Line, LineRRestrictedInto, noisy-line with k = 1, the
+// pods with k > 1). It writes each node's forward row, its successor on its
+// path if it has one.
+func linesInto(ws *Workspace, n, k int) *graph.Graph {
+	rows, _ := ws.forwardRows()
+	rows.Reset(n)
+	for i := 0; i < k; i++ {
+		hi := (i + 1) * n / k
+		for v := i * n / k; v < hi; v++ {
+			if v+1 < hi {
+				rows.Arcs = append(rows.Arcs, int32(v+1))
+			}
+			rows.EndRow()
+		}
 	}
+	g := ws.Graph(n)
+	g.SetForward(rows)
+	return g
+}
+
+// fromEdges returns a new n-node graph with the given edges (see
+// graph.SetEdges).
+func fromEdges(n int, edges [][2]graph.NodeID) *graph.Graph {
+	g := new(graph.Graph)
+	g.SetEdges(n, edges)
 	return g
 }
 
@@ -119,11 +139,11 @@ func Ring(n int) *Dual {
 	if n < 3 {
 		panic("topology: ring needs at least 3 nodes")
 	}
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		g.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n))
+	edges := make([][2]graph.NodeID, n)
+	for i := range edges {
+		edges[i] = [2]graph.NodeID{graph.NodeID(i), graph.NodeID((i + 1) % n)}
 	}
-	return Reliable(g, fmt.Sprintf("ring(n=%d)", n))
+	return Reliable(fromEdges(n, edges), fmt.Sprintf("ring(n=%d)", n))
 }
 
 // Star returns a star with center node 0 and n−1 leaves, G′ = G.
@@ -131,11 +151,11 @@ func Star(n int) *Dual {
 	if n < 2 {
 		panic("topology: star needs at least 2 nodes")
 	}
-	g := graph.New(n)
-	for i := 1; i < n; i++ {
-		g.AddEdge(0, graph.NodeID(i))
+	edges := make([][2]graph.NodeID, n-1)
+	for i := range edges {
+		edges[i] = [2]graph.NodeID{0, graph.NodeID(i + 1)}
 	}
-	return Reliable(g, fmt.Sprintf("star(n=%d)", n))
+	return Reliable(fromEdges(n, edges), fmt.Sprintf("star(n=%d)", n))
 }
 
 // Grid returns a rows×cols 4-neighbor grid with G′ = G, embedded at unit
@@ -154,11 +174,11 @@ func Grid(rows, cols int) *Dual {
 // CompleteBinaryTree returns a complete binary tree with n nodes (node i's
 // children are 2i+1 and 2i+2), G′ = G.
 func CompleteBinaryTree(n int) *Dual {
-	g := graph.New(n)
-	for i := 1; i < n; i++ {
-		g.AddEdge(graph.NodeID(i), graph.NodeID((i-1)/2))
+	edges := make([][2]graph.NodeID, max(n-1, 0))
+	for i := range edges {
+		edges[i] = [2]graph.NodeID{graph.NodeID(i + 1), graph.NodeID(i / 2)}
 	}
-	return Reliable(g, fmt.Sprintf("tree(n=%d)", n))
+	return Reliable(fromEdges(n, edges), fmt.Sprintf("tree(n=%d)", n))
 }
 
 // RRestricted builds an r-restricted dual from g: G′ starts as a copy of G
@@ -168,24 +188,33 @@ func RRestricted(g *graph.Graph, r int, p float64, rng *rand.Rand, name string) 
 	return RRestrictedInto(nil, g, r, p, rng, name)
 }
 
-// RRestrictedInto is RRestricted emitting G′ (and the Gʳ scratch) into ws
-// storage; a nil ws allocates fresh. The candidate edges are streamed off
-// the Gʳ scratch's CSR rows (graph.EdgeSeq) in the same lexicographic
-// order the materialized Edges slice was walked in, so the rng is drawn
-// exactly as RRestricted always has and equal seeds yield equal duals on
-// both paths — without the [][2]NodeID intermediate, which at n=10⁵ was
-// the largest single allocation of a build.
+// RRestrictedInto is RRestricted emitting G′ into ws storage, with Gʳ's
+// forward rows (graph.PowerRows) and G′'s in the workspace's row scratch; a
+// nil ws allocates fresh. It walks Gʳ's rows in (u, v) order with G's row
+// alongside: a G edge is kept, and every other candidate draws
+// rng.Float64() < p (no draw when p ≥ 1), so the rng is drawn in the order
+// RRestricted always has, and each kept v lands in G′'s forward row of u in
+// ascending order.
 func RRestrictedInto(ws *Workspace, g *graph.Graph, r int, p float64, rng *rand.Rand, name string) *Dual {
-	gp := g.CloneInto(ws.Graph(g.N()))
-	power := g.PowerInto(r, ws.Graph(g.N()))
-	for u, v := range power.EdgeSeq() {
-		if g.HasEdge(u, v) {
-			continue
+	n := g.N()
+	rows, power := ws.forwardRows()
+	g.PowerRows(r, power)
+	off, arcs := g.CSR()
+	rows.Reset(n)
+	for u := 0; u < n; u++ {
+		reliable, i := arcs[off[u]:off[u+1]], 0
+		for _, v := range power.Arcs[power.Off[u]:power.Off[u+1]] {
+			for i < len(reliable) && reliable[i] < graph.NodeID(v) {
+				i++
+			}
+			if i < len(reliable) && reliable[i] == graph.NodeID(v) || p >= 1 || rng.Float64() < p {
+				rows.Arcs = append(rows.Arcs, v)
+			}
 		}
-		if p >= 1 || rng.Float64() < p {
-			gp.AddEdge(u, v)
-		}
+		rows.EndRow()
 	}
+	gp := ws.Graph(n)
+	gp.SetForward(rows)
 	return &Dual{G: g, GPrime: gp, Name: name}
 }
 
@@ -199,14 +228,7 @@ func PodsRRestrictedInto(ws *Workspace, n, k, r int, p float64, rng *rand.Rand) 
 	if k < 1 || k > n {
 		panic("topology: pods needs 1 <= k <= n")
 	}
-	g := ws.Graph(n)
-	for i := 0; i < k; i++ {
-		lo, hi := i*n/k, (i+1)*n/k
-		for v := lo; v < hi-1; v++ {
-			g.AddEdge(graph.NodeID(v), graph.NodeID(v+1))
-		}
-	}
-	return RRestrictedInto(ws, g, r, p, rng,
+	return RRestrictedInto(ws, linesInto(ws, n, k), r, p, rng,
 		fmt.Sprintf("pods(n=%d,k=%d,r=%d,p=%.2f)", n, k, r, p))
 }
 
@@ -219,7 +241,7 @@ func LineRRestricted(n, r int, p float64, rng *rand.Rand) *Dual {
 
 // LineRRestrictedInto is LineRRestricted built from ws storage.
 func LineRRestrictedInto(ws *Workspace, n, r int, p float64, rng *rand.Rand) *Dual {
-	return RRestrictedInto(ws, lineInto(ws, n), r, p, rng,
+	return RRestrictedInto(ws, linesInto(ws, n, 1), r, p, rng,
 		fmt.Sprintf("line-rrestricted(n=%d,r=%d,p=%.2f)", n, r, p))
 }
 
@@ -230,20 +252,33 @@ func ArbitraryNoise(g *graph.Graph, extra int, rng *rand.Rand, name string) *Dua
 	return ArbitraryNoiseInto(nil, g, extra, rng, name)
 }
 
-// ArbitraryNoiseInto is ArbitraryNoise emitting G′ into ws storage.
+// ArbitraryNoiseInto is ArbitraryNoise emitting G′ into ws storage. A drawn
+// pair is accepted unless it is a self-pair, a G edge or already accepted;
+// G′ is G's edges plus the accepted pairs: ws keeps the edge list and the
+// set of accepted pairs, and turns the list into forward rows in its row
+// scratch (graph.ForwardRows.SetEdges).
 func ArbitraryNoiseInto(ws *Workspace, g *graph.Graph, extra int, rng *rand.Rand, name string) *Dual {
-	gp := g.CloneInto(ws.Graph(g.N()))
 	n := g.N()
+	s := ws.noise()
+	for u, v := range g.EdgeSeq() {
+		s.edges = append(s.edges, [2]graph.NodeID{u, v})
+	}
 	added := 0
 	for tries := 0; added < extra && tries < 50*extra+100; tries++ {
 		u := graph.NodeID(rng.Intn(n))
 		v := graph.NodeID(rng.Intn(n))
-		if u == v || gp.HasEdge(u, v) {
+		pair := [2]graph.NodeID{min(u, v), max(u, v)}
+		if u == v || g.HasEdge(u, v) || s.accepted[pair] {
 			continue
 		}
-		gp.AddEdge(u, v)
+		s.accepted[pair] = true
+		s.edges = append(s.edges, pair)
 		added++
 	}
+	rows, _ := ws.forwardRows()
+	rows.SetEdges(n, s.edges)
+	gp := ws.Graph(n)
+	gp.SetForward(rows)
 	return &Dual{G: g, GPrime: gp, Name: name}
 }
 

@@ -52,16 +52,19 @@ func NewParallelLinesCInto(ws *Workspace, d int) *ParallelLinesC {
 	}
 	const dy = 1.05
 	embed := geom.TwoLines(d, 1.0, dy)
+	var edges [][2]graph.NodeID
+	for i := 0; i < d-1; i++ {
+		a, b := graph.NodeID(i), graph.NodeID(d+i)
+		edges = append(edges, [2]graph.NodeID{a, a + 1}, [2]graph.NodeID{b, b + 1}) // lines A and B
+	}
 	g := ws.Graph(2 * d)
+	g.SetEdges(2*d, edges)
 	for i := 0; i < d-1; i++ {
-		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))     // line A
-		g.AddEdge(graph.NodeID(d+i), graph.NodeID(d+i+1)) // line B
+		a, b := graph.NodeID(i), graph.NodeID(d+i)
+		edges = append(edges, [2]graph.NodeID{a, b + 1}, [2]graph.NodeID{b, a + 1}) // a_i — b_{i+1}, b_i — a_{i+1}
 	}
-	gp := g.CloneInto(ws.Graph(2 * d))
-	for i := 0; i < d-1; i++ {
-		gp.AddEdge(graph.NodeID(i), graph.NodeID(d+i+1)) // a_i — b_{i+1}
-		gp.AddEdge(graph.NodeID(d+i), graph.NodeID(i+1)) // b_i — a_{i+1}
-	}
+	gp := ws.Graph(2 * d)
+	gp.SetEdges(2*d, edges)
 	return &ParallelLinesC{
 		Dual: &Dual{
 			G:      g,
@@ -114,12 +117,12 @@ func NewStarChoke(k int) *StarChoke {
 	if k < 2 {
 		panic("topology: star choke needs k >= 2")
 	}
-	g := graph.New(k + 1)
 	hub := graph.NodeID(k - 1)
+	edges := [][2]graph.NodeID{{hub, graph.NodeID(k)}}
 	for i := 0; i < k-1; i++ {
-		g.AddEdge(graph.NodeID(i), hub)
+		edges = append(edges, [2]graph.NodeID{graph.NodeID(i), hub})
 	}
-	g.AddEdge(hub, graph.NodeID(k))
+	g := fromEdges(k+1, edges)
 	return &StarChoke{
 		Dual: &Dual{
 			G:      g,

@@ -180,11 +180,12 @@ func BuildSeeded(name string, p Params, seed int64) (*Built, error) {
 	return BuildInto(name, p, seed, nil)
 }
 
-// BuildInto is BuildSeeded emitting into ws scratch (see Workspace): graphs
-// and embeddings of the previous build on the same workspace are recycled,
-// so per-trial topology draws of a sweep stop paying construction
-// allocations. A nil ws allocates fresh; the built network is byte-identical
-// either way.
+// BuildInto is BuildSeeded emitting into ws scratch (see Workspace): graphs,
+// embeddings and build scratch of the previous build on the same workspace
+// are recycled, so per-trial topology draws of a sweep stop paying
+// construction allocations. A nil ws allocates fresh; the built network is
+// byte-identical either way. Every graph of the network is finished when
+// BuildInto returns, so parallel trial workers may read it at once.
 func BuildInto(name string, p Params, seed int64, ws *Workspace) (*Built, error) {
 	if err := ValidateSpec(name, p); err != nil {
 		return nil, err
@@ -193,15 +194,7 @@ func BuildInto(name string, p Params, seed int64, ws *Workspace) (*Built, error)
 		seed = p.Int64("seed", 1)
 	}
 	ws.begin()
-	b, err := registry[name].builder(p, seed, ws)
-	if b != nil && b.Dual != nil {
-		// Compact any pending arcs into the CSR blocks before the network
-		// escapes the builder: built graphs are shared read-only across
-		// parallel trial workers, which must never race a lazy compaction.
-		b.Dual.G.Finalize()
-		b.Dual.GPrime.Finalize()
-	}
-	return b, err
+	return registry[name].builder(p, seed, ws)
 }
 
 func sortedKeys(m map[string]bool) []string {
@@ -320,7 +313,7 @@ func init() {
 			return nil, fmt.Errorf("topology: noisy-line needs n >= 1, got %d", n)
 		}
 		extra := p.Int("extra", n)
-		return &Built{Dual: ArbitraryNoiseInto(ws, lineInto(ws, n), extra, ws.Rand(seed),
+		return &Built{Dual: ArbitraryNoiseInto(ws, linesInto(ws, n, 1), extra, ws.Rand(seed),
 			fmt.Sprintf("line+%d-wild-edges", extra))}, nil
 	})
 	Register("grid-crosstalk", []string{"rows", "cols", "n", "r", "p", "seed"}, func(p Params, seed int64, ws *Workspace) (*Built, error) {

@@ -9,7 +9,9 @@ import (
 
 // Workspace is reusable construction scratch for the registry's builders:
 // a pool of resettable graphs, a point-embedding buffer, a reseedable
-// random stream and the geometric builders' scan scratch. BuildInto
+// random stream, the geometric builders' scan scratch, two sets of forward
+// rows (graph.ForwardRows) for the line, pods and r-restricted builders,
+// and the edge list and pair set of the arbitrary-noise builder. BuildInto
 // threads one through a builder so repeated builds — the per-trial
 // topology draws of an unpinned scenario sweep — emit into recycled
 // storage instead of fresh allocations.
@@ -26,6 +28,15 @@ type Workspace struct {
 	points  geom.Embedding
 	rng     *rand.Rand
 	scratch *geom.Scratch
+	rows    [2]graph.ForwardRows
+	extras  noiseScratch
+}
+
+// noiseScratch is ArbitraryNoiseInto's storage: G′'s edge list and the set
+// of extra pairs accepted so far.
+type noiseScratch struct {
+	edges    [][2]graph.NodeID
+	accepted map[[2]graph.NodeID]bool
 }
 
 // NewWorkspace returns an empty workspace; storage is grown on first use and
@@ -101,6 +112,31 @@ func (ws *Workspace) Scratch() *geom.Scratch {
 		ws.scratch = new(geom.Scratch)
 	}
 	return ws.scratch
+}
+
+// forwardRows returns the workspace's two sets of forward rows, or fresh
+// ones with a nil receiver. A builder fills and consumes them within one
+// call (the next builder resets them).
+func (ws *Workspace) forwardRows() (a, b *graph.ForwardRows) {
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	return &ws.rows[0], &ws.rows[1]
+}
+
+// noise returns the workspace's arbitrary-noise scratch emptied, or a fresh
+// one with a nil receiver.
+func (ws *Workspace) noise() *noiseScratch {
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	s := &ws.extras
+	s.edges = s.edges[:0]
+	if s.accepted == nil {
+		s.accepted = make(map[[2]graph.NodeID]bool)
+	}
+	clear(s.accepted)
+	return s
 }
 
 // Rand returns the workspace's random stream reseeded to seed — the exact
