@@ -509,9 +509,10 @@ func (r *Runner) run(cfg RunConfig, workload *Workload) (*Result, error) {
 		// FMMB's polylog terms on small networks, shifted by the last
 		// arrival for online workloads. The diameter is sampled above
 		// graph.ExactDiameterCutoff (exact — and identical — below it):
-		// the all-sources exact computation is quadratic and would
-		// dominate setup on 10^5-node networks, and the double-sweep
-		// estimate is a lower bound whose slack the 4x headroom absorbs.
+		// the exact bit-parallel BFS costs O(n·m) once D reaches 63, as on
+		// the 10^5-node networks, where it would dominate setup, and the
+		// double-sweep estimate is a lower bound whose slack the 4x
+		// headroom absorbs.
 		d := cfg.Dual.G.SampledDiameter()
 		cfg.Horizon = cfg.Workload.MaxAt() +
 			sim.Time(4*(d+1)*(k+1))*cfg.Fack + 4096*cfg.Fprog

@@ -16,9 +16,15 @@ const Unreachable = -1
 // pooled scratch is exclusively owned between get and put. Connectivity
 // probes run once per rejected draw inside the random-topology builders, so
 // steady-state sweeps must not pay an allocation here.
+//
+// Diameter's bit-parallel BFS also keeps three words per node in words
+// (seen, front and next) and a second frontier list in spare, grown on
+// its first call at a size, so the other queries do not carry them.
 type bfsScratch struct {
 	dist  []int
 	queue []NodeID
+	words []uint64
+	spare []NodeID
 }
 
 var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
@@ -112,6 +118,12 @@ func (g *Graph) Eccentricity(src NodeID) int {
 // of the same network for every execution); the memo is lock-guarded
 // because finished graphs are shared read-only across parallel harness
 // workers.
+//
+// It is the 64-source bit-parallel BFS of Then et al., "The More the
+// Merrier" (VLDB 2015): ⌈n/64⌉ passes instead of n, with one word per node
+// standing for a batch of sources. A node joins a pass's frontier at most
+// once per source, the bound of a per-source BFS, and once for many sources
+// wherever their waves travel together.
 func (g *Graph) Diameter() int {
 	g.diamMu.Lock()
 	defer g.diamMu.Unlock()
@@ -119,20 +131,65 @@ func (g *Graph) Diameter() int {
 		return g.diam
 	}
 	s := getScratch(g.n)
-	resetDist(s.dist)
-	max := 0
-	for u := 0; u < g.n; u++ {
-		s.queue = g.bfsInto(NodeID(u), s.dist, s.queue)
-		for _, v := range s.queue {
-			if d := s.dist[v]; d > max {
-				max = d
+	d := g.bitParallelDiameter(s)
+	putScratch(s)
+	g.diam, g.diamOK = d, true
+	return d
+}
+
+// bitParallelDiameter runs the sources in batches of 64 consecutive ids, bit
+// i of a node's words standing for source b+i: seen holds the sources that
+// have reached the node, front those that reached it at the current level.
+// A level pushes each frontier node's front word to its neighbours, masked
+// by their seen words, and lists the nodes that gained bits as the next
+// frontier, whose gains sit in next. A source reaches a node exactly at
+// their distance, so the deepest level any batch reaches is the largest
+// eccentricity.
+func (g *Graph) bitParallelDiameter(s *bfsScratch) int {
+	n := g.n
+	if cap(s.words) < 3*n {
+		s.words = make([]uint64, 3*n)
+	}
+	if cap(s.spare) < n {
+		s.spare = make([]NodeID, 0, n)
+	}
+	seen, front, next := s.words[:n], s.words[n:2*n], s.words[2*n:3*n]
+	// front and next start zero and are zero again after every batch: a
+	// level clears the front words it reads, and a batch's last level lists
+	// no gains.
+	clear(front)
+	clear(next)
+	off, arcs := g.off, g.arcs
+	cur, nxt := s.queue[:0], s.spare[:0]
+	diam := 0
+	for b := 0; b < n; b += 64 {
+		clear(seen)
+		for i := 0; i < 64 && b+i < n; i++ {
+			seen[b+i] = 1 << i
+			front[b+i] = 1 << i
+			cur = append(cur, NodeID(b+i))
+		}
+		for level := 0; len(cur) > 0; level++ {
+			diam = max(diam, level)
+			for _, u := range cur {
+				f := front[u]
+				front[u] = 0
+				for _, v := range arcs[off[u]:off[u+1]] {
+					if add := f &^ seen[v]; add != 0 {
+						if next[v] == 0 {
+							nxt = append(nxt, v)
+						}
+						next[v] |= add
+						seen[v] |= add
+					}
+				}
 			}
-			s.dist[v] = Unreachable // restore for the next source
+			cur, nxt = nxt, cur[:0]
+			front, next = next, front
 		}
 	}
-	putScratch(s)
-	g.diam, g.diamOK = max, true
-	return max
+	s.queue, s.spare = cur, nxt
+	return diam
 }
 
 // Components returns the connected components as slices of node IDs, each

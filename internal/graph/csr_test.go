@@ -196,20 +196,20 @@ func checkAgainstRef(t *testing.T, g *Graph, r *refGraph, rng *rand.Rand) {
 	}
 }
 
-// maxFuzzNodes caps a fuzz input's node count, so the reference's
-// all-sources diameter stays fast.
+// maxFuzzNodes caps FuzzCSRMatchesReference's node count, so the
+// reference's all-sources diameter stays fast.
 const maxFuzzNodes = 64
 
 // decodeEdges reads a fuzz input as an edge list: byte 0 picks n in
-// [0, maxFuzzNodes], and each following byte pair (a, b) is the edge
+// [0, maxN], and each following byte pair (a, b) is the edge
 // (a mod n, b mod n), self-pairs skipped. Repeats, both orientations of one
 // edge, hub rows and rows listed in descending order all come through as
 // they are, for SetEdges to merge.
-func decodeEdges(data []byte) (int, [][2]NodeID) {
+func decodeEdges(data []byte, maxN int) (int, [][2]NodeID) {
 	if len(data) == 0 {
 		return 0, nil
 	}
-	n := int(data[0]) % (maxFuzzNodes + 1)
+	n := int(data[0]) % (maxN + 1)
 	var edges [][2]NodeID
 	for i := 1; i+1 < len(data) && n > 1; i += 2 {
 		if u, v := NodeID(int(data[i])%n), NodeID(int(data[i+1])%n); u != v {
@@ -228,7 +228,7 @@ func decodeEdges(data []byte) (int, [][2]NodeID) {
 func FuzzCSRMatchesReference(f *testing.F) {
 	recycled := New(0)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, edges := decodeEdges(data)
+		n, edges := decodeEdges(data, maxFuzzNodes)
 		r := newRef(n)
 		for _, e := range edges {
 			r.addEdge(e[0], e[1])
@@ -428,16 +428,23 @@ func TestSampledDiameter(t *testing.T) {
 // TestBFSQueriesAllocationFree pins the pooled-scratch contract: once the
 // BFS pool is warm, the distance/connectivity/eccentricity queries the
 // builders and runners issue per trial must not allocate. A regression here
-// puts an O(n) allocation back into every rejected topology draw.
+// puts an O(n) allocation back into every rejected topology draw. The exact
+// diameter, which every trial's horizon reads below ExactDiameterCutoff, is
+// held to the same bound on a graph rebuilt from kept rows each run, so the
+// memo never answers.
 func TestBFSQueriesAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode drops sync.Pool puts at random, so the pooled scratch may allocate")
 	}
 	g := line(512)
+	rebuilt, rows := new(Graph), forwardRows(randomGeometric(300, 6, 3))
+	rebuilt.SetForward(rows)
+	want := refDiameter(rebuilt)
 	// Warm the pool and each query's internal state.
 	g.Dist(0, 511)
 	g.Eccentricity(5)
 	g.IsConnected()
+	rebuilt.Diameter()
 
 	allocs := testing.AllocsPerRun(20, func() {
 		if g.Dist(0, 511) != 511 {
@@ -448,6 +455,10 @@ func TestBFSQueriesAllocationFree(t *testing.T) {
 		}
 		if !g.IsConnected() {
 			t.Fatal("line disconnected")
+		}
+		rebuilt.SetForward(rows)
+		if d := rebuilt.Diameter(); d != want {
+			t.Fatalf("Diameter = %d, want %d", d, want)
 		}
 	})
 	if allocs != 0 {

@@ -90,9 +90,6 @@ func (d *Dual) Restriction() int {
 	return r
 }
 
-// Diameter returns the diameter D of the reliable graph G.
-func (d *Dual) Diameter() int { return d.G.Diameter() }
-
 // Reliable wraps a graph as the dual with G′ = G (the no-unreliability
 // regime of [30]).
 func Reliable(g *graph.Graph, name string) *Dual {

@@ -13,8 +13,8 @@ func TestLineDual(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Diameter() != 9 {
-		t.Fatalf("Diameter = %d, want 9", d.Diameter())
+	if d.G.Diameter() != 9 {
+		t.Fatalf("Diameter = %d, want 9", d.G.Diameter())
 	}
 	if len(d.UnreliableEdges()) != 0 {
 		t.Fatal("reliable dual has unreliable edges")
@@ -28,18 +28,18 @@ func TestLineDual(t *testing.T) {
 }
 
 func TestRingStarTreeGrid(t *testing.T) {
-	if d := Ring(8); d.Diameter() != 4 || d.Validate() != nil {
-		t.Fatalf("ring: D=%d err=%v", d.Diameter(), d.Validate())
+	if d := Ring(8); d.G.Diameter() != 4 || d.Validate() != nil {
+		t.Fatalf("ring: D=%d err=%v", d.G.Diameter(), d.Validate())
 	}
-	if d := Star(9); d.Diameter() != 2 || d.G.Degree(0) != 8 {
-		t.Fatalf("star: D=%d deg=%d", d.Diameter(), d.G.Degree(0))
+	if d := Star(9); d.G.Diameter() != 2 || d.G.Degree(0) != 8 {
+		t.Fatalf("star: D=%d deg=%d", d.G.Diameter(), d.G.Degree(0))
 	}
 	if d := CompleteBinaryTree(15); !d.G.IsConnected() || d.G.M() != 14 {
 		t.Fatalf("tree: connected=%v M=%d", d.G.IsConnected(), d.G.M())
 	}
 	g := Grid(4, 5)
-	if g.N() != 20 || g.Diameter() != 3+4 {
-		t.Fatalf("grid: n=%d D=%d", g.N(), g.Diameter())
+	if g.N() != 20 || g.G.Diameter() != 3+4 {
+		t.Fatalf("grid: n=%d D=%d", g.N(), g.G.Diameter())
 	}
 	if g.Embed == nil {
 		t.Fatal("grid should carry its embedding")
