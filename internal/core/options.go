@@ -14,9 +14,11 @@ const (
 	// TraceMemory (the default) keeps the full trace in memory on
 	// Result.Trace.
 	TraceMemory TraceMode = iota
-	// TraceStream appends every event to RunOptions.Sink as it happens and
-	// keeps nothing in memory — the path for networks whose trace cannot be
-	// held in RAM (pair with a sim.TraceWriter).
+	// TraceStream appends every event to RunOptions.Sink and keeps no
+	// trace on the Result — the path for networks whose trace cannot be
+	// held in RAM (pair with a sim.TraceWriter). The single-engine
+	// executor appends each event as it happens; the decomposed executor
+	// holds its components' events, 40 bytes each, until its merge.
 	TraceStream
 	// TraceOff disables trace recording entirely — the throughput fast
 	// path: the engine builds no MAC-level event (bcast, rcv, ack, abort),

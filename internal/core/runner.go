@@ -195,10 +195,11 @@ func Run(cfg RunConfig) (*Result, error) {
 }
 
 // Runner executes repeated MMB configurations on one pinned network with
-// warm state, all reused across Run calls: the component index of G and
-// one slot per worker (see slot). Slot 0 runs single-engine executions;
-// sharded worker w runs on slot w, so the sharded executor is as warm as
-// the single-engine one. Every execution runs on a Runner — core.Run builds
+// warm state, all reused across Run calls: the component index of G, one
+// slot per worker (see slot) and the sharded executor's trace recorders
+// (see recorder). Slot 0 runs single-engine executions; sharded worker w
+// runs on slot w, so the sharded executor is as warm as the single-engine
+// one. Every execution runs on a Runner — core.Run builds
 // a one-shot one. The first Run fills the pools; subsequent runs skip
 // engine and fleet-scaffolding allocation entirely. Executions are
 // byte-identical on fresh and warm runners at equal configuration — the
@@ -226,10 +227,15 @@ type Runner struct {
 	gpCompOf   []int
 	gpCompSize []int
 	gpQueue    []graph.NodeID
+	// recs holds one trace recorder per G′ component of the sharded
+	// executor, and blocks the record blocks they draw, both kept across
+	// runs (see recorder).
+	recs   []recorder
+	blocks blockPool
 }
 
 // slot is one worker's warm run state: the arena its engines are acquired
-// from, the in-memory trace buffer its runs record into, and the
+// from, the in-memory trace buffer single-engine runs record into, and the
 // completion-watcher state with its watcher bound once, so arming a run
 // allocates no closure.
 type slot struct {
@@ -543,6 +549,7 @@ func (r *Runner) run(cfg RunConfig, workload *Workload) (*Result, error) {
 		required += r.compSizes[r.compOf[ar.Msg.Origin]]
 	}
 	s := r.slots[0]
+	s.trace.Reset()
 	var sink sim.TraceSink
 	switch cfg.Options.Trace {
 	case TraceMemory:
@@ -564,7 +571,6 @@ func (r *Runner) run(cfg RunConfig, workload *Workload) (*Result, error) {
 // slot's own trace, a caller's stream, or nil for none; Check reads only
 // the engine's instances. The Result's Engine is the slot's pooled engine.
 func (s *slot) run(cfg RunConfig, scheduler mac.Scheduler, sink sim.TraceSink, nodes []mac.NodeID, arrivals []Arrival, required int, compOf []int) *Result {
-	s.trace.Reset()
 	eng := mac.NewEngine(mac.Config{
 		Dual:      cfg.Dual,
 		Fack:      cfg.Fack,

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"sync"
+
 	"amac/internal/check"
 	"amac/internal/mac"
 	"amac/internal/par"
@@ -58,18 +62,25 @@ func (r *Runner) runSharded(cfg RunConfig, gpOf, gpSizes []int) *Result {
 	}
 
 	// Worker w runs its components one after another on slot w. The slots
-	// are grown here, before any worker starts: growing them inside a
-	// worker would race.
+	// and recorders are grown here, before any worker starts: growing them
+	// inside a worker would race. Every recorder is reset here too, so a
+	// component skipped below, or one left over from a larger network,
+	// contributes nothing to the merge.
 	workers := par.Workers(cfg.Options.Shards, nComps)
 	for len(r.slots) < workers {
 		r.slots = append(r.slots, newSlot(r.dual))
 	}
+	for len(r.recs) < nComps {
+		r.recs = append(r.recs, recorder{pool: &r.blocks})
+	}
+	for i := range r.recs {
+		r.recs[i].reset()
+	}
+	recs := r.recs[:nComps]
 
-	// results[c] and events[c] are what component c leaves behind once its
-	// slot moves on: the scalar outcome and a copy of its trace (nil under
-	// TraceOff), time-ordered within the component.
+	// results[c] is component c's scalar outcome; its events stay in
+	// recs[c], time-ordered within the component, until the merge.
 	results := make([]*Result, nComps)
-	events := make([][]sim.TraceEvent, nComps)
 	par.ForWorker(workers, nComps, func(w, c int) {
 		if reqByComp[c] == 0 && cfg.HaltOnCompletion {
 			// A component with no required deliveries is complete before
@@ -78,19 +89,14 @@ func (r *Runner) runSharded(cfg RunConfig, gpOf, gpSizes []int) *Result {
 			// flag it runs to quiescence like every other component.
 			return
 		}
-		s := r.slots[w]
 		// The merge needs every component's events before the sink sees
-		// any, so shards record into their slot's trace unless tracing is
-		// off.
+		// any, so components record unless tracing is off.
 		var sink sim.TraceSink
 		if cfg.Options.Trace != TraceOff {
-			sink = &s.trace
+			sink = &recs[c]
 		}
-		results[c] = s.run(cfg, cfg.NewScheduler(), sink,
+		results[c] = r.slots[w].run(cfg, cfg.NewScheduler(), sink,
 			nodesByComp[off[c]:off[c+1]], arrByComp[c], reqByComp[c], compOf)
-		if sink != nil {
-			events[c] = append([]sim.TraceEvent(nil), s.trace.Events()...)
-		}
 	})
 
 	// Merge in component order.
@@ -133,24 +139,26 @@ func (r *Runner) runSharded(cfg RunConfig, gpOf, gpSizes []int) *Result {
 	switch cfg.Options.Trace {
 	case TraceMemory:
 		res.Trace = &sim.Trace{}
-		mergeTraces(events, res.Trace)
+		mergeTraces(recs, res.Trace)
 	case TraceStream:
 		// The sink observes the merged order, exactly as a memory-mode run
 		// would record it.
-		mergeTraces(events, cfg.Options.Sink)
+		mergeTraces(recs, cfg.Options.Sink)
 	}
 	return res
 }
 
-// mergeTraces k-way merges the per-component event streams into sink,
-// ordered by (At, component index) — a deterministic total order because
-// each component's stream is already time-ordered.
-func mergeTraces(events [][]sim.TraceEvent, sink sim.TraceSink) {
-	// Binary min-heap of stream heads, keyed (At, comp).
+// mergeTraces k-way merges the component recorders into sink, ordered by
+// (time, component index) — a deterministic total order because each
+// recorder is time-ordered. A component's consecutive events at one time
+// are a run: no other component's event falls inside it, so each heap
+// operation hands a whole run to the sink.
+func mergeTraces(recs []recorder, sink sim.TraceSink) {
+	// Binary min-heap of the components' next runs, keyed (at, comp).
 	type head struct {
 		at   sim.Time
 		comp int
-		idx  int
+		next int // index of the run's first record
 	}
 	less := func(a, b head) bool {
 		if a.at != b.at {
@@ -158,20 +166,13 @@ func mergeTraces(events [][]sim.TraceEvent, sink sim.TraceSink) {
 		}
 		return a.comp < b.comp
 	}
-	heap := make([]head, 0, len(events))
-	push := func(h head) {
-		heap = append(heap, h)
-		for i := len(heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !less(heap[i], heap[p]) {
-				break
-			}
-			heap[i], heap[p] = heap[p], heap[i]
-			i = p
+	heap := make([]head, 0, len(recs))
+	for c := range recs {
+		if recs[c].n > 0 {
+			heap = append(heap, head{at: recs[c].at(0), comp: c})
 		}
 	}
-	siftDown := func() {
-		i := 0
+	siftDown := func(i int) {
 		for {
 			l, r := 2*i+1, 2*i+2
 			m := i
@@ -188,21 +189,128 @@ func mergeTraces(events [][]sim.TraceEvent, sink sim.TraceSink) {
 			i = m
 		}
 	}
-	for c, evs := range events {
-		if len(evs) > 0 {
-			push(head{at: evs[0].At, comp: c, idx: 0})
-		}
+	for i := len(heap)/2 - 1; i >= 0; i-- { // heapify the first runs
+		siftDown(i)
 	}
 	for len(heap) > 0 {
-		h := heap[0]
-		evs := events[h.comp]
-		sink.Append(evs[h.idx])
-		if h.idx+1 < len(evs) {
-			heap[0] = head{at: evs[h.idx+1].At, comp: h.comp, idx: h.idx + 1}
+		h := &heap[0]
+		rc := &recs[h.comp]
+		i, n := h.next, rc.n
+		for ; i < n && rc.at(i) == h.at; i++ {
+			sink.Append(rc.event(i))
+		}
+		if i < n {
+			h.at, h.next = rc.at(i), i
 		} else {
 			heap[0] = heap[len(heap)-1]
 			heap = heap[:len(heap)-1]
 		}
-		siftDown()
+		siftDown(0)
 	}
+}
+
+// recordBlockLen is the number of records in one pooled block (40 KiB).
+const recordBlockLen = 1024
+
+// record is a trace event as a component recorder keeps it: the
+// TraceEvent's fields with the node narrowed to int32 (node ids index
+// in-memory arrays of n entries) and the kind string replaced by an index
+// into the recorder's kind table — 40 bytes and no pointer, so a block
+// holds nothing the collector scans.
+type record struct {
+	at      sim.Time
+	node    int32
+	kind    uint8
+	tag     sim.PayloadKind
+	a, b, c int64
+}
+
+type recordBlock [recordBlockLen]record
+
+// blockPool is the Runner's free list of record blocks. Blocks stay in it
+// across components and runs, so a warm sharded run records without
+// allocating; a lock guards it because concurrent workers draw from it.
+type blockPool struct {
+	mu   sync.Mutex
+	free []*recordBlock
+}
+
+func (p *blockPool) get() *recordBlock {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		b := p.free[n-1]
+		p.free = p.free[:n-1]
+		return b
+	}
+	return new(recordBlock)
+}
+
+// recorder is the sim.TraceSink a G′ component's engine records into on
+// the sharded executor: records fill fixed-size blocks drawn from the
+// Runner's pool, so growth never copies a record, and reset hands the
+// blocks back.
+type recorder struct {
+	pool   *blockPool
+	blocks []*recordBlock
+	n      int // records held
+	// kinds is the component's kind table, which record.kind indexes.
+	kinds []string
+}
+
+// Append implements sim.TraceSink.
+//
+//amac:hotpath
+func (rc *recorder) Append(ev sim.TraceEvent) {
+	if rc.n == len(rc.blocks)*recordBlockLen {
+		rc.blocks = append(rc.blocks, rc.pool.get())
+	}
+	rc.blocks[rc.n/recordBlockLen][rc.n%recordBlockLen] = record{
+		at: ev.At, node: int32(ev.Node), kind: rc.kindIndex(ev.Kind), tag: ev.P.Kind,
+		a: ev.P.A, b: ev.P.B, c: ev.P.C,
+	}
+	rc.n++
+}
+
+// kindIndex returns kind's index in the kind table, adding it when new. A
+// component's vocabulary is a handful of kinds, so a scan finds it; one
+// past what record.kind holds panics rather than wraps.
+func (rc *recorder) kindIndex(kind string) uint8 {
+	for i, k := range rc.kinds {
+		if k == kind {
+			return uint8(i)
+		}
+	}
+	if len(rc.kinds) > math.MaxUint8 {
+		panic(fmt.Sprintf("core: a component emitted more than %d trace event kinds", math.MaxUint8+1))
+	}
+	rc.kinds = append(rc.kinds, kind)
+	return uint8(len(rc.kinds) - 1)
+}
+
+func (rc *recorder) at(i int) sim.Time {
+	return rc.blocks[i/recordBlockLen][i%recordBlockLen].at
+}
+
+// event turns record i back into the TraceEvent it was recorded from.
+func (rc *recorder) event(i int) sim.TraceEvent {
+	r := &rc.blocks[i/recordBlockLen][i%recordBlockLen]
+	return sim.TraceEvent{
+		At:   r.at,
+		Kind: rc.kinds[r.kind],
+		Node: int(r.node),
+		P:    sim.Payload{Kind: r.tag, A: r.a, B: r.b, C: r.c},
+	}
+}
+
+// reset empties the recorder and returns its blocks to the pool.
+func (rc *recorder) reset() {
+	rc.pool.mu.Lock()
+	rc.pool.free = append(rc.pool.free, rc.blocks...)
+	rc.pool.mu.Unlock()
+	clear(rc.blocks)
+	rc.blocks = rc.blocks[:0]
+	clear(rc.kinds)
+	rc.kinds = rc.kinds[:0]
+	rc.n = 0
 }

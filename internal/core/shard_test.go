@@ -1,7 +1,12 @@
 package core_test
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -30,6 +35,18 @@ func disjointLines(lines, per int) *topology.Dual {
 }
 
 func newSync() mac.Scheduler { return &sched.Sync{Rel: sched.Bernoulli{P: 0.5}} }
+
+// smallPods builds the smoke size of perfbench's pods-sharded network:
+// 4,000 nodes in 16 r-restricted line pods with grey edges, one G′
+// component each.
+func smallPods(t *testing.T) *topology.Dual {
+	t.Helper()
+	built, err := topology.BuildSeeded("pods", topology.Params{"n": 4000, "k": 16, "r": 2, "p": 0.5}, 535353)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return built.Dual
+}
 
 // shardedConfig is the shared multi-component configuration of the sharded
 // executor tests: three disjoint lines, one message per line.
@@ -111,6 +128,34 @@ func TestShardedWarmMatchesCold(t *testing.T) {
 			t.Fatalf("warm trial %d trace differs from cold", trial)
 		}
 	}
+
+	// Reuse across configurations on the same runner: a message in every
+	// component; then none in the last one, which HaltOnCompletion skips,
+	// so nothing it recorded in the run before may reach the merge; then,
+	// after a Rebind, a network with fewer components than the runner has
+	// seen.
+	skip := shardedConfig(4)
+	skip.Assignment = Singleton(skip.Dual.N(), []graph.NodeID{0, 8})
+	fewer := shardedConfig(4)
+	fewer.Dual = disjointLines(2, 8)
+	fewer.Assignment = Singleton(fewer.Dual.N(), []graph.NodeID{0, 8})
+	fewer.Automata = NewBMMBFleet(fewer.Dual.N())
+	for i, cfg := range []RunConfig{shardedConfig(4), skip, fewer} {
+		want := runSharded(t, cfg)
+		cfg.Automata = NewBMMBFleet(cfg.Dual.N())
+		rn.Rebind(cfg.Dual)
+		res, err := rn.Run(cfg)
+		if err != nil {
+			t.Fatalf("reuse run %d: %v", i, err)
+		}
+		if got, want := res.Trace.String(), want.Trace.String(); got != want {
+			t.Fatalf("reuse run %d: warm trace has %d events, cold %d",
+				i, strings.Count(got, "\n"), strings.Count(want, "\n"))
+		}
+		if res.Steps != want.Steps || res.Delivered != want.Delivered || res.End != want.End {
+			t.Fatalf("reuse run %d: warm result %+v, cold %+v", i, res, want)
+		}
+	}
 }
 
 // TestShardedWarmRunAllocations pins that the sharded executor runs on
@@ -156,6 +201,66 @@ func TestShardedWarmRunAllocations(t *testing.T) {
 	}
 }
 
+// TestShardedStreamWarmAllocations pins that a warm sharded run streams
+// without allocating per event: components record into the runner's
+// pooled blocks and the merge hands each event straight to the writer. On
+// the 4,000-node pods dual, once a run has filled the pools, a streamed
+// run allocates fewer bytes, by the runtime's TotalAlloc, than it emits
+// events, beyond what the same run allocates with the trace off. A copy of
+// each component's trace alone costs 64 B an event. The trace-off run is
+// subtracted because every run, traced or not, re-allocates the sim event
+// structs its components' queues dropped as they drained (about 100 B a
+// node here), which is no cost of the trace.
+func TestShardedStreamWarmAllocations(t *testing.T) {
+	d := smallPods(t)
+	n := d.N()
+	fleet := NewBMMBFleet(n)
+	tw := sim.NewTraceWriter(io.Discard)
+	cfg := RunConfig{
+		Dual:             d,
+		Fack:             200,
+		Fprog:            10,
+		Scheduler:        newSync(),
+		NewScheduler:     newSync,
+		Seed:             1,
+		Workload:         spread(64)(n, 0),
+		Automata:         fleet,
+		HaltOnCompletion: true,
+	}
+	rn := NewRunner(d)
+	// run returns the bytes one run in the given trace mode allocates.
+	run := func(opts RunOptions) uint64 {
+		for _, a := range fleet {
+			a.(mac.Resettable).Reset()
+		}
+		cfg.Options = opts
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := rn.Run(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Solved {
+			t.Fatalf("unsolved: %d/%d deliveries", res.Delivered, res.Required)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	stream := RunOptions{Trace: TraceStream, Sink: tw, Shards: 2}
+	run(stream) // fill the pools
+	events := tw.Len()
+	streamed := run(stream)
+	events = tw.Len() - events
+	off := run(RunOptions{Trace: TraceOff, Shards: 2})
+	if err := tw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if streamed >= off+uint64(events) {
+		t.Fatalf("warm streamed sharded run allocates %d bytes for %d events, %d with the trace off: %.1f B an event, want under 1",
+			streamed, events, off, float64(streamed-off)/float64(events))
+	}
+}
+
 // TestShardedStreamMatchesMemory pins that stream mode observes exactly the
 // merged in-memory trace.
 func TestShardedStreamMatchesMemory(t *testing.T) {
@@ -174,6 +279,53 @@ func TestShardedStreamMatchesMemory(t *testing.T) {
 	}
 	if got, want := sink.String(), mem.Trace.String(); got != want {
 		t.Fatal("streamed trace differs from memory-mode trace")
+	}
+}
+
+// TestShardedTracePinned pins the decomposed executor's merged order byte
+// for byte: the length and SHA-256 of the AMTR stream at shards = 2 on two
+// multi-component networks, three disjoint lines and a small pods dual with
+// grey edges. Every golden network is connected, where the decomposed
+// executor runs one engine, and the determinism tests compare the executor
+// with itself, so this is the test that notices a merge-order change that
+// every shard count shares.
+func TestShardedTracePinned(t *testing.T) {
+	cases := []struct {
+		name string
+		dual *topology.Dual
+		k    int // messages, spread evenly over the nodes
+		size int
+		sum  string
+	}{
+		{"disjoint-lines", disjointLines(3, 64), 3,
+			8728, "ad40b56a6f20b2eead0976942a403066e25b4744812e55a3fca7d17cc74b521f"},
+		{"pods", smallPods(t), 64,
+			949478, "34dae4bbc0fbeb0e7656e5f4987682df5fd8e2c21a092ba3a77fd22da0b3ca9f"},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		tw := sim.NewTraceWriter(&buf)
+		n := tc.dual.N()
+		runSharded(t, RunConfig{
+			Dual:             tc.dual,
+			Fack:             200,
+			Fprog:            10,
+			Scheduler:        newSync(),
+			NewScheduler:     newSync,
+			Seed:             1,
+			Workload:         spread(tc.k)(n, 0),
+			Automata:         NewBMMBFleet(n),
+			HaltOnCompletion: true,
+			Options:          RunOptions{Trace: TraceStream, Sink: tw, Shards: 2},
+		})
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); buf.Len() != tc.size || got != tc.sum {
+			t.Errorf("%s: merged stream is %d bytes, SHA-256 %s; pinned %d bytes, %s",
+				tc.name, buf.Len(), got, tc.size, tc.sum)
+		}
 	}
 }
 

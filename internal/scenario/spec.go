@@ -153,7 +153,8 @@ type RunSpec struct {
 	StepLimit uint64 `json:"step_limit,omitempty"`
 	// TraceFile streams each trial's trace to a binary file (see
 	// sim.TraceWriter) instead of accumulating it in RAM — the path for
-	// networks whose traces exceed memory. The trial seed is spliced in
+	// networks whose traces exceed memory; with "shards" the decomposed
+	// executor still holds every event until its merge. The trial seed is spliced in
 	// before the extension ("out.amtr" -> "out.s3.amtr"), so parallel
 	// trials and multi-trial runs never collide on one file. Requires
 	// "trace": "stream".

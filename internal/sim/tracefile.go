@@ -16,34 +16,44 @@ var traceMagic = [5]byte{'A', 'M', 'T', 'R', 1}
 // TraceWriter is a TraceSink that streams events to an io.Writer in a
 // compact binary encoding: varint-coded times and operands with kind
 // strings interned on first use, a few bytes per event instead of an
-// in-memory TraceEvent (40+ bytes) — the backend that lets million-node
-// floods trace to disk instead of RAM. Appends are buffered and
-// allocation-free in steady state; errors are latched (Append becomes a
-// no-op after the first failure) and reported by Err and Flush, keeping
-// error handling off the engine's emit path.
+// in-memory TraceEvent (64 bytes). On the single-engine executor that is
+// the backend that lets million-node floods trace to disk instead of RAM;
+// the decomposed executor still holds every component's events in memory,
+// at 40 bytes an event, until its merge feeds them here in order. Append
+// encodes straight into the writer's own 64 KiB buffer, which goes to the
+// io.Writer only when full, and allocates nothing in steady state; errors
+// are latched (Append becomes a no-op after the first failure) and
+// reported by Err and Flush, keeping error handling off the engine's emit
+// path.
 //
 // Payloads are encoded by kind tag and scalar operands, reconstructed on
 // read through the same registered boxers. Each event ends in a flag byte
 // that is always 0: version 1 streams once used it to carry a rendered
 // boxed value, and the byte stays so the encoding is unchanged.
 type TraceWriter struct {
-	w       *bufio.Writer
-	kinds   map[string]uint64
-	scratch []byte
-	n       int
-	err     error
+	w   io.Writer
+	buf []byte
+	// kinds lists the interned kind strings by id. A stream's vocabulary
+	// is a handful of kinds, so Append finds an event's by a scan, which
+	// compares lengths before bytes and hashes nothing.
+	kinds []string
+	n     int
+	err   error
 }
+
+const (
+	// traceBufSize is the capacity of a TraceWriter's buffer.
+	traceBufSize = 1 << 16
+	// maxEventSize bounds the encoding of one event whose kind is already
+	// interned: six varints and two bytes.
+	maxEventSize = 6*binary.MaxVarintLen64 + 2
+)
 
 // NewTraceWriter returns a writer streaming to w. Call Flush before
 // consuming the underlying stream.
 func NewTraceWriter(w io.Writer) *TraceWriter {
-	tw := &TraceWriter{
-		w:       bufio.NewWriterSize(w, 1<<16),
-		kinds:   make(map[string]uint64),
-		scratch: make([]byte, 0, 64),
-	}
-	_, err := tw.w.Write(traceMagic[:])
-	tw.err = err
+	tw := &TraceWriter{w: w, buf: make([]byte, 0, traceBufSize)}
+	tw.buf = append(tw.buf, traceMagic[:]...)
 	return tw
 }
 
@@ -52,35 +62,60 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Append implements TraceSink.
+//
+//amac:hotpath
 func (tw *TraceWriter) Append(ev TraceEvent) {
 	if tw.err != nil {
 		return
 	}
-	b := tw.scratch[:0]
-	b = binary.AppendUvarint(b, zigzag(int64(ev.At)))
-	id, ok := tw.kinds[ev.Kind]
-	if !ok {
-		// A kind id equal to the intern-table size announces a new string.
-		id = uint64(len(tw.kinds))
-		tw.kinds[ev.Kind] = id
+	id, known := tw.kindID(ev.Kind)
+	need := maxEventSize
+	if !known {
+		need += binary.MaxVarintLen64 + len(ev.Kind)
+	}
+	if len(tw.buf)+need > cap(tw.buf) && len(tw.buf) > 0 {
+		if tw.write(); tw.err != nil {
+			return
+		}
+	}
+	b := binary.AppendUvarint(tw.buf, zigzag(int64(ev.At)))
+	if known {
 		b = binary.AppendUvarint(b, id)
+	} else {
+		// A kind id equal to the intern-table size announces a new string.
+		b = binary.AppendUvarint(b, uint64(len(tw.kinds)))
+		tw.kinds = append(tw.kinds, ev.Kind)
 		b = binary.AppendUvarint(b, uint64(len(ev.Kind)))
 		b = append(b, ev.Kind...)
-	} else {
-		b = binary.AppendUvarint(b, id)
 	}
 	b = binary.AppendUvarint(b, zigzag(int64(ev.Node)))
 	b = append(b, byte(ev.P.Kind))
 	b = binary.AppendUvarint(b, zigzag(ev.P.A))
 	b = binary.AppendUvarint(b, zigzag(ev.P.B))
 	b = binary.AppendUvarint(b, zigzag(ev.P.C))
-	b = append(b, 0) // the retired boxed-value flag
-	tw.scratch = b[:0]
-	if _, err := tw.w.Write(b); err != nil {
-		tw.err = err
-		return
-	}
+	tw.buf = append(b, 0) // the retired boxed-value flag
 	tw.n++
+}
+
+// kindID returns the interned id of kind, if it has one.
+func (tw *TraceWriter) kindID(kind string) (uint64, bool) {
+	for i, k := range tw.kinds {
+		if k == kind {
+			return uint64(i), true
+		}
+	}
+	return 0, false
+}
+
+// write hands the buffered bytes to the underlying writer, latching its
+// error.
+func (tw *TraceWriter) write() {
+	n, err := tw.w.Write(tw.buf)
+	if err == nil && n < len(tw.buf) {
+		err = io.ErrShortWrite
+	}
+	tw.err = err
+	tw.buf = tw.buf[:0]
 }
 
 // Len reports how many events were accepted.
@@ -92,10 +127,9 @@ func (tw *TraceWriter) Err() error { return tw.err }
 // Flush drains the buffer to the underlying writer and returns the first
 // error encountered over the writer's lifetime.
 func (tw *TraceWriter) Flush() error {
-	if tw.err != nil {
-		return tw.err
+	if tw.err == nil && len(tw.buf) > 0 {
+		tw.write()
 	}
-	tw.err = tw.w.Flush()
 	return tw.err
 }
 
