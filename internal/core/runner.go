@@ -102,22 +102,20 @@ type Result struct {
 // first violation. It covers every condition Run (and the engine underneath)
 // requires, so a config that validates cleanly cannot fail to start.
 func (cfg *RunConfig) Validate() error {
-	_, err := cfg.resolve(false)
+	_, err := cfg.resolve()
 	return err
 }
 
 // resolve validates the configuration and returns the resolved workload
 // (building it from the assignment when needed), so Run validates and
-// resolves in one pass. dualChecked skips re-validating the dual, for a
-// Runner whose own dual it is: NewRunner or Rebind validated it once.
-func (cfg *RunConfig) resolve(dualChecked bool) (*Workload, error) {
+// resolves in one pass. Checking the dual costs O(1): topology.NewDual
+// checked its invariant when it was made.
+func (cfg *RunConfig) resolve() (*Workload, error) {
 	if cfg.Dual == nil {
 		return nil, fmt.Errorf("core: RunConfig.Dual is required")
 	}
-	if !dualChecked {
-		if err := validateDual(cfg.Dual); err != nil {
-			return nil, err
-		}
+	if err := validateDual(cfg.Dual); err != nil {
+		return nil, err
 	}
 	if cfg.Scheduler == nil {
 		return nil, fmt.Errorf("core: RunConfig.Scheduler is required")
@@ -173,8 +171,8 @@ func (cfg *RunConfig) resolve(dualChecked bool) (*Workload, error) {
 	return workload, nil
 }
 
-// validateDual is the one check of a network's structural invariant per
-// run, worded as every entry point reports it.
+// validateDual reports a dual topology.NewDual did not make, worded as
+// every entry point reports it.
 func validateDual(d *topology.Dual) error {
 	if err := d.Validate(); err != nil {
 		return fmt.Errorf("core: invalid dual: %w", err)
@@ -187,7 +185,7 @@ func validateDual(d *topology.Dual) error {
 // descriptive error (see Validate) rather than panicking; fail-fast callers
 // use MustRun.
 func Run(cfg RunConfig) (*Result, error) {
-	workload, err := cfg.resolve(false)
+	workload, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -263,9 +261,9 @@ func NewRunner(d *topology.Dual) *Runner {
 	return r
 }
 
-// NewRunnerChecked is NewRunner for networks built outside the registry: an
-// invalid dual is returned as the error Run reports for it. The dual is
-// validated here once; the runner's runs and its arenas do not re-check it.
+// NewRunnerChecked is NewRunner for networks built outside the registry: a
+// dual topology.NewDual did not make is returned as the error Run reports
+// for it.
 func NewRunnerChecked(d *topology.Dual) (*Runner, error) {
 	if d == nil {
 		return nil, fmt.Errorf("core: nil dual")
@@ -287,13 +285,14 @@ func newRunner(d *topology.Dual) *Runner {
 func (r *Runner) Dual() *topology.Dual { return r.dual }
 
 // Rebind re-targets the runner at a new dual network: every slot's arena
-// is rebound (reliability bitset refilled, delivery block kept when
-// capacity fits) and the component index of G is recomputed into its
-// existing slices. The watcher tables are per-run state and reset on the
-// next Run as always. Unpinned trial sweeps rebind one runner per worker to
-// each per-trial network draw; executions stay byte-identical to one-shot
-// core.Run calls. Like NewRunner, it validates the new dual once and panics
-// if it is invalid. Rebinding to the runner's current dual is a no-op.
+// is rebound (the dual's CSR and reliability bits aliased, delivery block
+// kept when capacity fits) and the component index of G is recomputed into
+// its existing slices. The watcher tables are per-run state and reset on
+// the next Run as always. Unpinned trial sweeps rebind one runner per
+// worker to each per-trial network draw; executions stay byte-identical to
+// one-shot core.Run calls. Like NewRunner, it panics on a dual
+// topology.NewDual did not make. Rebinding to the runner's current dual is
+// a no-op.
 func (r *Runner) Rebind(d *topology.Dual) {
 	if d == r.dual {
 		return
@@ -309,10 +308,10 @@ func (r *Runner) Rebind(d *topology.Dual) {
 }
 
 // Run executes cfg against the runner's warm arena. cfg.Dual must be the
-// exact network the runner was built for (pointer identity — a structurally
-// equal copy would invalidate the precomputed CSR index anyway).
+// exact network the runner was built for (pointer identity: the arenas
+// alias that dual's CSR and reliability bits).
 func (r *Runner) Run(cfg RunConfig) (*Result, error) {
-	workload, err := cfg.resolve(cfg.Dual == r.dual)
+	workload, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}

@@ -139,6 +139,11 @@ func (r *Runner) runSharded(cfg RunConfig, gpOf, gpSizes []int) *Result {
 	switch cfg.Options.Trace {
 	case TraceMemory:
 		res.Trace = &sim.Trace{}
+		total := 0
+		for c := range recs {
+			total += recs[c].n
+		}
+		res.Trace.Grow(total)
 		mergeTraces(recs, res.Trace)
 	case TraceStream:
 		// The sink observes the merged order, exactly as a memory-mode run

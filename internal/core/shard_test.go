@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	. "amac/internal/core"
 	"amac/internal/graph"
@@ -201,21 +202,14 @@ func TestShardedWarmRunAllocations(t *testing.T) {
 	}
 }
 
-// TestShardedStreamWarmAllocations pins that a warm sharded run streams
-// without allocating per event: components record into the runner's
-// pooled blocks and the merge hands each event straight to the writer. On
-// the 4,000-node pods dual, once a run has filled the pools, a streamed
-// run allocates fewer bytes, by the runtime's TotalAlloc, than it emits
-// events, beyond what the same run allocates with the trace off. A copy of
-// each component's trace alone costs 64 B an event. The trace-off run is
-// subtracted because every run, traced or not, re-allocates the sim event
-// structs its components' queues dropped as they drained (about 100 B a
-// node here), which is no cost of the trace.
-func TestShardedStreamWarmAllocations(t *testing.T) {
+// podsAllocRun returns a runner-backed function that executes BMMB with
+// 64 spread messages on the 4,000-node pods dual in the given trace mode
+// and reports the bytes the run allocated, by the runtime's TotalAlloc,
+// with its result.
+func podsAllocRun(t *testing.T) func(RunOptions) (uint64, *Result) {
 	d := smallPods(t)
 	n := d.N()
 	fleet := NewBMMBFleet(n)
-	tw := sim.NewTraceWriter(io.Discard)
 	cfg := RunConfig{
 		Dual:             d,
 		Fack:             200,
@@ -228,8 +222,7 @@ func TestShardedStreamWarmAllocations(t *testing.T) {
 		HaltOnCompletion: true,
 	}
 	rn := NewRunner(d)
-	// run returns the bytes one run in the given trace mode allocates.
-	run := func(opts RunOptions) uint64 {
+	return func(opts RunOptions) (uint64, *Result) {
 		for _, a := range fleet {
 			a.(mac.Resettable).Reset()
 		}
@@ -244,20 +237,55 @@ func TestShardedStreamWarmAllocations(t *testing.T) {
 		if !res.Solved {
 			t.Fatalf("unsolved: %d/%d deliveries", res.Delivered, res.Required)
 		}
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc, res
 	}
+}
+
+// TestShardedStreamWarmAllocations pins that a warm sharded run streams
+// without allocating per event: components record into the runner's
+// pooled blocks and the merge hands each event straight to the writer. On
+// the 4,000-node pods dual, once a run has filled the pools, a streamed
+// run allocates fewer bytes, by the runtime's TotalAlloc, than it emits
+// events, beyond what the same run allocates with the trace off. A copy of
+// each component's trace alone costs 64 B an event. The trace-off run is
+// subtracted because every run, traced or not, re-allocates the sim event
+// structs its components' queues dropped as they drained (about 100 B a
+// node here), which is no cost of the trace.
+func TestShardedStreamWarmAllocations(t *testing.T) {
+	run := podsAllocRun(t)
+	tw := sim.NewTraceWriter(io.Discard)
 	stream := RunOptions{Trace: TraceStream, Sink: tw, Shards: 2}
 	run(stream) // fill the pools
 	events := tw.Len()
-	streamed := run(stream)
+	streamed, _ := run(stream)
 	events = tw.Len() - events
-	off := run(RunOptions{Trace: TraceOff, Shards: 2})
+	off, _ := run(RunOptions{Trace: TraceOff, Shards: 2})
 	if err := tw.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if streamed >= off+uint64(events) {
 		t.Fatalf("warm streamed sharded run allocates %d bytes for %d events, %d with the trace off: %.1f B an event, want under 1",
 			streamed, events, off, float64(streamed-off)/float64(events))
+	}
+}
+
+// TestShardedMemoryTraceAllocations pins that a memory-mode sharded run
+// sizes its merged trace once, from the recorders' event counts, instead
+// of growing it by append from empty, which copies it about log₂ of its
+// length times. On the 4,000-node pods dual, once a run has filled the
+// pools, a memory-mode run allocates under 1.5× the merged trace's bytes
+// beyond the same run with the trace off (see
+// TestShardedStreamWarmAllocations for why that run is subtracted).
+func TestShardedMemoryTraceAllocations(t *testing.T) {
+	run := podsAllocRun(t)
+	mem := RunOptions{Trace: TraceMemory, Shards: 2}
+	run(mem) // fill the pools
+	traced, res := run(mem)
+	off, _ := run(RunOptions{Trace: TraceOff, Shards: 2})
+	size := uint64(res.Trace.Len()) * uint64(unsafe.Sizeof(sim.TraceEvent{}))
+	if traced >= off+size*3/2 {
+		t.Fatalf("warm memory-mode sharded run allocates %d bytes for a %d-byte trace of %d events, %d with the trace off: %.2f× the trace, want under 1.5×",
+			traced, size, res.Trace.Len(), off, float64(traced-off)/float64(size))
 	}
 }
 

@@ -119,10 +119,10 @@ func TestRunValidConfigSolves(t *testing.T) {
 	}
 }
 
-// TestInvalidDualEntryPoints pins where a network is validated now that it
-// is validated once per run: NewRunner and Rebind panic with the error Run
-// reports, NewRunnerChecked returns it, and a runner's runs on its own
-// (validated) dual still solve.
+// TestInvalidDualEntryPoints pins how a runner rejects a dual
+// topology.NewDual did not make: NewRunner and Rebind panic with the error
+// Run reports, NewRunnerChecked returns it, and a runner's runs on its own
+// dual still solve.
 func TestInvalidDualEntryPoints(t *testing.T) {
 	bad := &topology.Dual{G: topology.Line(4).G, GPrime: graph.New(4), Name: "not-a-subgraph"}
 	mustPanic := func(name string, f func()) {

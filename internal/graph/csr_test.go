@@ -243,12 +243,11 @@ func FuzzCSRMatchesReference(f *testing.F) {
 }
 
 // TestCSRRecycledStorageMatchesFresh pins the structure-sharing contract:
-// a Reset graph and a CloneInto destination must be observably identical to
-// freshly allocated ones, across shrinking and growing node counts.
+// a Reset graph must be observably identical to a freshly allocated one,
+// across shrinking and growing node counts.
 func TestCSRRecycledStorageMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	recycled := New(0)
-	clone := New(0)
 	for _, n := range []int{30, 7, 64, 1, 50} {
 		recycled.Reset(n)
 		if !graphEqual(recycled, New(n)) {
@@ -261,7 +260,6 @@ func TestCSRRecycledStorageMatchesFresh(t *testing.T) {
 		}
 		recycled.SetEdges(n, edges)
 		checkAgainstRef(t, recycled, r, rng)
-		checkAgainstRef(t, recycled.CloneInto(clone), r, rng)
 	}
 }
 
@@ -385,8 +383,8 @@ func randomGeometric(n int, side float64, seed int64) *Graph {
 // TestApproxDiameterMatchesSerialSweeps checks the concurrent sweeps
 // against the serial loop on random geometric graphs past the cutoff — a
 // connected one and a sparse one with many components — for several k and
-// seeds, at one and two workers. Each run uses a fresh clone, so no answer
-// comes from the memo of another.
+// seeds, at one and two workers. Each run uses a fresh copy of the graph,
+// so no answer comes from the memo of another.
 func TestApproxDiameterMatchesSerialSweeps(t *testing.T) {
 	n := ExactDiameterCutoff + 200
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -403,7 +401,7 @@ func TestApproxDiameterMatchesSerialSweeps(t *testing.T) {
 				want := serialApproxDiameter(g, k, seed)
 				for _, procs := range []int{1, 2} {
 					runtime.GOMAXPROCS(procs)
-					if got := g.Clone().ApproxDiameter(k, seed); got != want {
+					if got := fromEdges(n, g.Edges()...).ApproxDiameter(k, seed); got != want {
 						t.Fatalf("%s k=%d seed=%d GOMAXPROCS=%d: ApproxDiameter = %d, serial sweeps %d",
 							name, k, seed, procs, got, want)
 					}

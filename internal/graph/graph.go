@@ -26,10 +26,10 @@ type NodeID int
 // A graph is built in one call, SetForward from forward rows or SetEdges
 // from an edge list, and is immutable from then on: any number of
 // goroutines may read it at once (the diameter memo takes its own lock).
-// Building again into the same graph (Reset, SetForward, SetEdges, or
-// CloneInto onto it) recycles its storage for a new network, the way
-// topology.Workspace reuses graphs across builds; it invalidates every
-// slice read from the old one and must not overlap any reader.
+// Building again into the same graph (Reset, SetForward or SetEdges)
+// recycles its storage for a new network, the way topology.Workspace
+// reuses graphs across builds; it invalidates every slice read from the
+// old one and must not overlap any reader.
 type Graph struct {
 	n int
 	m int // edge count
@@ -81,19 +81,6 @@ func (g *Graph) Reset(n int) {
 	g.m = 0
 	g.diamOK = false
 	g.adiamOK = false
-}
-
-// CloneInto copies g into dst, reusing dst's storage (see Reset). It
-// returns dst. The graphs must be distinct.
-func (g *Graph) CloneInto(dst *Graph) *Graph {
-	if dst == g {
-		panic("graph: CloneInto onto itself")
-	}
-	dst.Reset(g.n)
-	dst.off = append(dst.off[:0], g.off...)
-	dst.arcs = append(dst.arcs[:0], g.arcs...)
-	dst.m = g.m
-	return dst
 }
 
 // M returns the number of edges.
@@ -310,15 +297,9 @@ func (g *Graph) EdgeSeq() iter.Seq2[NodeID, NodeID] {
 	}
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	return g.CloneInto(New(g.n))
-}
-
 // IsSubgraphOf reports whether every edge of g is also an edge of h (the
 // paper's G ⊆ G′ requirement). It merge-walks the two sorted CSR rows per
-// node — no edge-slice allocation, O(m + m′) total — because dual
-// validation runs once per trial.
+// node, O(m + m′) with no allocation.
 func (g *Graph) IsSubgraphOf(h *Graph) bool {
 	if g.n != h.n {
 		return false

@@ -181,23 +181,14 @@ func TestPowerExponentPanics(t *testing.T) {
 	line(3).Power(0)
 }
 
-// TestUnionAndClone pins that a union is one SetEdges call over both edge
-// lists (shared edges count once), and that rebuilding a Clone leaves the
-// source alone.
-func TestUnionAndClone(t *testing.T) {
+// TestUnion pins that a union is one SetEdges call over both edge lists:
+// shared edges count once.
+func TestUnion(t *testing.T) {
 	a := fromEdges(4, [2]NodeID{0, 1})
 	b := fromEdges(4, [2]NodeID{2, 3}, [2]NodeID{1, 0})
 	u := fromEdges(4, append(a.Edges(), b.Edges()...)...)
 	if !u.HasEdge(0, 1) || !u.HasEdge(2, 3) || u.M() != 2 {
 		t.Fatalf("union wrong: %v", u.Edges())
-	}
-	c := a.Clone()
-	if !graphEqual(c, a) {
-		t.Fatalf("Clone diverged: %v vs %v", c.Edges(), a.Edges())
-	}
-	c.SetEdges(4, append(c.Edges(), [2]NodeID{1, 2}))
-	if a.HasEdge(1, 2) || a.M() != 1 {
-		t.Fatal("clone aliases original")
 	}
 }
 
@@ -360,32 +351,6 @@ func TestResetReusesRows(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Reset rebuild allocates %.0f times, want 0", allocs)
 	}
-}
-
-// TestCloneInto pins that CloneInto and Clone copy the source and do not
-// alias it: building the copy again leaves the source as it was.
-func TestCloneInto(t *testing.T) {
-	src := line(6)
-	dst := New(0)
-	for round := 0; round < 3; round++ {
-		got := src.CloneInto(dst)
-		if got != dst {
-			t.Fatal("CloneInto did not return its destination")
-		}
-		if !graphEqual(dst, src) {
-			t.Fatalf("CloneInto diverged: %v vs %v", dst.Edges(), src.Edges())
-		}
-		dst.SetEdges(6, append(dst.Edges(), [2]NodeID{0, 5}))
-		if src.HasEdge(0, 5) || src.M() != 5 {
-			t.Fatal("CloneInto aliases the source rows")
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CloneInto onto itself did not panic")
-		}
-	}()
-	src.CloneInto(src)
 }
 
 // TestPowerIntoMatchesPower pins that the slice-based bounded BFS produces

@@ -1,84 +1,11 @@
 package mac
 
 import (
+	"fmt"
+
 	"amac/internal/sim"
 	"amac/internal/topology"
 )
-
-// csrIndex is the per-topology delivery index an Arena derives from the
-// dual once and shares, read-only, with every instance of every execution
-// on that topology. It no longer stores positions at all: off and arcs
-// alias G′'s own flat CSR adjacency (graph.Graph stores one arc array for
-// the whole graph), so a sender's delivery row and its slot numbering are
-// literally the graph's — the only derived state is one reliability bit
-// per directed arc (is the arc also a G edge), packed into a bitset
-// indexed by global arc position. Rebind refreshes the aliases and
-// recomputes the bitset with one merge walk of the G and G′ rows, O(m+m′),
-// instead of refilling a 2m′-entry hash map — at million-node scale the
-// map alone was hundreds of megabytes.
-type csrIndex struct {
-	// off/arcs alias G′'s CSR storage (graph.CSR); row u is
-	// arcs[off[u]:off[u+1]], sorted. Invalidated if the graph mutates —
-	// the arena rebinds before any such graph is run again.
-	off  []int32
-	arcs []NodeID
-	// reliable bit i is set when directed arc i (global position in arcs)
-	// is also a G edge.
-	reliable []uint64
-	// arcCount is the total directed-arc count 2m′ — the delivery block's
-	// growth floor (one row per node's first broadcast is exactly one
-	// full arc space).
-	arcCount int
-	// greyCount is the number of directed G′\G arcs, 2(m′ − m) — the grey
-	// block's growth floor, by the same argument.
-	greyCount int
-}
-
-func newCSRIndex(d *topology.Dual) *csrIndex {
-	idx := &csrIndex{}
-	idx.fill(d)
-	return idx
-}
-
-// fill derives the index from d into existing storage: the adjacency
-// aliases are reassigned and the reliability bitset is rebuilt in place
-// (reallocated only when the arc count grew), so rebinding to a network of
-// similar size allocates nothing.
-func (idx *csrIndex) fill(d *topology.Dual) {
-	gOff, gArcs := d.G.CSR()
-	pOff, pArcs := d.GPrime.CSR()
-	idx.off, idx.arcs = pOff, pArcs
-	idx.arcCount = len(pArcs)
-	idx.greyCount = len(pArcs) - len(gArcs)
-	words := (len(pArcs) + 63) / 64
-	if cap(idx.reliable) < words {
-		idx.reliable = make([]uint64, words)
-	} else {
-		idx.reliable = idx.reliable[:words]
-		clear(idx.reliable)
-	}
-	for u := 0; u < d.N(); u++ {
-		gi, ge := int(gOff[u]), int(gOff[u+1])
-		pi, pe := int(pOff[u]), int(pOff[u+1])
-		for gi < ge && pi < pe {
-			switch {
-			case gArcs[gi] == pArcs[pi]:
-				idx.reliable[pi>>6] |= 1 << (uint(pi) & 63)
-				gi++
-				pi++
-			case gArcs[gi] < pArcs[pi]:
-				gi++ // G arc missing from G′: Validate rejects such duals
-			default:
-				pi++
-			}
-		}
-	}
-}
-
-// isReliable reports whether global arc position i is a G edge.
-func (idx *csrIndex) isReliable(i int32) bool {
-	return idx.reliable[i>>6]&(1<<(uint(i)&63)) != 0
-}
 
 // spanMask returns the bits of reliability word w that fall inside the
 // global arc range [lo, hi) — one sender's row — so a row is scanned a word
@@ -95,10 +22,10 @@ func spanMask(w, lo, hi int) uint64 {
 }
 
 // Arena owns the reusable run state for repeated executions on one pinned
-// dual network: the precomputed CSR position index, a single flat backing
-// block that all instance delivery rows are carved from, the pooled
-// broadcast-instance records, the per-node engine state and the simulation
-// engine itself (whose event pool stays warm across runs). Passing an Arena
+// dual network: its delivery index, a single flat backing block that all
+// instance delivery rows are carved from, the pooled broadcast-instance
+// records, the per-node engine state and the simulation engine itself
+// (whose event pool stays warm across runs). Passing an Arena
 // through Config makes the second and later engines on the same topology
 // allocation-free to construct and run trials against warm storage.
 //
@@ -109,8 +36,17 @@ func spanMask(w, lo, hi int) uint64 {
 // worker.
 type Arena struct {
 	dual *topology.Dual
-	csr  *csrIndex
 	eng  *Engine
+
+	// The delivery index aliases the dual, read-only and shared by every
+	// instance: off and arcs are G′'s flat CSR adjacency (graph.CSR), so a
+	// sender's delivery row and its slot numbering are literally the
+	// graph's row, and reliable is the dual's reliability words, one bit
+	// per arc position (topology.Dual.ReliableArcs). Binding re-aliases
+	// them and derives nothing.
+	off      []int32
+	arcs     []NodeID
+	reliable []uint64
 
 	// block is the flat CSR delivery storage: every instance's deliveredAt
 	// row is block[used:used+deg]. Reset zeroes the used prefix instead of
@@ -132,49 +68,57 @@ type Arena struct {
 }
 
 // NewArena builds the reusable run state for the given dual network, which
-// must be valid (topology.Dual.Validate): the arena derives its reliability
-// bits assuming E ⊆ E′. It does not re-check that; the network is validated
-// once where it enters a run — core.NewRunner, Runner.Rebind, core.Run, or
-// NewEngine without an arena.
+// must have been made by topology.NewDual: the arena aliases its
+// reliability bits. It panics on a dual that was not, with the error
+// NewEngine reports.
 func NewArena(d *topology.Dual) *Arena {
+	a := &Arena{}
+	a.bind(d)
+	return a
+}
+
+// bind points the arena's delivery index at d.
+func (a *Arena) bind(d *topology.Dual) {
 	if d == nil {
 		panic("mac: nil dual")
 	}
-	return &Arena{dual: d, csr: newCSRIndex(d)}
+	if err := d.Validate(); err != nil {
+		panic(fmt.Sprintf("mac: invalid dual: %v", err))
+	}
+	a.dual = d
+	a.off, a.arcs = d.GPrime.CSR()
+	a.reliable = d.ReliableArcs()
 }
 
 // Dual returns the network the arena was built for.
 func (a *Arena) Dual() *topology.Dual { return a.dual }
 
+// isReliable reports whether global arc position i of G′ is a G edge.
+func (a *Arena) isReliable(i int32) bool {
+	return a.reliable[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
 // Rebind re-targets the arena at a new dual network, recycling its warm
-// storage: the reliability bitset is refilled in place, the flat delivery
-// block is kept whenever the new degree sum fits its capacity and grown
-// geometrically otherwise, and the pooled engine, instance records and
-// event pool all carry over. Unpinned trial sweeps rebind one arena per
-// worker to each per-trial network draw instead of building a fresh arena.
-// Like NewArena, it expects a valid dual and does not re-check it.
-// Rebinding to the arena's current dual is a no-op.
+// storage: the delivery index re-aliases the new dual's CSR and
+// reliability bits, the flat delivery block is kept whenever the new
+// degree sum fits its capacity and grown geometrically otherwise, and the
+// pooled engine, instance records and event pool all carry over. Unpinned
+// trial sweeps rebind one arena per worker to each per-trial network draw
+// instead of building a fresh arena. Like NewArena, it panics on a dual
+// NewDual did not make. Rebinding to the arena's current dual is a no-op.
 func (a *Arena) Rebind(d *topology.Dual) {
 	if d == a.dual {
 		return
 	}
-	if d == nil {
-		panic("mac: nil dual")
-	}
-	a.csr.fill(d)
-	if a.csr.arcCount > len(a.block) {
+	a.bind(d)
+	if len(a.arcs) > len(a.block) {
 		// Same growth policy as row() below — double with an arc-space
 		// floor; keep the two in sync. Growing here (rather than leaving it
 		// to row's lazy path) keeps used and the block consistent across
 		// the network switch.
-		newLen := 2 * len(a.block)
-		if newLen < a.csr.arcCount {
-			newLen = a.csr.arcCount
-		}
-		a.block = make([]sim.Time, newLen)
+		a.block = make([]sim.Time, max(2*len(a.block), len(a.arcs)))
 		a.used = 0
 	}
-	a.dual = d
 }
 
 // Cap returns the capacity of the flat delivery block in slots (tests use
@@ -201,14 +145,7 @@ func (a *Arena) reset() {
 //amac:hotpath
 func (a *Arena) row(deg int) []sim.Time {
 	if need := a.used + deg; need > len(a.block) {
-		newLen := 2 * len(a.block)
-		if newLen < a.csr.arcCount {
-			newLen = a.csr.arcCount
-		}
-		if newLen < need {
-			newLen = need
-		}
-		a.block = make([]sim.Time, newLen) //lint:hotalloc doubling grow: amortized O(1) and absent entirely in warm trials, where the block is sized from the first run
+		a.block = make([]sim.Time, max(2*len(a.block), len(a.arcs), need)) //lint:hotalloc doubling grow: amortized O(1) and absent entirely in warm trials, where the block is sized from the first run
 	}
 	r := a.block[a.used : a.used+deg : a.used+deg]
 	a.used += deg
@@ -223,8 +160,7 @@ func (a *Arena) row(deg int) []sim.Time {
 //amac:hotpath
 func (a *Arena) greyRow(n int) []int32 {
 	if need := a.greyUsed + n; need > len(a.grey) {
-		newLen := max(2*len(a.grey), a.csr.greyCount, need)
-		a.grey = make([]int32, newLen) //lint:hotalloc doubling grow: amortized O(1) and absent in warm trials, where the block is sized from the first run
+		a.grey = make([]int32, max(2*len(a.grey), len(a.arcs)-2*a.dual.G.M(), need)) //lint:hotalloc doubling grow: amortized O(1) and absent in warm trials, where the block is sized from the first run
 	}
 	r := a.grey[a.greyUsed : a.greyUsed : a.greyUsed+n]
 	a.greyUsed += n
@@ -242,8 +178,8 @@ func (a *Arena) greyRow(n int) []int32 {
 //
 //amac:hotpath
 func (a *Arena) instance(id InstanceID, sender NodeID, payload Payload, start sim.Time) *Instance {
-	base := a.csr.off[sender]
-	row := a.csr.arcs[base:a.csr.off[sender+1]:a.csr.off[sender+1]]
+	base := a.off[sender]
+	row := a.arcs[base:a.off[sender+1]:a.off[sender+1]]
 	if a.next == len(a.insts) {
 		a.grow()
 	}

@@ -186,7 +186,7 @@ func NewEngine(cfg Config, automata []Automaton) *Engine {
 		panic("mac: nil dual")
 	}
 	if cfg.Arena != nil && cfg.Arena.dual != cfg.Dual {
-		// The arena's CSR index is derived from its own dual; running a
+		// The arena's delivery index aliases its own dual; running a
 		// different network against it would silently corrupt deliveries.
 		panic("mac: Config.Arena was built for a different dual")
 	}
@@ -206,11 +206,6 @@ func NewEngine(cfg Config, automata []Automaton) *Engine {
 		panic(fmt.Sprintf("mac: %d automata for %d nodes", len(automata), cfg.Dual.N()))
 	}
 	if cfg.Arena == nil {
-		// An arena-backed config skips this: whoever built or rebound the
-		// arena validated the dual then.
-		if err := cfg.Dual.Validate(); err != nil {
-			panic(fmt.Sprintf("mac: invalid dual: %v", err))
-		}
 		cfg.Arena = NewArena(cfg.Dual)
 	}
 	return cfg.Arena.engineFor(cfg, automata)
@@ -317,7 +312,7 @@ func (e *Engine) Dispatch(kind sim.EventKind, op sim.Op) {
 		// G.Neighbors(sender) order — so walking the set bits of the row's
 		// reliability words delivers in the same order with no search.
 		b := op.Obj.(*Instance)
-		rel := e.arena.csr.reliable
+		rel := e.arena.reliable
 		lo, hi := int(b.base), int(b.base)+len(b.nbrs)
 		for w := lo >> 6; w<<6 < hi; w++ {
 			for set := rel[w] & spanMask(w, lo, hi); set != 0; set &= set - 1 {

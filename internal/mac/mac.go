@@ -286,7 +286,7 @@ func (b *Instance) SlotDelivered(i int) bool { return b.deliveredAt[i] != 0 }
 // SlotReliable reports whether the link to Neighbors()[i] is a G edge: the
 // arena's reliability bit for that arc, the fact G.HasEdge would look up.
 // Only engine-built instances carry the bits; schedulers see no others.
-func (b *Instance) SlotReliable(i int) bool { return b.arena.csr.isReliable(b.base + int32(i)) }
+func (b *Instance) SlotReliable(i int) bool { return b.arena.isReliable(b.base + int32(i)) }
 
 // GreySlots returns the row slots of the sender's G′\G neighbors — the
 // slots whose reliability bit is clear — in ascending order, read off the
@@ -314,7 +314,7 @@ func (b *Instance) GreySlots() []int32 {
 	out := b.greybuf[:0]
 	lo, hi := int(b.base), int(b.base)+len(b.nbrs)
 	for w := lo >> 6; w<<6 < hi; w++ {
-		for clr := ^a.csr.reliable[w] & spanMask(w, lo, hi); clr != 0; clr &= clr - 1 {
+		for clr := ^a.reliable[w] & spanMask(w, lo, hi); clr != 0; clr &= clr - 1 {
 			out = append(out, int32(w<<6+bits.TrailingZeros64(clr)-lo))
 		}
 	}

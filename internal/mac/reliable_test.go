@@ -52,18 +52,17 @@ func checkReliableBits(t *testing.T, a *Arena, d *topology.Dual) {
 	if a.Dual() != d {
 		t.Fatalf("arena bound to %s, want %s", a.Dual().Name, d.Name)
 	}
-	idx := a.csr
-	if len(idx.off) != d.N()+1 || idx.arcCount != 2*d.GPrime.M() {
-		t.Fatalf("%s: index covers %d rows and %d arcs, want %d and %d",
-			d.Name, len(idx.off)-1, idx.arcCount, d.N(), 2*d.GPrime.M())
+	if len(a.off) != d.N()+1 || len(a.arcs) != 2*d.GPrime.M() || len(a.reliable) != (len(a.arcs)+63)/64 {
+		t.Fatalf("%s: index covers %d rows, %d arcs and %d words, want %d, %d and %d",
+			d.Name, len(a.off)-1, len(a.arcs), len(a.reliable), d.N(), 2*d.GPrime.M(), (2*d.GPrime.M()+63)/64)
 	}
 	for u := 0; u < d.N(); u++ {
-		for i := idx.off[u]; i < idx.off[u+1]; i++ {
-			v := idx.arcs[i]
+		for i := a.off[u]; i < a.off[u+1]; i++ {
+			v := a.arcs[i]
 			if !d.GPrime.HasEdge(NodeID(u), v) {
 				t.Fatalf("%s: index arc %d→%d is not a G′ edge", d.Name, u, v)
 			}
-			if got, want := idx.isReliable(i), d.G.HasEdge(NodeID(u), v); got != want {
+			if got, want := a.isReliable(i), d.G.HasEdge(NodeID(u), v); got != want {
 				t.Fatalf("%s: arc %d→%d reliability bit %v, G.HasEdge %v", d.Name, u, v, got, want)
 			}
 		}
@@ -71,10 +70,9 @@ func checkReliableBits(t *testing.T, a *Arena, d *topology.Dual) {
 }
 
 // TestArenaReliableBitsMatchG is the property test for the arena's
-// reliability bitset over random duals: freshly built, and refilled in
-// place by Rebind across a run of larger and smaller networks (so stale
-// bits of a bigger predecessor must be cleared), every G′ arc's bit must
-// equal G.HasEdge.
+// delivery index over random duals: freshly built, and re-aliased by
+// Rebind across a run of larger and smaller networks, every G′ arc's bit
+// must equal G.HasEdge.
 func TestArenaReliableBitsMatchG(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 60; iter++ {

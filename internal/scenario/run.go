@@ -545,9 +545,9 @@ func topologyPinned(r Spec) bool {
 // a fresh one-worker executor pinned to that instance. Nothing else shares
 // the executor's state, so the result stays valid indefinitely.
 func trialOn(s Spec, seed int64, built *topology.Built) (*TrialResult, error) {
-	// A caller-built instance gets the error core.Run would return for an
-	// invalid dual, before anything reads the network; the runner it
-	// validates is the worker's, so the run does not check it again.
+	// A caller-built instance gets the error core.Run would return for a
+	// dual topology.NewDual did not make, before anything reads the
+	// network.
 	rn, err := core.NewRunnerChecked(built.Dual)
 	if err != nil {
 		return nil, err

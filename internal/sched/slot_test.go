@@ -184,10 +184,13 @@ func TestSlotGreyZoneDelivery(t *testing.T) {
 
 // greyPair builds two nodes joined only by an unreliable edge.
 func greyPair() *topology.Dual {
-	g := graph.New(2)
 	gp := new(graph.Graph)
 	gp.SetEdges(2, [][2]graph.NodeID{{0, 1}})
-	return &topology.Dual{G: g, GPrime: gp, Name: "grey-pair"}
+	d, err := topology.NewDual(graph.New(2), gp, "grey-pair")
+	if err != nil {
+		panic(err)
+	}
+	return d
 }
 
 // ackChainNode broadcasts at wakeup and again from each ack, up to n

@@ -51,6 +51,18 @@ func (tr *Trace) Reset() {
 	tr.events = tr.events[:0]
 }
 
+// Grow makes room for n more events, so the next n appends do not
+// reallocate. It allocates the new buffer with make and copies, rather
+// than calling slices.Grow, whose append of a made slice allocates that
+// slice too under the race detector's instrumentation.
+func (tr *Trace) Grow(n int) {
+	if cap(tr.events)-len(tr.events) < n {
+		events := make([]TraceEvent, len(tr.events), len(tr.events)+n)
+		copy(events, tr.events)
+		tr.events = events
+	}
+}
+
 // Append records an event.
 func (tr *Trace) Append(ev TraceEvent) { tr.events = append(tr.events, ev) }
 

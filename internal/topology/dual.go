@@ -8,6 +8,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"amac/internal/geom"
@@ -17,32 +18,100 @@ import (
 // Dual is a dual-graph network: reliable graph G and unreliable graph
 // GPrime with G ⊆ G′ over the same node set. An optional plane embedding is
 // attached when the network was built geometrically (grey zone networks),
-// and Name records the generator for reporting.
+// and Name records the generator for reporting. Only NewDual makes a valid
+// one: it checks the invariant once and records which G′ arcs are G edges,
+// so no consumer walks the two graphs against each other again.
 type Dual struct {
 	G      *graph.Graph
 	GPrime *graph.Graph
 	Embed  geom.Embedding // nil unless geometrically constructed
 	Name   string
+
+	// g and gp are the graphs NewDual checked, m and mp their edge counts
+	// then, and reliable their reliability words (see ReliableArcs).
+	g, gp    *graph.Graph
+	m, mp    int
+	reliable []uint64
+}
+
+// NewDual makes the dual (g, gp), checking the model's invariant — no nil
+// graph, equal node counts and E ⊆ E′ — and returning an error describing
+// the first violation. One merge walk of each node's G and G′ rows checks
+// E ⊆ E′ and sets the reliability bit of every G′ arc that is also a G
+// edge; when gp is g itself (G′ = G) the walk sets every bit.
+//
+// The dual holds g and gp themselves, not copies, so rebuilding either
+// afterwards (graph.SetEdges, SetForward or Reset, or a later build into
+// the Workspace the dual came from) leaves its reliability bits stale and
+// the dual unusable. Validate reports a rebuild that changed either edge
+// count; one that kept both is not detected.
+func NewDual(g, gp *graph.Graph, name string) (*Dual, error) {
+	return newDual(nil, g, gp, name)
+}
+
+// newDual is NewDual with the reliability words taken from ws (see
+// Workspace.reliableWords).
+func newDual(ws *Workspace, g, gp *graph.Graph, name string) (*Dual, error) {
+	if g == nil || gp == nil {
+		return nil, fmt.Errorf("topology: nil graph in dual %q", name)
+	}
+	if g.N() != gp.N() {
+		return nil, fmt.Errorf("topology: dual %q has |V(G)|=%d but |V(G')|=%d", name, g.N(), gp.N())
+	}
+	gOff, gArcs := g.CSR()
+	pOff, pArcs := gp.CSR()
+	bits := ws.reliableWords((len(pArcs) + 63) / 64)
+	for u := 0; u < g.N(); u++ {
+		pi, pe := pOff[u], pOff[u+1]
+		for _, v := range gArcs[gOff[u]:gOff[u+1]] {
+			for pi < pe && pArcs[pi] < v {
+				pi++
+			}
+			if pi == pe || pArcs[pi] != v {
+				return nil, fmt.Errorf("topology: dual %q violates E ⊆ E'", name)
+			}
+			bits[pi>>6] |= 1 << (pi & 63)
+			pi++
+		}
+	}
+	return &Dual{G: g, GPrime: gp, Name: name, g: g, gp: gp, m: g.M(), mp: gp.M(), reliable: bits}, nil
+}
+
+// mustDual is newDual for the builders, whose duals hold the invariant by
+// construction: a violation is a bug in the builder.
+func mustDual(ws *Workspace, g, gp *graph.Graph, name string) *Dual {
+	d, err := newDual(ws, g, gp, name)
+	if err != nil {
+		panic(err.Error())
+	}
+	return d
 }
 
 // N returns the number of nodes.
 func (d *Dual) N() int { return d.G.N() }
 
-// Validate checks the structural invariant of the model: same node count
-// and E ⊆ E′. It returns an error describing the first violation.
+// Validate reports an error unless d was made by NewDual for the G and
+// GPrime it holds now — a hand-built Dual, or one whose graphs were swapped
+// afterwards, has no checked invariant and no reliability bits — and
+// neither graph's edge count has changed since. It does no walk: NewDual
+// checked the invariant, and a rebuild that keeps both edge counts goes
+// unnoticed (see NewDual).
 func (d *Dual) Validate() error {
-	if d.G == nil || d.GPrime == nil {
-		return fmt.Errorf("topology: nil graph in dual %q", d.Name)
+	if d.g == nil || d.g != d.G || d.gp != d.GPrime {
+		return fmt.Errorf("topology: dual %q was not made by NewDual", d.Name)
 	}
-	if d.G.N() != d.GPrime.N() {
-		return fmt.Errorf("topology: dual %q has |V(G)|=%d but |V(G')|=%d",
-			d.Name, d.G.N(), d.GPrime.N())
-	}
-	if !d.G.IsSubgraphOf(d.GPrime) {
-		return fmt.Errorf("topology: dual %q violates E ⊆ E'", d.Name)
+	if d.G.M() != d.m || d.GPrime.M() != d.mp {
+		return fmt.Errorf("topology: dual %q was rebuilt after NewDual", d.Name)
 	}
 	return nil
 }
+
+// ReliableArcs returns the dual's reliability words: bit i (word i/64, bit
+// i%64) is set when arc i of GPrime's flat arc array (graph.CSR) is also a
+// G edge, and the bits past the last arc are clear. mac.Arena indexes its
+// delivery rows by the same arc positions. The words are owned by the dual
+// (by its workspace, when built into one) and must not be mutated.
+func (d *Dual) ReliableArcs() []uint64 { return d.reliable }
 
 // UnreliableEdges returns the E′ \ E edges (pairs with u < v).
 func (d *Dual) UnreliableEdges() [][2]graph.NodeID {
@@ -55,45 +124,10 @@ func (d *Dual) UnreliableEdges() [][2]graph.NodeID {
 	return out
 }
 
-// IsRRestricted reports whether every G′ edge connects nodes within r hops
-// in G (the r-restricted constraint of Section 2).
-func (d *Dual) IsRRestricted(r int) bool {
-	for u := 0; u < d.G.N(); u++ {
-		dist := d.G.BFS(graph.NodeID(u))
-		for _, v := range d.GPrime.Neighbors(graph.NodeID(u)) {
-			if v < graph.NodeID(u) {
-				continue
-			}
-			if dist[v] == graph.Unreachable || dist[v] > r {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Restriction returns the smallest r for which the dual is r-restricted, or
-// -1 if some G′ edge joins nodes disconnected in G (so no r suffices).
-func (d *Dual) Restriction() int {
-	r := 0
-	for u := 0; u < d.G.N(); u++ {
-		dist := d.G.BFS(graph.NodeID(u))
-		for _, v := range d.GPrime.Neighbors(graph.NodeID(u)) {
-			if dist[v] == graph.Unreachable {
-				return -1
-			}
-			if dist[v] > r {
-				r = dist[v]
-			}
-		}
-	}
-	return r
-}
-
 // Reliable wraps a graph as the dual with G′ = G (the no-unreliability
-// regime of [30]).
+// regime of [30]): GPrime is g itself, so no copy of G is held.
 func Reliable(g *graph.Graph, name string) *Dual {
-	return &Dual{G: g, GPrime: g.Clone(), Name: name}
+	return mustDual(nil, g, g, name)
 }
 
 // Line returns a path of n nodes with G′ = G. Its diameter is n−1.
@@ -159,13 +193,9 @@ func Star(n int) *Dual {
 // spacing.
 func Grid(rows, cols int) *Dual {
 	e := geom.GridPoints(rows, cols, 1.0)
-	g := e.UnitDisk(1.0)
-	return &Dual{
-		G:      g,
-		GPrime: g.Clone(),
-		Embed:  e,
-		Name:   fmt.Sprintf("grid(%dx%d)", rows, cols),
-	}
+	d := Reliable(e.UnitDisk(1.0), fmt.Sprintf("grid(%dx%d)", rows, cols))
+	d.Embed = e
+	return d
 }
 
 // CompleteBinaryTree returns a complete binary tree with n nodes (node i's
@@ -212,7 +242,7 @@ func RRestrictedInto(ws *Workspace, g *graph.Graph, r int, p float64, rng *rand.
 	}
 	gp := ws.Graph(n)
 	gp.SetForward(rows)
-	return &Dual{G: g, GPrime: gp, Name: name}
+	return mustDual(ws, g, gp, name)
 }
 
 // PodsRRestrictedInto builds the multi-component sharding workload: G is k
@@ -253,15 +283,24 @@ func ArbitraryNoise(g *graph.Graph, extra int, rng *rand.Rand, name string) *Dua
 // pair is accepted unless it is a self-pair, a G edge or already accepted;
 // G′ is G's edges plus the accepted pairs: ws keeps the edge list and the
 // set of accepted pairs, and turns the list into forward rows in its row
-// scratch (graph.ForwardRows.SetEdges).
+// scratch (graph.ForwardRows.SetEdges). Drawing stops after 50·extra + 100
+// tries (saturating, not overflowing), or as soon as every non-adjacent
+// pair is accepted, since no later draw could add one: an extra beyond
+// what n nodes hold yields the complete graph instead of a budget of
+// hopeless draws.
 func ArbitraryNoiseInto(ws *Workspace, g *graph.Graph, extra int, rng *rand.Rand, name string) *Dual {
 	n := g.N()
 	s := ws.noise()
 	for u, v := range g.EdgeSeq() {
 		s.edges = append(s.edges, [2]graph.NodeID{u, v})
 	}
+	want := min(extra, n*(n-1)/2-g.M())
+	budget := math.MaxInt
+	if extra < (math.MaxInt-100)/50 {
+		budget = 50*extra + 100
+	}
 	added := 0
-	for tries := 0; added < extra && tries < 50*extra+100; tries++ {
+	for tries := 0; added < want && tries < budget; tries++ {
 		u := graph.NodeID(rng.Intn(n))
 		v := graph.NodeID(rng.Intn(n))
 		pair := [2]graph.NodeID{min(u, v), max(u, v)}
@@ -276,7 +315,7 @@ func ArbitraryNoiseInto(ws *Workspace, g *graph.Graph, extra int, rng *rand.Rand
 	rows.SetEdges(n, s.edges)
 	gp := ws.Graph(n)
 	gp.SetForward(rows)
-	return &Dual{G: g, GPrime: gp, Name: name}
+	return mustDual(ws, g, gp, name)
 }
 
 // RandomGeometric builds a grey-zone dual: n nodes uniform in a side×side
@@ -292,15 +331,22 @@ func RandomGeometric(n int, side, c, p float64, rng *rand.Rand) *Dual {
 // exactly as RandomGeometric draws it. G and G′ come out of one scan of the
 // embedding (geom.Embedding.GreyZoneDualInto), with its scratch kept in ws.
 func RandomGeometricInto(ws *Workspace, n int, side, c, p float64, rng *rand.Rand) *Dual {
+	return randomGeometricInto(ws, n, side, c, p, rng, false)
+}
+
+// randomGeometricInto is RandomGeometricInto, except that with connected
+// set it returns nil for a draw whose G is not connected before making the
+// dual, so a rejected draw costs no NewDual walk.
+func randomGeometricInto(ws *Workspace, n int, side, c, p float64, rng *rand.Rand, connected bool) *Dual {
 	e := geom.RandomUniformInto(ws.Points(n), n, side, rng)
 	g, gp := ws.Graph(n), ws.Graph(n)
 	e.GreyZoneDualInto(g, gp, c, p, rng, ws.Scratch())
-	return &Dual{
-		G:      g,
-		GPrime: gp,
-		Embed:  e,
-		Name:   fmt.Sprintf("rgg(n=%d,side=%.1f,c=%.1f,p=%.2f)", n, side, c, p),
+	if connected && !g.IsConnected() {
+		return nil
 	}
+	d := mustDual(ws, g, gp, fmt.Sprintf("rgg(n=%d,side=%.1f,c=%.1f,p=%.2f)", n, side, c, p))
+	d.Embed = e
+	return d
 }
 
 // ConnectedRandomGeometric retries RandomGeometric until G is connected,
@@ -317,8 +363,7 @@ func ConnectedRandomGeometricInto(ws *Workspace, n int, side, c, p float64, rng 
 	mark := ws.Mark()
 	for i := 0; i < maxTries; i++ {
 		ws.Rewind(mark)
-		d := RandomGeometricInto(ws, n, side, c, p, rng)
-		if d.G.IsConnected() {
+		if d := randomGeometricInto(ws, n, side, c, p, rng, true); d != nil {
 			return d
 		}
 	}

@@ -8,6 +8,41 @@ import (
 	"amac/internal/graph"
 )
 
+// isRRestricted reports whether every G′ edge of d connects nodes within r
+// hops in G (the r-restricted constraint of Section 2).
+func isRRestricted(d *Dual, r int) bool {
+	for u := 0; u < d.G.N(); u++ {
+		dist := d.G.BFS(graph.NodeID(u))
+		for _, v := range d.GPrime.Neighbors(graph.NodeID(u)) {
+			if v < graph.NodeID(u) {
+				continue
+			}
+			if dist[v] == graph.Unreachable || dist[v] > r {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// restriction returns the smallest r for which d is r-restricted, or -1 if
+// some G′ edge joins nodes disconnected in G (so no r suffices).
+func restriction(d *Dual) int {
+	r := 0
+	for u := 0; u < d.G.N(); u++ {
+		dist := d.G.BFS(graph.NodeID(u))
+		for _, v := range d.GPrime.Neighbors(graph.NodeID(u)) {
+			if dist[v] == graph.Unreachable {
+				return -1
+			}
+			if dist[v] > r {
+				r = dist[v]
+			}
+		}
+	}
+	return r
+}
+
 func TestLineDual(t *testing.T) {
 	d := Line(10)
 	if err := d.Validate(); err != nil {
@@ -19,11 +54,11 @@ func TestLineDual(t *testing.T) {
 	if len(d.UnreliableEdges()) != 0 {
 		t.Fatal("reliable dual has unreliable edges")
 	}
-	if !d.IsRRestricted(1) {
+	if !isRRestricted(d, 1) {
 		t.Fatal("G'=G dual must be 1-restricted")
 	}
-	if d.Restriction() != 1 {
-		t.Fatalf("Restriction = %d, want 1", d.Restriction())
+	if restriction(d) != 1 {
+		t.Fatalf("Restriction = %d, want 1", restriction(d))
 	}
 }
 
@@ -53,13 +88,13 @@ func TestRRestrictedConstruction(t *testing.T) {
 		if err := d.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if !d.IsRRestricted(r) {
+		if !isRRestricted(d, r) {
 			t.Fatalf("r=%d construction is not r-restricted", r)
 		}
-		if got := d.Restriction(); got != r {
+		if got := restriction(d); got != r {
 			t.Fatalf("Restriction = %d, want %d (p=1 should realize the max)", got, r)
 		}
-		if r > 1 && d.IsRRestricted(r-1) {
+		if r > 1 && isRRestricted(d, r-1) {
 			t.Fatalf("p=1 construction should not be (r-1)-restricted for r=%d", r)
 		}
 	}
@@ -71,7 +106,7 @@ func TestRRestrictedProbabilistic(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !d.IsRRestricted(4) {
+	if !isRRestricted(d, 4) {
 		t.Fatal("not 4-restricted")
 	}
 	if len(d.UnreliableEdges()) == 0 {
@@ -88,6 +123,42 @@ func TestArbitraryNoise(t *testing.T) {
 	}
 	if got := len(d.UnreliableEdges()); got != 20 {
 		t.Fatalf("unreliable edges = %d, want 20", got)
+	}
+}
+
+// failAfter is a rand.Source that fails the test at its limit+1st draw,
+// so a builder that draws without bound fails instead of hanging.
+type failAfter struct {
+	t     *testing.T
+	src   rand.Source
+	limit int
+}
+
+func (s *failAfter) Int63() int64 {
+	if s.limit == 0 {
+		s.t.Fatal("builder kept drawing past its draw limit")
+	}
+	s.limit--
+	return s.src.Int63()
+}
+
+func (s *failAfter) Seed(seed int64) { s.src.Seed(seed) }
+
+// TestArbitraryNoiseSaturates pins that an extra beyond the non-adjacent
+// pairs n nodes hold yields the complete graph: drawing stops once every
+// pair is accepted, however large extra is, and a try budget too large for
+// an int saturates instead of wrapping to no draws at all.
+func TestArbitraryNoiseSaturates(t *testing.T) {
+	src := &failAfter{t: t, src: rand.NewSource(1), limit: 1_000_000}
+	if d := ArbitraryNoise(Line(4).G, 1_000_000_000_000, rand.New(src), "wild"); d.GPrime.M() != 6 {
+		t.Fatalf("extra = 10^12 on a 4-node line: G′ has %d edges, want K4's 6", d.GPrime.M())
+	}
+	b, err := Build("noisy-line", Params{"n": 4, "extra": 2e17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := b.Dual.GPrime.M(); m != 6 {
+		t.Fatalf("extra = 2·10^17 on a 4-node line: G′ has %d edges, want K4's 6", m)
 	}
 }
 
@@ -152,10 +223,10 @@ func TestParallelLinesNotRRestricted(t *testing.T) {
 	// this is exactly the structural gap between r-restricted and grey zone
 	// the paper highlights.
 	c := NewParallelLinesC(8)
-	if got := c.Restriction(); got != -1 {
+	if got := restriction(c.Dual); got != -1 {
 		t.Fatalf("Restriction = %d, want -1 (cross-component G' edges)", got)
 	}
-	if c.IsRRestricted(100) {
+	if isRRestricted(c.Dual, 100) {
 		t.Fatal("network C must not be r-restricted for any r")
 	}
 }
@@ -194,7 +265,7 @@ func TestRRestrictedProperty(t *testing.T) {
 		r := 1 + rng.Intn(5)
 		p := rng.Float64()
 		d := LineRRestricted(n, r, p, rng)
-		return d.Validate() == nil && d.IsRRestricted(r)
+		return d.Validate() == nil && isRRestricted(d, r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -65,15 +65,9 @@ func NewParallelLinesCInto(ws *Workspace, d int) *ParallelLinesC {
 	}
 	gp := ws.Graph(2 * d)
 	gp.SetEdges(2*d, edges)
-	return &ParallelLinesC{
-		Dual: &Dual{
-			G:      g,
-			GPrime: gp,
-			Embed:  embed,
-			Name:   fmt.Sprintf("parallel-lines-C(D=%d)", d),
-		},
-		D: d,
-	}
+	dual := mustDual(ws, g, gp, fmt.Sprintf("parallel-lines-C(D=%d)", d))
+	dual.Embed = embed
+	return &ParallelLinesC{Dual: dual, D: d}
 }
 
 // GreyZoneConstant returns the smallest grey-zone constant c for which the
@@ -122,13 +116,5 @@ func NewStarChoke(k int) *StarChoke {
 	for i := 0; i < k-1; i++ {
 		edges = append(edges, [2]graph.NodeID{graph.NodeID(i), hub})
 	}
-	g := fromEdges(k+1, edges)
-	return &StarChoke{
-		Dual: &Dual{
-			G:      g,
-			GPrime: g.Clone(),
-			Name:   fmt.Sprintf("star-choke(k=%d)", k),
-		},
-		K: k,
-	}
+	return &StarChoke{Dual: Reliable(fromEdges(k+1, edges), fmt.Sprintf("star-choke(k=%d)", k)), K: k}
 }

@@ -10,8 +10,12 @@ import (
 // dualFingerprint renders everything observable about a built network.
 func dualFingerprint(b *Built) string {
 	d := b.Dual
-	return fmt.Sprintf("%s n=%d G=%v G'=%v embed=%v", d.Name, d.N(), d.G.Edges(), d.GPrime.Edges(), d.Embed)
+	return fmt.Sprintf("%s n=%d G=%v G'=%v embed=%v reliable=%x",
+		d.Name, d.N(), d.G.Edges(), d.GPrime.Edges(), d.Embed, d.ReliableArcs())
 }
+
+// sharesG lists the G′ = G families, whose G′ is G itself.
+var sharesG = map[string]bool{"line": true, "ring": true, "star": true, "tree": true, "grid": true, "star-choke": true}
 
 // buildCases maps every registered family to small parameters for the
 // structure-sharing tests.
@@ -32,8 +36,10 @@ var buildCases = map[string]Params{
 
 // TestBuildIntoMatchesBuild is the structure-sharing contract: for every
 // registered family and several seeds, building into one shared workspace
-// yields networks byte-identical to fresh Build calls — interleaved across
-// families, so recycled graphs from one family cannot leak into the next.
+// yields networks byte-identical to fresh Build calls, reliability words
+// included — interleaved across families, so recycled graphs and words
+// from one family cannot leak into the next. Both builds' words must equal
+// G.HasEdge on every G′ arc, and exactly the G′ = G families share G.
 func TestBuildIntoMatchesBuild(t *testing.T) {
 	ws := NewWorkspace()
 	for _, name := range Names() {
@@ -56,6 +62,14 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 			}
 			if err := warm.Dual.Validate(); err != nil {
 				t.Fatalf("%s seed %d: workspace-built dual invalid: %v", name, seed, err)
+			}
+			for _, b := range []*Built{cold, warm} {
+				if msg := bitsMismatch(b.Dual); msg != "" {
+					t.Fatalf("%s seed %d: %s", name, seed, msg)
+				}
+				if shared := b.Dual.GPrime == b.Dual.G; shared != sharesG[name] {
+					t.Fatalf("%s seed %d: G′ is G itself: %v, want %v", name, seed, shared, sharesG[name])
+				}
 			}
 		}
 	}

@@ -11,25 +11,28 @@ import (
 // a pool of resettable graphs, a point-embedding buffer, a reseedable
 // random stream, the geometric builders' scan scratch, two sets of forward
 // rows (graph.ForwardRows) for the line, pods and r-restricted builders,
-// and the edge list and pair set of the arbitrary-noise builder. BuildInto
+// the edge list and pair set of the arbitrary-noise builder, and the
+// reliability words of the dual (see Dual.ReliableArcs). BuildInto
 // threads one through a builder so repeated builds — the per-trial
 // topology draws of an unpinned scenario sweep — emit into recycled
 // storage instead of fresh allocations.
 //
 // Networks built into a workspace alias its storage: the next BuildInto on
-// the same workspace recycles the graphs and embedding of the previous one.
+// the same workspace recycles the graphs, embedding and reliability words
+// of the previous one.
 // Callers therefore finish (or copy out of) one built network before
 // building the next, exactly the discipline mac.Arena imposes on pooled
 // engines. A nil *Workspace is valid everywhere and allocates fresh, so
 // builders are written once against the workspace surface.
 type Workspace struct {
-	graphs  []*graph.Graph
-	next    int
-	points  geom.Embedding
-	rng     *rand.Rand
-	scratch *geom.Scratch
-	rows    [2]graph.ForwardRows
-	extras  noiseScratch
+	graphs   []*graph.Graph
+	next     int
+	points   geom.Embedding
+	rng      *rand.Rand
+	scratch  *geom.Scratch
+	rows     [2]graph.ForwardRows
+	extras   noiseScratch
+	reliable []uint64
 }
 
 // noiseScratch is ArbitraryNoiseInto's storage: G′'s edge list and the set
@@ -137,6 +140,22 @@ func (ws *Workspace) noise() *noiseScratch {
 	}
 	clear(s.accepted)
 	return s
+}
+
+// reliableWords returns n zeroed words for a dual's reliability bits,
+// grown only when capacity is short. With a nil receiver it allocates
+// fresh.
+func (ws *Workspace) reliableWords(n int) []uint64 {
+	if ws == nil {
+		return make([]uint64, n)
+	}
+	if cap(ws.reliable) < n {
+		ws.reliable = make([]uint64, n)
+	} else {
+		ws.reliable = ws.reliable[:n]
+		clear(ws.reliable)
+	}
+	return ws.reliable
 }
 
 // Rand returns the workspace's random stream reseeded to seed — the exact
