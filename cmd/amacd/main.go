@@ -71,24 +71,27 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 
-	store, err := jobs.Open(*dir, *workers)
-	if err != nil {
-		return err
-	}
-	defer store.Close()
+	var afterShard func(string, jobs.Shard) error
 	if *exitAfter > 0 {
 		// The store runs jobs on one loop goroutine, so a plain counter
 		// suffices. os.Exit skips all cleanup on purpose: the smoke test
-		// wants a crash between checkpoints, not a graceful shutdown.
+		// wants a crash between checkpoints, not a graceful shutdown. The
+		// hook goes in through Open, so it also counts the shards of jobs
+		// resumed from the directory.
 		n := 0
-		store.SetAfterShard(func(id string, sh jobs.Shard) error {
+		afterShard = func(id string, sh jobs.Shard) error {
 			if n++; n >= *exitAfter {
 				fmt.Fprintf(os.Stderr, "amacd: crash injection: exiting after %d shard checkpoints (job %s, shard %d)\n", n, id, sh.Index)
 				os.Exit(3)
 			}
 			return nil
-		})
+		}
 	}
+	store, err := jobs.Open(*dir, *workers, afterShard)
+	if err != nil {
+		return err
+	}
+	defer store.Close()
 	fmt.Fprintf(out, "amacd: serving on %s, checkpoints in %s, %d workers\n", *addr, *dir, *workers)
 	return http.ListenAndServe(*addr, jobs.NewHandler(store))
 }

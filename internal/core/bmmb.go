@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"slices"
-
-	"amac/internal/mac"
-)
+import "amac/internal/mac"
 
 // BMMB is the Basic Multi-Message Broadcast protocol of Section 3: every
 // process keeps a FIFO queue bcastq and a set rcvd, both initially empty.
@@ -18,17 +13,14 @@ import (
 // BMMB runs unchanged in the standard abstract MAC layer: it uses no
 // timers, no aborts and no knowledge of Fack/Fprog.
 //
-// rcvd is a bitset indexed by Msg.ID, which identifies a message within an
-// execution (IDs are 0..k−1, see Msg): a reception — nearly always a
-// duplicate, since every node rebroadcasts what it learns — costs one bit
-// test. Its first word lives in the record itself, so for k ≤ 64 that test
-// reads the record the reception already touched; past that it grows on
-// demand, so the automaton never needs to know k.
+// rcvd is a bitset indexed by Msg.ID (a msgSet): a reception — nearly
+// always a duplicate, since every node rebroadcasts what it learns — costs
+// one bit test. Its first word lives in the record itself, so for k ≤ 64
+// that test reads the record the reception already touched.
 type BMMB struct {
 	bcastq []Msg
-	head   int       // index of the queue head; popped entries stay until Reset
-	rcvd   []uint64  // bit m.ID is set once m has been received
-	word0  [1]uint64 // rcvd's initial backing store
+	head   int    // index of the queue head; popped entries stay until Reset
+	rcvd   msgSet // holds m.ID once m has been received
 }
 
 var (
@@ -43,7 +35,7 @@ var (
 func (b *BMMB) Reset() {
 	b.bcastq = b.bcastq[:0]
 	b.head = 0
-	clear(b.rcvd)
+	b.rcvd.reset()
 }
 
 // Queue returns the current queue contents (a copy), for tests and debug
@@ -52,10 +44,7 @@ func (b *BMMB) Queue() []Msg { return append([]Msg(nil), b.bcastq[b.head:]...) }
 
 // Received reports whether m has been received: the rcvd set, keyed by
 // Msg.ID alone.
-func (b *BMMB) Received(m Msg) bool {
-	w := m.ID >> 6
-	return m.ID >= 0 && w < len(b.rcvd) && b.rcvd[w]&(1<<(uint(m.ID)&63)) != 0
-}
+func (b *BMMB) Received(m Msg) bool { return b.rcvd.has(m.ID) }
 
 // Wakeup implements mac.Automaton. BMMB is purely message-driven.
 func (b *BMMB) Wakeup(ctx mac.Context) {}
@@ -73,14 +62,10 @@ func (b *BMMB) Recv(ctx mac.Context, m mac.Message) {
 // learn processes the first sighting of a message: deliver, record, queue,
 // and start broadcasting if idle.
 func (b *BMMB) learn(ctx mac.Context, m Msg) {
-	w, bit := m.ID>>6, uint64(1)<<(uint(m.ID)&63)
-	if uint(w) >= uint(len(b.rcvd)) {
-		b.growRcvd(m.ID)
-	}
-	if b.rcvd[w]&bit != 0 {
+	if b.rcvd.has(m.ID) {
 		return
 	}
-	b.rcvd[w] |= bit
+	b.rcvd.add(m.ID)
 	ctx.Emit(DeliverKind, m.Payload())
 	b.bcastq = append(b.bcastq, m)
 	b.maybeSend(ctx)
@@ -101,17 +86,6 @@ func (b *BMMB) maybeSend(ctx mac.Context) {
 	}
 }
 
-// growRcvd extends rcvd to cover message ID id, zero-filled, at least
-// doubling it so a stream of rising IDs costs amortized O(1).
-func (b *BMMB) growRcvd(id int) {
-	if id < 0 {
-		panic(fmt.Sprintf("core: BMMB received message ID %d (IDs are 0..k-1)", id))
-	}
-	n, words := len(b.rcvd), max(id>>6+1, 2*len(b.rcvd))
-	b.rcvd = slices.Grow(b.rcvd, words-n)[:words]
-	clear(b.rcvd[n:])
-}
-
 // NewBMMBFleet returns one BMMB automaton per node, as the runner expects.
 // The records are one contiguous []BMMB, so the fleet is two allocations
 // and neighbouring nodes' records share no pointers to chase.
@@ -119,7 +93,6 @@ func NewBMMBFleet(n int) []mac.Automaton {
 	out := make([]mac.Automaton, n)
 	recs := make([]BMMB, n)
 	for i := range recs {
-		recs[i].rcvd = recs[i].word0[:]
 		out[i] = &recs[i]
 	}
 	return out

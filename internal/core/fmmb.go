@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"amac/internal/mac"
 )
@@ -147,7 +149,12 @@ type FMMB struct {
 	// from cfg.
 	misEnd, gatherEnd, total int
 
-	delivered map[Msg]bool
+	// The message sets are bitsets keyed by Msg.ID (msgSet): delivered
+	// holds every message this node has output, and origin[id] is the
+	// origin of delivered message id, recorded on its first sighting, so
+	// the ID-keyed sets below still name whole messages.
+	delivered msgSet
+	origin    []mac.NodeID
 
 	// Gather state.
 	owned  []Msg // messages this node still owns (non-MIS hand-over list)
@@ -156,15 +163,15 @@ type FMMB struct {
 	hasAck bool  // ackOut is set
 
 	// Spread state.
-	have      map[Msg]bool // Mv: messages an MIS node holds
-	sent      map[Msg]bool // M'v: messages already injected into a phase
-	inbox     []Msg        // received this period, merged at period end
-	cur       Msg          // message injected this phase
-	hasCur    bool         // cur is set
-	curAcked  bool         // some broadcast of cur was acknowledged
-	curActive bool         // active in the current period
-	relay     Msg          // message to relay in the next round
-	hasRelay  bool         // relay is set
+	have      msgSet // Mv: messages an MIS node holds
+	sent      msgSet // M'v: messages already injected into a phase
+	inbox     []Msg  // received this period, merged at period end
+	cur       Msg    // message injected this phase
+	hasCur    bool   // cur is set
+	curAcked  bool   // some broadcast of cur was acknowledged
+	curActive bool   // active in the current period
+	relay     Msg    // message to relay in the next round
+	hasRelay  bool   // relay is set
 }
 
 var (
@@ -176,28 +183,24 @@ var (
 
 // NewFMMB returns a fresh FMMB process.
 func NewFMMB(cfg FMMBConfig) *FMMB {
-	f := &FMMB{
-		mis:       new(misState),
-		delivered: make(map[Msg]bool),
-		have:      make(map[Msg]bool),
-		sent:      make(map[Msg]bool),
-	}
+	f := &FMMB{mis: new(misState)}
 	f.Reconfigure(cfg)
 	return f
 }
 
 // Reset implements mac.Resettable: every stage's state returns to its
 // initial value (the resolved config is kept), clearing rather than
-// reallocating the maps and slices so reused fleets run allocation-free.
+// reallocating the sets and slices so reused fleets run allocation-free.
+// origin is only read for delivered IDs, so it needs no clearing.
 func (f *FMMB) Reset() {
 	*f.mis = misState{cfg: f.mis.cfg}
 	f.round = 0
-	clear(f.delivered)
+	f.delivered.reset()
 	f.owned = f.owned[:0]
 	f.polled = false
 	f.hasAck = false
-	clear(f.have)
-	clear(f.sent)
+	f.have.reset()
+	f.sent.reset()
 	f.inbox = f.inbox[:0]
 	f.hasCur = false
 	f.curAcked = false
@@ -232,8 +235,9 @@ func NewFMMBFleet(n int, cfg FMMBConfig) []mac.Automaton {
 // InMIS reports whether the node joined the MIS (valid after stage 1).
 func (f *FMMB) InMIS() bool { return f.mis.InMIS }
 
-// Holds reports whether the node holds m in its message set.
-func (f *FMMB) Holds(m Msg) bool { return f.have[m] }
+// Holds reports whether the node holds m in its message set: its ID, from
+// its origin.
+func (f *FMMB) Holds(m Msg) bool { return f.have.has(m.ID) && f.origin[m.ID] == m.Origin }
 
 // Wakeup implements mac.Automaton.
 func (f *FMMB) Wakeup(ctx mac.Context) {
@@ -246,7 +250,7 @@ func (f *FMMB) Arrive(ctx mac.Context, payload mac.Payload) {
 	m := mustMsg(payload)
 	f.deliver(ctx, m)
 	f.owned = append(f.owned, m)
-	f.have[m] = true
+	f.have.add(m.ID)
 }
 
 // Timer implements mac.TimerHandler: each tick is a round boundary.
@@ -256,11 +260,18 @@ func (f *FMMB) Timer(ctx mac.EnhancedContext) {
 	f.startRound(ctx)
 }
 
+// deliver performs the MMB deliver(m) output on m's first sighting and
+// records its origin.
 func (f *FMMB) deliver(ctx mac.Context, m Msg) {
-	if f.delivered[m] {
+	if f.delivered.has(m.ID) {
 		return
 	}
-	f.delivered[m] = true
+	f.delivered.add(m.ID)
+	if m.ID >= len(f.origin) {
+		n := max(m.ID+1, f.cfg.K)
+		f.origin = slices.Grow(f.origin, n-len(f.origin))[:n]
+	}
+	f.origin[m.ID] = m.Origin
 	ctx.Emit(DeliverKind, m.Payload())
 }
 
@@ -301,18 +312,18 @@ func (f *FMMB) startGatherRound(ctx mac.EnhancedContext, g int) {
 	}
 }
 
-func (f *FMMB) onGatherRecv(ctx mac.Context, m mac.Message, g int, fromG bool) {
+func (f *FMMB) onGatherRecv(ctx mac.Context, m mac.Message, g int) {
 	switch m.Payload.Kind {
 	case pollKind:
-		if g%3 == 0 && fromG && !f.mis.InMIS {
+		if g%3 == 0 && m.Reliable && !f.mis.InMIS {
 			f.polled = true
 		}
 	case gatherMsgKind:
 		mm := Msg{ID: int(m.Payload.A), Origin: mac.NodeID(m.Payload.B)}
 		f.deliver(ctx, mm)
-		if g%3 == 1 && fromG && f.mis.InMIS {
-			if !f.have[mm] {
-				f.have[mm] = true
+		if g%3 == 1 && m.Reliable && f.mis.InMIS {
+			if !f.have.has(mm.ID) {
+				f.have.add(mm.ID)
 				ctx.Emit("gather-own", mm.Payload())
 			}
 			f.ackOut, f.hasAck = mm, true
@@ -320,7 +331,7 @@ func (f *FMMB) onGatherRecv(ctx mac.Context, m mac.Message, g int, fromG bool) {
 	case gatherAckKind:
 		mm := Msg{ID: int(m.Payload.A), Origin: mac.NodeID(m.Payload.B)}
 		f.deliver(ctx, mm)
-		if g%3 == 2 && fromG && !f.mis.InMIS {
+		if g%3 == 2 && m.Reliable && !f.mis.InMIS {
 			f.dropOwned(mm)
 		}
 	}
@@ -377,7 +388,7 @@ func (f *FMMB) startSpreadRound(ctx mac.EnhancedContext, s int) {
 func (f *FMMB) endPhase() {
 	f.mergeInbox()
 	if f.hasCur && f.curAcked {
-		f.sent[f.cur] = true
+		f.sent.add(f.cur.ID)
 	}
 	f.hasCur = false
 }
@@ -386,42 +397,35 @@ func (f *FMMB) endPhase() {
 // node's message set.
 func (f *FMMB) mergeInbox() {
 	for _, m := range f.inbox {
-		f.have[m] = true
+		f.have.add(m.ID)
 	}
 	f.inbox = f.inbox[:0]
 }
 
 // pickUnsent returns the smallest-ID held message not yet injected, and
-// whether there is one. A single min-scan replaces the old collect-and-sort:
-// one allocation-free O(|have|) pass per phase instead of
-// O(|have| log |have|) plus a slice.
+// whether there is one: the lowest set bit of have &^ sent, one word at a
+// time.
 func (f *FMMB) pickUnsent() (Msg, bool) {
 	if !f.mis.InMIS {
 		return Msg{}, false
 	}
-	var best Msg
-	found := false
-	//lint:mapiter min-scan under the total (ID, Origin) order — Msg has no other fields, so the result is independent of visit order
-	for m := range f.have {
-		if f.sent[m] {
-			continue
-		}
-		if !found || m.ID < best.ID || (m.ID == best.ID && m.Origin < best.Origin) {
-			best = m
-			found = true
+	for w, held := range f.have.words {
+		if unsent := held &^ f.sent.word(w); unsent != 0 {
+			id := w<<6 | bits.TrailingZeros64(unsent)
+			return Msg{ID: id, Origin: f.origin[id]}, true
 		}
 	}
-	return best, found
+	return Msg{}, false
 }
 
-func (f *FMMB) onSpreadRecv(ctx mac.Context, m mac.Message, s int, fromG bool) {
+func (f *FMMB) onSpreadRecv(ctx mac.Context, m mac.Message, s int) {
 	if m.Payload.Kind != spreadKind {
 		return
 	}
 	mm := Msg{ID: int(m.Payload.A), Origin: mac.NodeID(m.Payload.B)}
 	f.deliver(ctx, mm)
 	pr := (s % (f.cfg.SpreadPeriods * 3)) % 3
-	if fromG && pr < 2 {
+	if m.Reliable && pr < 2 {
 		// Relay in the next round of this period (rounds 2 and 3 relay
 		// what arrived in rounds 1 and 2).
 		f.relay, f.hasRelay = mm, true
@@ -431,16 +435,16 @@ func (f *FMMB) onSpreadRecv(ctx mac.Context, m mac.Message, s int, fromG bool) {
 	}
 }
 
-// Recv implements mac.Automaton, dispatching on the current stage.
+// Recv implements mac.Automaton, dispatching on the current stage. Every
+// stage tells reliable senders apart by m.Reliable.
 func (f *FMMB) Recv(ctx mac.Context, m mac.Message) {
-	fromG := isGNeighbor(ctx, m.Sender)
 	switch {
 	case f.round < f.misEnd:
-		f.mis.onRecv(ctx, m, fromG)
+		f.mis.onRecv(ctx, m)
 	case f.round < f.gatherEnd:
-		f.onGatherRecv(ctx, m, f.round-f.misEnd, fromG)
+		f.onGatherRecv(ctx, m, f.round-f.misEnd)
 	default:
-		f.onSpreadRecv(ctx, m, f.round-f.gatherEnd, fromG)
+		f.onSpreadRecv(ctx, m, f.round-f.gatherEnd)
 	}
 }
 

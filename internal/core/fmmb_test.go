@@ -192,3 +192,140 @@ func TestFMMBConfigRounds(t *testing.T) {
 		t.Fatalf("Rounds = %d, want %d", got, want)
 	}
 }
+
+// spreadAssignment numbers k messages 0..k−1 and injects message i at node
+// i mod n, so the origins differ from message to message.
+func spreadAssignment(n, k int) Assignment {
+	a := make(Assignment, n)
+	for i := 0; i < k; i++ {
+		v := graph.NodeID(i % n)
+		a[v] = append(a[v], Msg{ID: i, Origin: v})
+	}
+	return a
+}
+
+// TestFMMBSolvesPastOneWord runs FMMB with k = 65 and k = 130 messages,
+// where its ID-keyed message sets grow past their inline first word (and,
+// at 130, past a second), with the MMB watcher and check.All clean. Every
+// message must end up held, with its own origin, by some MIS node. With
+// about k/n messages per node the default SpreadPhases slack is too tight
+// (760 of 780 deliveries at k = 65), so the schedule runs 2(D + k) phases.
+func TestFMMBSolvesPastOneWord(t *testing.T) {
+	d := topology.Grid(3, 4)
+	for _, k := range []int{65, 130} {
+		a := spreadAssignment(d.N(), k)
+		cfg := FMMBConfig{N: d.N(), K: k, D: d.G.Diameter(), C: 1.0, SpreadPhases: 2 * (d.G.Diameter() + k)}
+		autos := NewFMMBFleet(d.N(), cfg)
+		res := MustRun(RunConfig{
+			Dual:       d,
+			Fack:       testFack,
+			Fprog:      testFprog,
+			Scheduler:  &sched.Slot{},
+			Mode:       mac.Enhanced,
+			Seed:       int64(k),
+			Assignment: a,
+			Automata:   autos,
+			Horizon:    sim.Time(cfg.Rounds()+2) * testFprog,
+			StepLimit:  1 << 62,
+			Options:    RunOptions{Check: true},
+		})
+		if len(res.MMBViolations) != 0 {
+			t.Fatalf("k=%d: MMB violations: %v", k, res.MMBViolations)
+		}
+		if res.Report == nil || !res.Report.OK() {
+			t.Fatalf("k=%d: model check: %+v", k, res.Report)
+		}
+		if !res.Solved {
+			t.Fatalf("k=%d: not solved: %d/%d delivered by %v", k, res.Delivered, res.Required, res.End)
+		}
+		for _, m := range a.Messages() {
+			held := false
+			for _, auto := range autos {
+				if f := auto.(*FMMB); f.InMIS() && f.Holds(m) {
+					held = true
+					break
+				}
+			}
+			if !held {
+				t.Fatalf("k=%d: message %v not held by any MIS node", k, m)
+			}
+		}
+	}
+}
+
+// emitCtx is the one Context method FMMB's message bookkeeping calls,
+// Emit, discarding the event; any other call panics on the nil embedded
+// interface.
+type emitCtx struct{ mac.Context }
+
+func (emitCtx) Emit(string, mac.Payload) {}
+
+// TestFMMBHoldsChecksOrigin pins that the ID-keyed message set still names
+// whole messages: Holds accepts a held message and rejects its ID with
+// another origin, an ID it does not hold and IDs outside every word.
+func TestFMMBHoldsChecksOrigin(t *testing.T) {
+	f := NewFMMB(FMMBConfig{N: 8, K: 4})
+	f.Arrive(emitCtx{}, Msg{ID: 3, Origin: 5}.Payload())
+	f.Arrive(emitCtx{}, Msg{ID: 100, Origin: 2}.Payload())
+	for _, tc := range []struct {
+		m    Msg
+		want bool
+	}{
+		{Msg{ID: 3, Origin: 5}, true},
+		{Msg{ID: 3, Origin: 6}, false},
+		{Msg{ID: 3, Origin: 0}, false},
+		{Msg{ID: 100, Origin: 2}, true},
+		{Msg{ID: 100, Origin: 5}, false},
+		{Msg{ID: 2, Origin: 5}, false},
+		{Msg{ID: 1000, Origin: 5}, false},
+		{Msg{ID: -1, Origin: 5}, false},
+	} {
+		if got := f.Holds(tc.m); got != tc.want {
+			t.Errorf("Holds(%v) = %v, want %v", tc.m, got, tc.want)
+		}
+	}
+	f.Reset()
+	if f.Holds(Msg{ID: 3, Origin: 5}) {
+		t.Error("Holds a message after Reset")
+	}
+}
+
+// TestFMMBPickUnsentLowestHeld pins pickUnsent against a min-scan of the
+// held set: it returns the lowest-ID message that is held and not yet
+// sent, with its origin, across word boundaries, and nothing once every
+// held message is sent or when the node is not in the MIS.
+func TestFMMBPickUnsentLowestHeld(t *testing.T) {
+	f := NewFMMB(FMMBConfig{N: 8, K: 4})
+	f.mis.InMIS = true
+	held := map[Msg]bool{}
+	for _, m := range []Msg{{130, 1}, {70, 7}, {3, 2}, {64, 0}, {9, 4}, {63, 6}} {
+		f.deliver(emitCtx{}, m)
+		f.inbox = append(f.inbox, m)
+		held[m] = true
+	}
+	f.mergeInbox()
+	sent := map[Msg]bool{}
+	for {
+		var want Msg
+		found := false
+		for m := range held {
+			if !sent[m] && (!found || m.ID < want.ID) {
+				want, found = m, true
+			}
+		}
+		got, ok := f.pickUnsent()
+		if ok != found || got != want {
+			t.Fatalf("pickUnsent = %v, %v; want %v, %v (sent %v)", got, ok, want, found, sent)
+		}
+		if !ok {
+			break
+		}
+		f.sent.add(got.ID)
+		sent[got] = true
+	}
+	f.mis.InMIS = false
+	f.sent.reset()
+	if m, ok := f.pickUnsent(); ok {
+		t.Fatalf("a node outside the MIS picked %v", m)
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"amac/internal/mac"
 )
@@ -167,9 +166,9 @@ func (s *misState) startRound(ctx mac.Context, round int) {
 	}
 }
 
-// onRecv processes a message received during an MIS round. fromG reports
-// whether the sender is a reliable neighbor of this node.
-func (s *misState) onRecv(ctx mac.Context, m mac.Message, fromG bool) {
+// onRecv processes a message received during an MIS round; m.Reliable
+// reports whether the sender is a reliable neighbor of this node.
+func (s *misState) onRecv(ctx mac.Context, m mac.Message) {
 	if s.InMIS || s.Covered {
 		return
 	}
@@ -183,7 +182,7 @@ func (s *misState) onRecv(ctx mac.Context, m mac.Message, fromG bool) {
 	case announceKind:
 		// Announcements count only over reliable links: hearing one from
 		// a G-neighbor covers this node permanently.
-		if fromG {
+		if m.Reliable {
 			s.Covered = true
 			ctx.Emit("mis-covered", mac.Int(int64(m.Sender)))
 		} else if s.inElection && !s.sentThisRound {
@@ -258,14 +257,7 @@ func (mn *MISNode) startRound(ctx mac.EnhancedContext) {
 
 // Recv implements mac.Automaton.
 func (mn *MISNode) Recv(ctx mac.Context, m mac.Message) {
-	mn.state.onRecv(ctx, m, isGNeighbor(ctx, m.Sender))
-}
-
-// isGNeighbor reports whether v is a reliable (G) neighbor of ctx's node, by
-// binary search of its sorted G row.
-func isGNeighbor(ctx mac.Context, v mac.NodeID) bool {
-	_, ok := slices.BinarySearch(ctx.GNeighbors(), v)
-	return ok
+	mn.state.onRecv(ctx, m)
 }
 
 // Acked implements mac.Automaton; round-based broadcasts need no reaction.

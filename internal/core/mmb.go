@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"amac/internal/mac"
 )
@@ -36,6 +37,59 @@ type Msg struct {
 
 // String renders the message compactly.
 func (m Msg) String() string { return fmt.Sprintf("m%d@%d", m.ID, m.Origin) }
+
+// msgSet is a set of messages keyed by Msg.ID, which identifies a message
+// within an execution: bit ID of words. A membership test is one bit test.
+// The first word lives in the set itself, so IDs below 64 never allocate;
+// past that the words grow on demand, so the holder never needs to know k.
+// A set must not be copied once used, since words may alias word0.
+type msgSet struct {
+	words []uint64
+	word0 [1]uint64
+}
+
+// has reports whether the set holds a message with the given ID.
+func (s *msgSet) has(id int) bool {
+	w := id >> 6
+	return uint(w) < uint(len(s.words)) && s.words[w]&(1<<(uint(id)&63)) != 0
+}
+
+// add inserts id. Hot callers test has first, which inlines, so the call
+// is paid once per message rather than once per sighting.
+func (s *msgSet) add(id int) {
+	if uint(id>>6) >= uint(len(s.words)) {
+		s.grow(id)
+	}
+	s.words[id>>6] |= 1 << (uint(id) & 63)
+}
+
+// word returns word w of the set, zero past its end.
+func (s *msgSet) word(w int) uint64 {
+	if w < len(s.words) {
+		return s.words[w]
+	}
+	return 0
+}
+
+// reset empties the set, keeping its words.
+func (s *msgSet) reset() { clear(s.words) }
+
+// grow extends the set to cover id, zero-filled: first onto word0, then at
+// least doubling, so a stream of rising IDs costs amortized O(1).
+func (s *msgSet) grow(id int) {
+	if id < 0 {
+		panic(fmt.Sprintf("core: message ID %d (IDs are 0..k-1)", id))
+	}
+	if s.words == nil {
+		s.words = s.word0[:]
+		if id < 64 {
+			return
+		}
+	}
+	n, words := len(s.words), max(id>>6+1, 2*len(s.words))
+	s.words = slices.Grow(s.words, words-n)[:words]
+	clear(s.words[n:])
+}
 
 // Assignment maps each node to the messages the environment injects there
 // at time zero. Index is the node ID.

@@ -243,14 +243,12 @@ func podsAllocRun(t *testing.T) func(RunOptions) (uint64, *Result) {
 
 // TestShardedStreamWarmAllocations pins that a warm sharded run streams
 // without allocating per event: components record into the runner's
-// pooled blocks and the merge hands each event straight to the writer. On
-// the 4,000-node pods dual, once a run has filled the pools, a streamed
-// run allocates fewer bytes, by the runtime's TotalAlloc, than it emits
-// events, beyond what the same run allocates with the trace off. A copy of
-// each component's trace alone costs 64 B an event. The trace-off run is
-// subtracted because every run, traced or not, re-allocates the sim event
-// structs its components' queues dropped as they drained (about 100 B a
-// node here), which is no cost of the trace.
+// pooled blocks, the merge hands each event straight to the writer, and
+// each component's sim queue serves its events from the pool the earlier
+// runs filled. On the 4,000-node pods dual, once a run has filled the
+// pools, a streamed run allocates fewer bytes, by the runtime's
+// TotalAlloc, than it emits events. A copy of each component's trace alone
+// costs 64 B an event.
 func TestShardedStreamWarmAllocations(t *testing.T) {
 	run := podsAllocRun(t)
 	tw := sim.NewTraceWriter(io.Discard)
@@ -259,13 +257,12 @@ func TestShardedStreamWarmAllocations(t *testing.T) {
 	events := tw.Len()
 	streamed, _ := run(stream)
 	events = tw.Len() - events
-	off, _ := run(RunOptions{Trace: TraceOff, Shards: 2})
 	if err := tw.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if streamed >= off+uint64(events) {
-		t.Fatalf("warm streamed sharded run allocates %d bytes for %d events, %d with the trace off: %.1f B an event, want under 1",
-			streamed, events, off, float64(streamed-off)/float64(events))
+	if streamed >= uint64(events) {
+		t.Fatalf("warm streamed sharded run allocates %d bytes for %d events: %.2f B an event, want under 1",
+			streamed, events, float64(streamed)/float64(events))
 	}
 }
 
@@ -274,8 +271,8 @@ func TestShardedStreamWarmAllocations(t *testing.T) {
 // of growing it by append from empty, which copies it about log₂ of its
 // length times. On the 4,000-node pods dual, once a run has filled the
 // pools, a memory-mode run allocates under 1.5× the merged trace's bytes
-// beyond the same run with the trace off (see
-// TestShardedStreamWarmAllocations for why that run is subtracted).
+// beyond the same run with the trace off, so only what the trace costs
+// counts.
 func TestShardedMemoryTraceAllocations(t *testing.T) {
 	run := podsAllocRun(t)
 	mem := RunOptions{Trace: TraceMemory, Shards: 2}

@@ -52,7 +52,7 @@ func ServicePath(o Options) *Table {
 		panic(fmt.Sprintf("harness: amacd-service-path: %v", err))
 	}
 	defer os.RemoveAll(dir)
-	store, err := jobs.Open(dir, o.Parallelism)
+	store, err := jobs.Open(dir, o.Parallelism, nil)
 	if err != nil {
 		panic(fmt.Sprintf("harness: amacd-service-path: %v", err))
 	}

@@ -113,7 +113,7 @@ func TestStoreMatchesExecute(t *testing.T) {
 	} {
 		job := base
 		job.ShardTrials = cfg.shardTrials
-		s, err := Open(t.TempDir(), cfg.workers)
+		s, err := Open(t.TempDir(), cfg.workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,14 +157,10 @@ func TestStoreResumeAfterKill(t *testing.T) {
 	want := canonicalOrFatal(t, ref)
 
 	dir := t.TempDir()
-	s1, err := Open(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Kill after the second completed shard.
 	killed := make(chan struct{})
 	ran1 := 0
-	s1.SetAfterShard(func(string, Shard) error {
+	s1, err := Open(dir, 2, func(string, Shard) error {
 		ran1++
 		if ran1 == 2 {
 			close(killed)
@@ -172,6 +168,9 @@ func TestStoreResumeAfterKill(t *testing.T) {
 		}
 		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	id, err := s1.Submit(job)
 	if err != nil {
 		t.Fatal(err)
@@ -185,19 +184,19 @@ func TestStoreResumeAfterKill(t *testing.T) {
 
 	// "Restart the daemon": a fresh store over the same directory must
 	// pick the job up, replay shards 0-1 from checkpoints, and execute
-	// only the rest.
-	s2, err := Open(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
+	// only the rest. The hook goes in through Open, before the resumed
+	// job can run a shard.
 	ran2 := 0
 	var rerun []int
-	s2.SetAfterShard(func(_ string, sh Shard) error {
+	s2, err := Open(dir, 2, func(_ string, sh Shard) error {
 		ran2++
 		rerun = append(rerun, sh.Index)
 		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
 	st, ok := s2.Wait(id)
 	if !ok || st.State != StateDone {
 		t.Fatalf("resumed job ended %+v", st)
@@ -221,7 +220,7 @@ func TestStoreResumeAfterKill(t *testing.T) {
 
 	// A full reopen over the finished directory serves the same bytes
 	// without re-execution.
-	s3, err := Open(dir, 2)
+	s3, err := Open(dir, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +265,7 @@ func TestTornCheckpointReruns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := Open(dir, 2)
+	s, err := Open(dir, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +287,7 @@ func TestTornCheckpointReruns(t *testing.T) {
 // same job returns the same ID without queueing new work, and a different
 // job gets a different ID.
 func TestSubmitIdempotent(t *testing.T) {
-	s, err := Open(t.TempDir(), 1)
+	s, err := Open(t.TempDir(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,23 +496,22 @@ func TestReportsReconstruction(t *testing.T) {
 // is covered by the scenario package's own tests.)
 func TestStatusDoneTrials(t *testing.T) {
 	job := testJob()
-	s, err := Open(t.TempDir(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
 	type snapshot struct {
 		shardHi int
 		status  JobStatus
 	}
 	var snaps []snapshot
-	s.SetAfterShard(func(id string, sh Shard) error {
+	var s *Store
+	s, err := Open(t.TempDir(), 2, func(id string, sh Shard) error {
 		if st, ok := s.Status(id); ok {
 			snaps = append(snaps, snapshot{sh.Hi, st})
 		}
 		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 
 	id, err := s.Submit(job)
 	if err != nil {

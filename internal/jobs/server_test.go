@@ -16,7 +16,7 @@ import (
 // against a real store: submit → status → result → delete, plus the
 // sharded result matching the single-machine reference byte-for-byte.
 func TestServerEndToEnd(t *testing.T) {
-	store, err := Open(t.TempDir(), 2)
+	store, err := Open(t.TempDir(), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestServerEndToEnd(t *testing.T) {
 // TestServerErrorPaths pins the HTTP status codes of every failure mode the
 // CI smoke job and clients rely on.
 func TestServerErrorPaths(t *testing.T) {
-	store, err := Open(t.TempDir(), 1)
+	store, err := Open(t.TempDir(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

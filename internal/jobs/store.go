@@ -58,9 +58,9 @@ type Store struct {
 	stop    chan struct{}
 	loop    sync.WaitGroup
 
-	// afterShard (set via SetAfterShard) runs after every executed (not
-	// replayed) shard checkpoint lands on disk; returning an error aborts
-	// the job mid-run with its partial checkpoints intact.
+	// afterShard (Open's hook) runs after every executed (not replayed)
+	// shard checkpoint lands on disk; returning an error aborts the job
+	// mid-run with its partial checkpoints intact.
 	afterShard func(jobID string, sh Shard) error
 }
 
@@ -83,7 +83,14 @@ type jobEntry struct {
 // Open creates (or reopens) a store over dir and starts its run loop.
 // workers bounds in-shard parallelism for jobs that do not set their own.
 // Unfinished jobs found in the directory are re-queued in ID order.
-func Open(dir string, workers int) (*Store, error) {
+//
+// afterShard, when non-nil, is invoked after every executed (not replayed)
+// shard checkpoint lands on disk, resumed jobs' shards included, since it
+// is in place before the run loop starts. A non-nil error abandons the job
+// mid-run with its checkpoints intact, to be resumed by the next Open over
+// the directory — the crash-injection point used by the resume tests and
+// by amacd -exit-after-shards for the CI kill/restart smoke.
+func Open(dir string, workers int, afterShard func(jobID string, sh Shard) error) (*Store, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -91,11 +98,12 @@ func Open(dir string, workers int) (*Store, error) {
 		return nil, fmt.Errorf("jobs: open store: %w", err)
 	}
 	s := &Store{
-		dir:     dir,
-		workers: workers,
-		jobs:    make(map[string]*jobEntry),
-		pending: make(chan *jobEntry, 256),
-		stop:    make(chan struct{}),
+		dir:        dir,
+		workers:    workers,
+		jobs:       make(map[string]*jobEntry),
+		pending:    make(chan *jobEntry, 256),
+		stop:       make(chan struct{}),
+		afterShard: afterShard,
 	}
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -205,17 +213,6 @@ func (s *Store) Submit(job Spec) (string, error) {
 	return id, nil
 }
 
-// SetAfterShard installs a hook invoked after every executed (not
-// replayed) shard checkpoint lands on disk. A non-nil error abandons the
-// job mid-run with its checkpoints intact, to be resumed by the next Open
-// over the directory — the crash-injection point used by the resume tests
-// and by amacd -exit-after-shards for the CI kill/restart smoke.
-func (s *Store) SetAfterShard(hook func(jobID string, sh Shard) error) {
-	s.mu.Lock()
-	s.afterShard = hook
-	s.mu.Unlock()
-}
-
 // run is the store's single execution loop: jobs run one at a time so a
 // host's worker pool serves one job's shards at full parallelism instead of
 // thrashing between jobs.
@@ -294,11 +291,8 @@ func (s *Store) runJob(e *jobEntry) error {
 		}
 		records[i] = recs
 		s.markDone(e, i)
-		s.mu.Lock()
-		hook := s.afterShard
-		s.mu.Unlock()
-		if hook != nil {
-			if err := hook(e.id, sh); err != nil {
+		if s.afterShard != nil {
+			if err := s.afterShard(e.id, sh); err != nil {
 				return errAborted
 			}
 		}

@@ -23,7 +23,8 @@ func (s *lingerScheduler) OnBcast(b *mac.Instance) {
 	}
 }
 func (s *lingerScheduler) OnTimer(obj any, to, _ int64) {
-	s.api.Deliver(obj.(*mac.Instance), mac.NodeID(to))
+	b := obj.(*mac.Instance)
+	s.api.Deliver(b, b.SlotOf(mac.NodeID(to)))
 }
 
 // abortEarly broadcasts at wakeup and aborts after 2 ticks — before the

@@ -157,7 +157,35 @@ func TestArenaDeliveryValidation(t *testing.T) {
 			t.Fatal("arena Deliver accepted a non-G′ receiver")
 		}
 	}()
-	eng.Deliver(b, 3) // node 0's row on a line is {1}; 3 is not a G′ neighbor
+	eng.Deliver(b, b.SlotOf(3)) // node 0's row on a line is {1}; 3 is not a G′ neighbor: slot -1
+}
+
+// TestDeliverRejectsSlotsOutsideRow pins Deliver's slot check: -1 (what
+// SlotOf gives for a node outside the row), the slot just past the row's
+// end and one far past it all panic instead of writing another row.
+func TestDeliverRejectsSlotsOutsideRow(t *testing.T) {
+	d := topology.Line(4)
+	var b *mac.Instance
+	s := &hookScheduler{onBcast: func(inst *mac.Instance) { b = inst }}
+	eng := mac.NewEngine(mac.Config{
+		Dual: d, Fack: 100, Fprog: 10, Scheduler: s, Seed: 1,
+	}, floodFleet(4))
+	eng.Start()
+	eng.Sim().SetHorizon(0)
+	eng.Run()
+	if b == nil {
+		t.Fatal("no broadcast observed")
+	}
+	for _, slot := range []int{-1, len(b.Neighbors()), 1 << 20} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Deliver accepted slot %d of a %d-slot row", slot, len(b.Neighbors()))
+				}
+			}()
+			eng.Deliver(b, slot)
+		}()
+	}
 }
 
 // hookScheduler exposes OnBcast to the test.

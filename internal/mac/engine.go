@@ -99,10 +99,14 @@ type API interface {
 	// must implement TimerScheduler; the first ScheduleTimer call panics
 	// otherwise.
 	ScheduleTimer(t sim.Time, obj any, a, b int64)
-	// Deliver performs a rcv event for instance b at node to, now.
-	// It enforces receive correctness and panics on violations (a
-	// scheduler bug, not a model behavior).
-	Deliver(b *Instance, to NodeID)
+	// Deliver performs a rcv event for instance b, now, at the receiver in
+	// row slot slot: Neighbors()[slot], the position schedulers already
+	// hold when they walk the row (or look up once with SlotOf), so the
+	// engine neither searches the row nor reads the node. It reads the
+	// slot's reliability bit, which the receiver's Message carries, and
+	// enforces receive correctness, panicking on violations (a scheduler
+	// bug, not a model behavior) — a slot outside the row among them.
+	Deliver(b *Instance, slot int)
 	// Ack performs the ack event for instance b, now. It enforces
 	// acknowledgment correctness (all G-neighbors already received) and
 	// the acknowledgment bound.
@@ -303,8 +307,19 @@ func (e *Engine) Dispatch(kind sim.EventKind, op sim.Op) {
 		ns.automaton.(Arriver).Arrive(ns, op.P)
 	case evDeliverOne:
 		b := op.Obj.(*Instance)
-		if to := NodeID(op.A); b.Term == Active && !b.WasDelivered(to) {
-			e.Deliver(b, to)
+		if b.Term != Active {
+			return
+		}
+		to := NodeID(op.A)
+		slot := b.SlotOf(to)
+		if slot < 0 {
+			if to == b.Sender {
+				panic(fmt.Sprintf("mac: delivery of instance %d to its own sender", b.ID))
+			}
+			panic(fmt.Sprintf("mac: delivery %d→%d without a G' edge", b.Sender, to))
+		}
+		if b.deliveredAt[slot] == 0 {
+			e.deliver(b, slot, b.SlotReliable(slot))
 		}
 	case evDeliverReliable:
 		// The sender's G-neighbors are exactly the row slots whose
@@ -430,34 +445,30 @@ func (e *Engine) ScheduleTimer(t sim.Time, obj any, a, b int64) {
 	e.sim.Post(t, evSchedTimer, obj, a, b)
 }
 
-// Deliver performs the rcv event for b at node to. The engine enforces
-// receive correctness (Section 3.2.1): the receiver must be a G′ neighbor
-// of the sender, must not have received this instance already, the
-// instance must not be acked, and deliveries after an abort must fall
-// within EpsAbort.
+// Deliver performs the rcv event for b at row slot slot (see API). The
+// engine enforces receive correctness (Section 3.2.1): the receiver must be
+// a G′ neighbor of the sender — a slot of its row, which SlotOf gives as -1
+// for any other node, the sender included — must not have received this
+// instance already, the instance must not be acked, and deliveries after
+// an abort must fall within EpsAbort.
 //
 //amac:hotpath
-func (e *Engine) Deliver(b *Instance, to NodeID) {
-	// The instance's row IS the graph's CSR row, so one binary search over
-	// it yields the G′ membership check, the delivery slot and (via the
-	// global arc position base+slot) the reliability bit.
-	slot := b.slot(to)
-	if slot < 0 {
-		if to == b.Sender {
-			panic(fmt.Sprintf("mac: delivery of instance %d to its own sender", b.ID))
-		}
-		panic(fmt.Sprintf("mac: delivery %d→%d without a G' edge", b.Sender, to))
+func (e *Engine) Deliver(b *Instance, slot int) {
+	if uint(slot) >= uint(len(b.nbrs)) {
+		panic(fmt.Sprintf("mac: delivery of instance %d from %d at slot %d, outside its %d-slot G' row",
+			b.ID, b.Sender, slot, len(b.nbrs)))
 	}
 	e.deliver(b, slot, b.SlotReliable(slot))
 }
 
 // deliver performs the rcv event for b at row slot slot, whose reliability
-// bit the caller has read: the slot-addressed core that Deliver and the
-// reliable batch share. It enforces the remaining receive-correctness
-// checks — not the sender (G′ has no self-loops, so no row holds it; the
-// check is kept as the invariant's guard), not yet received, not after the
-// ack, and within EpsAbort of an abort — and records the rcv time in the
-// row, the only delivery record the instance keeps.
+// bit the caller has read and the receiver gets as Message.Reliable: the
+// slot-addressed core that Deliver and the batches share. It enforces the
+// remaining receive-correctness checks — not the sender (G′ has no
+// self-loops, so no row holds it; the check is kept as the invariant's
+// guard), not yet received, not after the ack, and within EpsAbort of an
+// abort — and records the rcv time in the row, the only delivery record
+// the instance keeps.
 //
 //amac:hotpath
 func (e *Engine) deliver(b *Instance, slot int, reliable bool) {
@@ -487,7 +498,7 @@ func (e *Engine) deliver(b *Instance, slot int, reliable bool) {
 		e.trace("rcv", to, Int(int64(b.ID)))
 	}
 	ns := &e.nodes[to]
-	ns.automaton.Recv(ns, Message{Instance: b.ID, Sender: b.Sender, Payload: b.Payload})
+	ns.automaton.Recv(ns, Message{Instance: b.ID, Sender: b.Sender, Reliable: reliable, Payload: b.Payload})
 }
 
 // Ack performs the acknowledgment for b. The engine enforces

@@ -211,7 +211,7 @@ type rogueScheduler struct{ api mac.API }
 func (r *rogueScheduler) Name() string       { return "rogue" }
 func (r *rogueScheduler) Attach(api mac.API) { r.api = api }
 func (r *rogueScheduler) OnBcast(b *mac.Instance) {
-	r.api.Deliver(b, 2) // not a G' neighbor of node 0
+	r.api.Deliver(b, b.SlotOf(2)) // not a G' neighbor of node 0: slot -1
 }
 func (r *rogueScheduler) OnAbort(*mac.Instance) {}
 

@@ -40,10 +40,16 @@ type Payload = sim.Payload
 func Int(v int64) Payload { return sim.Int(v) }
 
 // Message is what a receiver sees: the payload together with the sending
-// node and the instance that carried it.
+// node and the instance that carried it. On a rcv, Reliable is the G-edge
+// bit of the link the message came over — true exactly when Sender is in
+// the receiver's GNeighbors() — which the engine read from the delivery
+// slot anyway, so automata that treat reliable and grey senders apart
+// (Section 2 lets nodes tell them apart) need no search of their own. On an
+// ack, whose Sender is the acked node itself, it is false.
 type Message struct {
 	Instance InstanceID
 	Sender   NodeID
+	Reliable bool
 	Payload  Payload
 }
 
@@ -229,12 +235,13 @@ func NewInstance(id InstanceID, sender NodeID, payload Payload, start sim.Time, 
 	}
 }
 
-// slot returns the index of to in the sender's sorted neighbor row, or -1,
-// by binary search — engine-built instances share the graph's own row and
-// need no separate position table. Rows are node
+// SlotOf returns the index of to in the sender's sorted neighbor row — its
+// delivery slot — or -1, by binary search: engine-built instances share the
+// graph's own row and need no separate position table. Rows are node
 // degrees, so the search is a handful of comparisons on the sparse
-// networks the model studies.
-func (b *Instance) slot(to NodeID) int {
+// networks the model studies. Schedulers that name receivers by node look
+// the slot up here once and hand it to API.Deliver.
+func (b *Instance) SlotOf(to NodeID) int {
 	lo, hi := 0, len(b.nbrs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -258,7 +265,7 @@ func (b *Instance) slot(to NodeID) int {
 // goes below zero, and the row's +1 bias would read it as never delivered)
 // and a duplicate, which every caller is expected to screen out.
 func (b *Instance) MarkDelivered(to NodeID, at sim.Time, reliable bool) {
-	s := b.slot(to)
+	s := b.SlotOf(to)
 	switch {
 	case s < 0:
 		panic(fmt.Sprintf("mac: MarkDelivered of instance %d at %d, outside the sender's row", b.ID, to))
@@ -323,13 +330,13 @@ func (b *Instance) GreySlots() []int32 {
 
 // WasDelivered reports whether node to has received the instance.
 func (b *Instance) WasDelivered(to NodeID) bool {
-	s := b.slot(to)
+	s := b.SlotOf(to)
 	return s >= 0 && b.deliveredAt[s] != 0
 }
 
 // DeliveredAt returns the rcv time at node to, and whether it received.
 func (b *Instance) DeliveredAt(to NodeID) (sim.Time, bool) {
-	if s := b.slot(to); s >= 0 && b.deliveredAt[s] != 0 {
+	if s := b.SlotOf(to); s >= 0 && b.deliveredAt[s] != 0 {
 		return b.deliveredAt[s] - 1, true
 	}
 	return 0, false

@@ -372,14 +372,16 @@ func (n *rtNode) Bcast(payload mac.Payload) {
 }
 
 // deliver records and dispatches one rcv, exactly once per (instance,
-// receiver) and never after termination.
+// receiver) and never after termination. The rcv's message carries the
+// link's G-edge bit, as the simulator's does.
 func (e *Engine) deliver(b *mac.Instance, msg mac.Message, j mac.NodeID) {
 	e.mu.Lock()
 	if b.WasDelivered(j) || b.Term != mac.Active {
 		e.mu.Unlock()
 		return
 	}
-	b.MarkDelivered(j, e.nowLocked(), e.cfg.Dual.G.HasEdge(b.Sender, j))
+	msg.Reliable = e.cfg.Dual.G.HasEdge(b.Sender, j)
+	b.MarkDelivered(j, e.nowLocked(), msg.Reliable)
 	e.mu.Unlock()
 	e.nodes[j].send(event{kind: 'r', msg: msg})
 }
@@ -402,8 +404,10 @@ func (e *Engine) ack(n *rtNode, b *mac.Instance, msg mac.Message) {
 	b.Term = mac.Acked
 	b.TermAt = e.nowLocked()
 	e.mu.Unlock()
+	rcv := msg
+	rcv.Reliable = true // every forced delivery is to a G-neighbor
 	for _, j := range missing {
-		e.nodes[j].send(event{kind: 'r', msg: msg})
+		e.nodes[j].send(event{kind: 'r', msg: rcv})
 	}
 	n.send(event{kind: 'k', msg: msg})
 }

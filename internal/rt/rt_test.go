@@ -1,7 +1,9 @@
 package rt
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,11 +17,17 @@ import (
 
 // runRealTime executes BMMB over the real-time engine until all required
 // deliveries happen (or timeout) and returns the engine plus the completion
-// wall time.
-func runRealTime(t *testing.T, d *topology.Dual, a core.Assignment, cfg Config, timeout time.Duration) (*Engine, time.Duration) {
+// wall time. wrap, when non-nil, wraps each node's BMMB process.
+func runRealTime(t *testing.T, d *topology.Dual, a core.Assignment, cfg Config, timeout time.Duration, wrap func(mac.Automaton) mac.Automaton) (*Engine, time.Duration) {
 	t.Helper()
 	cfg.Dual = d
-	eng := New(cfg, core.NewBMMBFleet(d.N()))
+	fleet := core.NewBMMBFleet(d.N())
+	if wrap != nil {
+		for i, a := range fleet {
+			fleet[i] = wrap(a)
+		}
+	}
+	eng := New(cfg, fleet)
 
 	required := a.K() * d.N() // assumes connected G
 	var mu sync.Mutex
@@ -90,7 +98,7 @@ func TestRealTimeBMMBLine(t *testing.T) {
 		AckDelay:  60 * time.Millisecond,
 		Seed:      1,
 	}
-	eng, elapsed := runRealTime(t, d, core.SingleSource(8, 0, 2), cfg, 10*time.Second)
+	eng, elapsed := runRealTime(t, d, core.SingleSource(8, 0, 2), cfg, 10*time.Second, nil)
 
 	// Sanity: completion should be within an order of magnitude of the
 	// deterministic expectation D·RecvDelay + k·AckDelay.
@@ -131,7 +139,7 @@ func TestRealTimeBMMBGreyZone(t *testing.T) {
 		GreyP:     0.7,
 		Seed:      2,
 	}
-	eng, _ := runRealTime(t, d, core.Singleton(8, []graph.NodeID{0, 7}), cfg, 10*time.Second)
+	eng, _ := runRealTime(t, d, core.Singleton(8, []graph.NodeID{0, 7}), cfg, 10*time.Second, nil)
 	rep := check.All(d, eng.Instances(), check.Params{
 		Fack:  sim.Time(cfg.Fack),
 		Fprog: sim.Time(cfg.Fprog),
@@ -150,6 +158,57 @@ func TestRealTimeBMMBGreyZone(t *testing.T) {
 	}
 	if grey == 0 {
 		t.Fatal("no grey-zone deliveries despite GreyP=0.7")
+	}
+}
+
+// gEdgeProbe wraps a node's BMMB process and checks, on every rcv, that
+// Message.Reliable equals Sender ∈ GNeighbors(). Nodes run on their own
+// goroutines, so the counts are atomic.
+type gEdgeProbe struct {
+	mac.Automaton
+	reliable, grey, wrong *atomic.Int64
+}
+
+func (p *gEdgeProbe) Recv(ctx mac.Context, m mac.Message) {
+	_, inG := slices.BinarySearch(ctx.GNeighbors(), m.Sender)
+	switch {
+	case inG != m.Reliable:
+		p.wrong.Add(1)
+	case inG:
+		p.reliable.Add(1)
+	default:
+		p.grey.Add(1)
+	}
+	p.Automaton.Recv(ctx, m)
+}
+
+func (p *gEdgeProbe) Arrive(ctx mac.Context, payload mac.Payload) {
+	p.Automaton.(mac.Arriver).Arrive(ctx, payload)
+}
+
+// TestRealTimeRcvCarriesGEdgeBit checks that the real-time executor sets
+// the G-edge bit on every rcv, as the simulator does, on the grey-zone
+// line with GreyP 0.7, so both kinds of rcv occur.
+func TestRealTimeRcvCarriesGEdgeBit(t *testing.T) {
+	d := topology.LineRRestricted(8, 3, 1.0, nil)
+	cfg := Config{
+		Fprog:     80 * time.Millisecond,
+		Fack:      800 * time.Millisecond,
+		RecvDelay: 10 * time.Millisecond,
+		AckDelay:  60 * time.Millisecond,
+		GreyP:     0.7,
+		Seed:      5,
+	}
+	var reliable, grey, wrong atomic.Int64
+	runRealTime(t, d, core.Singleton(8, []graph.NodeID{0, 7}), cfg, 10*time.Second, func(a mac.Automaton) mac.Automaton {
+		return &gEdgeProbe{a, &reliable, &grey, &wrong}
+	})
+	if wrong.Load() != 0 {
+		t.Fatalf("%d rcvs carried a G-edge bit that disagrees with the receiver's G row (%d reliable, %d grey agreed)",
+			wrong.Load(), reliable.Load(), grey.Load())
+	}
+	if reliable.Load() == 0 || grey.Load() == 0 {
+		t.Fatalf("want reliable and grey rcvs, got %d and %d", reliable.Load(), grey.Load())
 	}
 }
 

@@ -31,11 +31,15 @@ type Contention struct {
 	rcv []receiverState
 }
 
+// candidate is a pending delivery of inst to a receiver, at the receiver's
+// slot in inst's G′ row. Whether it is required is which heap holds it: a
+// struct of at most four fields stays in registers when the heaps pass it
+// by value.
 type candidate struct {
 	inst     *mac.Instance
 	deadline sim.Time
 	seq      uint64
-	required bool
+	slot     int32
 }
 
 // candHeap is a slice-backed binary min-heap of candidates ordered by
@@ -175,12 +179,16 @@ func clearHeap(h *candHeap) {
 //amac:hotpath
 func (c *Contention) OnBcast(b *mac.Instance) {
 	deadline := b.Start + c.api.Fack()
-	for _, j := range c.api.Dual().G.Neighbors(b.Sender) {
-		c.enqueue(j, candidate{inst: b, deadline: deadline, required: true})
-	}
+	// The G-neighbors are the row slots whose reliability bit is set, in
+	// G.Neighbors order (both ascend by node ID).
 	nbrs := b.Neighbors()
+	for i, j := range nbrs {
+		if b.SlotReliable(i) {
+			c.enqueue(j, candidate{inst: b, deadline: deadline, slot: int32(i)}, true)
+		}
+	}
 	for _, s := range greyTargets(c.api, b, c.Rel) {
-		c.enqueue(nbrs[s], candidate{inst: b, deadline: deadline, required: false})
+		c.enqueue(nbrs[s], candidate{inst: b, deadline: deadline, slot: s}, false)
 	}
 	if c.api.Dual().G.Degree(b.Sender) == 0 {
 		// No reliable neighbors to wait for: ack after one progress window.
@@ -193,11 +201,11 @@ func (c *Contention) OnBcast(b *mac.Instance) {
 func (c *Contention) OnAbort(*mac.Instance) {}
 
 //amac:hotpath
-func (c *Contention) enqueue(j mac.NodeID, cand candidate) {
+func (c *Contention) enqueue(j mac.NodeID, cand candidate, required bool) {
 	rs := &c.rcv[j]
 	cand.seq = rs.seq
 	rs.seq++
-	if cand.required {
+	if required {
 		rs.required.push(cand)
 	} else {
 		rs.optional.push(cand)
@@ -247,9 +255,9 @@ func (c *Contention) process(j mac.NodeID) {
 	opt, hasOpt := rs.peekLive(&rs.optional)
 	switch {
 	case hasReq && (!hasOpt || req.deadline <= opt.deadline):
-		c.deliver(j, rs.required.pop())
+		c.deliver(rs.required.pop(), true)
 	case hasOpt:
-		c.deliver(j, rs.optional.pop())
+		c.deliver(rs.optional.pop(), false)
 	default:
 		return
 	}
@@ -263,7 +271,7 @@ func (c *Contention) process(j mac.NodeID) {
 		if !ok || top.deadline > now+c.api.Fprog() {
 			break
 		}
-		c.deliver(j, rs.required.pop())
+		c.deliver(rs.required.pop(), true)
 	}
 
 	_, hasReq = rs.peekLive(&rs.required)
@@ -277,9 +285,9 @@ func (c *Contention) process(j mac.NodeID) {
 // reliable delivery completes.
 //
 //amac:hotpath
-func (c *Contention) deliver(j mac.NodeID, cand candidate) {
-	c.api.Deliver(cand.inst, j)
-	if cand.required && cand.inst.AllReliableDelivered() {
+func (c *Contention) deliver(cand candidate, required bool) {
+	c.api.Deliver(cand.inst, int(cand.slot))
+	if required && cand.inst.AllReliableDelivered() {
 		c.api.Ack(cand.inst)
 	}
 }

@@ -126,8 +126,10 @@ func (p *ParallelLines) OnAbort(*mac.Instance) {}
 // instant delivers to all reliable neighbors and acks, with no time
 // passing — the round-robin "everything else is free" rule of Lemma 3.19.
 func (p *ParallelLines) instant(b *mac.Instance) {
-	for _, j := range p.api.Dual().G.Neighbors(b.Sender) {
-		p.api.Deliver(b, j)
+	for i := range b.Neighbors() {
+		if b.SlotReliable(i) {
+			p.api.Deliver(b, i)
+		}
 	}
 	p.api.Ack(b)
 }
@@ -180,8 +182,8 @@ func (p *ParallelLines) OnTimer(obj any, a, c int64) {
 		p.bFront = idx + 1
 		next = p.Net.B(idx + 1)
 	}
-	if !b.WasDelivered(next) {
-		p.api.Deliver(b, next)
+	if slot := b.SlotOf(next); !b.SlotDelivered(slot) {
+		p.api.Deliver(b, slot)
 	}
 	p.api.Ack(b)
 }

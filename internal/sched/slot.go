@@ -24,7 +24,17 @@ import (
 // same tick; anything else is expected to be aborted by its sender at the
 // slot boundary (FMMB does exactly that). Instances that linger anyway are
 // carried into following slots and force-completed before their Fack
-// deadline, keeping the scheduler model-compliant for arbitrary automata.
+// deadline, keeping the scheduler model-compliant for arbitrary automata:
+// the force-complete pass runs only in a slot where some live instance has
+// Start + Fack < fire + Fprog (fire is the slot's last tick), so it cannot
+// survive another slot, and there it delivers every such instance to each
+// reliable receiver it contends for but did not win. FMMB never reaches
+// that pass, because it aborts every broadcast at its slot's end.
+//
+// Each slot is one pass over the live instances' rows: every undelivered
+// slot becomes a contender of its receiver, carrying the slot and its
+// reliability bit, read once there, and each receiver's list records
+// whether any contender is reliable; the winner is delivered by its slot.
 type Slot struct {
 	// GreyP is the delivery probability when only unreliable senders
 	// contend. The zero value selects the default 0.5; negative values
@@ -35,17 +45,25 @@ type Slot struct {
 	// mutating the configured field, so re-attachment is idempotent.
 	greyP float64
 
-	api        mac.API
-	live       []*mac.Instance
-	armed      []sim.Time // fire ticks of the pending slot handlers
-	contenders [][]contender
+	api       mac.API
+	live      []*mac.Instance
+	armed     []sim.Time // fire ticks of the pending slot handlers
+	receivers []receiver // per-node contender lists, kept across slots
 }
 
-// contender is a live instance competing for a receiver, with the
-// receiver's slot in the instance's G′ row.
+// contender is a live instance competing for a receiver: the receiver's
+// slot in the instance's G′ row and that slot's reliability bit.
 type contender struct {
-	b    *mac.Instance
-	slot int
+	b        *mac.Instance
+	slot     int32
+	reliable bool
+}
+
+// receiver is one node's contender list for the current slot and whether
+// any of its contenders is reliable.
+type receiver struct {
+	cs       []contender
+	reliable bool
 }
 
 var (
@@ -131,61 +149,59 @@ func (s *Slot) OnTimer(_ any, a, _ int64) {
 //amac:hotpath
 func (s *Slot) handleSlot(fire sim.Time) {
 	api := s.api
-	d := api.Dual()
 	rng := api.Rand()
+	fack, fprog := api.Fack(), api.Fprog()
 
-	// Compact the live set, dropping terminated instances.
+	// Compact the live set, dropping terminated instances, and note whether
+	// any survivor is due for force-completion this slot.
 	live := s.live[:0]
+	late := false
 	for _, b := range s.live {
 		if b.Term == mac.Active {
 			live = append(live, b)
+			late = late || b.Start+fack < fire+fprog
 		}
 	}
 	s.live = live
 
-	// Per-receiver contender sets, drawn from the pooled scratch so a warm
-	// slot allocates nothing once the per-receiver slices have grown.
-	// Contenders are (instance, slot) pairs, so the delivered flag and the
-	// reliability bit are read by slot instead of searched by receiver.
-	n := d.N()
-	if cap(s.contenders) < n {
-		s.contenders = make([][]contender, n) //lint:hotalloc lazy grow: sized once per network size, then reused slot after slot
+	// Per-receiver contender lists, drawn from the pooled scratch so a warm
+	// slot allocates nothing once the lists have grown. One walk of each
+	// live row reads every undelivered slot's reliability bit.
+	n := api.Dual().N()
+	if cap(s.receivers) < n {
+		s.receivers = make([]receiver, n) //lint:hotalloc lazy grow: sized once per network size, then reused slot after slot
 	}
-	contenders := s.contenders[:n]
-	for j := range contenders {
-		contenders[j] = contenders[j][:0]
+	rcv := s.receivers[:n]
+	for j := range rcv {
+		rcv[j].cs = rcv[j].cs[:0]
+		rcv[j].reliable = false
 	}
 	for _, b := range s.live {
 		for i, j := range b.Neighbors() {
 			if !b.SlotDelivered(i) {
-				contenders[j] = append(contenders[j], contender{b, i})
+				rel := b.SlotReliable(i)
+				r := &rcv[j]
+				r.cs = append(r.cs, contender{b, int32(i), rel})
+				r.reliable = r.reliable || rel
 			}
 		}
 	}
 
-	for j := 0; j < n; j++ {
-		cs := contenders[j]
-		if len(cs) == 0 {
+	for j := range rcv {
+		r := &rcv[j]
+		if len(r.cs) == 0 || !r.reliable && rng.Float64() >= s.greyP {
 			continue
 		}
-		reliable := false
-		for _, c := range cs {
-			if c.b.SlotReliable(c.slot) {
-				reliable = true
-				break
-			}
-		}
-		if !reliable && rng.Float64() >= s.greyP {
+		pick := r.cs[rng.Intn(len(r.cs))]
+		api.Deliver(pick.b, int(pick.slot))
+		if !late {
 			continue
 		}
-		pick := cs[rng.Intn(len(cs))].b
-		api.Deliver(pick, mac.NodeID(j))
-
 		// Deadline enforcement for lingering instances: force-complete any
-		// contender that cannot survive another slot.
-		for _, c := range cs {
-			if c.b != pick && c.b.SlotReliable(c.slot) && c.b.Start+api.Fack() < fire+api.Fprog() {
-				api.Deliver(c.b, mac.NodeID(j))
+		// reliable contender that cannot survive another slot.
+		for _, c := range r.cs {
+			if c.b != pick.b && c.reliable && c.b.Start+fack < fire+fprog {
+				api.Deliver(c.b, int(c.slot))
 			}
 		}
 	}
@@ -206,6 +222,6 @@ func (s *Slot) handleSlot(fire sim.Time) {
 		}
 	}
 	if hasActive {
-		s.arm(fire + api.Fprog())
+		s.arm(fire + fprog)
 	}
 }

@@ -75,28 +75,38 @@ func TestTypedPostStepAllocationFree(t *testing.T) {
 	}
 }
 
-// TestEventPoolBounded pins the free-list cap: a delivery burst must not pin
-// its peak event count for the rest of the run. After draining a large
-// burst, the pool must have shrunk back to the 2×live+floor bound instead
-// of retaining all burst events.
+// TestEventPoolBounded pins the event pool's bound. The pool keeps every
+// struct its queue has used, and push makes a struct only when the pool is
+// empty, so queued plus pooled structs never exceed the queue's peak
+// length: after a 10,000-event burst drains, the pool holds exactly the
+// burst; the same burst again is served from the pool without allocating;
+// and events queued afterwards take their structs from it.
 func TestEventPoolBounded(t *testing.T) {
 	e := newFuncEngine(1)
 	const burst = 10_000
-	for i := 0; i < burst; i++ {
-		at(e, Time(i%97), func() {})
+	fn := func() {}
+	run := func() {
+		for i := 0; i < burst; i++ {
+			at(e, e.Now()+Time(i%97), fn)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	run()
+	if got := len(e.queue.free); got != burst {
+		t.Fatalf("after a %d-event burst the free list holds %d events, want all %d", burst, got, burst)
 	}
-	if got, limit := len(e.queue.free), 2*e.queue.Len()+freeFloor; got > limit {
-		t.Fatalf("after a %d-event burst the free list holds %d events, bound is %d", burst, got, limit)
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Fatalf("a repeated %d-event burst allocates %.1f times, want 0", burst, allocs)
 	}
-	// The bound tracks the live queue: with events in flight the pool may
-	// keep proportionally more.
+	if got := len(e.queue.free); got != burst {
+		t.Fatalf("after repeated bursts the free list holds %d events, want the peak %d", got, burst)
+	}
 	for i := 0; i < 50; i++ {
-		at(e, e.Now()+Time(i+1), func() {})
+		at(e, e.Now()+Time(i+1), fn)
 	}
-	if got, limit := len(e.queue.free), 2*e.queue.Len()+freeFloor; got > limit {
-		t.Fatalf("free list %d exceeds bound %d with %d live events", got, limit, e.queue.Len())
+	if got, live := len(e.queue.free), e.queue.Len(); got+live != burst {
+		t.Fatalf("free list %d plus %d live events, want the peak %d", got, live, burst)
 	}
 }

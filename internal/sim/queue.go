@@ -24,10 +24,9 @@ type bucket struct {
 	head, tail *event
 }
 
-// freeFloor is the minimum free-list length the shrink rule never cuts
-// below, so small engines keep a warm pool across bursts. A new queue starts
-// with that many spare buckets.
-const freeFloor = 64
+// initBuckets is how many distinct pending times a new queue holds without
+// allocating: its heap, time index and first spare buckets are sized for it.
+const initBuckets = 64
 
 // eventQueue orders events by time, ties in push order, as a calendar of
 // time buckets (after Brown's calendar queue): a min-heap over the distinct
@@ -46,17 +45,17 @@ type eventQueue struct {
 	spare []*bucket        // recycled buckets ready for reuse
 }
 
-// newEventQueue returns an empty queue sized for freeFloor distinct pending
-// times: its heap, time index and a first block of spare buckets are made
-// here, once per engine, so a cold run opens its first freeFloor times
-// without allocating, and all of it survives Reset.
+// newEventQueue returns an empty queue sized for initBuckets distinct
+// pending times: its heap, time index and a first block of spare buckets
+// are made here, once per engine, so a cold run opens its first initBuckets
+// times without allocating, and all of it survives Reset.
 func newEventQueue() eventQueue {
 	q := eventQueue{
-		times: make([]*bucket, 0, freeFloor),
-		index: make(map[Time]*bucket, freeFloor),
-		spare: make([]*bucket, freeFloor),
+		times: make([]*bucket, 0, initBuckets),
+		index: make(map[Time]*bucket, initBuckets),
+		spare: make([]*bucket, initBuckets),
 	}
-	block := make([]bucket, freeFloor)
+	block := make([]bucket, initBuckets)
 	for i := range q.spare {
 		q.spare[i] = &block[i]
 	}
@@ -67,10 +66,8 @@ func newEventQueue() eventQueue {
 func (q *eventQueue) Len() int { return q.n }
 
 // recycleAll moves every still-queued event into the free list, emptying the
-// queue. Unlike pop it skips the shrink rule: it runs between executions
-// on a warm arena, where the point is to keep the pool sized for the next
-// run's burst rather than for the (now empty) live queue. The list stays
-// bounded because every in-run pop re-applies the 2×live+floor rule.
+// queue. It runs between executions on a warm arena, so the next run starts
+// with every struct the earlier runs used.
 func (q *eventQueue) recycleAll() {
 	for i, b := range q.times {
 		for ev := b.head; ev != nil; {
@@ -122,9 +119,10 @@ func (q *eventQueue) push(at Time, kind EventKind, op Op) {
 // pop removes the earliest event and returns its time, kind and operands by
 // value; ok is false when the queue is empty. The struct goes back to the
 // free list with its object operand dropped, so the pool pins no object.
-// The list is bounded: a delivery burst must not pin its peak event count
-// for the rest of the run, so whenever it exceeds twice the live queue
-// (plus a small floor), the excess structs are dropped for the collector.
+// The list is never trimmed: queued and pooled structs together never
+// exceed the queue's peak length, which was live at one moment anyway, and
+// a drained queue serves its next burst from the pool instead of
+// allocating it one struct at a time.
 //
 //amac:hotpath
 func (q *eventQueue) pop() (at Time, kind EventKind, op Op, ok bool) {
@@ -141,12 +139,6 @@ func (q *eventQueue) pop() (at Time, kind EventKind, op Op, ok bool) {
 	at, kind, op = ev.at, ev.kind, ev.op
 	ev.next, ev.op.Obj = nil, nil
 	q.free = append(q.free, ev)
-	if limit := 2*q.n + freeFloor; len(q.free) > limit {
-		for i := limit; i < len(q.free); i++ {
-			q.free[i] = nil
-		}
-		q.free = q.free[:limit]
-	}
 	return at, kind, op, true
 }
 
@@ -161,7 +153,7 @@ func (q *eventQueue) openBucket(at Time) *bucket {
 		q.spare[n-1] = nil
 		q.spare = q.spare[:n-1]
 	} else {
-		b = new(bucket) //lint:hotalloc pool miss: only a run holding more than freeFloor distinct pending times at once gets here
+		b = new(bucket) //lint:hotalloc pool miss: only a run holding more distinct pending times at once than at any earlier moment gets here
 	}
 	b.at = at
 	q.index[at] = b
@@ -186,16 +178,14 @@ func (q *eventQueue) closeBucket(b *bucket) {
 	q.dropBucket(b)
 }
 
-// dropBucket returns an emptied bucket to the spare list, under the same
-// 2×live+floor bound as the event pool.
+// dropBucket returns an emptied bucket to the spare list, which, like the
+// event pool, keeps every bucket its queue has used.
 func (q *eventQueue) dropBucket(b *bucket) {
 	if q.last == b {
 		q.last = nil
 	}
 	b.head, b.tail = nil, nil
-	if len(q.spare) < 2*q.n+freeFloor {
-		q.spare = append(q.spare, b)
-	}
+	q.spare = append(q.spare, b)
 }
 
 func (q *eventQueue) up(i int) {
