@@ -57,16 +57,16 @@ type FMMBConfig struct {
 	// this config.
 	MIS MISConfig
 	// GatherPeriods is the number of 3-round gather periods; 0 selects
-	// ⌈2c²⌉·(k + ⌈log n⌉).
+	// 2·⌈2c²⌉·(k + ⌈log n⌉).
 	GatherPeriods int
 	// ActiveProb is the MIS-node activation probability in gather and
-	// spread periods; 0 selects 1/(2c²) capped at 1/2.
+	// spread periods; 0 selects 1/(2c²) capped at 1/4.
 	ActiveProb float64
 	// SpreadPeriods is the number of 3-round periods in one run of the
 	// overlay local-broadcast procedure; 0 selects ⌈2c²⌉·⌈log n⌉.
 	SpreadPeriods int
 	// SpreadPhases is the number of local-broadcast phases; 0 selects
-	// D + k + 2 (the overlay diameter D_H is at most D).
+	// D + k + 4 + ⌈log n⌉ (the overlay diameter D_H is at most D).
 	SpreadPhases int
 }
 

@@ -18,7 +18,8 @@ const (
 	// trace on the Result — the path for networks whose trace cannot be
 	// held in RAM (pair with a sim.TraceWriter). The single-engine
 	// executor appends each event as it happens; the decomposed executor
-	// holds its components' events, 40 bytes each, until its merge.
+	// holds each component's events in a sim.Trace of its own, 40 bytes
+	// an event, until sim.MergeTraces feeds them to the sink in order.
 	TraceStream
 	// TraceOff disables trace recording entirely — the throughput fast
 	// path: the engine builds no MAC-level event (bcast, rcv, ack, abort),

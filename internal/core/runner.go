@@ -83,10 +83,10 @@ type Result struct {
 	// deliver conditions, which every run checks online (see runState).
 	MMBViolations []string
 	// Trace holds the recorded execution trace when Options.Trace is
-	// TraceMemory, nil otherwise. On the single-engine executor it aliases
-	// the Runner's pooled trace buffer (valid until the Runner's next Run);
-	// on the decomposed executor it is a freshly merged trace the caller
-	// owns.
+	// TraceMemory, nil otherwise. On the single-engine executor it is the
+	// Runner's own trace, whose blocks the Runner's next Run resets and
+	// refills; on the decomposed executor it is a freshly merged trace the
+	// caller owns. Events() copies the events out either way.
 	Trace *sim.Trace
 	// Engine exposes the underlying engine for post-run inspection. It is
 	// valid until the Runner's next Run, which recycles it, so inspect (or
@@ -194,14 +194,14 @@ func Run(cfg RunConfig) (*Result, error) {
 
 // Runner executes repeated MMB configurations on one pinned network with
 // warm state, all reused across Run calls: the component index of G, one
-// slot per worker (see slot) and the sharded executor's trace recorders
-// (see recorder). Slot 0 runs single-engine executions; sharded worker w
-// runs on slot w, so the sharded executor is as warm as the single-engine
-// one. Every execution runs on a Runner — core.Run builds
-// a one-shot one. The first Run fills the pools; subsequent runs skip
-// engine and fleet-scaffolding allocation entirely. Executions are
-// byte-identical on fresh and warm runners at equal configuration — the
-// golden-trace suite and TestRunnerWarmMatchesCold pin that.
+// slot per worker (see slot) and the sharded executor's component traces.
+// Slot 0 runs single-engine executions; sharded worker w runs on slot w,
+// so the sharded executor is as warm as the single-engine one. Every
+// execution runs on a Runner — core.Run builds a one-shot one. The first
+// Run fills the pools; subsequent runs skip engine and fleet-scaffolding
+// allocation entirely. Executions are byte-identical on fresh and warm
+// runners at equal configuration — the golden-trace suite and
+// TestRunnerWarmMatchesCold pin that.
 //
 // A Runner serves one execution at a time and is not safe for concurrent
 // use; parallel trial pools hold one Runner per worker. Each Run recycles
@@ -225,11 +225,11 @@ type Runner struct {
 	gpCompOf   []int
 	gpCompSize []int
 	gpQueue    []graph.NodeID
-	// recs holds one trace recorder per G′ component of the sharded
-	// executor, and blocks the record blocks they draw, both kept across
-	// runs (see recorder).
-	recs   []recorder
-	blocks blockPool
+	// recs holds one trace per G′ component of the sharded executor, each
+	// keeping its blocks across runs. They are pointers so that two
+	// workers appending to neighbouring components' traces never share a
+	// cache line.
+	recs []*sim.Trace
 }
 
 // slot is one worker's warm run state: the arena its engines are acquired

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"unsafe"
 
 	. "amac/internal/core"
 	"amac/internal/graph"
@@ -267,19 +266,22 @@ func TestShardedStreamWarmAllocations(t *testing.T) {
 }
 
 // TestShardedMemoryTraceAllocations pins that a memory-mode sharded run
-// sizes its merged trace once, from the recorders' event counts, instead
-// of growing it by append from empty, which copies it about log₂ of its
-// length times. On the 4,000-node pods dual, once a run has filled the
-// pools, a memory-mode run allocates under 1.5× the merged trace's bytes
-// beyond the same run with the trace off, so only what the trace costs
-// counts.
+// builds its merged trace without copying it as it grows, as appending to
+// one growing slice would, about log₂ of its length times. On the
+// 4,000-node pods dual, once a run has filled the component traces, a
+// memory-mode run allocates under 1.5× the merged trace's bytes, at a
+// sim.Trace's 40 bytes an event, beyond the same run with the trace off,
+// so only what the trace costs counts.
 func TestShardedMemoryTraceAllocations(t *testing.T) {
+	// traceRecordSize is sim.Trace's bytes per event, pinned by sim's
+	// TestTraceRecordLayout.
+	const traceRecordSize = 40
 	run := podsAllocRun(t)
 	mem := RunOptions{Trace: TraceMemory, Shards: 2}
-	run(mem) // fill the pools
+	run(mem) // fill the component traces
 	traced, res := run(mem)
 	off, _ := run(RunOptions{Trace: TraceOff, Shards: 2})
-	size := uint64(res.Trace.Len()) * uint64(unsafe.Sizeof(sim.TraceEvent{}))
+	size := uint64(res.Trace.Len()) * traceRecordSize
 	if traced >= off+size*3/2 {
 		t.Fatalf("warm memory-mode sharded run allocates %d bytes for a %d-byte trace of %d events, %d with the trace off: %.2f× the trace, want under 1.5×",
 			traced, size, res.Trace.Len(), off, float64(traced-off)/float64(size))

@@ -131,9 +131,10 @@ type Engine struct {
 	schedRand  *rand.Rand
 	watchers   []func(sim.TraceEvent)
 	timerSched TimerScheduler // cfg.Scheduler, when it implements OnTimer
-	// mem is cfg.Trace when it is an in-memory *sim.Trace, resolved once
-	// per acquisition so the per-event append stays a direct, inlined call
-	// instead of an interface dispatch.
+	// mem is cfg.Trace when it is an in-memory *sim.Trace (a memory-mode
+	// run's, or a decomposed run's component trace), resolved once per
+	// acquisition so the per-event append stays a direct call instead of
+	// an interface dispatch.
 	mem *sim.Trace
 	// rngEpoch counts engine acquisitions on a warm arena. Pooled random
 	// streams (schedRand, per-node rng) record the epoch they were last
@@ -498,7 +499,7 @@ func (e *Engine) deliver(b *Instance, slot int, reliable bool) {
 		e.trace("rcv", to, Int(int64(b.ID)))
 	}
 	ns := &e.nodes[to]
-	ns.automaton.Recv(ns, Message{Instance: b.ID, Sender: b.Sender, Reliable: reliable, Payload: b.Payload})
+	ns.automaton.Recv(ns, Message{Sender: b.Sender, Reliable: reliable, Payload: b.Payload})
 }
 
 // Ack performs the acknowledgment for b. The engine enforces
@@ -532,7 +533,7 @@ func (e *Engine) Ack(b *Instance) {
 	if e.cfg.Trace != nil {
 		e.trace("ack", b.Sender, Int(int64(b.ID)))
 	}
-	ns.automaton.Acked(ns, Message{Instance: b.ID, Sender: b.Sender, Payload: b.Payload})
+	ns.automaton.Acked(ns, Message{Sender: b.Sender, Payload: b.Payload})
 }
 
 // --- nodeState: the Context / EnhancedContext implementation ---

@@ -3,6 +3,7 @@ package mac_test
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"amac/internal/mac"
 	"amac/internal/sim"
@@ -279,5 +280,16 @@ func TestEngineWatch(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if mac.Standard.String() != "standard" || mac.Enhanced.String() != "enhanced" {
 		t.Fatal("mode names wrong")
+	}
+}
+
+// TestMessageLayout keeps a Message at six words. Recv and Acked take it
+// through the Automaton interface after the receiver and the two-word
+// Context, and amd64 passes nine integer arguments in registers: a
+// seventh word puts every rcv's message on the stack, copied there before
+// each call.
+func TestMessageLayout(t *testing.T) {
+	if size := unsafe.Sizeof(mac.Message{}); size != 48 {
+		t.Errorf("mac.Message is %d bytes, want 48 (six words)", size)
 	}
 }

@@ -40,14 +40,19 @@ type Payload = sim.Payload
 func Int(v int64) Payload { return sim.Int(v) }
 
 // Message is what a receiver sees: the payload together with the sending
-// node and the instance that carried it. On a rcv, Reliable is the G-edge
-// bit of the link the message came over — true exactly when Sender is in
-// the receiver's GNeighbors() — which the engine read from the delivery
-// slot anyway, so automata that treat reliable and grey senders apart
-// (Section 2 lets nodes tell them apart) need no search of their own. On an
-// ack, whose Sender is the acked node itself, it is false.
+// node. On a rcv, Reliable is the G-edge bit of the link the message came
+// over — true exactly when Sender is in the receiver's GNeighbors() — which
+// the engine read from the delivery slot anyway, so automata that treat
+// reliable and grey senders apart (Section 2 lets nodes tell them apart)
+// need no search of their own. On an ack, whose Sender is the acked node
+// itself, it is false.
+//
+// A Message is six words, so Recv and Acked through the Automaton
+// interface pass it in registers: with the receiver and the two-word
+// Context that is amd64's nine integer argument registers. No automaton
+// reads the carrying instance's id, and one more word would put the
+// message on the stack on every reception.
 type Message struct {
-	Instance InstanceID
 	Sender   NodeID
 	Reliable bool
 	Payload  Payload

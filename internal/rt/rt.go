@@ -85,6 +85,7 @@ type event struct {
 	kind byte // 'w' wakeup, 'a' arrive, 'r' recv, 'k' ack
 	arg  mac.Payload
 	msg  mac.Message
+	inst mac.InstanceID // the instance a recv or ack belongs to
 }
 
 // Engine runs automata over real time. Create with New, start with Start,
@@ -299,13 +300,13 @@ func (n *rtNode) handle(ev event) {
 		n.eng.notify(n.id, "arrive", ev.arg.Value())
 		ar.Arrive(n, ev.arg)
 	case 'r':
-		n.eng.notify(n.id, "rcv", ev.msg.Instance)
+		n.eng.notify(n.id, "rcv", ev.inst)
 		n.automaton.Recv(n, ev.msg)
 	case 'k':
-		if n.pending != nil && n.pending.ID == ev.msg.Instance {
+		if n.pending != nil && n.pending.ID == ev.inst {
 			n.pending = nil
 		}
-		n.eng.notify(n.id, "ack", ev.msg.Instance)
+		n.eng.notify(n.id, "ack", ev.inst)
 		n.automaton.Acked(n, ev.msg)
 	}
 }
@@ -350,7 +351,7 @@ func (n *rtNode) Bcast(payload mac.Payload) {
 	n.pending = b
 	e.notify(n.id, "bcast", b.ID)
 
-	msg := mac.Message{Instance: b.ID, Sender: n.id, Payload: payload}
+	msg := mac.Message{Sender: n.id, Payload: payload}
 	targets := append([]mac.NodeID(nil), e.cfg.Dual.G.Neighbors(n.id)...)
 	if e.cfg.GreyP > 0 {
 		for _, j := range e.cfg.Dual.GPrime.Neighbors(n.id) {
@@ -383,7 +384,7 @@ func (e *Engine) deliver(b *mac.Instance, msg mac.Message, j mac.NodeID) {
 	msg.Reliable = e.cfg.Dual.G.HasEdge(b.Sender, j)
 	b.MarkDelivered(j, e.nowLocked(), msg.Reliable)
 	e.mu.Unlock()
-	e.nodes[j].send(event{kind: 'r', msg: msg})
+	e.nodes[j].send(event{kind: 'r', msg: msg, inst: b.ID})
 }
 
 // ack terminates the instance, force-completing any reliable delivery
@@ -407,9 +408,9 @@ func (e *Engine) ack(n *rtNode, b *mac.Instance, msg mac.Message) {
 	rcv := msg
 	rcv.Reliable = true // every forced delivery is to a G-neighbor
 	for _, j := range missing {
-		e.nodes[j].send(event{kind: 'r', msg: rcv})
+		e.nodes[j].send(event{kind: 'r', msg: rcv, inst: b.ID})
 	}
-	n.send(event{kind: 'k', msg: msg})
+	n.send(event{kind: 'k', msg: msg, inst: b.ID})
 }
 
 // nowLocked is now() for callers already holding e.mu.

@@ -154,10 +154,10 @@ type RunSpec struct {
 	// TraceFile streams each trial's trace to a binary file (see
 	// sim.TraceWriter) instead of accumulating it in RAM — the path for
 	// networks whose traces exceed memory; with "shards" the decomposed
-	// executor still holds every event until its merge. The trial seed is spliced in
-	// before the extension ("out.amtr" -> "out.s3.amtr"), so parallel
-	// trials and multi-trial runs never collide on one file. Requires
-	// "trace": "stream".
+	// executor still holds every event in memory, 40 bytes each, until
+	// its merge. The trial seed is spliced in before the extension
+	// ("out.amtr" -> "out.s3.amtr"), so parallel trials and multi-trial
+	// runs never collide on one file. Requires "trace": "stream".
 	TraceFile string `json:"trace_file,omitempty"`
 }
 

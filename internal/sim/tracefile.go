@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -15,11 +16,11 @@ var traceMagic = [5]byte{'A', 'M', 'T', 'R', 1}
 
 // TraceWriter is a TraceSink that streams events to an io.Writer in a
 // compact binary encoding: varint-coded times and operands with kind
-// strings interned on first use, a few bytes per event instead of an
-// in-memory TraceEvent (64 bytes). On the single-engine executor that is
-// the backend that lets million-node floods trace to disk instead of RAM;
-// the decomposed executor still holds every component's events in memory,
-// at 40 bytes an event, until its merge feeds them here in order. Append
+// strings interned on first use, a few bytes per event instead of a
+// Trace's 40-byte record. On the single-engine executor that is the
+// backend that lets million-node floods trace to disk instead of RAM; the
+// decomposed executor still holds every component's events in a Trace of
+// its own until MergeTraces feeds them here in order. Append
 // encodes straight into the writer's own 64 KiB buffer, which goes to the
 // io.Writer only when full, and allocates nothing in steady state; errors
 // are latched (Append becomes a no-op after the first failure) and
@@ -33,9 +34,8 @@ var traceMagic = [5]byte{'A', 'M', 'T', 'R', 1}
 type TraceWriter struct {
 	w   io.Writer
 	buf []byte
-	// kinds lists the interned kind strings by id. A stream's vocabulary
-	// is a handful of kinds, so Append finds an event's by a scan, which
-	// compares lengths before bytes and hashes nothing.
+	// kinds lists the interned kind strings by id; Append finds an
+	// event's with kindIndex, as a Trace does.
 	kinds []string
 	n     int
 	err   error
@@ -68,7 +68,8 @@ func (tw *TraceWriter) Append(ev TraceEvent) {
 	if tw.err != nil {
 		return
 	}
-	id, known := tw.kindID(ev.Kind)
+	id := kindIndex(tw.kinds, ev.Kind)
+	known := id >= 0
 	need := maxEventSize
 	if !known {
 		need += binary.MaxVarintLen64 + len(ev.Kind)
@@ -80,7 +81,7 @@ func (tw *TraceWriter) Append(ev TraceEvent) {
 	}
 	b := binary.AppendUvarint(tw.buf, zigzag(int64(ev.At)))
 	if known {
-		b = binary.AppendUvarint(b, id)
+		b = binary.AppendUvarint(b, uint64(id))
 	} else {
 		// A kind id equal to the intern-table size announces a new string.
 		b = binary.AppendUvarint(b, uint64(len(tw.kinds)))
@@ -95,16 +96,6 @@ func (tw *TraceWriter) Append(ev TraceEvent) {
 	b = binary.AppendUvarint(b, zigzag(ev.P.C))
 	tw.buf = append(b, 0) // the retired boxed-value flag
 	tw.n++
-}
-
-// kindID returns the interned id of kind, if it has one.
-func (tw *TraceWriter) kindID(kind string) (uint64, bool) {
-	for i, k := range tw.kinds {
-		if k == kind {
-			return uint64(i), true
-		}
-	}
-	return 0, false
 }
 
 // write hands the buffered bytes to the underlying writer, latching its
@@ -154,18 +145,25 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 
 // Next returns the next event, or io.EOF at a clean end of stream.
 func (tr *TraceReader) Next() (TraceEvent, error) {
+	ev, _, err := tr.next()
+	return ev, err
+}
+
+// next returns the next event together with its kind id, which indexes
+// the stream's kind table.
+func (tr *TraceReader) next() (TraceEvent, uint64, error) {
 	at, err := binary.ReadUvarint(tr.r)
 	if err != nil {
 		if err == io.EOF {
-			return TraceEvent{}, io.EOF
+			return TraceEvent{}, 0, io.EOF
 		}
-		return TraceEvent{}, fmt.Errorf("sim: trace event time: %w", err)
+		return TraceEvent{}, 0, fmt.Errorf("sim: trace event time: %w", err)
 	}
 	var ev TraceEvent
 	ev.At = Time(unzigzag(at))
 	id, err := binary.ReadUvarint(tr.r)
 	if err != nil {
-		return TraceEvent{}, fmt.Errorf("sim: trace kind id: %w", err)
+		return TraceEvent{}, 0, fmt.Errorf("sim: trace kind id: %w", err)
 	}
 	switch {
 	case id < uint64(len(tr.kinds)):
@@ -173,41 +171,41 @@ func (tr *TraceReader) Next() (TraceEvent, error) {
 	case id == uint64(len(tr.kinds)):
 		s, err := tr.readString()
 		if err != nil {
-			return TraceEvent{}, fmt.Errorf("sim: trace kind string: %w", err)
+			return TraceEvent{}, 0, fmt.Errorf("sim: trace kind string: %w", err)
 		}
 		tr.kinds = append(tr.kinds, s)
 		ev.Kind = s
 	default:
-		return TraceEvent{}, fmt.Errorf("sim: trace kind id %d out of range", id)
+		return TraceEvent{}, 0, fmt.Errorf("sim: trace kind id %d out of range", id)
 	}
 	node, err := binary.ReadUvarint(tr.r)
 	if err != nil {
-		return TraceEvent{}, fmt.Errorf("sim: trace node: %w", err)
+		return TraceEvent{}, 0, fmt.Errorf("sim: trace node: %w", err)
 	}
 	ev.Node = int(unzigzag(node))
 	pk, err := tr.r.ReadByte()
 	if err != nil {
-		return TraceEvent{}, fmt.Errorf("sim: trace payload kind: %w", err)
+		return TraceEvent{}, 0, fmt.Errorf("sim: trace payload kind: %w", err)
 	}
 	ev.P.Kind = PayloadKind(pk)
 	if !ev.P.Kind.registered() {
-		return TraceEvent{}, fmt.Errorf("sim: trace payload kind %d is not registered", pk)
+		return TraceEvent{}, 0, fmt.Errorf("sim: trace payload kind %d is not registered", pk)
 	}
 	for _, dst := range []*int64{&ev.P.A, &ev.P.B, &ev.P.C} {
 		u, err := binary.ReadUvarint(tr.r)
 		if err != nil {
-			return TraceEvent{}, fmt.Errorf("sim: trace payload operand: %w", err)
+			return TraceEvent{}, 0, fmt.Errorf("sim: trace payload operand: %w", err)
 		}
 		*dst = unzigzag(u)
 	}
 	extFlag, err := tr.r.ReadByte()
 	if err != nil {
-		return TraceEvent{}, fmt.Errorf("sim: trace ext flag: %w", err)
+		return TraceEvent{}, 0, fmt.Errorf("sim: trace ext flag: %w", err)
 	}
 	if extFlag != 0 {
-		return TraceEvent{}, fmt.Errorf("sim: trace carries a boxed payload value (ext flag %d), which is no longer supported", extFlag)
+		return TraceEvent{}, 0, fmt.Errorf("sim: trace carries a boxed payload value (ext flag %d), which is no longer supported", extFlag)
 	}
-	return ev, nil
+	return ev, id, nil
 }
 
 // readString decodes a length-prefixed string. The length comes from the
@@ -234,17 +232,26 @@ func (tr *TraceReader) readString() (string, error) {
 
 // ReadAll drains the stream into an in-memory Trace (golden-suite
 // verification and small post-hoc analyses; large traces should be
-// consumed through Next).
+// consumed through Next). The trace takes the stream's kind table, so a
+// stream it cannot hold — more kinds than a Trace indexes, or a node id
+// past int32 — is an error, not a panic or a truncated record.
 func (tr *TraceReader) ReadAll() (*Trace, error) {
 	out := &Trace{}
 	for {
-		ev, err := tr.Next()
+		ev, id, err := tr.next()
 		if err == io.EOF {
+			out.kinds = slices.Clone(tr.kinds)
 			return out, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		out.Append(ev)
+		if id >= maxTraceKinds {
+			return nil, fmt.Errorf("sim: trace kind id %d: an in-memory trace holds at most %d kinds", id, maxTraceKinds)
+		}
+		if ev.Node != int(int32(ev.Node)) {
+			return nil, fmt.Errorf("sim: trace node %d does not fit an in-memory trace", ev.Node)
+		}
+		out.put(ev, uint16(id))
 	}
 }

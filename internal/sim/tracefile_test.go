@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -212,7 +213,10 @@ func TestTraceReaderHugeStringLength(t *testing.T) {
 
 // FuzzTraceReader feeds arbitrary bytes to the trace decoder: however
 // corrupt the stream, Next must return events or an error and never panic,
-// and every event it returns must render without panicking.
+// and every event it returns must render without panicking. ReadAll then
+// drains the same bytes: it fails where Next failed or where an event does
+// not fit an in-memory Trace (a node past int32, more than 65,536 kinds),
+// and otherwise holds exactly Next's events.
 func FuzzTraceReader(f *testing.F) {
 	stream := encodeFixture(f)
 	f.Add(stream)
@@ -220,21 +224,42 @@ func FuzzTraceReader(f *testing.F) {
 	huge := append([]byte{}, traceMagic[:]...)
 	huge = append(huge, 0, 0)
 	f.Add(binary.AppendUvarint(huge, 1<<62))
+	f.Add(kindStream(2, 1<<40))
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		tr, err := NewTraceReader(bytes.NewReader(stream))
 		if err != nil {
 			return
 		}
+		var evs []TraceEvent
+		fits := true
 		// Every event consumes at least one byte, so a well-behaved
 		// decoder ends within len(stream) calls.
-		for i := 0; i <= len(stream); i++ {
-			ev, err := tr.Next()
-			if err != nil {
-				return
+		for i := 0; ; i++ {
+			if i > len(stream) {
+				t.Fatalf("decoder returned more events than the %d-byte stream holds", len(stream))
+			}
+			var ev TraceEvent
+			if ev, err = tr.Next(); err != nil {
+				break
 			}
 			_ = ev.String()
+			evs = append(evs, ev)
+			fits = fits && ev.Node == int(int32(ev.Node))
 		}
-		t.Fatalf("decoder returned more events than the %d-byte stream holds", len(stream))
+		fits = fits && len(tr.kinds) <= maxTraceKinds
+
+		again, _ := NewTraceReader(bytes.NewReader(stream)) // the same header parsed above
+		all, allErr := again.ReadAll()
+		switch {
+		case err != io.EOF || !fits:
+			if allErr == nil {
+				t.Fatalf("ReadAll accepted a stream Next ends with %v (events fit a Trace: %v)", err, fits)
+			}
+		case allErr != nil:
+			t.Fatalf("ReadAll: %v, yet Next read the stream to its end", allErr)
+		case !slices.Equal(all.Events(), evs):
+			t.Fatalf("ReadAll holds %d events that differ from Next's %d", all.Len(), len(evs))
+		}
 	})
 }
 
